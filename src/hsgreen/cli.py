@@ -400,8 +400,6 @@ def cmd_stability_map(cfg: RunConfig, args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="hsgreen", description=__doc__)
-    ap.add_argument("--threads", type=int, default=None,
-                    help="cap BLAS/OpenMP threads (best effort)")
     sub = ap.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("green-eval", help="tabulate Green's-function evaluators")
@@ -409,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--out", required=True)
     g.add_argument("--point", nargs=3, action="append", metavar=("X", "Y", "T"))
     g.add_argument("--x-grid", default="1:20:5")
-    g.add_argument("--y-grid", default="2.5:18.5:4")
+    g.add_argument("--y-grid", default="4.5:18:4")
     g.add_argument("--t-grid", default="2:10:3")
     g.set_defaults(fn=cmd_green_eval)
 
@@ -444,9 +442,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.threads:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ[var] = str(args.threads)
     try:
         cfg = RunConfig.from_file(args.config)
     except (ConfigurationError, ParameterError, OSError, json.JSONDecodeError) as exc:

@@ -14,7 +14,6 @@ throughout so that they stay finite at ``t = 0``.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -81,10 +80,6 @@ class ModelParams:
 # 2x2 real matrices are plain numpy arrays of shape (2, 2); the alias is for
 # signature readability only.
 Matrix2 = np.ndarray
-
-
-def mat2(m11: float, m12: float, m21: float, m22: float) -> Matrix2:
-    return np.array([[m11, m12], [m21, m22]], dtype=float)
 
 
 @dataclass
@@ -225,9 +220,3 @@ def a0_profile(x, t, c: float):
         raise ParameterError(f"sound speed must be positive, got {c}")
     return psi_envelope(x, t, c, 1.0) + psi_envelope(x, t, -c, 1.0)
 
-
-def acoustic_ridge_distance(x: float, y: float, t: float, c: float) -> float:
-    """Distance (in units of sqrt(t)) from (x, y, t) to the nearest of the
-    three wave ridges x - y = +-ct and x + y = ct."""
-    s = math.sqrt(max(t, 1e-300))
-    return min(abs(x - y - c * t), abs(x - y + c * t), abs(x + y - c * t)) / s

@@ -23,6 +23,18 @@ the remaining integrand decays like xi^{-4} (even entries) and xi^{-5} (odd
 entries); the subtracted part is added back in closed form.  The constant
 piece of S11 is the persistent delta, reported separately.
 
+Mirror kernel
+-------------
+The boundary part of the stable mixed class is an exponential convolution
+of the fundamental solution, i.e. the Fourier multiplier
+M(xi) = (gamma + i xi)/(gamma - i xi) applied to its symbol.  The mirror
+oracle reuses the panels and the subtraction above: M times the residual is
+inverted by a cos and a sin sum per entry (M breaks the parity), and the
+model term maps in closed form, e^{-beta w} -> (gamma - beta)/(gamma + beta)
+e^{-beta w} for w > 0 and beta in {b, 2b}.  M varies on the scale gamma, so
+the mirror caps the core panel width at gamma; the whole-line oracle (M = 1)
+keeps its grid.
+
 Inverse Laplace strategy
 ------------------------
 Default contour is the fixed parabolic (Talbot-style) contour, which wraps
@@ -35,11 +47,11 @@ the diagonal x = y.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .core import KernelValue, ModelParams
+from .core import BoundaryClass, KernelValue, ModelParams
 from .errors import AccuracyError, ConfigurationError, ParameterError
 from .spectral import find_boundary_pole, fourier_fundamental, laplace_green
 
@@ -97,10 +109,12 @@ def _edges(lo: float, hi: float, width: float) -> np.ndarray:
 
 
 def _xi_grid(
-    t: float, x_absmax: float, params: ModelParams, cfg: QuadratureConfig, refine: int = 1
+    t: float, x_absmax: float, params: ModelParams, cfg: QuadratureConfig,
+    refine: int = 1, gamma: float | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Panel grid on [0, xi_max]: dense where the symbol oscillates, coarser
-    on the algebraic tail.  ``refine`` halves the panel widths (error probe)."""
+    on the algebraic tail.  ``refine`` halves the panel widths (error probe);
+    the mirror's ``gamma`` caps the core width at its multiplier's scale."""
     c, nu = params.c, params.nu
     q = math.exp(-c**2 * t / nu)
     # Core: beyond xi_core the Gaussian-decaying modes are < 1e-18.
@@ -116,7 +130,8 @@ def _xi_grid(
         xi_max = max(xi_max, 1.2 * xi_core + 5.0, 10.0 * c / nu)
     xi_core = min(xi_core, xi_max * 0.5)
     osc = x_absmax + c * t + 1.0
-    w_core = min(5.0 / osc, xi_core / 6.0, 0.5 * c / nu) / refine
+    cap = math.inf if gamma is None else gamma
+    w_core = min(5.0 / osc, xi_core / 6.0, 0.5 * c / nu, cap) / refine
     w_tail = 5.0 / (x_absmax + 1.0) / refine
     nodes1, wts1 = _gauss_panels(_edges(0.0, xi_core, w_core), cfg.n_xi)
     nodes2, wts2 = _gauss_panels(_edges(xi_core, xi_max, w_tail), cfg.n_xi)
@@ -134,41 +149,53 @@ def _subtraction_coefficients(t: float, params: ModelParams):
 
 
 def _fourier_smooth_grid(
-    x: np.ndarray, t: float, params: ModelParams, cfg: QuadratureConfig, refine: int = 1
+    x: np.ndarray, t: float, params: ModelParams, cfg: QuadratureConfig,
+    refine: int = 1, gamma: float | None = None,
 ) -> np.ndarray:
-    """Smooth part of the fundamental solution on an array of offsets."""
+    """Inverse transform of M(xi) times the smooth symbol on an array of x.
+
+    M = 1 gives the smooth part of the fundamental solution; for a given
+    ``gamma``, M = (gamma + i xi)/(gamma - i xi) gives the mirror kernel
+    before its diag(1, -1) factor, for x >= 0 (x = 0 as the x -> 0+ limit).
+    """
     x = np.asarray(x, dtype=float)
-    xi, wts = _xi_grid(t, float(np.abs(x).max()), params, cfg, refine)
+    xi, wts = _xi_grid(t, float(np.abs(x).max()), params, cfg, refine, gamma)
     F = fourier_fundamental(xi, t, params)
     q, b, a11, a22, A, B = _subtraction_coefficients(t, params)
     l1 = 1.0 / (b**2 + xi**2)
     l2 = 1.0 / (4.0 * b**2 + xi**2)
     odd_model = -(q / params.nu) * (A * xi * l1 + B * xi * l2)
-    f11 = F[:, 0, 0].real - q * (1.0 + a11 * l1)
-    f22 = F[:, 1, 1].real - q * a22 * l1
-    h12 = F[:, 0, 1].imag - odd_model
-    h21 = F[:, 1, 0].imag - params.c**2 * odd_model
+    # Residual after the Lorentzian subtraction: real even diagonal entries,
+    # imaginary odd off-diagonal ones.
+    res = np.empty((xi.size, 2, 2), dtype=complex)
+    res[:, 0, 0] = F[:, 0, 0].real - q * (1.0 + a11 * l1)
+    res[:, 1, 1] = F[:, 1, 1].real - q * a22 * l1
+    res[:, 0, 1] = 1j * (F[:, 0, 1].imag - odd_model)
+    res[:, 1, 0] = 1j * (F[:, 1, 0].imag - params.c**2 * odd_model)
+    if gamma is not None:
+        res *= ((gamma + 1j * xi) / (gamma - 1j * xi))[:, None, None]
+    # Hermitian symmetry folds the inverse onto xi > 0:
+    # (1/pi) int_0^inf Re(P e^{i xi x}) = (1/pi) int (Re P cos - Im P sin).
+    res = res.reshape(-1, 4) * (wts / math.pi)[:, None]
 
-    out = np.empty(x.shape + (2, 2))
-    inv_pi = 1.0 / math.pi
+    flat = np.empty((x.size, 4))
     # Chunk the trig outer products to bound memory.
     step = max(1, int(4e6 / max(xi.size, 1)))
-    for i in range(0, x.size, step):
-        blk = x.ravel()[i : i + step]
-        phase = np.outer(blk, xi)
-        cosw = np.cos(phase) * wts
-        sinw = np.sin(phase) * wts
-        sl = slice(i, i + blk.size)
-        flat = out.reshape(-1, 2, 2)
-        flat[sl, 0, 0] = inv_pi * (cosw @ f11)
-        flat[sl, 1, 1] = inv_pi * (cosw @ f22)
-        flat[sl, 0, 1] = -inv_pi * (sinw @ h12)
-        flat[sl, 1, 0] = -inv_pi * (sinw @ h21)
-    # Closed-form transform of the subtracted model (minus its delta).
-    ax = np.abs(x)
-    e1 = np.exp(-b * ax)
-    e2 = np.exp(-2.0 * b * ax)
-    sg = np.sign(x)
+    xs = x.ravel()
+    for i in range(0, xs.size, step):
+        phase = np.outer(xs[i : i + step], xi)
+        acc = np.cos(phase) @ res.real
+        acc -= np.sin(phase, out=phase) @ res.imag
+        flat[i : i + acc.shape[0]] = acc
+    out = flat.reshape(x.shape + (2, 2))
+    # Closed-form transform of the subtracted model (minus its delta): sums
+    # of e^{-beta|x|} and sgn(x) e^{-beta|x|}, beta in {b, 2b}.  For x > 0 the
+    # multiplier maps e^{-beta x} to (gamma - beta)/(gamma + beta) e^{-beta x}.
+    sg, k1, k2 = np.sign(x), 1.0, 1.0
+    if gamma is not None:
+        sg, k1, k2 = 1.0, (gamma - b) / (gamma + b), (gamma - 2.0 * b) / (gamma + 2.0 * b)
+    e1 = k1 * np.exp(-b * np.abs(x))
+    e2 = k2 * np.exp(-2.0 * b * np.abs(x))
     out[..., 0, 0] += q * a11 * e1 / (2.0 * b)
     out[..., 1, 1] += q * a22 * e1 / (2.0 * b)
     odd_x = (q / (2.0 * params.nu)) * sg * (A * e1 + B * e2)
@@ -178,10 +205,11 @@ def _fourier_smooth_grid(
 
 
 def _fourier_smooth_with_error(
-    x: np.ndarray, t: float, params: ModelParams, cfg: QuadratureConfig
+    x: np.ndarray, t: float, params: ModelParams, cfg: QuadratureConfig,
+    gamma: float | None = None,
 ) -> tuple[np.ndarray, float]:
-    coarse = _fourier_smooth_grid(x, t, params, cfg, refine=1)
-    fine = _fourier_smooth_grid(x, t, params, cfg, refine=2)
+    coarse = _fourier_smooth_grid(x, t, params, cfg, 1, gamma)
+    fine = _fourier_smooth_grid(x, t, params, cfg, 2, gamma)
     return fine, float(np.abs(fine - coarse).max())
 
 
@@ -307,42 +335,27 @@ def invert_laplace_green(
     return out
 
 
-def _exp_weighted_tail_integrals(
-    u: np.ndarray, G: np.ndarray, gamma: float
-) -> np.ndarray:
-    """J(u_k) = int_{u_k}^{u_max} e^{-gamma (v - u_k)} G(v) dv on a uniform grid.
-
-    Backward recurrence J_k = e^{-gamma h} J_{k+1} + local panel integral,
-    with the panel integral taken over the linear interpolant of G (exact
-    exponential moments), so every factor stays below unit scale.
-    """
-    h = u[1] - u[0]
-    eh = math.exp(-gamma * h)
-    c0 = (1.0 - eh) / gamma
-    c1 = (1.0 - (1.0 + gamma * h) * eh) / gamma**2
-    w_left = c0 - c1 / h
-    w_right = c1 / h
-    J = np.zeros_like(G)
-    for k in range(u.size - 2, -1, -1):
-        J[k] = eh * J[k + 1] + w_left * G[k] + w_right * G[k + 1]
-    return J
-
-
 def mirror_by_quadrature(
     w, t: float, params: ModelParams, cfg: QuadratureConfig = DEFAULT_QUADRATURE
 ):
-    """Mirror kernel by direct quadrature of the image-source integral.
+    """Mirror kernel at w = x + y >= 0 by Fourier inversion with a multiplier.
 
-    G_mir(w, t) = (-G(w, t) + 2 gamma int_0^inf e^{-gamma z} G(w + z, t) dz)
-                  diag(1, -1),
+    The image-source form
 
-    with G evaluated by the Fourier oracle (smooth part; the integrand's
-    delta never fires for w > 0).  Broadcasts over array w.  The z-integral
-    is a one-sided exponential convolution, computed for all w at once by a
-    backward recurrence over a shared fine grid.
+        G_mir(w, t) = (-G(w, t) + 2 gamma int_0^inf e^{-gamma z} G(w + z, t) dz)
+                      diag(1, -1)
+
+    is a one-sided exponential convolution of the fundamental solution, so
+
+        G_mir(w, t) = F^{-1}[(gamma + i xi)/(gamma - i xi) G^(xi, t)](w) diag(1, -1),
+
+    evaluated on the Fourier oracle's xi panels at the requested w only.  The
+    multiplier is the Fourier-side twin of the Laplace reflection coefficient
+    (a2 + a1 lambda)/(a2 - a1 lambda) = (gamma - lambda)/(gamma + lambda)
+    under lambda -> -i xi.  Only the smooth part of G enters (its delta never
+    fires for w > 0); w = 0 returns the w -> 0+ limit.  Broadcasts over array
+    w; raises AccuracyError when the coarse/fine self-check misses 10 cfg.tol.
     """
-    from .core import BoundaryClass
-
     if params.boundary_class is not BoundaryClass.MIXED_STABLE:
         raise ParameterError("mirror_by_quadrature needs the stable mixed class")
     if not (t > 0.0):
@@ -350,32 +363,10 @@ def mirror_by_quadrature(
     warr = np.atleast_1d(np.asarray(w, dtype=float))
     if np.any(warr < 0.0):
         raise ParameterError("need w >= 0")
-    gamma, c, nu = params.gamma, params.c, params.nu
-    lo = float(warr.min())
-    hi = float(warr.max()) + c * t + 12.0 * math.sqrt(nu * t) + 45.0 / gamma
-    h0 = min(1.0 / gamma, math.sqrt(nu * t), 1.0) / 30.0
-
-    def assemble(scale: int) -> np.ndarray:
-        n = int(math.ceil((hi - lo) / (h0 / scale))) + 1
-        u = np.linspace(lo, hi, n)
-        G = _fourier_smooth_grid(u, t, params, cfg, refine=scale)
-        J = _exp_weighted_tail_integrals(u, G, gamma)
-        mir = (-G + 2.0 * gamma * J) * np.array([1.0, -1.0])
-        out = np.empty(warr.shape + (2, 2))
-        for i in range(2):
-            for j in range(2):
-                out[..., i, j] = np.interp(warr, u, mir[:, i, j])
-        return out
-
-    coarse = assemble(1)
-    fine = assemble(2)
-    err = float(np.abs(fine - coarse).max())
+    smooth, err = _fourier_smooth_with_error(warr, t, params, cfg, params.gamma)
     if err > 10.0 * cfg.tol:
         raise AccuracyError("mirror quadrature did not meet tolerance", err, 10.0 * cfg.tol)
+    smooth = smooth * np.array([1.0, -1.0])
     if np.asarray(w).ndim == 0:
-        return fine[0]
-    return fine
-
-
-def with_tolerance(cfg: QuadratureConfig, tol: float) -> QuadratureConfig:
-    return replace(cfg, tol=tol)
+        return smooth[0]
+    return smooth

@@ -1,5 +1,6 @@
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -82,6 +83,27 @@ class TestGreenEval:
         lap = np.array([float(v) for v in values[7:11]])
         pde = np.array([float(v) for v in values[11:15]])
         assert np.abs(lap - pde).max() <= 0.05 * np.abs(lap).max()
+
+    def test_readme_example_runs(self, tmp_path):
+        # the documented invocation succeeds on the default config
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        line = next(ln for ln in readme.read_text().splitlines()
+                    if ln.startswith("hsgreen green-eval"))
+        argv = line.split("#")[0].split()[1:]
+        argv[argv.index("--out") + 1] = str(tmp_path / "ge")
+        assert run_cli(argv) == cli.EXIT_PASS
+        lines = open(tmp_path / "ge" / "greens.csv").read().strip().splitlines()
+        assert len(lines) - 1 == 1
+
+    def test_default_grids_are_evaluable(self):
+        # every default source sits >= 10 pulse widths (4 dx) from both ends,
+        # and no default x hits a source (the oracles need x != y)
+        args = cli.build_parser().parse_args(["green-eval", "--out", "unused"])
+        grid = cli.RunConfig({}).grid
+        margin = 10.0 * 4.0 * grid.dx
+        ys = cli._parse_grid_spec(args.y_grid)
+        assert np.all((ys >= margin) & (ys <= grid.L - margin))
+        assert not np.isin(cli._parse_grid_spec(args.x_grid), ys).any()
 
     def test_grid_row_count(self, tmp_path):
         cfgp = write_config(tmp_path, {"solver": {"L": 40.0, "nx": 400, "t_end": 3.0,

@@ -200,3 +200,17 @@ class TestMirrorByQuadrature:
         ref = tr.invert_laplace_green(xs, np.full_like(xs, y), t, P) - \
             tr.invert_fourier_fundamental(xs - y, t, P).smooth
         assert np.abs(gm - ref).max() <= 2e-5
+
+    @pytest.mark.parametrize("gamma", [0.01, 0.1, 1.0, 10.0, 1000.0])
+    def test_gamma_sweep_against_independent_pipeline(self, gamma):
+        # from near-Neumann to near-Dirichlet walls: the multiplier's
+        # xi-scale gamma must be resolved at either end
+        pg = ModelParams(a1=-1.0, a2=gamma)
+        ws = np.linspace(0.7, 20.0, 12)
+        y = 0.3
+        xs = ws - y
+        for t in (2.0, 5.0):
+            gm = tr.mirror_by_quadrature(ws, t, pg, self.CFG)
+            ref = tr.invert_laplace_green(xs, np.full_like(xs, y), t, pg) - \
+                tr.invert_fourier_fundamental(xs - y, t, pg).smooth
+            assert np.abs(gm - ref).max() <= 2e-5
