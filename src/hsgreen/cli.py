@@ -63,7 +63,6 @@ DEFAULT_CONFIG: dict = {
         "cfl_hyp": 0.45,
         "cfl_par": 0.45,
         "scheme": "central-2",
-        "far_bc": "sponge",
         "sponge_fraction": 0.1,
         "sponge_strength": 1.0,
         "kappa4": 0.25,
@@ -129,7 +128,6 @@ class RunConfig:
             cfl_hyp=s["cfl_hyp"],
             cfl_par=s["cfl_par"],
             scheme=s["scheme"],
-            far_bc=s["far_bc"],
             sponge_fraction=s["sponge_fraction"],
             sponge_strength=s["sponge_strength"],
             kappa4=s["kappa4"],
@@ -209,6 +207,12 @@ def cmd_green_eval(cfg: RunConfig, args) -> int:
         ys = _parse_grid_spec(args.y_grid)
         tg = _parse_grid_spec(args.t_grid)
         pts = [(float(x), float(y), float(t)) for t in tg for y in ys for x in xs]
+    clash = next(((x, y) for x, y, _ in pts if x == y), None)
+    if clash is not None:
+        raise ConfigurationError(
+            f"green-eval needs x != y at every point; first offending (x, y) = "
+            f"({clash[0]:g}, {clash[1]:g})"
+        )
     out_dir = args.out
     os.makedirs(out_dir, exist_ok=True)
     columns = ["x", "y", "t"]

@@ -8,13 +8,22 @@ Two systems share one discretization:
 Space: 2nd-order central differences in conservation form (an optional
 4th-order interior stencil is available via ``scheme="central-4"``), with a
 ghost node enforcing the Robin condition a1 m_x + a2 m = 0 at x = 0 and a
-sponge layer (or plain extrapolation) at the artificial far boundary.  The
-density equation carries no physical viscosity, so a small grid-vanishing
-fourth-difference dissipation (coefficient kappa4 * c * dx^3) suppresses
-odd-even decoupling without reducing the formal order.
+sponge layer at the artificial far boundary (``sponge_strength = 0`` turns
+it off).  The density equation carries no physical viscosity, so a small
+grid-vanishing fourth-difference dissipation (coefficient kappa4 * c * dx^3)
+suppresses odd-even decoupling without reducing the formal order.
 
 Time: classic four-stage Runge-Kutta with a step satisfying the acoustic,
-viscous, and dissipation stability limits simultaneously.
+viscous, and dissipation stability limits simultaneously.  The linear
+semi-discrete system w' = A w is time-invariant, so one RK4 step is exactly
+the matrix S(dt) = I + hA + (hA)^2/2 + (hA)^3/6 + (hA)^4/24 (h = dt): the
+same polynomial in A that the four stages evaluate, not an approximation of
+it.  Every RHS row reads nodes within 3 of itself, so S is banded.  The
+linear solver builds S once per step size by applying the RK4 step to
+coloured unit vectors, stores it as dense blocks of a block-tridiagonal
+matrix on the interleaved state (u0, m0, u1, m1, ...), and then advances
+with one banded matrix-vector product per step.  The nonlinear solver runs
+the same RK4 step on its RHS directly.
 """
 
 from __future__ import annotations
@@ -25,12 +34,15 @@ import os
 from dataclasses import asdict, dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import BoundaryClass, FieldState, Grid1D, ModelParams, Trajectory
 from .errors import ConfigurationError, DivergenceError, ParameterError
 
 SCHEMES = ("central-2", "central-4")
-FAR_BCS = ("sponge", "extrapolation")
+# Reach of one RK4 step on the interleaved state: 4 stages x 3 nodes x 2
+# fields, plus 1 for the field offset within a node.
+REACH = 25
 
 
 @dataclass(frozen=True)
@@ -40,7 +52,6 @@ class SolverConfig:
     cfl_hyp: float = 0.45
     cfl_par: float = 0.45
     scheme: str = "central-2"
-    far_bc: str = "sponge"
     sponge_fraction: float = 0.1
     sponge_strength: float = 1.0
     kappa4: float = 0.25
@@ -53,8 +64,6 @@ class SolverConfig:
             raise ConfigurationError("CFL safety factors must lie in (0, 0.9]")
         if self.scheme not in SCHEMES:
             raise ConfigurationError(f"scheme must be one of {SCHEMES}")
-        if self.far_bc not in FAR_BCS:
-            raise ConfigurationError(f"far_bc must be one of {FAR_BCS}")
         if not (self.t_end > 0.0):
             raise ConfigurationError("t_end must be positive")
         if self.kappa4 < 0.0:
@@ -210,13 +219,9 @@ def _fourth_difference(f: np.ndarray) -> np.ndarray:
 
 
 def _sponge_profile(grid: Grid1D, cfg: SolverConfig) -> np.ndarray:
-    sigma = np.zeros(grid.n_nodes)
-    if cfg.far_bc == "sponge":
-        xs = grid.L * (1.0 - cfg.sponge_fraction)
-        x = grid.x
-        ramp = np.clip((x - xs) / (grid.L - xs), 0.0, None)
-        sigma = cfg.sponge_strength * ramp**2
-    return sigma
+    xs = grid.L * (1.0 - cfg.sponge_fraction)
+    ramp = np.clip((grid.x - xs) / (grid.L - xs), 0.0, None)
+    return cfg.sponge_strength * ramp**2
 
 
 def _robin_ghost(m: np.ndarray, dx: float, params: ModelParams) -> float:
@@ -259,12 +264,9 @@ class _Rhs:
         else:
             ghost_m = _robin_ghost(m, dx, p)
             if self.nonlinear:
-                rho = 1.0 + u
                 ghost_rho = 3.0 * rho[0] - 3.0 * rho[1] + rho[2]
                 ghost_v = ghost_m / ghost_rho
-                v = m / rho
                 visc = nu * (ghost_v - 2.0 * v[0] + v[1]) / dx**2
-                flux = m * v + self.p_scale * rho**cfg.pressure_gamma
                 dmdt[0] = -(-3.0 * flux[0] + 4.0 * flux[1] - flux[2]) / (2.0 * dx) + visc
             else:
                 visc = nu * (ghost_m - 2.0 * m[0] + m[1]) / dx**2
@@ -272,10 +274,66 @@ class _Rhs:
 
         if cfg.kappa4 > 0.0:
             dudt -= cfg.kappa4 * c / dx * _fourth_difference(u)
-        if cfg.far_bc == "sponge":
-            dudt -= self.sigma * u
-            dmdt -= self.sigma * m
+        dudt -= self.sigma * u
+        dmdt -= self.sigma * m
         return dudt, dmdt
+
+
+def _rk4_step(rhs: _Rhs, u: np.ndarray, m: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """One classic four-stage Runge-Kutta step of (u, m)' = rhs(u, m)."""
+    k1u, k1m = rhs(u, m)
+    k2u, k2m = rhs(u + 0.5 * dt * k1u, m + 0.5 * dt * k1m)
+    k3u, k3m = rhs(u + 0.5 * dt * k2u, m + 0.5 * dt * k2m)
+    k4u, k4m = rhs(u + dt * k3u, m + dt * k3m)
+    u = u + (dt / 6.0) * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
+    m = m + (dt / 6.0) * (k1m + 2.0 * k2m + 2.0 * k3m + k4m)
+    return u, m
+
+
+class _StepMatrix:
+    """The linear RK4 step S(dt) as a block-tridiagonal matrix.
+
+    The state is interleaved, w = (u0, m0, u1, m1, ...).  S is assembled by
+    applying ``_rk4_step`` to 2 REACH + 1 coloured probes (unit vectors at
+    every index of one residue class): columns of one colour lie further
+    apart than twice the reach, so each probe's nonzeros belong to exactly
+    one column per row.  The block size b is the measured half-bandwidth,
+    which puts row block I in column blocks I-1, I, I+1.
+    """
+
+    def __init__(self, rhs: _Rhs, n_nodes: int, dt: float):
+        n = 2 * n_nodes
+        k = 2 * REACH + 1
+        rows = np.arange(n)
+        probe = np.zeros(n)
+        band = np.zeros((k, n))  # band[REACH + j - i, i] = S[i, j]
+        for c in range(k):
+            probe[c::k] = 1.0
+            su, sm = _rk4_step(rhs, probe[0::2], probe[1::2], dt)
+            probe[c::k] = 0.0
+            diag = (c - rows + REACH) % k
+            band[diag[0::2], rows[0::2]] = su
+            band[diag[1::2], rows[1::2]] = sm
+        b = int(np.abs(np.flatnonzero(band.any(axis=1)) - REACH).max())
+        nb = -(-n // b)
+        r = np.arange(b)
+        self.blocks = np.zeros((nb, b, 3 * b))
+        for d in range(-b, b + 1):
+            self.blocks[:, r, r + d + b] = np.pad(band[REACH + d], (0, nb * b - n)).reshape(nb, b)
+        self.dt = dt
+        self.n = n
+        self.b = b
+
+    def advance(self, u: np.ndarray, m: np.ndarray, n_steps: int) -> tuple[np.ndarray, np.ndarray]:
+        """Apply S n_steps times; zero padding keeps every window in range."""
+        b, n = self.b, self.n
+        w = np.zeros((self.blocks.shape[0] + 2) * b)
+        w[b : b + n : 2] = u
+        w[b + 1 : b + n : 2] = m
+        windows = sliding_window_view(w, 3 * b)[::b, :, None]
+        for _ in range(n_steps):
+            w[b:-b] = (self.blocks @ windows).ravel()
+        return w[b : b + n : 2], w[b + 1 : b + n : 2]
 
 
 def _stable_dt(params: ModelParams, cfg: SolverConfig) -> float:
@@ -335,16 +393,18 @@ def _integrate(
     traj.append(FieldState(t=times[0], rho=1.0 + u, m=m.copy()), r0, ra0)
 
     t = times[0]
+    step = None
     for t_next in times[1:]:
         n_steps = max(1, int(math.ceil((t_next - t) / dt_max)))
         dt = (t_next - t) / n_steps
-        for _ in range(n_steps):
-            k1u, k1m = rhs(u, m)
-            k2u, k2m = rhs(u + 0.5 * dt * k1u, m + 0.5 * dt * k1m)
-            k3u, k3m = rhs(u + 0.5 * dt * k2u, m + 0.5 * dt * k2m)
-            k4u, k4m = rhs(u + dt * k3u, m + dt * k3m)
-            u = u + (dt / 6.0) * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
-            m = m + (dt / 6.0) * (k1m + 2.0 * k2m + 2.0 * k3m + k4m)
+        if nonlinear:
+            for _ in range(n_steps):
+                u, m = _rk4_step(rhs, u, m, dt)
+        else:
+            if step is None or step.dt != dt:
+                step = None  # release the old matrix before building the next
+                step = _StepMatrix(rhs, u.size, dt)
+            u, m = step.advance(u, m, n_steps)
         t = t_next
         if not (np.all(np.isfinite(u)) and np.all(np.isfinite(m))):
             exc = DivergenceError("solution lost finiteness", t)

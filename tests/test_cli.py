@@ -105,6 +105,13 @@ class TestGreenEval:
         assert np.all((ys >= margin) & (ys <= grid.L - margin))
         assert not np.isin(cli._parse_grid_spec(args.x_grid), ys).any()
 
+    def test_source_on_grid_point_rejected_up_front(self, tmp_path, capsys):
+        out = tmp_path / "ge"
+        code = run_cli(["green-eval", "--out", str(out), "--y-grid", "5:20:4"])
+        assert code == cli.EXIT_CONFIG
+        assert "(20, 20)" in capsys.readouterr().err
+        assert not (out / "greens.csv").exists()
+
     def test_grid_row_count(self, tmp_path):
         cfgp = write_config(tmp_path, {"solver": {"L": 40.0, "nx": 400, "t_end": 3.0,
                                                   "n_snapshots": 4}})

@@ -23,11 +23,9 @@ class TestConfig:
         with pytest.raises(ConfigurationError):
             small_cfg(cfl_par=0.0)
 
-    def test_scheme_and_far_bc_validated(self):
+    def test_scheme_validated(self):
         with pytest.raises(ConfigurationError):
             small_cfg(scheme="upwind")
-        with pytest.raises(ConfigurationError):
-            small_cfg(far_bc="periodic")
 
     def test_pressure_consistency_check(self):
         cfg = small_cfg(pressure_scale=0.5, pressure_gamma=2.0)
@@ -195,6 +193,23 @@ class TestLinearSolver:
         e1 = np.abs(s1.rho - s2.rho[::2]).max()
         e2 = np.abs(s2.rho - s4.rho[::2]).max()
         assert math.log2(e1 / e2) >= 1.9
+
+
+class TestStepMatrix:
+    @pytest.mark.parametrize("params", [
+        P, PD, ModelParams(a1=1.0, a2=0.0), ModelParams(c=1.7, nu=0.3, a1=-1.3, a2=2.9),
+    ], ids=["mixed", "dirichlet", "neumann", "scaled"])
+    @pytest.mark.parametrize("scheme", so.SCHEMES)
+    @pytest.mark.parametrize("sponge_strength", [0.0, 1.0])
+    def test_matches_rk4_step(self, params, scheme, sponge_strength):
+        cfg = small_cfg(L=10.0, nx=60, scheme=scheme, sponge_strength=sponge_strength)
+        rhs = so._Rhs(params, cfg, nonlinear=False)
+        dt = so._stable_dt(params, cfg)
+        u, m = np.random.default_rng(0).standard_normal((2, cfg.grid.n_nodes))
+        ref_u, ref_m = so._rk4_step(rhs, u, m, dt)
+        got_u, got_m = so._StepMatrix(rhs, cfg.grid.n_nodes, dt).advance(u, m, 1)
+        assert np.abs(got_u - ref_u).max() <= 1e-14
+        assert np.abs(got_m - ref_m).max() <= 1e-14
 
 
 class TestNonlinearSolver:
