@@ -152,6 +152,10 @@ class Trajectory:
     # the transformed-form residual -a1*drho/dt + a2*m logged as a diagnostic.
     boundary_residual: list[float] = field(default_factory=list)
     boundary_residual_alt: list[float] = field(default_factory=list)
+    # Solver work counters: steps, explicit RHS evaluations, implicit solves,
+    # factorizations, each snapshot segment's dt with the limit that set it,
+    # and for nonlinear runs the minimum density.  Not written to manifests.
+    stats: dict = field(default_factory=dict)
 
     def append(self, state: FieldState, residual: float, residual_alt: float) -> None:
         if self.states and state.t <= self.states[-1].t:

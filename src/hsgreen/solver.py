@@ -13,17 +13,21 @@ it off).  The density equation carries no physical viscosity, so a small
 grid-vanishing fourth-difference dissipation (coefficient kappa4 * c * dx^3)
 suppresses odd-even decoupling without reducing the formal order.
 
-Time: classic four-stage Runge-Kutta with a step satisfying the acoustic,
-viscous, and dissipation stability limits simultaneously.  The linear
-semi-discrete system w' = A w is time-invariant, so one RK4 step is exactly
-the matrix S(dt) = I + hA + (hA)^2/2 + (hA)^3/6 + (hA)^4/24 (h = dt): the
-same polynomial in A that the four stages evaluate, not an approximation of
-it.  Every RHS row reads nodes within 3 of itself, so S is banded.  The
-linear solver builds S once per step size by applying the RK4 step to
-coloured unit vectors, stores it as dense blocks of a block-tridiagonal
-matrix on the interleaved state (u0, m0, u1, m1, ...), and then advances
-with one banded matrix-vector product per step.  The nonlinear solver runs
-the same RK4 step on its RHS directly.
+Time: one second-order IMEX Runge-Kutta scheme, ARS(2,2,2), for both
+systems.  The viscous term nu m_xx is implicit, with its boundary rows (the
+Robin ghost or the Dirichlet pin at x = 0, the one-sided stencil at the far
+end); everything else is explicit, including the viscous remainder the
+implicit part does not take (nu (m/rho - m)_xx, and the fourth-order
+correction of ``central-4``).  The step is the smallest of three limits of
+the explicit part, chosen afresh for each snapshot segment: the acoustic
+CFL, the dissipation limit 2/rate and, for a nonzero remainder, cfl_par
+dx^2 over its viscosity, measured on the segment's starting density
+(see ``_stable_dt``).  The implicit matrix I - h nu D2 depends on the step
+size only; it is factored once per size without pivoting and solved by
+substitution run as recursive-doubling scans.  The scans stop only where
+their coefficient products have underflowed to exactly 0, so they compute
+the substitution itself, not a truncation of it, and a Dirichlet row
+returns m(0) = 0 exactly.
 """
 
 from __future__ import annotations
@@ -34,15 +38,11 @@ import os
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import BoundaryClass, FieldState, Grid1D, ModelParams, Trajectory
 from .errors import ConfigurationError, DivergenceError, ParameterError
 
 SCHEMES = ("central-2", "central-4")
-# Reach of one RK4 step on the interleaved state: 4 stages x 3 nodes x 2
-# fields, plus 1 for the field offset within a node.
-REACH = 25
 
 
 @dataclass(frozen=True)
@@ -230,7 +230,14 @@ def _robin_ghost(m: np.ndarray, dx: float, params: ModelParams) -> float:
 
 
 class _Rhs:
-    """Semi-discrete right-hand side shared by the linear/nonlinear systems."""
+    """Semi-discrete right-hand side shared by the linear/nonlinear systems.
+
+    It is the sum ``explicit(u, m) + (0, implicit(m))``.  ``implicit`` is the
+    viscous term nu m_xx with its boundary rows, which the IMEX step solves
+    for; ``explicit`` is everything else, including the viscous remainder
+    that the implicit part does not take (nu (m/rho - m)_xx in the nonlinear
+    system, the fourth-order correction of ``central-4``).
+    """
 
     def __init__(self, params: ModelParams, cfg: SolverConfig, nonlinear: bool):
         self.params = params
@@ -240,7 +247,18 @@ class _Rhs:
         self.dirichlet = params.boundary_class is BoundaryClass.DIRICHLET
         self.p_scale = cfg.resolved_pressure_scale(params) if nonlinear else 0.0
 
-    def __call__(self, u: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def implicit(self, m: np.ndarray) -> np.ndarray:
+        """nu m_xx: central-2 in the interior, the Robin ghost in row 0 (zero
+        under the Dirichlet pin) and the one-sided stencil in the far row."""
+        dx = self.cfg.grid.dx
+        g = _lap(m, dx, "central-2")
+        if self.dirichlet:
+            g[0] = 0.0
+        else:
+            g[0] = (_robin_ghost(m, dx, self.params) - 2.0 * m[0] + m[1]) / dx**2
+        return self.params.nu * g
+
+    def explicit(self, u: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # u is the density perturbation rho - 1 in both regimes.
         p = self.params
         cfg = self.cfg
@@ -252,25 +270,27 @@ class _Rhs:
         if self.nonlinear:
             rho = 1.0 + u
             v = m / rho
+            w = v - m  # nu w_xx is the viscous remainder nu (m/rho - m)_xx
             flux = m * v + self.p_scale * rho**cfg.pressure_gamma
-            dmdt = -_grad(flux, dx, scheme) + nu * _lap(v, dx, scheme)
+            dmdt = -_grad(flux, dx, scheme) + nu * _lap(w, dx, scheme)
         else:
-            dmdt = -c**2 * _grad(u, dx, scheme) + nu * _lap(m, dx, scheme)
+            dmdt = -c**2 * _grad(u, dx, scheme)
+        if scheme == "central-4":
+            # lap4 - lap2 = -delta^4 / (12 dx^2) where lap4 applies; both are
+            # zero in the rows next to each boundary.
+            dmdt -= nu / (12.0 * dx**2) * _fourth_difference(m)
 
         # Boundary node: Robin ghost for the viscous stencil, one-sided
         # pressure/flux gradient; Dirichlet pins m(0) = 0.
         if self.dirichlet:
             dmdt[0] = 0.0
-        else:
+        elif self.nonlinear:
             ghost_m = _robin_ghost(m, dx, p)
-            if self.nonlinear:
-                ghost_rho = 3.0 * rho[0] - 3.0 * rho[1] + rho[2]
-                ghost_v = ghost_m / ghost_rho
-                visc = nu * (ghost_v - 2.0 * v[0] + v[1]) / dx**2
-                dmdt[0] = -(-3.0 * flux[0] + 4.0 * flux[1] - flux[2]) / (2.0 * dx) + visc
-            else:
-                visc = nu * (ghost_m - 2.0 * m[0] + m[1]) / dx**2
-                dmdt[0] = -c**2 * (-3.0 * u[0] + 4.0 * u[1] - u[2]) / (2.0 * dx) + visc
+            ghost_rho = 3.0 * rho[0] - 3.0 * rho[1] + rho[2]
+            visc = nu * (ghost_m / ghost_rho - ghost_m - 2.0 * w[0] + w[1]) / dx**2
+            dmdt[0] = -(-3.0 * flux[0] + 4.0 * flux[1] - flux[2]) / (2.0 * dx) + visc
+        else:
+            dmdt[0] = -c**2 * (-3.0 * u[0] + 4.0 * u[1] - u[2]) / (2.0 * dx)
 
         if cfg.kappa4 > 0.0:
             dudt -= cfg.kappa4 * c / dx * _fourth_difference(u)
@@ -278,70 +298,146 @@ class _Rhs:
         dmdt -= self.sigma * m
         return dudt, dmdt
 
+    def __call__(self, u: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        dudt, dmdt = self.explicit(u, m)
+        return dudt, dmdt + self.implicit(m)
 
-def _rk4_step(rhs: _Rhs, u: np.ndarray, m: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
-    """One classic four-stage Runge-Kutta step of (u, m)' = rhs(u, m)."""
-    k1u, k1m = rhs(u, m)
-    k2u, k2m = rhs(u + 0.5 * dt * k1u, m + 0.5 * dt * k1m)
-    k3u, k3m = rhs(u + 0.5 * dt * k2u, m + 0.5 * dt * k2m)
-    k4u, k4m = rhs(u + dt * k3u, m + dt * k3m)
-    u = u + (dt / 6.0) * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
-    m = m + (dt / 6.0) * (k1m + 2.0 * k2m + 2.0 * k3m + k4m)
+    def explicit_viscosity(self, u: np.ndarray) -> float:
+        """Viscosity of the explicit viscous remainder: nu max|1/rho - 1| in
+        the nonlinear system, plus nu/3 for ``central-4`` (the symbol of
+        lap4 - lap2 is at most 4/3 nu/dx^2, a third of that of nu lap2)."""
+        nu_r = float(np.max(np.abs(u) / (1.0 + u))) if self.nonlinear else 0.0
+        if self.cfg.scheme == "central-4":
+            nu_r += 1.0 / 3.0
+        return self.params.nu * nu_r
+
+
+def _scan_levels(a: np.ndarray) -> list[np.ndarray]:
+    """Coefficients of the recurrence x[k] = a[k] x[k-1] + b[k] (a[0] unused)
+    for a recursive-doubling scan: level j holds the products of a over
+    windows of 2^j entries ending at k, for k >= 2^j.  Once every product of
+    a level is exactly 0 (underflow), that level and all later ones would add
+    exactly 0, so the list stops there."""
+    levels = []
+    s, tail = 1, a[1:]
+    while tail.size and tail.any():
+        levels.append(tail)
+        tail = tail[s:] * tail[:-s]
+        s *= 2
+    return levels
+
+
+def _scan(levels: list[np.ndarray], x: np.ndarray) -> None:
+    """Solve the recurrence of ``levels`` in place, with x holding b."""
+    s = 1
+    for tail in levels:
+        x[s:] += tail * x[:-s]
+        s *= 2
+
+
+class _ImplicitSolve:
+    """Solver of (I - h J) x = b, J the matrix of ``_Rhs.implicit``.
+
+    J is read off by applying ``implicit`` to 4 coloured probes (unit vectors
+    at every index of one residue class mod 4): row 0 reads nodes 0-1, an
+    interior row its neighbours and the far row the last 4 nodes, so no row
+    reads two nodes of one colour.  I - hJ is tridiagonal apart from the far
+    row's entries at n-4 and n-3.  It is factored once without pivoting, the
+    far row's three sub-diagonal entries being eliminated against rows n-4 to
+    n-2, and both substitutions run as recursive-doubling scans.  A row of
+    I - hJ that is a row of I (the Dirichlet pin) returns its entry of b
+    exactly.
+    """
+
+    def __init__(self, rhs: _Rhs, h: float):
+        n = rhs.cfg.grid.n_nodes
+        probes = np.zeros((4, n))
+        for c in range(4):
+            probes[c, c::4] = 1.0
+        cols = np.array([rhs.implicit(pr) for pr in probes])
+        k = np.arange(n)
+        lower = (-h * cols[(k - 1) % 4, k]).tolist()
+        diag = (1.0 - h * cols[k % 4, k]).tolist()
+        upper = (-h * cols[(k + 1) % 4, k]).tolist()
+        far = (-h * cols[k[-4:-1] % 4, n - 1]).tolist() + diag[-1:]  # row n-1, cols n-4..
+
+        mult = [0.0] * (n - 1)
+        for i in range(1, n - 1):
+            mult[i] = lower[i] / diag[i - 1]
+            diag[i] -= mult[i] * upper[i - 1]
+        far_mult = []
+        for j, i in enumerate(range(n - 4, n - 1)):
+            far_mult.append(far[j] / diag[i])
+            far[j + 1] -= far_mult[-1] * upper[i]
+        diag[-1] = far[-1]
+
+        self.h = h
+        self.far_mult = np.array(far_mult)
+        self.inv_diag = 1.0 / np.array(diag)
+        self.forward = _scan_levels(-np.array(mult))
+        back = -np.array(upper) * self.inv_diag
+        self.back = _scan_levels(back[::-1].copy())
+
+    def __call__(self, b: np.ndarray) -> np.ndarray:
+        """The solution x, computed in the array b."""
+        _scan(self.forward, b[:-1])
+        b[-1] -= self.far_mult @ b[-4:-1]
+        b *= self.inv_diag
+        _scan(self.back, b[::-1])
+        return b
+
+
+# ARS(2,2,2): Ascher, Ruuth & Spiteri, Appl. Numer. Math. 25 (1997).
+_GAMMA = 1.0 - 1.0 / math.sqrt(2.0)
+_DELTA = 1.0 - 1.0 / (2.0 * _GAMMA)
+
+
+def _imex_step(
+    rhs: _Rhs, solve: _ImplicitSolve, u: np.ndarray, m: np.ndarray, dt: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """One ARS(2,2,2) step; ``solve`` inverts I - _GAMMA dt J."""
+    f1u, f1m = rhs.explicit(u, m)
+    u2 = u + (_GAMMA * dt) * f1u
+    m2 = solve(m + (_GAMMA * dt) * f1m)
+    f2u, f2m = rhs.explicit(u2, m2)
+    u = u + (_DELTA * dt) * f1u + ((1.0 - _DELTA) * dt) * f2u
+    m = solve(
+        m + (_DELTA * dt) * f1m + ((1.0 - _DELTA) * dt) * f2m
+        + ((1.0 - _GAMMA) * dt) * rhs.implicit(m2)
+    )
     return u, m
 
 
-class _StepMatrix:
-    """The linear RK4 step S(dt) as a block-tridiagonal matrix.
+def _stable_dt(params: ModelParams, cfg: SolverConfig, nu_explicit: float) -> tuple[float, str]:
+    """The largest step the explicit part allows, and the limit that sets it.
 
-    The state is interleaved, w = (u0, m0, u1, m1, ...).  S is assembled by
-    applying ``_rk4_step`` to 2 REACH + 1 coloured probes (unit vectors at
-    every index of one residue class): columns of one colour lie further
-    apart than twice the reach, so each probe's nonzeros belong to exactly
-    one column per row.  The block size b is the measured half-bandwidth,
-    which puts row block I in column blocks I-1, I, I+1.
+    The implicit nu m_xx sets no limit.  The explicit part gives three:
+
+    * acoustic: cfl_hyp dx / c;
+    * dissipation: 2 / rate with rate = 16 kappa4 c/dx + c/dx + sponge.  The
+      ARS explicit stability polynomial 1 + z + z^2/2 holds the real interval
+      [-2, 0].  The most negative real eigenvalue, at the odd-even mode where
+      the central gradients vanish, is -(16 kappa4 c/dx + sponge), so the
+      acoustic c/dx in the rate is the margin for the modes where the
+      imaginary acoustic eigenvalues meet the dissipation; a von Neumann
+      analysis of the interior scheme with kappa4 = 0.25 first fails at
+      2.5 / rate, for every dx and nu tried;
+    * explicit-viscous: cfl_par dx^2 / nu_explicit for the viscous remainder
+      of viscosity nu_explicit (``_Rhs.explicit_viscosity``), the same rule
+      as for a fully explicit nu m_xx.
     """
-
-    def __init__(self, rhs: _Rhs, n_nodes: int, dt: float):
-        n = 2 * n_nodes
-        k = 2 * REACH + 1
-        rows = np.arange(n)
-        probe = np.zeros(n)
-        band = np.zeros((k, n))  # band[REACH + j - i, i] = S[i, j]
-        for c in range(k):
-            probe[c::k] = 1.0
-            su, sm = _rk4_step(rhs, probe[0::2], probe[1::2], dt)
-            probe[c::k] = 0.0
-            diag = (c - rows + REACH) % k
-            band[diag[0::2], rows[0::2]] = su
-            band[diag[1::2], rows[1::2]] = sm
-        b = int(np.abs(np.flatnonzero(band.any(axis=1)) - REACH).max())
-        nb = -(-n // b)
-        r = np.arange(b)
-        self.blocks = np.zeros((nb, b, 3 * b))
-        for d in range(-b, b + 1):
-            self.blocks[:, r, r + d + b] = np.pad(band[REACH + d], (0, nb * b - n)).reshape(nb, b)
-        self.dt = dt
-        self.n = n
-        self.b = b
-
-    def advance(self, u: np.ndarray, m: np.ndarray, n_steps: int) -> tuple[np.ndarray, np.ndarray]:
-        """Apply S n_steps times; zero padding keeps every window in range."""
-        b, n = self.b, self.n
-        w = np.zeros((self.blocks.shape[0] + 2) * b)
-        w[b : b + n : 2] = u
-        w[b + 1 : b + n : 2] = m
-        windows = sliding_window_view(w, 3 * b)[::b, :, None]
-        for _ in range(n_steps):
-            w[b:-b] = (self.blocks @ windows).ravel()
-        return w[b : b + n : 2], w[b + 1 : b + n : 2]
-
-
-def _stable_dt(params: ModelParams, cfg: SolverConfig) -> float:
     dx = cfg.grid.dx
-    c, nu = params.c, params.nu
-    dt = min(cfg.cfl_hyp * dx / c, cfg.cfl_par * dx**2 / nu)
-    rate = 4.0 * nu / dx**2 + 16.0 * cfg.kappa4 * c / dx + c / dx + cfg.sponge_strength
-    return min(dt, 2.2 / rate)
+    c = params.c
+    rate = 16.0 * cfg.kappa4 * c / dx + c / dx + cfg.sponge_strength
+    limits = {
+        "acoustic": cfg.cfl_hyp * dx / c,
+        "dissipation": 2.0 / rate,
+        "explicit-viscous": (
+            cfg.cfl_par * dx**2 / nu_explicit if nu_explicit > 0.0 else math.inf
+        ),
+    }
+    limit = min(limits, key=limits.get)
+    return limits[limit], limit
 
 
 def _snapshot_times(cfg: SolverConfig, output_times) -> np.ndarray:
@@ -380,7 +476,6 @@ def _integrate(
         raise ConfigurationError("initial data does not match the configured grid")
     rhs = _Rhs(params, cfg, nonlinear)
     times = _snapshot_times(cfg, output_times)
-    dt_max = _stable_dt(params, cfg)
     dx = cfg.grid.dx
 
     u = init.rho - 1.0
@@ -391,33 +486,41 @@ def _integrate(
     traj = Trajectory(grid=cfg.grid, params=params)
     r0, ra0 = _boundary_residuals(u, m, rhs, params, dx)
     traj.append(FieldState(t=times[0], rho=1.0 + u, m=m.copy()), r0, ra0)
+    stats = traj.stats
+    stats.update(steps=0, factorizations=0, segments=[])
+    if nonlinear:
+        stats["min_density"] = float(np.min(init.rho))
 
-    t = times[0]
-    step = None
-    for t_next in times[1:]:
+    solve = None
+    for t, t_next in zip(times[:-1], times[1:]):
+        dt_max, limit = _stable_dt(params, cfg, rhs.explicit_viscosity(u))
         n_steps = max(1, int(math.ceil((t_next - t) / dt_max)))
         dt = (t_next - t) / n_steps
-        if nonlinear:
-            for _ in range(n_steps):
-                u, m = _rk4_step(rhs, u, m, dt)
-        else:
-            if step is None or step.dt != dt:
-                step = None  # release the old matrix before building the next
-                step = _StepMatrix(rhs, u.size, dt)
-            u, m = step.advance(u, m, n_steps)
-        t = t_next
+        if solve is None or solve.h != _GAMMA * dt:
+            solve = None  # release the old factors before building the next
+            solve = _ImplicitSolve(rhs, _GAMMA * dt)
+            stats["factorizations"] += 1
+        for _ in range(n_steps):
+            u, m = _imex_step(rhs, solve, u, m, dt)
+            if nonlinear:
+                stats["min_density"] = min(stats["min_density"], 1.0 + float(np.min(u)))
+        stats["steps"] += n_steps
+        stats["segments"].append({"dt": float(dt), "steps": n_steps, "limit": limit})
         if not (np.all(np.isfinite(u)) and np.all(np.isfinite(m))):
-            exc = DivergenceError("solution lost finiteness", t)
+            exc = DivergenceError("solution lost finiteness", t_next)
             exc.partial = traj
             raise exc
         if nonlinear and (np.min(u) <= -0.5 or np.max(u) >= 0.5):
             exc = DivergenceError(
-                "density left [1/2, 3/2]; reduce the initial amplitude or dx", t
+                "density left [1/2, 3/2]; reduce the initial amplitude or dx", t_next
             )
             exc.partial = traj
             raise exc
         r, ra = _boundary_residuals(u, m, rhs, params, dx)
-        traj.append(FieldState(t=t, rho=1.0 + u, m=m.copy()), r, ra)
+        traj.append(FieldState(t=t_next, rho=1.0 + u, m=m.copy()), r, ra)
+    # each step evaluates the explicit part twice and solves twice
+    stats["explicit_rhs_evals"] = 2 * stats["steps"]
+    stats["implicit_solves"] = 2 * stats["steps"]
     return traj
 
 
@@ -435,6 +538,8 @@ def solve_nonlinear(
     """Evolve the full system in conservation form, monitoring positivity."""
     if params.boundary_class is BoundaryClass.MIXED_UNSTABLE:
         raise ConfigurationError("nonlinear runs require a stable boundary class")
+    if np.min(init.rho) <= 0.0:
+        raise ParameterError("nonlinear runs need a positive initial density")
     return _integrate(init, params, cfg, nonlinear=True, output_times=output_times)
 
 

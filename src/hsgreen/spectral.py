@@ -49,14 +49,17 @@ class ComplexPair:
 def dispersion_sigma(xi: float, params: ModelParams) -> ComplexPair:
     """Growth rates sigma+- = -xi (nu xi +- sqrt(nu^2 xi^2 - 4 c^2)) / 2.
 
-    The root with the cancelling combination nu xi -+ sqrt(...) is recovered
-    from the product identity sigma+ sigma- = c^2 xi^2, so both Vieta
-    identities hold to machine precision even for nu^2 xi^2 >> 4 c^2.
+    For real roots (nu |xi| > 2c) the root with the cancelling combination
+    nu xi -+ sqrt(...) is recovered from the product identity
+    sigma+ sigma- = c^2 xi^2, so both Vieta identities hold to machine
+    precision even for nu^2 xi^2 >> 4 c^2.  Complex roots are a conjugate
+    pair of equal modulus and cancel nowhere.
     """
-    root = np.sqrt(complex(params.nu**2 * xi**2 - 4.0 * params.c**2))
+    disc = params.nu**2 * xi**2 - 4.0 * params.c**2
+    root = np.sqrt(complex(disc))
     sp = complex(-0.5 * xi * (params.nu * xi + root))
     sm = complex(-0.5 * xi * (params.nu * xi - root))
-    if xi != 0.0 and root != 0.0:
+    if disc > 0.0 and max(abs(sp), abs(sm)) > 0.0:
         prod = complex(params.c**2 * xi**2)
         if abs(sp) >= abs(sm):
             sm = prod / sp

@@ -195,21 +195,109 @@ class TestLinearSolver:
         assert math.log2(e1 / e2) >= 1.9
 
 
-class TestStepMatrix:
+class TestImexStep:
     @pytest.mark.parametrize("params", [
         P, PD, ModelParams(a1=1.0, a2=0.0), ModelParams(c=1.7, nu=0.3, a1=-1.3, a2=2.9),
     ], ids=["mixed", "dirichlet", "neumann", "scaled"])
     @pytest.mark.parametrize("scheme", so.SCHEMES)
     @pytest.mark.parametrize("sponge_strength", [0.0, 1.0])
-    def test_matches_rk4_step(self, params, scheme, sponge_strength):
+    def test_implicit_solve_residual(self, params, scheme, sponge_strength):
         cfg = small_cfg(L=10.0, nx=60, scheme=scheme, sponge_strength=sponge_strength)
         rhs = so._Rhs(params, cfg, nonlinear=False)
-        dt = so._stable_dt(params, cfg)
-        u, m = np.random.default_rng(0).standard_normal((2, cfg.grid.n_nodes))
-        ref_u, ref_m = so._rk4_step(rhs, u, m, dt)
-        got_u, got_m = so._StepMatrix(rhs, cfg.grid.n_nodes, dt).advance(u, m, 1)
-        assert np.abs(got_u - ref_u).max() <= 1e-14
-        assert np.abs(got_m - ref_m).max() <= 1e-14
+        dt, _ = so._stable_dt(params, cfg, rhs.explicit_viscosity(np.zeros(cfg.grid.n_nodes)))
+        h = so._GAMMA * dt
+        b = np.random.default_rng(0).standard_normal(cfg.grid.n_nodes)
+        if rhs.dirichlet:
+            b[0] = 0.0
+        x = so._ImplicitSolve(rhs, h)(b.copy())
+        assert np.abs(x - h * rhs.implicit(x) - b).max() <= 1e-14
+        if rhs.dirichlet:
+            assert x[0] == 0.0
+
+    @pytest.mark.parametrize("nonlinear", [False, True], ids=["linear", "nonlinear"])
+    def test_temporal_order(self, nonlinear):
+        # fixed grid, so the spatial error cancels; without the sponge the
+        # dissipation limit equals the acoustic one at cfl_hyp = 0.4 and dt
+        # halves with cfl_hyp
+        grid = Grid1D(L=40.0, nx=400)
+        solve = so.solve_nonlinear if nonlinear else so.solve_linear
+        init = so.make_initial_data(
+            so.InitialData(kind="gaussian", amplitude=0.5, center=15.0, width=2.5,
+                           components=("rho", "m")), grid, P,
+        )
+        finals = []
+        for cfl in (0.4, 0.2, 0.1):
+            cfg = so.SolverConfig(grid=grid, t_end=2.0, n_snapshots=2, cfl_hyp=cfl,
+                                  sponge_strength=0.0)
+            finals.append(solve(init, P, cfg).states[-1])
+        e1, e2 = (
+            np.abs(a.rho - b.rho).max() + np.abs(a.m - b.m).max()
+            for a, b in zip(finals, finals[1:])
+        )
+        assert math.log2(e1 / e2) >= 1.9
+
+    def test_odd_even_mode_damped(self):
+        # the central gradients vanish on this mode, so its explicit
+        # eigenvalue is -dt (16 kappa4 c/dx + sponge): the dissipation limit
+        # keeps it inside [-2, 0]
+        grid = Grid1D(L=10.0, nx=200)
+        u0 = 1e-3 * (-1.0) ** np.arange(grid.n_nodes) * np.exp(-((grid.x - 5.0) ** 2))
+        init = so.FieldState(t=0.0, rho=1.0 + u0, m=np.zeros(grid.n_nodes))
+        cfg = so.SolverConfig(grid=grid, t_end=2.0, n_snapshots=2)
+        traj = so.solve_linear(init, P, cfg)
+        assert traj.stats["segments"][0]["limit"] == "dissipation"
+        fin = traj.states[-1]
+        assert np.abs(fin.rho - 1.0).max() + np.abs(fin.m).max() <= 1e-9
+
+    def test_explicit_viscous_limit_keeps_strong_nonlinearity_stable(self):
+        # peak density 1.3, |1/rho - 1| = 0.23: the explicit remainder
+        # nu (m/rho - m)_xx sets dt on this grid
+        grid = Grid1D(L=20.0, nx=400)
+        init = so.make_initial_data(
+            so.InitialData(kind="gaussian", amplitude=0.3 * math.sqrt(2.0 * math.pi),
+                           center=10.0, width=1.0), grid, P,
+        )
+        assert np.max(np.abs(1.0 / init.rho - 1.0)) >= 0.2
+        runs = [
+            so.solve_nonlinear(init, P, so.SolverConfig(
+                grid=grid, t_end=1.0, n_snapshots=3, cfl_hyp=cfl, cfl_par=cfl))
+            for cfl in (0.45, 0.225)
+        ]
+        assert runs[0].stats["segments"][0]["limit"] == "explicit-viscous"
+        fin, ref = (r.states[-1] for r in runs)
+        assert np.all(np.isfinite(fin.rho)) and np.all(np.isfinite(fin.m))
+        scale = np.abs(ref.rho - 1.0).max()
+        assert np.abs(fin.rho - ref.rho).max() <= 1e-4 * scale
+        assert np.abs(fin.m - ref.m).max() <= 1e-4 * scale
+
+    def test_criterion8_step_count(self):
+        grid = Grid1D(L=400.0, nx=4000)
+        init = so.make_initial_data(
+            so.InitialData(kind="algebraic", amplitude=0.01, r=1.0), grid, P
+        )
+        times = np.unique(
+            np.concatenate([np.linspace(0.0, 5.0, 6), np.geomspace(5.0, 50.0, 25)])
+        )
+        traj = so.solve_nonlinear(
+            init, P, so.SolverConfig(grid=grid, t_end=50.0), output_times=times
+        )
+        stats = traj.stats
+        assert stats["steps"] <= 1300
+        assert stats["steps"] == sum(seg["steps"] for seg in stats["segments"])
+        assert len(stats["segments"]) == len(times) - 1
+        assert stats["explicit_rhs_evals"] == stats["implicit_solves"] == 2 * stats["steps"]
+        assert 0.5 < stats["min_density"] <= min(s.rho.min() for s in traj.states)
+
+    def test_one_factorization_per_step_size(self):
+        grid = Grid1D(L=20.0, nx=200)
+        init = so.make_initial_data(
+            so.InitialData(kind="gaussian", amplitude=0.1, center=10.0), grid, P
+        )
+        cfg = so.SolverConfig(grid=grid, t_end=3.0)
+        even = so.solve_linear(init, P, cfg, output_times=[0.0, 1.0, 2.0, 3.0])
+        uneven = so.solve_linear(init, P, cfg, output_times=[0.0, 1.0, 3.0])
+        assert even.stats["factorizations"] == 1
+        assert uneven.stats["factorizations"] == 2
 
 
 class TestNonlinearSolver:
@@ -246,6 +334,14 @@ class TestNonlinearSolver:
         )
         with pytest.raises(DivergenceError):
             so.solve_nonlinear(init, P, cfg)
+
+    def test_nonpositive_initial_density_refused(self):
+        grid = Grid1D(L=10.0, nx=100)
+        rho = np.ones(grid.n_nodes)
+        rho[50] = 0.0
+        init = so.FieldState(t=0.0, rho=rho, m=np.zeros(grid.n_nodes))
+        with pytest.raises(ParameterError):
+            so.solve_nonlinear(init, P, so.SolverConfig(grid=grid, t_end=1.0))
 
     def test_unstable_class_refused(self):
         pu = ModelParams(a1=1.0, a2=1.0)

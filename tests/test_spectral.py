@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hsgreen.core import ModelParams
@@ -37,6 +37,7 @@ class TestDispersion:
         assert cp.sigma_minus == pytest.approx(-0.5 + 0.8660254037844386j, abs=1e-14)
 
     @given(xi=st.floats(-50, 50), c=st.floats(0.2, 3), nu=st.floats(0.2, 3))
+    @example(xi=5e-324, c=1.0, nu=1.0)  # sigma+ underflows to 0
     @settings(max_examples=150)
     def test_vieta_identities(self, xi, c, nu):
         params = ModelParams(c=c, nu=nu)
