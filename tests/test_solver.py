@@ -195,6 +195,41 @@ class TestLinearSolver:
         assert math.log2(e1 / e2) >= 1.9
 
 
+def _rk4_step(rhs, u, m, h):
+    k1 = rhs(u, m)
+    k2 = rhs(u + 0.5 * h * k1[0], m + 0.5 * h * k1[1])
+    k3 = rhs(u + 0.5 * h * k2[0], m + 0.5 * h * k2[1])
+    k4 = rhs(u + h * k3[0], m + h * k3[1])
+    return tuple(
+        y + h / 6.0 * (a + 2.0 * b + 2.0 * c + d)
+        for y, a, b, c, d in zip((u, m), k1, k2, k3, k4)
+    )
+
+
+class TestStepMatrix:
+    @pytest.mark.parametrize("params", [
+        P, PD, ModelParams(a1=1.0, a2=0.0), ModelParams(c=1.7, nu=0.3, a1=-1.3, a2=2.9),
+    ], ids=["mixed", "dirichlet", "neumann", "scaled"])
+    @pytest.mark.parametrize("scheme", so.SCHEMES)
+    @pytest.mark.parametrize("sponge_strength", [0.0, 1.0])
+    def test_matches_rk4_step(self, params, scheme, sponge_strength):
+        # one IMEX step of the linear system against a classical RK4 step of
+        # the full rhs: RK4's local error is O(h^5), so their difference is
+        # the IMEX local error, O(h^3) for a second-order step
+        cfg = small_cfg(L=10.0, nx=60, scheme=scheme, sponge_strength=sponge_strength)
+        rhs = so._Rhs(params, cfg, nonlinear=False)
+        dt, _ = so._stable_dt(params, cfg, rhs.explicit_viscosity(np.zeros(cfg.grid.n_nodes)))
+        u, m = np.random.default_rng(0).standard_normal((2, cfg.grid.n_nodes))
+        if rhs.dirichlet:
+            m[0] = 0.0
+        diffs = []
+        for h in (dt / 64.0, dt / 128.0):
+            got = so._imex_step(rhs, so._ImplicitSolve(rhs, so._GAMMA * h), u.copy(), m.copy(), h)
+            ref = _rk4_step(rhs, u, m, h)
+            diffs.append(max(np.abs(g - r).max() for g, r in zip(got, ref)))
+        assert math.log2(diffs[0] / diffs[1]) >= 2.8
+
+
 class TestImexStep:
     @pytest.mark.parametrize("params", [
         P, PD, ModelParams(a1=1.0, a2=0.0), ModelParams(c=1.7, nu=0.3, a1=-1.3, a2=2.9),
