@@ -256,15 +256,6 @@ def cmd_solve(cfg: RunConfig, args) -> int:
         return EXIT_DIVERGENCE
     paths = write_trajectory(traj, args.out, args.kind, cfg.solver)
     cfg.write_manifest(args.out, "solve", {"kind": args.kind, "snapshots": len(traj.states)})
-    if args.plot_data:
-        pdir = os.path.join(args.out, "plot")
-        os.makedirs(pdir, exist_ok=True)
-        for k, st in enumerate(traj.states):
-            for comp, vals in (("rho", st.rho), ("m", st.m)):
-                ppath = os.path.join(pdir, f"{args.kind}_{comp}_{k:04d}.dat")
-                with open(ppath, "w") as fh:
-                    for xi, vi in zip(traj.grid.x, vals):
-                        fh.write(f"{_fmt(xi)} {_fmt(vi)}\n")
     print(f"wrote {len(paths) - 1} snapshots + manifest to {args.out}")
     return EXIT_PASS
 
@@ -419,8 +410,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--config", default=None)
     s.add_argument("--out", required=True)
     s.add_argument("--kind", choices=("linear", "nonlinear"), default="nonlinear")
-    s.add_argument("--plot-data", action="store_true",
-                   help="also emit per-snapshot (x, value) pair files")
     s.set_defaults(fn=cmd_solve)
 
     vcmd = sub.add_parser("verify", help="run verification harnesses")

@@ -29,11 +29,6 @@ from .core import BoundaryClass, KernelValue, Matrix2, ModelParams
 from .errors import ParameterError, UsageError
 from .spectral import find_boundary_pole
 
-#: Selects the decay exponent of the persistent delta weight: "fourier" uses
-#: exp(-c^2 t / nu) (the exact large-wavenumber asymptote), "half-rate" the
-#: alternative exp(-c^2 t / (2 nu)) convention.  Default "fourier".
-SINGULAR_VARIANTS = ("fourier", "half-rate")
-
 
 def erfcx(z):
     """Scaled complementary error function exp(z^2) * erfc(z).
@@ -138,12 +133,9 @@ def acoustic_projection(sign: int, params: ModelParams) -> Matrix2:
     return np.array([[0.5, sign * 0.5 / c], [sign * 0.5 * c, 0.5]])
 
 
-def singular_weight(t: float, params: ModelParams, variant: str = "fourier") -> float:
-    """Decay factor of the persistent delta in the (1,1) slot."""
-    if variant not in SINGULAR_VARIANTS:
-        raise ParameterError(f"variant must be one of {SINGULAR_VARIANTS}, got {variant!r}")
-    denom = params.nu if variant == "fourier" else 2.0 * params.nu
-    return math.exp(-params.c**2 * t / denom)
+def singular_weight(t: float, params: ModelParams) -> float:
+    """Decay factor exp(-c^2 t/nu) of the persistent delta in the (1,1) slot."""
+    return math.exp(-params.c**2 * t / params.nu)
 
 
 def _leading_smooth(x, t: float, params: ModelParams) -> np.ndarray:
@@ -161,14 +153,12 @@ def _leading_smooth(x, t: float, params: ModelParams) -> np.ndarray:
     return gp[..., None, None] * pp + gm[..., None, None] * pm
 
 
-def fundamental_leading(
-    x: float, t: float, params: ModelParams, variant: str = "fourier"
-) -> KernelValue:
+def fundamental_leading(x: float, t: float, params: ModelParams) -> KernelValue:
     """Leading-order whole-line fundamental solution at offset x, time t > 0."""
     if not (t > 0.0):
         raise ParameterError(f"need t > 0, got t={t}")
     smooth = np.asarray(_leading_smooth(float(x), t, params))
-    delta = singular_weight(t, params, variant) * np.diag([1.0, 0.0])
+    delta = singular_weight(t, params) * np.diag([1.0, 0.0])
     return KernelValue(smooth=smooth, deltas=[(0.0, delta)])
 
 
@@ -206,9 +196,7 @@ def mirror_leading(w: float, t: float, params: ModelParams) -> Matrix2:
     return np.asarray(_mirror_smooth(float(w), t, params))
 
 
-def green_leading(
-    x: float, y: float, t: float, params: ModelParams, variant: str = "fourier"
-) -> KernelValue:
+def green_leading(x: float, y: float, t: float, params: ModelParams) -> KernelValue:
     """Leading-order half-line Green's function at (x, t; y), interior points.
 
     Assembles the direct kernel at offset x - y plus the class-dependent
@@ -234,5 +222,5 @@ def green_leading(
         smooth = smooth - _leading_smooth(float(x + y), t, params) * np.array([1.0, -1.0])
     else:
         smooth = smooth + _mirror_smooth(float(x + y), t, params)
-    delta = singular_weight(t, params, variant) * np.diag([1.0, 0.0])
+    delta = singular_weight(t, params) * np.diag([1.0, 0.0])
     return KernelValue(smooth=smooth, deltas=[(float(y), delta)])

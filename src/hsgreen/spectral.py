@@ -7,6 +7,7 @@ B = diag(0, nu).  This module provides:
 * the dispersion roots of the Fourier symbol,
 * the Fourier-space fundamental solution (whole line),
 * the Laplace-space fundamental solution and half-line Green's function,
+  with the exact x-derivative of the latter,
 * the boundary reflection coefficient and its right-half-plane pole.
 
 All evaluators broadcast over numpy arrays in their transform variable so the
@@ -213,6 +214,18 @@ def find_boundary_pole(params: ModelParams) -> float | None:
     return None
 
 
+def _green_terms(x, y, s, params: ModelParams):
+    """Direct term L[G](x - y) and image term R(s) L[G](x + y) diag(1, -1)."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if np.any(x < 0.0) or np.any(y < 0.0):
+        raise ParameterError("need x >= 0 and y >= 0")
+    direct = laplace_fundamental(x - y, s, params)
+    mirror = laplace_fundamental(x + y, s, params)
+    r = np.asarray(reflection_coefficient(s, params))
+    return direct, r[..., None, None] * mirror.value * np.array([1.0, -1.0])
+
+
 def laplace_green(x, y, s, params: ModelParams) -> LaplaceGreenValue:
     """Laplace-space half-line Green's function (smooth part plus delta).
 
@@ -220,12 +233,18 @@ def laplace_green(x, y, s, params: ModelParams) -> LaplaceGreenValue:
     The image delta at x = -y never fires for interior arguments and is not
     reported; the diagonal delta (x = y) is returned via ``delta_weight``.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if np.any(x < 0.0) or np.any(y < 0.0):
-        raise ParameterError("laplace_green needs x >= 0 and y >= 0")
-    direct = laplace_fundamental(x - y, s, params)
-    mirror = laplace_fundamental(x + y, s, params)
-    r = np.asarray(reflection_coefficient(s, params))
-    value = direct.value + r[..., None, None] * mirror.value * np.array([1.0, -1.0])
-    return LaplaceGreenValue(value, direct.delta_weight)
+    direct, image = _green_terms(x, y, s, params)
+    return LaplaceGreenValue(direct.value + image, direct.delta_weight)
+
+
+def laplace_green_dx(x, y, s, params: ModelParams) -> np.ndarray:
+    """x-derivative of the smooth part of :func:`laplace_green`, for x != y:
+    -lambda [sgn(x - y) L[G](x - y) + R(s) L[G](x + y) diag(1, -1)], since
+    d/dw L[G](w, s) = -lambda sgn(w) L[G](w, s).  Off-diagonals jump at x = y.
+    """
+    if np.any(np.equal(x, y)):
+        raise ParameterError("laplace_green_dx needs x != y (the smooth part jumps there)")
+    direct, image = _green_terms(x, y, s, params)
+    lam = np.asarray(lambda_of_s(s, params))
+    sgn = np.sign(np.subtract(x, y, dtype=float))
+    return -lam[..., None, None] * (sgn[..., None, None] * direct.value + image)

@@ -53,7 +53,7 @@ import numpy as np
 
 from .core import BoundaryClass, KernelValue, ModelParams
 from .errors import AccuracyError, ConfigurationError, ParameterError
-from .spectral import find_boundary_pole, fourier_fundamental, laplace_green
+from .spectral import find_boundary_pole, fourier_fundamental, laplace_green, laplace_green_dx
 
 CONTOURS = ("talbot", "line")
 
@@ -258,12 +258,10 @@ def _laplace_shift(t: float, params: ModelParams) -> float:
     return 0.0 if pole is None else pole + 1.0 / t
 
 
-def _invert_laplace_talbot(
-    x: np.ndarray, y: np.ndarray, t: float, params: ModelParams, M: int
-) -> np.ndarray:
+def _invert_laplace_talbot(symbol, x, y, t: float, params: ModelParams, M: int) -> np.ndarray:
     shift = _laplace_shift(t, params)
     s, g = _talbot_nodes(t, M)
-    values = laplace_green(x[..., None], y[..., None], s + shift, params).value
+    values = symbol(x[..., None], y[..., None], s + shift, params)
     weighted = g[:, None, None] * values
     out = weighted.real.sum(axis=-3)
     if shift:
@@ -271,9 +269,7 @@ def _invert_laplace_talbot(
     return out
 
 
-def _invert_laplace_line(
-    x: np.ndarray, y: np.ndarray, t: float, params: ModelParams, cfg: QuadratureConfig
-) -> tuple[np.ndarray, float]:
+def _invert_laplace_line(symbol, x, y, t, params, cfg) -> tuple[np.ndarray, float]:
     """Truncated vertical contour; returns (value, imaginary residue)."""
     pole = find_boundary_pole(params)
     a = cfg.abscissa if cfg.abscissa is not None else max(0.0, pole or 0.0) + 1.0 / t
@@ -293,11 +289,40 @@ def _invert_laplace_line(
     omega = np.concatenate([-omega[::-1], omega])
     wts = np.concatenate([wts[::-1], wts])
     s = a + 1j * omega
-    values = laplace_green(x[..., None], y[..., None], s, params).value
+    values = symbol(x[..., None], y[..., None], s, params)
     phase = (np.exp(s * t) * wts)[:, None, None] / (2.0 * math.pi)
     total = (phase * values).sum(axis=-3)
     resid = float(np.abs(total.imag).max() / max(np.abs(total.real).max(), 1e-300))
     return total.real, resid
+
+
+def _invert_laplace(symbol, x, y, t: float, params: ModelParams, cfg: QuadratureConfig):
+    """Checked contour inversion of ``symbol(x, y, s, params)`` at time t."""
+    if not (t > 0.0):
+        raise ParameterError(f"need t > 0, got t={t}")
+    xarr, yarr = np.broadcast_arrays(
+        np.atleast_1d(np.asarray(x, dtype=float)), np.atleast_1d(np.asarray(y, dtype=float))
+    )
+    if xarr.size == 0:
+        raise ParameterError("Laplace inversion needs at least one (x, y) point")
+    if np.any(xarr < 0.0) or np.any(yarr < 0.0):
+        raise ParameterError("need x >= 0 and y >= 0")
+    if np.any(xarr == yarr):
+        raise ParameterError("Laplace inversion needs x != y (smooth part only)")
+    if cfg.contour == "talbot":
+        out = _invert_laplace_talbot(symbol, xarr, yarr, t, params, cfg.n_nodes)
+        probe = _invert_laplace_talbot(symbol, xarr, yarr, t, params, cfg.n_nodes + 8)
+        err = float(np.abs(out - probe).max())
+        if err > cfg.tol:
+            raise AccuracyError("parabolic contour did not meet tolerance", err, cfg.tol)
+        out = probe
+    else:
+        out, resid = _invert_laplace_line(symbol, xarr, yarr, t, params, cfg)
+        if resid > 1e-9:
+            raise AccuracyError("line contour imaginary residue too large", resid, 1e-9)
+    if np.asarray(x).ndim == 0 and np.asarray(y).ndim == 0:
+        return out[0]
+    return out
 
 
 def invert_laplace_green(
@@ -305,34 +330,22 @@ def invert_laplace_green(
 ):
     """Smooth part of the half-line Green's function by contour quadrature.
 
-    Broadcasts over arrays x, y (same t).  Requires x != y pointwise (the
-    delta on the diagonal is not representable by quadrature).  The parabolic
-    contour self-checks by comparing two degrees and raises AccuracyError on
-    failure; the line contour checks its imaginary residue instead.
+    Broadcasts over arrays x, y (same t, at least one point).  Requires x != y
+    pointwise (the delta on the diagonal is not representable by quadrature).
+    The parabolic contour self-checks by comparing two degrees and raises
+    AccuracyError on failure; the line contour checks its imaginary residue.
     """
-    if not (t > 0.0):
-        raise ParameterError(f"need t > 0, got t={t}")
-    xarr, yarr = np.broadcast_arrays(
-        np.atleast_1d(np.asarray(x, dtype=float)), np.atleast_1d(np.asarray(y, dtype=float))
+    return _invert_laplace(
+        lambda xs, ys, s, p: laplace_green(xs, ys, s, p).value, x, y, t, params, cfg
     )
-    if np.any(xarr < 0.0) or np.any(yarr < 0.0):
-        raise ParameterError("need x >= 0 and y >= 0")
-    if np.any(xarr == yarr):
-        raise ParameterError("invert_laplace_green needs x != y (smooth part only)")
-    if cfg.contour == "talbot":
-        out = _invert_laplace_talbot(xarr, yarr, t, params, cfg.n_nodes)
-        probe = _invert_laplace_talbot(xarr, yarr, t, params, cfg.n_nodes + 8)
-        err = float(np.abs(out - probe).max())
-        if err > cfg.tol:
-            raise AccuracyError("parabolic contour did not meet tolerance", err, cfg.tol)
-        out = probe
-    else:
-        out, resid = _invert_laplace_line(xarr, yarr, t, params, cfg)
-        if resid > 1e-9:
-            raise AccuracyError("line contour imaginary residue too large", resid, 1e-9)
-    if np.asarray(x).ndim == 0 and np.asarray(y).ndim == 0:
-        return out[0]
-    return out
+
+
+def invert_laplace_green_dx(
+    x, y, t: float, params: ModelParams, cfg: QuadratureConfig = DEFAULT_QUADRATURE
+):
+    """x-derivative of the smooth Green's function: inverts the exact symbol
+    ``laplace_green_dx`` exactly as :func:`invert_laplace_green` does."""
+    return _invert_laplace(laplace_green_dx, x, y, t, params, cfg)
 
 
 def mirror_by_quadrature(

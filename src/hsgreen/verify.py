@@ -30,7 +30,8 @@ from .core import (
 from .errors import AccuracyError, ParameterError, UsageError
 from .solver import InitialData, SolverConfig, make_initial_data, solve_linear
 from .spectral import find_boundary_pole
-from .transforms import DEFAULT_QUADRATURE, QuadratureConfig, invert_laplace_green
+from .transforms import DEFAULT_QUADRATURE, QuadratureConfig, _edges, _gauss_panels
+from .transforms import invert_laplace_green, invert_laplace_green_dx
 
 #: Uniform refinement-stability criterion: the sup ratio may move by at most
 #: this relative amount under one 2x grid refinement.
@@ -110,27 +111,16 @@ def _green_ratio_sup(
     alpha: int,
     cfg: QuadratureConfig,
 ) -> tuple[float, tuple, list]:
+    X, Y = np.meshgrid(x_grid, y_grid, indexing="ij")
+    keep = X != Y
+    if not keep.any() or t_grid.size == 0:
+        raise ParameterError("pointwise check needs an off-diagonal (x, y) point and a time")
+    xs, ys = X[keep], Y[keep]
+    invert = invert_laplace_green if alpha == 0 else invert_laplace_green_dx
     sup, arg = -np.inf, None
     rows = []
     for t in t_grid:
-        X, Y = np.meshgrid(x_grid, y_grid, indexing="ij")
-        if alpha == 0:
-            keep = X != Y
-            xs, ys = X[keep], Y[keep]
-            vals = invert_laplace_green(xs, ys, float(t), params, cfg)
-        else:
-            # Keep the whole five-point stencil inside x >= 0 and off x = y.
-            h = math.sqrt(params.nu * t) / 20.0
-            keep = X >= 2.0 * h
-            for k in (-2, -1, 1, 2):
-                keep &= np.abs(X + k * h - Y) > 1e-9
-            keep &= X != Y
-            xs, ys = X[keep], Y[keep]
-            stencil = [
-                invert_laplace_green(xs + k * h, ys, float(t), params, cfg)
-                for k in (-2, -1, 1, 2)
-            ]
-            vals = (stencil[0] - 8.0 * stencil[1] + 8.0 * stencil[2] - stencil[3]) / (12.0 * h)
+        vals = invert(xs, ys, float(t), params, cfg)
         lhs = np.abs(vals).max(axis=(-2, -1))
         rhs = pointwise_envelope(xs, ys, float(t), params, env, alpha=alpha)
         ratio = lhs / rhs
@@ -157,6 +147,10 @@ def green_bound_report(
     """Sup of |smooth Green's function| (or its x-derivative) over the
     three-ridge envelope; passes when finite, refinement-stable, and attained
     near one of the acoustic ridges.
+
+    alpha = 1 inverts the exact x-derivative, not a difference quotient,
+    which would straddle the jump of the smooth part at x = y.  Points on
+    x = y are skipped; a grid with no other point raises ParameterError.
 
     The transform oracle used here is independently validated against the
     narrow-pulse solver columns in the acceptance suite.
@@ -455,15 +449,11 @@ def _merged_panels(windows: list[tuple[float, float, float]], n: int = 8):
             merged[-1] = (merged[-1][0], max(hi, merged[-1][1]))
         else:
             merged.append((lo, hi))
-    nodes, weights = [], []
-    gx, gw = np.polynomial.legendre.leggauss(n)
+    panels = []
     for lo, hi in merged:
         width = min(w for alo, ahi, w in windows if alo < hi and ahi > lo)
-        edges = np.linspace(lo, hi, max(1, int(math.ceil((hi - lo) / width))) + 1)
-        half = 0.5 * np.diff(edges)
-        mids = 0.5 * (edges[:-1] + edges[1:])
-        nodes.append((mids[:, None] + half[:, None] * gx[None, :]).ravel())
-        weights.append((half[:, None] * gw[None, :]).ravel())
+        panels.append(_gauss_panels(_edges(lo, hi, width), n))
+    nodes, weights = zip(*panels)
     return np.concatenate(nodes), np.concatenate(weights)
 
 

@@ -1,5 +1,4 @@
 import json
-import os
 from pathlib import Path
 
 import numpy as np
@@ -155,15 +154,11 @@ class TestSolve:
                         "--kind", "nonlinear"])
         assert code == cli.EXIT_DIVERGENCE
 
-    def test_plot_data_mode(self, tmp_path):
-        cfgp = write_config(tmp_path, SMALL_SOLVER)
-        out = tmp_path / "s"
-        assert run_cli(["solve", "--config", cfgp, "--out", str(out),
-                        "--kind", "linear", "--plot-data"]) == cli.EXIT_PASS
-        files = sorted(os.listdir(out / "plot"))
-        assert "linear_rho_0000.dat" in files and "linear_m_0002.dat" in files
-        first = open(out / "plot" / "linear_rho_0000.dat").readline().split()
-        assert len(first) == 2
+    def test_plot_data_flag_removed(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["solve", "--out", str(tmp_path / "s"), "--kind", "linear",
+                     "--plot-data"])
+        assert exc.value.code == 2
 
 
 class TestExitCodes:
@@ -203,6 +198,16 @@ class TestVerifyCommand:
         rep = json.load(open(out / "green_bound_alpha0.json"))
         assert rep["status"] == "pass"
         assert rep["details"]["ridge_distance_sigmas"] <= 3.0
+
+    def test_pointwise_single_x_point(self, tmp_path):
+        # x = 0 alone: the alpha = 1 check needs no stencil room at the wall
+        cfgp = write_config(tmp_path, {"verify": {"n_x": 1}})
+        out = tmp_path / "v"
+        code = run_cli(["verify", "--config", cfgp, "--out", str(out),
+                        "--which", "pointwise"])
+        assert code == cli.EXIT_PASS
+        rep = json.load(open(out / "green_bound_alpha1.json"))
+        assert rep["sup_ratio"] > 0.0
 
     def test_instability_pass(self, tmp_path):
         out = tmp_path / "v"

@@ -181,10 +181,6 @@ class TestFundamentalLeading:
     def test_delta_weight_variants(self):
         kv = K.fundamental_leading(1.0, 2.0, P)
         assert kv.deltas[0][1][0, 0] == pytest.approx(math.exp(-2.0))
-        kv2 = K.fundamental_leading(1.0, 2.0, P, variant="half-rate")
-        assert kv2.deltas[0][1][0, 0] == pytest.approx(math.exp(-1.0))
-        with pytest.raises(ParameterError):
-            K.fundamental_leading(1.0, 2.0, P, variant="bogus")
 
     def test_mass_identity(self):
         t = 10.0

@@ -14,6 +14,7 @@ from hsgreen.spectral import (
     lambda_of_s,
     laplace_fundamental,
     laplace_green,
+    laplace_green_dx,
     reflection_coefficient,
 )
 
@@ -232,12 +233,30 @@ class TestLaplaceGreen:
                 gv = laplace_green(0.0, y, s, pd).value
                 assert np.abs(gv[1, :]).max() <= 1e-15
 
-    def test_neumann_momentum_slope_vanishes_at_wall(self):
-        pn = ModelParams(a1=1.0, a2=0.0)
-        s, y, h = 1.3 + 0.4j, 3.0, 1e-4
-        rows = [laplace_green(x, y, s, pn).value[1, :] for x in (0.0, h, 2 * h)]
-        deriv = (-3.0 * rows[0] + 4.0 * rows[1] - rows[2]) / (2.0 * h)
-        assert np.abs(deriv).max() <= 1e-6
+    def test_robin_condition_at_wall(self):
+        # a1 dG/dx + a2 G = 0 in the momentum row at x = 0, exact derivative
+        for pr in (ModelParams(a1=1.0, a2=0.0), P, ModelParams(a1=1.0, a2=1.0),
+                   ModelParams(c=1.7, nu=0.3, a1=-1.3, a2=2.9)):
+            for s in (0.5 + 0.3j, 2.0 + 0.0j, 1.0 + 2.0j):
+                for y in (1.0, 4.5):
+                    g = laplace_green(0.0, y, s, pr).value[1, :]
+                    dg = laplace_green_dx(0.0, y, s, pr)[1, :]
+                    scale = (abs(pr.a1 * lambda_of_s(s, pr)) + abs(pr.a2)) * np.abs(
+                        laplace_fundamental(y, s, pr).value[1, :]).max()
+                    assert np.abs(pr.a1 * dg + pr.a2 * g).max() <= 1e-14 * scale
+
+    def test_derivative_matches_symbol_difference(self):
+        # d/dx of e^{-lambda|x - y|} away from the jump at x = y
+        h, s = 1e-4, 1.0 + 2.0j
+        for x, y in ((0.7, 3.0), (4.0, 1.5)):
+            rows = [laplace_green(x + k * h, y, s, P).value for k in (-1, 1)]
+            fd = (rows[1] - rows[0]) / (2.0 * h)
+            exact = laplace_green_dx(x, y, s, P)
+            assert np.abs(fd - exact).max() <= 1e-7 * np.abs(exact).max()
+
+    def test_derivative_refuses_diagonal(self):
+        with pytest.raises(ParameterError):
+            laplace_green_dx(np.array([1.0, 2.0]), 2.0, 1.0 + 0.0j, P)
 
     def test_mixed_boundary_identity(self):
         # transform of (-a1 rho_t + a2 m)|_{x=0} = 0

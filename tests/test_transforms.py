@@ -157,6 +157,37 @@ class TestInvertLaplace:
         assert np.abs(resid).max() <= 1e-4
 
 
+class TestInvertLaplaceDx:
+    SETS = {"dirichlet": PD, "neumann": PN, "mixed": P,
+            "scaled": ModelParams(c=1.7, nu=0.3, a1=-1.3, a2=2.9)}
+
+    @pytest.mark.parametrize("name", sorted(SETS))
+    def test_matches_fine_stencil(self, name):
+        # five-point stencil with h = 1e-2, every stencil point >= 0.5 off x = y
+        pr, h = self.SETS[name], 1e-2
+        x = np.array([0.5, 1.0, 3.0, 6.5, 9.0, 12.0])
+        y = np.array([2.0, 0.3, 4.0, 1.2, 5.5, 8.0])
+        for t in (1.0, 2.0):
+            exact = tr.invert_laplace_green_dx(x, y, t, pr)
+            sl = [tr.invert_laplace_green(x + k * h, y, t, pr) for k in (-2, -1, 1, 2)]
+            fd = (sl[0] - 8 * sl[1] + 8 * sl[2] - sl[3]) / (12 * h)
+            assert np.abs(exact - fd).max() <= 1e-6 * np.abs(fd).max()
+
+    @pytest.mark.parametrize("name", sorted(SETS))
+    def test_two_contours_agree(self, name):
+        pr, t = self.SETS[name], 2.0
+        x = np.array([3.0, 8.0, 12.0, 0.0])
+        y = np.array([1.5, 5.2, 9.0, 2.0])
+        talbot = tr.invert_laplace_green_dx(x, y, t, pr)
+        line = tr.invert_laplace_green_dx(x, y, t, pr, tr.QuadratureConfig(contour="line"))
+        assert np.abs(talbot - line).max() <= 5e-5 * np.abs(talbot).max()
+
+    @pytest.mark.parametrize("invert", [tr.invert_laplace_green, tr.invert_laplace_green_dx])
+    def test_empty_point_set_rejected(self, invert):
+        with pytest.raises(ParameterError):
+            invert([], [], 1.0, P)
+
+
 class TestMirrorByQuadrature:
     CFG = tr.QuadratureConfig(tol=1e-6)
 

@@ -47,6 +47,16 @@ class TestPointwiseEnvelope:
         with pytest.raises(UsageError):
             vf.green_bound_report(ModelParams(a1=1.0, a2=1.0), [1.0], [2.0], [1.0])
 
+    @pytest.mark.parametrize("x, y", [(18.75, 18.7075), (5.0, 5.03), (5.0, 4.9)])
+    def test_alpha1_near_diagonal(self, x, y):
+        # the smooth part jumps at x = y; the derivative must not see the jump
+        rep = vf.green_bound_report(P, [x], [y], [1.0], alpha=1)
+        assert rep.sup_ratio <= 0.2
+
+    def test_no_off_diagonal_point_rejected(self):
+        with pytest.raises(ParameterError):
+            vf.green_bound_report(P, [5.0], [5.0], [1.0])
+
     def test_report_serializes(self, tmp_path):
         rep = vf.green_bound_report(
             P, np.linspace(1.0, 10.0, 4), np.linspace(1.3, 9.7, 4),
