@@ -62,7 +62,6 @@ DEFAULT_CONFIG: dict = {
         "t_end": 50.0,
         "cfl_hyp": 0.45,
         "cfl_par": 0.45,
-        "scheme": "central-2",
         "sponge_fraction": 0.1,
         "sponge_strength": 1.0,
         "kappa4": 0.25,
@@ -127,7 +126,6 @@ class RunConfig:
             t_end=s["t_end"],
             cfl_hyp=s["cfl_hyp"],
             cfl_par=s["cfl_par"],
-            scheme=s["scheme"],
             sponge_fraction=s["sponge_fraction"],
             sponge_strength=s["sponge_strength"],
             kappa4=s["kappa4"],

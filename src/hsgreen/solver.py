@@ -5,29 +5,27 @@ Two systems share one discretization:
 * linear:     u_t + m_x = 0,  m_t + c^2 u_x = nu m_xx          (u = rho - 1)
 * nonlinear:  rho_t + m_x = 0,  m_t + (m^2/rho + p(rho))_x = nu (m/rho)_xx
 
-Space: 2nd-order central differences in conservation form (an optional
-4th-order interior stencil is available via ``scheme="central-4"``), with a
-ghost node enforcing the Robin condition a1 m_x + a2 m = 0 at x = 0 and a
-sponge layer at the artificial far boundary (``sponge_strength = 0`` turns
-it off).  The density equation carries no physical viscosity, so a small
+Space: 2nd-order central differences in conservation form, with a ghost
+node enforcing the Robin condition a1 m_x + a2 m = 0 at x = 0 and a sponge
+layer at the artificial far boundary (``sponge_strength = 0`` turns it off).
+The density equation carries no physical viscosity, so a small
 grid-vanishing fourth-difference dissipation (coefficient kappa4 * c * dx^3)
 suppresses odd-even decoupling without reducing the formal order.
 
 Time: one second-order IMEX Runge-Kutta scheme, ARS(2,2,2), for both
 systems.  The viscous term nu m_xx is implicit, with its boundary rows (the
 Robin ghost or the Dirichlet pin at x = 0, the one-sided stencil at the far
-end); everything else is explicit, including the viscous remainder the
-implicit part does not take (nu (m/rho - m)_xx, and the fourth-order
-correction of ``central-4``).  The step is the smallest of three limits of
-the explicit part, chosen afresh for each snapshot segment: the acoustic
-CFL, the dissipation limit 2/rate and, for a nonzero remainder, cfl_par
-dx^2 over its viscosity, measured on the segment's starting density
-(see ``_stable_dt``).  The implicit matrix I - h nu D2 depends on the step
-size only; it is factored once per size without pivoting and solved by
-substitution run as recursive-doubling scans.  The scans stop only where
-their coefficient products have underflowed to exactly 0, so they compute
-the substitution itself, not a truncation of it, and a Dirichlet row
-returns m(0) = 0 exactly.
+end); everything else is explicit, including the viscous remainder
+nu (m/rho - m)_xx of the nonlinear system.  The step is the smallest of
+three limits of the explicit part, chosen afresh for each snapshot segment:
+the acoustic CFL, the dissipation limit 2/rate and, in the nonlinear
+system, cfl_par dx^2 over the remainder's viscosity, measured on the
+segment's starting density (see ``_stable_dt``).  The implicit matrix
+I - h nu D2 depends on the step size only; it is factored once per size
+without pivoting and solved by substitution run as recursive-doubling
+scans.  The scans stop only where their coefficient products have
+underflowed to exactly 0, so they compute the substitution itself, not a
+truncation of it, and a Dirichlet row returns m(0) = 0 exactly.
 """
 
 from __future__ import annotations
@@ -42,16 +40,12 @@ import numpy as np
 from .core import BoundaryClass, FieldState, Grid1D, ModelParams, Trajectory
 from .errors import ConfigurationError, DivergenceError, ParameterError
 
-SCHEMES = ("central-2", "central-4")
-
-
 @dataclass(frozen=True)
 class SolverConfig:
     grid: Grid1D
     t_end: float
     cfl_hyp: float = 0.45
     cfl_par: float = 0.45
-    scheme: str = "central-2"
     sponge_fraction: float = 0.1
     sponge_strength: float = 1.0
     kappa4: float = 0.25
@@ -62,8 +56,6 @@ class SolverConfig:
     def __post_init__(self):
         if not (0.0 < self.cfl_hyp <= 0.9 and 0.0 < self.cfl_par <= 0.9):
             raise ConfigurationError("CFL safety factors must lie in (0, 0.9]")
-        if self.scheme not in SCHEMES:
-            raise ConfigurationError(f"scheme must be one of {SCHEMES}")
         if not (self.t_end > 0.0):
             raise ConfigurationError("t_end must be positive")
         if self.kappa4 < 0.0:
@@ -183,30 +175,18 @@ def _project_boundary_compatible(m: np.ndarray, grid: Grid1D, params: ModelParam
 # ---------------------------------------------------------------------------
 
 
-def _grad(f: np.ndarray, dx: float, scheme: str) -> np.ndarray:
+def _grad(f: np.ndarray, dx: float) -> np.ndarray:
     g = np.empty_like(f)
-    if scheme == "central-4" and f.size >= 7:
-        g[2:-2] = (f[:-4] - 8.0 * f[1:-3] + 8.0 * f[3:-1] - f[4:]) / (12.0 * dx)
-        g[1] = (f[2] - f[0]) / (2.0 * dx)
-        g[-2] = (f[-1] - f[-3]) / (2.0 * dx)
-    else:
-        g[1:-1] = (f[2:] - f[:-2]) / (2.0 * dx)
+    g[1:-1] = (f[2:] - f[:-2]) / (2.0 * dx)
     g[0] = (-3.0 * f[0] + 4.0 * f[1] - f[2]) / (2.0 * dx)
     g[-1] = (3.0 * f[-1] - 4.0 * f[-2] + f[-3]) / (2.0 * dx)
     return g
 
 
-def _lap(f: np.ndarray, dx: float, scheme: str) -> np.ndarray:
+def _lap(f: np.ndarray, dx: float) -> np.ndarray:
     g = np.empty_like(f)
     dx2 = dx * dx
-    if scheme == "central-4" and f.size >= 7:
-        g[2:-2] = (
-            -f[:-4] + 16.0 * f[1:-3] - 30.0 * f[2:-2] + 16.0 * f[3:-1] - f[4:]
-        ) / (12.0 * dx2)
-        g[1] = (f[0] - 2.0 * f[1] + f[2]) / dx2
-        g[-2] = (f[-3] - 2.0 * f[-2] + f[-1]) / dx2
-    else:
-        g[1:-1] = (f[2:] - 2.0 * f[1:-1] + f[:-2]) / dx2
+    g[1:-1] = (f[2:] - 2.0 * f[1:-1] + f[:-2]) / dx2
     g[0] = (2.0 * f[0] - 5.0 * f[1] + 4.0 * f[2] - f[3]) / dx2
     g[-1] = (2.0 * f[-1] - 5.0 * f[-2] + 4.0 * f[-3] - f[-4]) / dx2
     return g
@@ -235,8 +215,8 @@ class _Rhs:
     It is the sum ``explicit(u, m) + (0, implicit(m))``.  ``implicit`` is the
     viscous term nu m_xx with its boundary rows, which the IMEX step solves
     for; ``explicit`` is everything else, including the viscous remainder
-    that the implicit part does not take (nu (m/rho - m)_xx in the nonlinear
-    system, the fourth-order correction of ``central-4``).
+    nu (m/rho - m)_xx of the nonlinear system, which the implicit part does
+    not take.
     """
 
     def __init__(self, params: ModelParams, cfg: SolverConfig, nonlinear: bool):
@@ -248,10 +228,11 @@ class _Rhs:
         self.p_scale = cfg.resolved_pressure_scale(params) if nonlinear else 0.0
 
     def implicit(self, m: np.ndarray) -> np.ndarray:
-        """nu m_xx: central-2 in the interior, the Robin ghost in row 0 (zero
-        under the Dirichlet pin) and the one-sided stencil in the far row."""
+        """nu m_xx: central differences in the interior, the Robin ghost in
+        row 0 (zero under the Dirichlet pin) and the one-sided stencil in the
+        far row."""
         dx = self.cfg.grid.dx
-        g = _lap(m, dx, "central-2")
+        g = _lap(m, dx)
         if self.dirichlet:
             g[0] = 0.0
         else:
@@ -263,22 +244,17 @@ class _Rhs:
         p = self.params
         cfg = self.cfg
         dx = cfg.grid.dx
-        scheme = cfg.scheme
         c, nu = p.c, p.nu
 
-        dudt = -_grad(m, dx, scheme)
+        dudt = -_grad(m, dx)
         if self.nonlinear:
             rho = 1.0 + u
             v = m / rho
             w = v - m  # nu w_xx is the viscous remainder nu (m/rho - m)_xx
             flux = m * v + self.p_scale * rho**cfg.pressure_gamma
-            dmdt = -_grad(flux, dx, scheme) + nu * _lap(w, dx, scheme)
+            dmdt = -_grad(flux, dx) + nu * _lap(w, dx)
         else:
-            dmdt = -c**2 * _grad(u, dx, scheme)
-        if scheme == "central-4":
-            # lap4 - lap2 = -delta^4 / (12 dx^2) where lap4 applies; both are
-            # zero in the rows next to each boundary.
-            dmdt -= nu / (12.0 * dx**2) * _fourth_difference(m)
+            dmdt = -c**2 * _grad(u, dx)
 
         # Boundary node: Robin ghost for the viscous stencil, one-sided
         # pressure/flux gradient; Dirichlet pins m(0) = 0.
@@ -304,12 +280,10 @@ class _Rhs:
 
     def explicit_viscosity(self, u: np.ndarray) -> float:
         """Viscosity of the explicit viscous remainder: nu max|1/rho - 1| in
-        the nonlinear system, plus nu/3 for ``central-4`` (the symbol of
-        lap4 - lap2 is at most 4/3 nu/dx^2, a third of that of nu lap2)."""
-        nu_r = float(np.max(np.abs(u) / (1.0 + u))) if self.nonlinear else 0.0
-        if self.cfg.scheme == "central-4":
-            nu_r += 1.0 / 3.0
-        return self.params.nu * nu_r
+        the nonlinear system, 0 in the linear one."""
+        if not self.nonlinear:
+            return 0.0
+        return self.params.nu * float(np.max(np.abs(u) / (1.0 + u)))
 
 
 def _scan_levels(a: np.ndarray) -> list[np.ndarray]:
@@ -573,9 +547,9 @@ def nonlinear_term(
     inner = u * m / rho
     q_tilde = -(
         m * m / rho + p_of(rho) - p_of(np.ones_like(rho)) - dp1 * u
-        + params.nu * _grad(inner, grid.dx, "central-2")
+        + params.nu * _grad(inner, grid.dx)
     )
-    return NonlinearTermValue(q_tilde=q_tilde, q=_grad(q_tilde, grid.dx, "central-2"))
+    return NonlinearTermValue(q_tilde=q_tilde, q=_grad(q_tilde, grid.dx))
 
 
 @dataclass

@@ -160,6 +160,11 @@ class TestSolve:
                      "--plot-data"])
         assert exc.value.code == 2
 
+    def test_scheme_key_removed(self, tmp_path):
+        cfgp = write_config(tmp_path, {"solver": {"scheme": "central-2"}})
+        assert run_cli(["solve", "--config", cfgp, "--out", str(tmp_path / "s"),
+                        "--kind", "linear"]) == cli.EXIT_CONFIG
+
 
 class TestExitCodes:
     def test_accuracy_error_exit_code(self, tmp_path):

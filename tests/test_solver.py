@@ -23,10 +23,6 @@ class TestConfig:
         with pytest.raises(ConfigurationError):
             small_cfg(cfl_par=0.0)
 
-    def test_scheme_validated(self):
-        with pytest.raises(ConfigurationError):
-            small_cfg(scheme="upwind")
-
     def test_pressure_consistency_check(self):
         cfg = small_cfg(pressure_scale=0.5, pressure_gamma=2.0)
         assert cfg.resolved_pressure_scale(P) == 0.5  # c^2 = 1 = 0.5 * 2
@@ -179,21 +175,6 @@ class TestLinearSolver:
                   np.abs(m_pred - fin.m[window]).max())
         assert err <= 1e-4 * scale
 
-    def test_central4_scheme_runs_and_converges(self):
-        def run(nx):
-            grid = Grid1D(L=40.0, nx=nx)
-            cfg = so.SolverConfig(grid=grid, t_end=1.0, n_snapshots=2, scheme="central-4")
-            init = so.make_initial_data(
-                so.InitialData(kind="gaussian", amplitude=0.1, center=20.0, width=2.0),
-                grid, P,
-            )
-            return so.solve_linear(init, P, cfg).states[-1]
-
-        s1, s2, s4 = run(300), run(600), run(1200)
-        e1 = np.abs(s1.rho - s2.rho[::2]).max()
-        e2 = np.abs(s2.rho - s4.rho[::2]).max()
-        assert math.log2(e1 / e2) >= 1.9
-
 
 def _rk4_step(rhs, u, m, h):
     k1 = rhs(u, m)
@@ -210,13 +191,12 @@ class TestStepMatrix:
     @pytest.mark.parametrize("params", [
         P, PD, ModelParams(a1=1.0, a2=0.0), ModelParams(c=1.7, nu=0.3, a1=-1.3, a2=2.9),
     ], ids=["mixed", "dirichlet", "neumann", "scaled"])
-    @pytest.mark.parametrize("scheme", so.SCHEMES)
     @pytest.mark.parametrize("sponge_strength", [0.0, 1.0])
-    def test_matches_rk4_step(self, params, scheme, sponge_strength):
+    def test_matches_rk4_step(self, params, sponge_strength):
         # one IMEX step of the linear system against a classical RK4 step of
         # the full rhs: RK4's local error is O(h^5), so their difference is
         # the IMEX local error, O(h^3) for a second-order step
-        cfg = small_cfg(L=10.0, nx=60, scheme=scheme, sponge_strength=sponge_strength)
+        cfg = small_cfg(L=10.0, nx=60, sponge_strength=sponge_strength)
         rhs = so._Rhs(params, cfg, nonlinear=False)
         dt, _ = so._stable_dt(params, cfg, rhs.explicit_viscosity(np.zeros(cfg.grid.n_nodes)))
         u, m = np.random.default_rng(0).standard_normal((2, cfg.grid.n_nodes))
@@ -234,10 +214,9 @@ class TestImexStep:
     @pytest.mark.parametrize("params", [
         P, PD, ModelParams(a1=1.0, a2=0.0), ModelParams(c=1.7, nu=0.3, a1=-1.3, a2=2.9),
     ], ids=["mixed", "dirichlet", "neumann", "scaled"])
-    @pytest.mark.parametrize("scheme", so.SCHEMES)
     @pytest.mark.parametrize("sponge_strength", [0.0, 1.0])
-    def test_implicit_solve_residual(self, params, scheme, sponge_strength):
-        cfg = small_cfg(L=10.0, nx=60, scheme=scheme, sponge_strength=sponge_strength)
+    def test_implicit_solve_residual(self, params, sponge_strength):
+        cfg = small_cfg(L=10.0, nx=60, sponge_strength=sponge_strength)
         rhs = so._Rhs(params, cfg, nonlinear=False)
         dt, _ = so._stable_dt(params, cfg, rhs.explicit_viscosity(np.zeros(cfg.grid.n_nodes)))
         h = so._GAMMA * dt
