@@ -25,7 +25,7 @@ import sys
 
 import numpy as np
 
-from .core import BoundaryClass, BoundEnvelope, Grid1D, ModelParams, classify_boundary
+from .core import BoundaryClass, BoundEnvelope, Grid1D, ModelParams, classify_boundary, write_csv
 from .errors import (
     AccuracyError,
     ConfigurationError,
@@ -179,10 +179,6 @@ def _parse_grid_spec(spec: str) -> np.ndarray:
         raise ConfigurationError(f"grid spec must be lo:hi:n, got {spec!r}") from exc
 
 
-def _fmt(v: float) -> str:
-    return f"{v:.17g}"
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -211,8 +207,6 @@ def cmd_green_eval(cfg: RunConfig, args) -> int:
             f"green-eval needs x != y at every point; first offending (x, y) = "
             f"({clash[0]:g}, {clash[1]:g})"
         )
-    out_dir = args.out
-    os.makedirs(out_dir, exist_ok=True)
     columns = ["x", "y", "t"]
     for tag in ("lead", "lap", "pde"):
         columns += [f"{tag}_{i}{j}" for i in (1, 2) for j in (1, 2)]
@@ -228,12 +222,8 @@ def cmd_green_eval(cfg: RunConfig, args) -> int:
             )
         pde = pde_cache[y].matrix_at(x, t)
         rows.append([x, y, t] + [m[i, j] for m in (lead, lap, pde) for i in range(2) for j in range(2)])
-    path = os.path.join(out_dir, "greens.csv")
-    with open(path, "w") as fh:
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
-    cfg.write_manifest(out_dir, "green-eval", {"points": len(rows), "table": "greens.csv"})
+    path = write_csv(os.path.join(args.out, "greens.csv"), columns, rows)
+    cfg.write_manifest(args.out, "green-eval", {"points": len(rows), "table": "greens.csv"})
     print(f"wrote {path} ({len(rows)} rows)")
     return EXIT_PASS
 
@@ -368,25 +358,17 @@ def cmd_verify(cfg: RunConfig, args) -> int:
 def cmd_stability_map(cfg: RunConfig, args) -> int:
     a1g = _parse_grid_spec(args.a1_grid)
     a2g = _parse_grid_spec(args.a2_grid)
-    out_dir = args.out
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, "stability_map.csv")
-    with open(path, "w") as fh:
-        fh.write("a1,a2,class,pole\n")
-        for a1 in a1g:
-            for a2 in a2g:
-                if a1 == 0.0 and a2 == 0.0:
-                    fh.write(f"{_fmt(a1)},{_fmt(a2)},invalid,\n")
-                    continue
-                params = ModelParams(c=cfg.model.c, nu=cfg.model.nu, a1=a1, a2=a2)
-                pole = find_boundary_pole(params)
-                cls = classify_boundary(a1, a2).value
-                fh.write(
-                    f"{_fmt(a1)},{_fmt(a2)},{cls},"
-                    + (_fmt(pole) if pole is not None else "")
-                    + "\n"
-                )
-    cfg.write_manifest(out_dir, "stability-map", {"table": "stability_map.csv"})
+    rows = []
+    for a1 in a1g:
+        for a2 in a2g:
+            if a1 == 0.0 and a2 == 0.0:
+                rows.append((a1, a2, "invalid", None))
+                continue
+            params = ModelParams(c=cfg.model.c, nu=cfg.model.nu, a1=a1, a2=a2)
+            rows.append((a1, a2, classify_boundary(a1, a2).value, find_boundary_pole(params)))
+    header = ("a1", "a2", "class", "pole")
+    path = write_csv(os.path.join(args.out, "stability_map.csv"), header, rows)
+    cfg.write_manifest(args.out, "stability-map", {"table": "stability_map.csv"})
     print(f"wrote {path}")
     return EXIT_PASS
 

@@ -14,6 +14,8 @@ throughout so that they stay finite at ``t = 0``.
 from __future__ import annotations
 
 import enum
+import os
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -189,6 +191,20 @@ class BoundEnvelope:
             raise ParameterError("bigC, D, eps must be positive")
         if self.alpha not in (0, 1, 2, 3):
             raise ParameterError(f"alpha must be in {{0,1,2,3}}, got {self.alpha}")
+
+
+def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> str:
+    """Write a CSV table, creating its directory.  Numbers are written with 17
+    significant digits (they read back bit-exact), strings as they are and
+    None as an empty cell."""
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(
+                "" if v is None else v if isinstance(v, str) else f"{v:.17g}" for v in row
+            ) + "\n")
+    return path
 
 
 def theta_envelope(x, t, lam: float, D: float, alpha: float):

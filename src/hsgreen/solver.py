@@ -37,8 +37,9 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .core import BoundaryClass, FieldState, Grid1D, ModelParams, Trajectory
+from .core import BoundaryClass, FieldState, Grid1D, ModelParams, Trajectory, write_csv
 from .errors import ConfigurationError, DivergenceError, ParameterError
+
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -617,15 +618,11 @@ def write_trajectory(
     """Write one CSV per snapshot (x, rho, m; 17 significant digits) plus a
     JSON manifest echoing params, config, and the residual logs."""
     os.makedirs(out_dir, exist_ok=True)
-    paths = []
-    x = traj.grid.x
-    for k, st in enumerate(traj.states):
-        path = os.path.join(out_dir, f"{prefix}_{k:04d}.csv")
-        with open(path, "w") as fh:
-            fh.write("x,rho,m\n")
-            for xi, ri, mi in zip(x, st.rho, st.m):
-                fh.write(f"{xi:.17g},{ri:.17g},{mi:.17g}\n")
-        paths.append(path)
+    paths = [
+        write_csv(os.path.join(out_dir, f"{prefix}_{k:04d}.csv"), ("x", "rho", "m"),
+                  zip(traj.grid.x, st.rho, st.m))
+        for k, st in enumerate(traj.states)
+    ]
     manifest = {
         "params": asdict(traj.params),
         "grid": {"L": traj.grid.L, "nx": traj.grid.nx},

@@ -26,6 +26,7 @@ from .core import (
     a0_profile,
     psi_envelope,
     theta_envelope,
+    write_csv,
 )
 from .errors import AccuracyError, ParameterError, UsageError
 from .solver import InitialData, SolverConfig, make_initial_data, solve_linear
@@ -61,13 +62,7 @@ class VerificationReport:
         return path
 
 
-def _write_ratio_csv(path: str, rows: list[tuple]) -> str:
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "w") as fh:
-        fh.write("x,y_or_s,t,lhs,rhs,ratio\n")
-        for row in rows:
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
-    return path
+_RATIO_HEADER = ("x", "y_or_s", "t", "lhs", "rhs", "ratio")
 
 
 def _stable(sup_coarse: float, sup_fine: float) -> bool:
@@ -210,7 +205,7 @@ def green_bound_report(
     )
     if out_dir:
         report.artifacts.append(
-            _write_ratio_csv(os.path.join(out_dir, f"green_bound_alpha{alpha}.csv"), rows)
+            write_csv(os.path.join(out_dir, f"green_bound_alpha{alpha}.csv"), _RATIO_HEADER, rows)
         )
     return report
 
@@ -264,7 +259,7 @@ def instability_report(
         rows = [(0.0, 0.0, t, n, math.exp(intercept + slope * t), 1.0)
                 for t, n in zip(ts, norms)]
         report.artifacts.append(
-            _write_ratio_csv(os.path.join(out_dir, "instability_norms.csv"), rows)
+            write_csv(os.path.join(out_dir, "instability_norms.csv"), _RATIO_HEADER, rows)
         )
     return report
 
@@ -327,7 +322,7 @@ def ansatz_report(
     if out_dir:
         rows = [(0.0, 0.0, t, m, m, 1.0) for t, m in zip(times, series)]
         report.artifacts.append(
-            _write_ratio_csv(os.path.join(out_dir, "ansatz_M.csv"), rows)
+            write_csv(os.path.join(out_dir, "ansatz_M.csv"), _RATIO_HEADER, rows)
         )
     return report
 
@@ -424,14 +419,8 @@ def decay_report(
             (0.0, 0.0, t) + tuple(norms[p][i] for p in p_list)
             for i, t in enumerate(ts_all)
         ]
-        path = os.path.join(out_dir, "decay_norms.csv")
-        os.makedirs(out_dir, exist_ok=True)
-        with open(path, "w") as fh:
-            fh.write("x,y_or_s,t," + ",".join(
-                "Linf" if math.isinf(p) else f"L{p:g}" for p in p_list) + "\n")
-            for row in rows:
-                fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
-        report.artifacts.append(path)
+        header = _RATIO_HEADER[:3] + tuple("Linf" if math.isinf(p) else f"L{p:g}" for p in p_list)
+        report.artifacts.append(write_csv(os.path.join(out_dir, "decay_norms.csv"), header, rows))
     return report
 
 
@@ -518,7 +507,7 @@ def lemma_initial_data_check(
     )
     if out_dir:
         report.artifacts.append(
-            _write_ratio_csv(os.path.join(out_dir, "lemma_initial_data.csv"), rows)
+            write_csv(os.path.join(out_dir, "lemma_initial_data.csv"), _RATIO_HEADER, rows)
         )
     return report
 
@@ -699,6 +688,6 @@ def lemma_wave_interaction_check(
     )
     if out_dir:
         report.artifacts.append(
-            _write_ratio_csv(os.path.join(out_dir, f"{name}.csv"), rows)
+            write_csv(os.path.join(out_dir, f"{name}.csv"), _RATIO_HEADER, rows)
         )
     return report

@@ -131,15 +131,23 @@ class TestGreenEval:
 
 class TestSolve:
     def test_snapshots_and_determinism(self, tmp_path):
+        # every CSV-writing subcommand, run twice, writes the same bytes
         cfgp = write_config(tmp_path, SMALL_SOLVER)
-        out1, out2 = tmp_path / "s1", tmp_path / "s2"
-        assert run_cli(["solve", "--config", cfgp, "--out", str(out1),
-                        "--kind", "nonlinear"]) == cli.EXIT_PASS
-        assert run_cli(["solve", "--config", cfgp, "--out", str(out2),
-                        "--kind", "nonlinear"]) == cli.EXIT_PASS
-        b1 = open(out1 / "nonlinear_0002.csv", "rb").read()
-        b2 = open(out2 / "nonlinear_0002.csv", "rb").read()
-        assert b1 == b2
+        runs = [
+            (["solve", "--kind", "nonlinear"], "nonlinear_0002.csv"),
+            (["stability-map"], "stability_map.csv"),
+            (["green-eval", "--point", "5", "28", "2"], "greens.csv"),
+            (["verify", "--which", "lemma41"], "lemma_initial_data.csv"),
+        ]
+        for argv, table in runs:
+            out1, out2 = (tmp_path / f"{argv[0]}{k}" for k in (1, 2))
+            for out in (out1, out2):
+                assert run_cli(argv + ["--config", cfgp, "--out", str(out)]) == cli.EXIT_PASS
+            tables = sorted(p.name for p in out1.glob("*.csv"))
+            assert table in tables
+            assert tables == sorted(p.name for p in out2.glob("*.csv"))
+            for name in tables:
+                assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
     def test_divergence_exit_code(self, tmp_path):
         bad = {
