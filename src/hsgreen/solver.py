@@ -8,24 +8,28 @@ Two systems share one discretization:
 Space: 2nd-order central differences in conservation form, with a ghost
 node enforcing the Robin condition a1 m_x + a2 m = 0 at x = 0 and a sponge
 layer at the artificial far boundary (``sponge_strength = 0`` turns it off).
-The density equation carries no physical viscosity, so a small
-grid-vanishing fourth-difference dissipation (coefficient kappa4 * c * dx^3)
-suppresses odd-even decoupling without reducing the formal order.
+The far row of the second difference reads the mirror ghost f[n] = f[n-2],
+the far-end twin of the Robin ghost, so it damps there like the interior;
+the gradients use one-sided rows at both ends.  The density equation
+carries no physical viscosity, so a small grid-vanishing fourth-difference
+dissipation (coefficient kappa4 * c * dx^3) suppresses odd-even decoupling
+without reducing the formal order.
 
 Time: one second-order IMEX Runge-Kutta scheme, ARS(2,2,2), for both
 systems.  The viscous term nu m_xx is implicit, with its boundary rows (the
-Robin ghost or the Dirichlet pin at x = 0, the one-sided stencil at the far
-end); everything else is explicit, including the viscous remainder
+Robin ghost or the Dirichlet pin at x = 0, the mirror ghost at the far end);
+everything else is explicit, including the viscous remainder
 nu (m/rho - m)_xx of the nonlinear system.  The step is the smallest of
 three limits of the explicit part, chosen afresh for each snapshot segment:
 the acoustic CFL, the dissipation limit 2/rate and, in the nonlinear
 system, cfl_par dx^2 over the remainder's viscosity, measured on the
 segment's starting density (see ``_stable_dt``).  The implicit matrix
-I - h nu D2 depends on the step size only; it is factored once per size
-without pivoting and solved by substitution run as recursive-doubling
-scans.  The scans stop only where their coefficient products have
-underflowed to exactly 0, so they compute the substitution itself, not a
-truncation of it, and a Dirichlet row returns m(0) = 0 exactly.
+I - h nu D2 is tridiagonal and depends on the step size only; it is
+factored once per size without pivoting and solved by substitution run as
+recursive-doubling scans.  The scans stop only where their coefficient
+products have underflowed to exactly 0, so they compute the substitution
+itself, not a truncation of it, and a Dirichlet row returns m(0) = 0
+exactly.
 """
 
 from __future__ import annotations
@@ -189,7 +193,7 @@ def _lap(f: np.ndarray, dx: float) -> np.ndarray:
     dx2 = dx * dx
     g[1:-1] = (f[2:] - 2.0 * f[1:-1] + f[:-2]) / dx2
     g[0] = (2.0 * f[0] - 5.0 * f[1] + 4.0 * f[2] - f[3]) / dx2
-    g[-1] = (2.0 * f[-1] - 5.0 * f[-2] + 4.0 * f[-3] - f[-4]) / dx2
+    g[-1] = 2.0 * (f[-2] - f[-1]) / dx2  # mirror ghost f[n] = f[n-2]
     return g
 
 
@@ -230,8 +234,8 @@ class _Rhs:
 
     def implicit(self, m: np.ndarray) -> np.ndarray:
         """nu m_xx: central differences in the interior, the Robin ghost in
-        row 0 (zero under the Dirichlet pin) and the one-sided stencil in the
-        far row."""
+        row 0 (zero under the Dirichlet pin) and the mirror ghost in the far
+        row, so every row reads only its neighbours."""
         dx = self.cfg.grid.dx
         g = _lap(m, dx)
         if self.dirichlet:
@@ -313,41 +317,32 @@ def _scan(levels: list[np.ndarray], x: np.ndarray) -> None:
 class _ImplicitSolve:
     """Solver of (I - h J) x = b, J the matrix of ``_Rhs.implicit``.
 
-    J is read off by applying ``implicit`` to 4 coloured probes (unit vectors
-    at every index of one residue class mod 4): row 0 reads nodes 0-1, an
-    interior row its neighbours and the far row the last 4 nodes, so no row
-    reads two nodes of one colour.  I - hJ is tridiagonal apart from the far
-    row's entries at n-4 and n-3.  It is factored once without pivoting, the
-    far row's three sub-diagonal entries being eliminated against rows n-4 to
-    n-2, and both substitutions run as recursive-doubling scans.  A row of
-    I - hJ that is a row of I (the Dirichlet pin) returns its entry of b
-    exactly.
+    J is read off by applying ``implicit`` to 3 coloured probes (unit vectors
+    at every index of one residue class mod 3): row 0 reads nodes 0-1, an
+    interior row its neighbours and the far row nodes n-2 and n-1, so no row
+    reads two nodes of one colour.  I - hJ is tridiagonal.  It is factored
+    once without pivoting, and both substitutions run as recursive-doubling
+    scans.  A row of I - hJ that is a row of I (the Dirichlet pin) returns
+    its entry of b exactly.
     """
 
     def __init__(self, rhs: _Rhs, h: float):
         n = rhs.cfg.grid.n_nodes
-        probes = np.zeros((4, n))
-        for c in range(4):
-            probes[c, c::4] = 1.0
+        probes = np.zeros((3, n))
+        for c in range(3):
+            probes[c, c::3] = 1.0
         cols = np.array([rhs.implicit(pr) for pr in probes])
         k = np.arange(n)
-        lower = (-h * cols[(k - 1) % 4, k]).tolist()
-        diag = (1.0 - h * cols[k % 4, k]).tolist()
-        upper = (-h * cols[(k + 1) % 4, k]).tolist()
-        far = (-h * cols[k[-4:-1] % 4, n - 1]).tolist() + diag[-1:]  # row n-1, cols n-4..
+        lower = (-h * cols[(k - 1) % 3, k]).tolist()
+        diag = (1.0 - h * cols[k % 3, k]).tolist()
+        upper = (-h * cols[(k + 1) % 3, k]).tolist()
 
-        mult = [0.0] * (n - 1)
-        for i in range(1, n - 1):
+        mult = [0.0] * n
+        for i in range(1, n):
             mult[i] = lower[i] / diag[i - 1]
             diag[i] -= mult[i] * upper[i - 1]
-        far_mult = []
-        for j, i in enumerate(range(n - 4, n - 1)):
-            far_mult.append(far[j] / diag[i])
-            far[j + 1] -= far_mult[-1] * upper[i]
-        diag[-1] = far[-1]
 
         self.h = h
-        self.far_mult = np.array(far_mult)
         self.inv_diag = 1.0 / np.array(diag)
         self.forward = _scan_levels(-np.array(mult))
         back = -np.array(upper) * self.inv_diag
@@ -355,8 +350,7 @@ class _ImplicitSolve:
 
     def __call__(self, b: np.ndarray) -> np.ndarray:
         """The solution x, computed in the array b."""
-        _scan(self.forward, b[:-1])
-        b[-1] -= self.far_mult @ b[-4:-1]
+        _scan(self.forward, b)
         b *= self.inv_diag
         _scan(self.back, b[::-1])
         return b

@@ -314,6 +314,32 @@ class TestImexStep:
         assert uneven.stats["factorizations"] == 2
 
 
+class TestFarBoundary:
+    # odd-even density data reaches the far node x = L at full amplitude;
+    # the far-row closure must not turn it into growth there
+    @staticmethod
+    def _growth(params, nx, sponge_strength=1.0, nonlinear=False):
+        grid = Grid1D(L=10.0, nx=nx)
+        u0 = 1e-3 * (-1.0) ** np.arange(grid.n_nodes)
+        init = so.FieldState(t=0.0, rho=1.0 + u0, m=np.zeros(grid.n_nodes))
+        cfg = so.SolverConfig(grid=grid, t_end=2.0, sponge_strength=sponge_strength)
+        solve = so.solve_nonlinear if nonlinear else so.solve_linear
+        sup = max(max(np.abs(s.rho - 1.0).max(), np.abs(s.m).max())
+                  for s in solve(init, params, cfg).states)
+        return sup / np.abs(u0).max()
+
+    @pytest.mark.parametrize("params", [P, PD, ModelParams(a1=1.0, a2=0.0)],
+                             ids=["mixed", "dirichlet", "neumann"])
+    @pytest.mark.parametrize("nx", [200, 400])
+    @pytest.mark.parametrize("sponge_strength", [0.0, 1.0])
+    def test_linear_odd_even_data_bounded(self, params, nx, sponge_strength):
+        assert self._growth(params, nx, sponge_strength) <= 3.0
+
+    @pytest.mark.parametrize("nx", [200, 400])
+    def test_nonlinear_odd_even_data_bounded(self, nx):
+        assert self._growth(P, nx, nonlinear=True) <= 3.0
+
+
 class TestNonlinearSolver:
     def test_stationary_preserved(self):
         grid = Grid1D(L=20.0, nx=200)
