@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -84,15 +85,22 @@ class TestGreenEval:
         assert np.abs(lap - pde).max() <= 0.05 * np.abs(lap).max()
 
     def test_readme_example_runs(self, tmp_path):
-        # the documented invocation succeeds on the default config
+        # every documented green-eval invocation succeeds on the default
+        # config and writes one row per point
         readme = Path(__file__).resolve().parents[1] / "README.md"
-        line = next(ln for ln in readme.read_text().splitlines()
-                    if ln.startswith("hsgreen green-eval"))
-        argv = line.split("#")[0].split()[1:]
-        argv[argv.index("--out") + 1] = str(tmp_path / "ge")
-        assert run_cli(argv) == cli.EXIT_PASS
-        lines = open(tmp_path / "ge" / "greens.csv").read().strip().splitlines()
-        assert len(lines) - 1 == 1
+        lines = [ln for ln in readme.read_text().splitlines()
+                 if ln.startswith("hsgreen green-eval")]
+        assert len(lines) >= 2
+        for k, line in enumerate(lines):
+            argv = line.split("#")[0].split()[1:]
+            out = tmp_path / f"ge{k}"
+            argv[argv.index("--out") + 1] = str(out)
+            assert run_cli(argv) == cli.EXIT_PASS
+            args = cli.build_parser().parse_args(argv)
+            n_points = len(args.point) if args.point else math.prod(
+                len(cli._parse_grid_spec(g)) for g in (args.x_grid, args.y_grid, args.t_grid))
+            rows = open(out / "greens.csv").read().strip().splitlines()
+            assert len(rows) - 1 == n_points
 
     def test_default_grids_are_evaluable(self):
         # every default source sits >= 10 pulse widths (4 dx) from both ends,
