@@ -187,10 +187,14 @@ def _rk4_step(rhs, u, m, h):
     )
 
 
+# one-step cases over the boundary classes; each id names the solver's
+# spatial discretization, the second-order central difference, and the class
+STEP_CASES = [P, PD, ModelParams(a1=1.0, a2=0.0), ModelParams(c=1.7, nu=0.3, a1=-1.3, a2=2.9)]
+STEP_IDS = ["central-2-" + name for name in ("mixed", "dirichlet", "neumann", "scaled")]
+
+
 class TestStepMatrix:
-    @pytest.mark.parametrize("params", [
-        P, PD, ModelParams(a1=1.0, a2=0.0), ModelParams(c=1.7, nu=0.3, a1=-1.3, a2=2.9),
-    ], ids=["mixed", "dirichlet", "neumann", "scaled"])
+    @pytest.mark.parametrize("params", STEP_CASES, ids=STEP_IDS)
     @pytest.mark.parametrize("sponge_strength", [0.0, 1.0])
     def test_matches_rk4_step(self, params, sponge_strength):
         # one IMEX step of the linear system against a classical RK4 step of
@@ -211,9 +215,7 @@ class TestStepMatrix:
 
 
 class TestImexStep:
-    @pytest.mark.parametrize("params", [
-        P, PD, ModelParams(a1=1.0, a2=0.0), ModelParams(c=1.7, nu=0.3, a1=-1.3, a2=2.9),
-    ], ids=["mixed", "dirichlet", "neumann", "scaled"])
+    @pytest.mark.parametrize("params", STEP_CASES, ids=STEP_IDS)
     @pytest.mark.parametrize("sponge_strength", [0.0, 1.0])
     def test_implicit_solve_residual(self, params, sponge_strength):
         cfg = small_cfg(L=10.0, nx=60, sponge_strength=sponge_strength)
