@@ -62,11 +62,8 @@ DEFAULT_CONFIG: dict = {
         "t_end": 50.0,
         "cfl_hyp": 0.45,
         "cfl_par": 0.45,
-        "sponge_fraction": 0.1,
         "sponge_strength": 1.0,
-        "kappa4": 0.25,
         "pressure_gamma": 2.0,
-        "pressure_scale": None,
         "n_snapshots": 11,
         "initial": {
             "kind": "algebraic",
@@ -78,11 +75,9 @@ DEFAULT_CONFIG: dict = {
         },
     },
     "transforms": {
-        "xi_max": None,
         "n_xi": 10,
         "contour": "talbot",
         "n_nodes": 32,
-        "abscissa": None,
         "tol": 1e-8,
     },
     "verify": {
@@ -91,12 +86,11 @@ DEFAULT_CONFIG: dict = {
         "t_min": 1.0,
         "t_max": 20.0,
         "n_t": 6,
-        "envelope": {"bigC": 10.0, "D": 2.0, "eps": 0.5},
+        "envelope": {"bigC": 10.0, "eps": 0.5},
         "decay_t_min": 5.0,
         "lemma41": {"d0": 2.0, "r": 1.0, "E": 3.0, "x_max": 100.0, "n": 21},
         "lemma_nu": 2.0,
     },
-    "output_dir": "out",
 }
 
 
@@ -126,11 +120,8 @@ class RunConfig:
             t_end=s["t_end"],
             cfl_hyp=s["cfl_hyp"],
             cfl_par=s["cfl_par"],
-            sponge_fraction=s["sponge_fraction"],
             sponge_strength=s["sponge_strength"],
-            kappa4=s["kappa4"],
             pressure_gamma=s["pressure_gamma"],
-            pressure_scale=s["pressure_scale"],
             n_snapshots=int(s["n_snapshots"]),
         )
         ini = s["initial"]
@@ -144,11 +135,9 @@ class RunConfig:
         )
         q = self.raw["transforms"]
         self.quadrature = QuadratureConfig(
-            xi_max=q["xi_max"],
             n_xi=int(q["n_xi"]),
             contour=q["contour"],
             n_nodes=int(q["n_nodes"]),
-            abscissa=q["abscissa"],
             tol=q["tol"],
         )
         self.verify = self.raw["verify"]
@@ -248,11 +237,10 @@ def cmd_solve(cfg: RunConfig, args) -> int:
     return EXIT_PASS
 
 
-def _verify_reports(cfg: RunConfig, which: str, refine: int, out_dir: str):
+def _verify_reports(cfg: RunConfig, which: str, out_dir: str):
     params = cfg.model
     v = cfg.verify
-    env = BoundEnvelope(bigC=v["envelope"]["bigC"], D=v["envelope"]["D"],
-                        eps=v["envelope"]["eps"])
+    env = BoundEnvelope(bigC=v["envelope"]["bigC"], eps=v["envelope"]["eps"])
     names = (
         ["pointwise", "instability", "decay", "ansatz", "lemma41", "lemma42", "lemma43"]
         if which == "all"
@@ -262,10 +250,10 @@ def _verify_reports(cfg: RunConfig, which: str, refine: int, out_dir: str):
     traj = None
     for name in names:
         if name == "pointwise":
-            n_x = int(v["n_x"] * refine)
+            n_x = int(v["n_x"])
             xg = np.linspace(0.0, v["x_max"], n_x)
             yg = np.linspace(0.13, v["x_max"] - 0.1, n_x)
-            tg = np.linspace(v["t_min"], v["t_max"], int(v["n_t"] * refine))
+            tg = np.linspace(v["t_min"], v["t_max"], int(v["n_t"]))
             for alpha in (0, 1):
                 reports.append(
                     vf.green_bound_report(
@@ -302,13 +290,10 @@ def _verify_reports(cfg: RunConfig, which: str, refine: int, out_dir: str):
                 reports.append(vf.ansatz_report(traj, params, out_dir=out_dir))
         elif name == "lemma41":
             l4 = v["lemma41"]
-            n = int(l4["n"] * refine)
+            nodes = np.linspace(0.0, l4["x_max"], int(l4["n"]))
             reports.append(
                 vf.lemma_initial_data_check(
-                    l4["d0"], l4["r"], l4["E"],
-                    np.linspace(0.0, l4["x_max"], n),
-                    np.linspace(0.0, l4["x_max"], n),
-                    out_dir=out_dir,
+                    l4["d0"], l4["r"], l4["E"], nodes, nodes, out_dir=out_dir
                 )
             )
         elif name == "lemma42":
@@ -335,7 +320,7 @@ def _verify_reports(cfg: RunConfig, which: str, refine: int, out_dir: str):
 def cmd_verify(cfg: RunConfig, args) -> int:
     out_dir = args.out
     os.makedirs(out_dir, exist_ok=True)
-    reports = _verify_reports(cfg, args.which, max(1, args.refine), out_dir)
+    reports = _verify_reports(cfg, args.which, out_dir)
     any_inconclusive = False
     all_pass = True
     for rep in reports:
@@ -401,7 +386,6 @@ def build_parser() -> argparse.ArgumentParser:
                  "lemma41", "lemma42", "lemma43", "all"),
         default="all",
     )
-    vcmd.add_argument("--refine", type=int, default=1)
     vcmd.set_defaults(fn=cmd_verify)
 
     m = sub.add_parser("stability-map", help="classify (a1, a2) cells and poles")

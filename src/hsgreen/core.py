@@ -173,22 +173,22 @@ class Trajectory:
 
 @dataclass(frozen=True)
 class BoundEnvelope:
-    """Constants of a pointwise-bound right-hand side.
+    """Constants of a pointwise-bound right-hand side
+    (``verify.pointwise_envelope``).  The direct Gaussians have variance
+    2*nu t, fixed by the model, so only the reflected one is widened.
 
     bigC: exponential-tail constant (the C of exp(-(|x| + t)/C) terms)
-    D:    Gaussian width parameter
     eps:  widening of the reflected-Gaussian variance (2*nu + eps)
     alpha: derivative order the envelope is compared against
     """
 
     bigC: float = 10.0
-    D: float = 2.0
     eps: float = 0.5
     alpha: int = 0
 
     def __post_init__(self):
-        if not (self.bigC > 0 and self.D > 0 and self.eps > 0):
-            raise ParameterError("bigC, D, eps must be positive")
+        if not (self.bigC > 0 and self.eps > 0):
+            raise ParameterError("bigC and eps must be positive")
         if self.alpha not in (0, 1, 2, 3):
             raise ParameterError(f"alpha must be in {{0,1,2,3}}, got {self.alpha}")
 

@@ -7,13 +7,13 @@ Two systems share one discretization:
 
 Space: 2nd-order central differences in conservation form, with a ghost
 node enforcing the Robin condition a1 m_x + a2 m = 0 at x = 0 and a sponge
-layer at the artificial far boundary (``sponge_strength = 0`` turns it off).
-The far row of the second difference reads the mirror ghost f[n] = f[n-2],
-the far-end twin of the Robin ghost, so it damps there like the interior;
-the gradients use one-sided rows at both ends.  The density equation
-carries no physical viscosity, so a small grid-vanishing fourth-difference
-dissipation (coefficient kappa4 * c * dx^3) suppresses odd-even decoupling
-without reducing the formal order.
+layer on the last ``_SPONGE_FRACTION`` of [0, L] (``sponge_strength = 0``
+turns it off).  The far row of the second difference reads the mirror ghost
+f[n] = f[n-2], the far-end twin of the Robin ghost, so it damps there like
+the interior; the gradients use one-sided rows at both ends.  The density
+equation carries no physical viscosity, so a small grid-vanishing
+fourth-difference dissipation (coefficient ``_KAPPA4`` * c * dx^3)
+suppresses odd-even decoupling without reducing the formal order.
 
 Time: one second-order IMEX Runge-Kutta scheme, ARS(2,2,2), for both
 systems.  The viscous term nu m_xx is implicit, with its boundary rows (the
@@ -44,6 +44,11 @@ import numpy as np
 from .core import BoundaryClass, FieldState, Grid1D, ModelParams, Trajectory, write_csv
 from .errors import ConfigurationError, DivergenceError, ParameterError
 
+_KAPPA4 = 0.25
+# verify.decay_report and verify.ansatz_M leave the sponge out through
+# x_max_fraction = 0.85, which holds only while this is at most 0.15.
+_SPONGE_FRACTION = 0.1
+
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -51,11 +56,8 @@ class SolverConfig:
     t_end: float
     cfl_hyp: float = 0.45
     cfl_par: float = 0.45
-    sponge_fraction: float = 0.1
     sponge_strength: float = 1.0
-    kappa4: float = 0.25
     pressure_gamma: float = 2.0
-    pressure_scale: float | None = None  # None -> c^2 / pressure_gamma
     n_snapshots: int = 11
 
     def __post_init__(self):
@@ -63,24 +65,6 @@ class SolverConfig:
             raise ConfigurationError("CFL safety factors must lie in (0, 0.9]")
         if not (self.t_end > 0.0):
             raise ConfigurationError("t_end must be positive")
-        if self.kappa4 < 0.0:
-            raise ConfigurationError("kappa4 must be non-negative")
-
-    def resolved_pressure_scale(self, params: ModelParams) -> float:
-        """Pressure prefactor of p(rho) = scale * rho^Gamma.
-
-        The sound speed must satisfy c^2 = p'(1) = scale * Gamma; with the
-        default scale = c^2/Gamma this holds identically, an explicit scale
-        is validated against it.
-        """
-        if self.pressure_scale is None:
-            return params.c**2 / self.pressure_gamma
-        if abs(self.pressure_scale * self.pressure_gamma - params.c**2) > 1e-12:
-            raise ConfigurationError(
-                f"pressure law inconsistent with sound speed: scale*Gamma = "
-                f"{self.pressure_scale * self.pressure_gamma:.6g} but c^2 = {params.c ** 2:.6g}"
-            )
-        return self.pressure_scale
 
 
 def default_grid(length: float, params: ModelParams) -> Grid1D:
@@ -189,10 +173,12 @@ def _grad(f: np.ndarray, dx: float) -> np.ndarray:
 
 
 def _lap(f: np.ndarray, dx: float) -> np.ndarray:
+    """Second difference with the mirror-ghost far row.  The wall row belongs
+    to the caller, which closes it with its own ghost or pin; it is 0 here."""
     g = np.empty_like(f)
     dx2 = dx * dx
     g[1:-1] = (f[2:] - 2.0 * f[1:-1] + f[:-2]) / dx2
-    g[0] = (2.0 * f[0] - 5.0 * f[1] + 4.0 * f[2] - f[3]) / dx2
+    g[0] = 0.0
     g[-1] = 2.0 * (f[-2] - f[-1]) / dx2  # mirror ghost f[n] = f[n-2]
     return g
 
@@ -204,7 +190,7 @@ def _fourth_difference(f: np.ndarray) -> np.ndarray:
 
 
 def _sponge_profile(grid: Grid1D, cfg: SolverConfig) -> np.ndarray:
-    xs = grid.L * (1.0 - cfg.sponge_fraction)
+    xs = grid.L * (1.0 - _SPONGE_FRACTION)
     ramp = np.clip((grid.x - xs) / (grid.L - xs), 0.0, None)
     return cfg.sponge_strength * ramp**2
 
@@ -230,7 +216,8 @@ class _Rhs:
         self.nonlinear = nonlinear
         self.sigma = _sponge_profile(cfg.grid, cfg)
         self.dirichlet = params.boundary_class is BoundaryClass.DIRICHLET
-        self.p_scale = cfg.resolved_pressure_scale(params) if nonlinear else 0.0
+        # p(rho) = p_scale rho^Gamma, so p'(1) = c^2 by construction
+        self.p_scale = params.c**2 / cfg.pressure_gamma if nonlinear else 0.0
 
     def implicit(self, m: np.ndarray) -> np.ndarray:
         """nu m_xx: central differences in the interior, the Robin ghost in
@@ -273,8 +260,7 @@ class _Rhs:
         else:
             dmdt[0] = -c**2 * (-3.0 * u[0] + 4.0 * u[1] - u[2]) / (2.0 * dx)
 
-        if cfg.kappa4 > 0.0:
-            dudt -= cfg.kappa4 * c / dx * _fourth_difference(u)
+        dudt -= _KAPPA4 * c / dx * _fourth_difference(u)
         dudt -= self.sigma * u
         dmdt -= self.sigma * m
         return dudt, dmdt
@@ -383,21 +369,21 @@ def _stable_dt(params: ModelParams, cfg: SolverConfig, nu_explicit: float) -> tu
     The implicit nu m_xx sets no limit.  The explicit part gives three:
 
     * acoustic: cfl_hyp dx / c;
-    * dissipation: 2 / rate with rate = 16 kappa4 c/dx + c/dx + sponge.  The
-      ARS explicit stability polynomial 1 + z + z^2/2 holds the real interval
-      [-2, 0].  The most negative real eigenvalue, at the odd-even mode where
-      the central gradients vanish, is -(16 kappa4 c/dx + sponge), so the
-      acoustic c/dx in the rate is the margin for the modes where the
-      imaginary acoustic eigenvalues meet the dissipation; a von Neumann
-      analysis of the interior scheme with kappa4 = 0.25 first fails at
-      2.5 / rate, for every dx and nu tried;
+    * dissipation: 2 / rate with rate = 16 _KAPPA4 c/dx + c/dx + sponge.
+      The ARS explicit stability polynomial 1 + z + z^2/2 holds the real
+      interval [-2, 0].  The most negative real eigenvalue, at the odd-even
+      mode where the central gradients vanish, is -(16 _KAPPA4 c/dx +
+      sponge), so the acoustic c/dx in the rate is the margin for the modes
+      where the imaginary acoustic eigenvalues meet the dissipation; a von
+      Neumann analysis of the interior scheme with _KAPPA4 = 0.25 first fails
+      at 2.5 / rate, for every dx and nu tried;
     * explicit-viscous: cfl_par dx^2 / nu_explicit for the viscous remainder
       of viscosity nu_explicit (``_Rhs.explicit_viscosity``), the same rule
       as for a fully explicit nu m_xx.
     """
     dx = cfg.grid.dx
     c = params.c
-    rate = 16.0 * cfg.kappa4 * c / dx + c / dx + cfg.sponge_strength
+    rate = 16.0 * _KAPPA4 * c / dx + c / dx + cfg.sponge_strength
     limits = {
         "acoustic": cfg.cfl_hyp * dx / c,
         "dissipation": 2.0 / rate,
@@ -526,7 +512,6 @@ def nonlinear_term(
     params: ModelParams,
     grid: Grid1D,
     pressure_gamma: float = 2.0,
-    pressure_scale: float | None = None,
 ) -> NonlinearTermValue:
     """Quadratic flux remainder of the momentum equation around (1, 0):
 
@@ -535,7 +520,7 @@ def nonlinear_term(
     rho, m = state.rho, state.m
     if np.any(rho <= 0.0):
         raise ParameterError("density must be positive")
-    scale = params.c**2 / pressure_gamma if pressure_scale is None else pressure_scale
+    scale = params.c**2 / pressure_gamma
     u = rho - 1.0
     p_of = lambda r: scale * r**pressure_gamma  # noqa: E731
     dp1 = scale * pressure_gamma

@@ -62,20 +62,17 @@ CONTOURS = ("talbot", "line")
 class QuadratureConfig:
     """Knobs for the inversion quadratures.
 
-    xi_max:  truncation wavenumber for the Fourier inversion; None selects a
-             tail-informed automatic value.
-    n_xi:    Gauss-Legendre nodes per panel in the Fourier inversion.
-    contour: "talbot" (parabolic, default) or "line" (shifted Bromwich).
+    n_xi:    Gauss-Legendre nodes per panel in the Fourier inversion, whose
+             truncation wavenumber is chosen from the tail (``_xi_grid``).
+    contour: "talbot" (parabolic, default) or "line" (Bromwich line at
+             abscissa max(0, s*) + 1/t, right of any pole s*).
     n_nodes: Talbot degree, or panels-per-unit-time for the line contour.
-    abscissa: line-contour shift; None selects max(0, s*) + 1/t.
     tol:     target absolute accuracy; quadratures self-check against it.
     """
 
-    xi_max: float | None = None
     n_xi: int = 10
     contour: str = "talbot"
     n_nodes: int = 32
-    abscissa: float | None = None
     tol: float = 1e-8
 
     def __post_init__(self):
@@ -83,8 +80,6 @@ class QuadratureConfig:
             raise ConfigurationError("need n_xi >= 4 and n_nodes >= 8")
         if self.contour not in CONTOURS:
             raise ConfigurationError(f"contour must be one of {CONTOURS}")
-        if self.xi_max is not None and self.xi_max <= 0:
-            raise ConfigurationError("xi_max must be positive when given")
         if not (0 < self.tol < 1e-2):
             raise ConfigurationError("tol must lie in (0, 1e-2)")
 
@@ -119,15 +114,12 @@ def _xi_grid(
     q = math.exp(-c**2 * t / nu)
     # Core: beyond xi_core the Gaussian-decaying modes are < 1e-18.
     xi_core = math.sqrt(83.0 / (nu * t)) + 2.0 * c / nu
-    if cfg.xi_max is not None:
-        xi_max = cfg.xi_max
-    else:
-        # Residual after subtraction decays like C_res / xi^4; pick xi_max so
-        # the tail integral is below tol/4 (coefficient padded for safety).
-        r = c**2 / nu**2
-        c_res = q * (r**2 * (2.0 + 0.5 * (c**2 * t / nu) ** 2) + r) + 1e-30
-        xi_max = (4.0 * c_res / (3.0 * math.pi * cfg.tol)) ** (1.0 / 3.0)
-        xi_max = max(xi_max, 1.2 * xi_core + 5.0, 10.0 * c / nu)
+    # Residual after subtraction decays like C_res / xi^4; pick xi_max so
+    # the tail integral is below tol/4 (coefficient padded for safety).
+    r = c**2 / nu**2
+    c_res = q * (r**2 * (2.0 + 0.5 * (c**2 * t / nu) ** 2) + r) + 1e-30
+    xi_max = (4.0 * c_res / (3.0 * math.pi * cfg.tol)) ** (1.0 / 3.0)
+    xi_max = max(xi_max, 1.2 * xi_core + 5.0, 10.0 * c / nu)
     xi_core = min(xi_core, xi_max * 0.5)
     osc = x_absmax + c * t + 1.0
     cap = math.inf if gamma is None else gamma
@@ -270,11 +262,9 @@ def _invert_laplace_talbot(symbol, x, y, t: float, params: ModelParams, M: int) 
 
 
 def _invert_laplace_line(symbol, x, y, t, params, cfg) -> tuple[np.ndarray, float]:
-    """Truncated vertical contour; returns (value, imaginary residue)."""
-    pole = find_boundary_pole(params)
-    a = cfg.abscissa if cfg.abscissa is not None else max(0.0, pole or 0.0) + 1.0 / t
-    if pole is not None and a <= pole:
-        raise ConfigurationError(f"line contour abscissa {a} is left of the pole {pole}")
+    """Truncated vertical contour at abscissa max(0, s*) + 1/t, right of any
+    pole s*; returns (value, imaginary residue)."""
+    a = max(0.0, find_boundary_pole(params) or 0.0) + 1.0 / t
     w_min = float(min(np.abs(x - y).min(), np.abs(x + y).min()))
     if w_min < 0.3:
         raise ConfigurationError(

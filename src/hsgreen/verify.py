@@ -452,7 +452,6 @@ def lemma_initial_data_check(
     e_const: float,
     x_grid,
     t_grid,
-    refine: int = 1,
     out_dir: str | None = None,
 ) -> VerificationReport:
     """Gaussian-vs-algebraic convolution bound checker.
@@ -487,8 +486,8 @@ def lemma_initial_data_check(
                 sup = max(sup, lhs / rhs)
         return sup, rows
 
-    sup_c, rows = sup_ratio(refine)
-    sup_f, _ = sup_ratio(2 * refine)
+    sup_c, rows = sup_ratio(1)
+    sup_f, _ = sup_ratio(2)
     # Core-region diagnostic: I <= O(1)/sqrt(t+1) for |x| <= sqrt(t+1).
     core = [
         row[3] * math.sqrt(row[2] + 1.0)
@@ -501,7 +500,7 @@ def lemma_initial_data_check(
         parameters={"d0": d0, "r": r, "E": e_const},
         status=status,
         sup_ratio=float(sup_f),
-        grid_levels=[{"refine": refine, "sup": sup_c}, {"refine": 2 * refine, "sup": sup_f}],
+        grid_levels=[{"refine": 1, "sup": sup_c}, {"refine": 2, "sup": sup_f}],
         tolerances={"stability_rtol": STABILITY_RTOL},
         details={"core_sup_scaled": float(max(core)) if core else None},
     )

@@ -28,6 +28,18 @@ SMALL_SOLVER = {
     }
 }
 
+# deleted config keys, each with a value it used to accept
+REMOVED_KEYS = {
+    "solver.scheme": "central-2",
+    "solver.sponge_fraction": 0.1,
+    "solver.kappa4": 0.25,
+    "solver.pressure_scale": 0.5,
+    "transforms.xi_max": 8.0,
+    "transforms.abscissa": 1.0,
+    "verify.envelope.D": 2.0,
+    "output_dir": "out",
+}
+
 
 class TestConfig:
     def test_unknown_keys_rejected(self, tmp_path):
@@ -170,14 +182,24 @@ class TestSolve:
                         "--kind", "nonlinear"])
         assert code == cli.EXIT_DIVERGENCE
 
-    def test_plot_data_flag_removed(self, tmp_path):
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--kind", "linear", "--plot-data"],
+        ["verify", "--refine", "2"],
+    ], ids=["solve-plot-data", "verify-refine"])
+    def test_removed_flag_rejected(self, tmp_path, argv):
         with pytest.raises(SystemExit) as exc:
-            run_cli(["solve", "--out", str(tmp_path / "s"), "--kind", "linear",
-                     "--plot-data"])
+            run_cli(argv + ["--out", str(tmp_path / "s")])
         assert exc.value.code == 2
 
-    def test_scheme_key_removed(self, tmp_path):
-        cfgp = write_config(tmp_path, {"solver": {"scheme": "central-2"}})
+    @pytest.mark.parametrize("key", list(REMOVED_KEYS))
+    def test_removed_config_key_rejected(self, tmp_path, key):
+        # a config that still sets a deleted key is a config error, not a
+        # silent no-op
+        *path, leaf = key.split(".")
+        payload = {leaf: REMOVED_KEYS[key]}
+        for part in reversed(path):
+            payload = {part: payload}
+        cfgp = write_config(tmp_path, payload)
         assert run_cli(["solve", "--config", cfgp, "--out", str(tmp_path / "s"),
                         "--kind", "linear"]) == cli.EXIT_CONFIG
 

@@ -23,13 +23,6 @@ class TestConfig:
         with pytest.raises(ConfigurationError):
             small_cfg(cfl_par=0.0)
 
-    def test_pressure_consistency_check(self):
-        cfg = small_cfg(pressure_scale=0.5, pressure_gamma=2.0)
-        assert cfg.resolved_pressure_scale(P) == 0.5  # c^2 = 1 = 0.5 * 2
-        bad = small_cfg(pressure_scale=1.0, pressure_gamma=2.0)
-        with pytest.raises(ConfigurationError):
-            bad.resolved_pressure_scale(P)  # p'(1) = 2 but c^2 = 1
-
     def test_default_grid_resolves_viscous_scale(self):
         g = so.default_grid(400.0, P)
         assert g.dx <= min(P.nu / P.c, 0.4)
@@ -215,10 +208,16 @@ class TestStepMatrix:
 
 
 class TestImexStep:
-    @pytest.mark.parametrize("params", STEP_CASES, ids=STEP_IDS)
+    # nx = 600 puts h nu/dx^2 near 7, where a pivoting tridiagonal solve
+    # swaps the Dirichlet row and no longer returns x[0] == 0 exactly
+    @pytest.mark.parametrize(
+        "params, nx",
+        [(p, 60) for p in STEP_CASES] + [(p, 600) for p in STEP_CASES],
+        ids=STEP_IDS + [i + "-nx600" for i in STEP_IDS],
+    )
     @pytest.mark.parametrize("sponge_strength", [0.0, 1.0])
-    def test_implicit_solve_residual(self, params, sponge_strength):
-        cfg = small_cfg(L=10.0, nx=60, sponge_strength=sponge_strength)
+    def test_implicit_solve_residual(self, params, nx, sponge_strength):
+        cfg = small_cfg(L=10.0, nx=nx, sponge_strength=sponge_strength)
         rhs = so._Rhs(params, cfg, nonlinear=False)
         dt, _ = so._stable_dt(params, cfg, rhs.explicit_viscosity(np.zeros(cfg.grid.n_nodes)))
         h = so._GAMMA * dt

@@ -21,8 +21,6 @@ class TestQuadratureConfig:
         with pytest.raises(ConfigurationError):
             tr.QuadratureConfig(contour="circle")
         with pytest.raises(ConfigurationError):
-            tr.QuadratureConfig(xi_max=-1.0)
-        with pytest.raises(ConfigurationError):
             tr.QuadratureConfig(tol=0.5)
 
 
@@ -67,7 +65,7 @@ class TestInvertFourier:
         assert errs[1] < errs[0]
 
     def test_accuracy_error_carries_estimate(self):
-        cfg = tr.QuadratureConfig(n_xi=4, xi_max=8.0, tol=1e-12)
+        cfg = tr.QuadratureConfig(n_xi=4, tol=1e-12)
         with pytest.raises(AccuracyError) as exc:
             tr.invert_fourier_fundamental(np.array([1.0]), 0.6, P, cfg)
         assert exc.value.achieved > 1e-12
