@@ -290,6 +290,8 @@ def _verify_reports(cfg: RunConfig, which: str, out_dir: str):
                 reports.append(vf.ansatz_report(traj, params, out_dir=out_dir))
         elif name == "lemma41":
             l4 = v["lemma41"]
+            # One grid serves as both the x and the t nodes: x_max is also
+            # the largest time and n also the number of times.
             nodes = np.linspace(0.0, l4["x_max"], int(l4["n"]))
             reports.append(
                 vf.lemma_initial_data_check(

@@ -45,8 +45,6 @@ from .core import BoundaryClass, FieldState, Grid1D, ModelParams, Trajectory, wr
 from .errors import ConfigurationError, DivergenceError, ParameterError
 
 _KAPPA4 = 0.25
-# verify.decay_report and verify.ansatz_M leave the sponge out through
-# x_max_fraction = 0.85, which holds only while this is at most 0.15.
 _SPONGE_FRACTION = 0.1
 
 

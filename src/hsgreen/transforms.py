@@ -23,6 +23,17 @@ the remaining integrand decays like xi^{-4} (even entries) and xi^{-5} (odd
 entries); the subtracted part is added back in closed form.  The constant
 piece of S11 is the persistent delta, reported separately.
 
+The residual is summed on Gauss-Legendre panels in two segments, a dense
+core and a coarser tail, each of uniform half-width h.  Every node is then
+m_p + h g_j (panel midpoint m_p, Gauss point g_j), so the phase sum factors
+exactly:
+
+    sum_{p,j} r_pj e^{i x (m_p + h g_j)} = sum_j e^{i x h g_j} sum_p e^{i x m_p} r_pj,
+
+one complex exponential per (point, panel), one matrix product and one
+contraction over the n_xi node phases, instead of a cos and a sin per
+(point, node).
+
 Mirror kernel
 -------------
 The boundary part of the stable mixed class is an exponential convolution
@@ -46,6 +57,7 @@ the diagonal x = y.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 
@@ -56,6 +68,8 @@ from .errors import AccuracyError, ConfigurationError, ParameterError
 from .spectral import find_boundary_pole, fourier_fundamental, laplace_green, laplace_green_dx
 
 CONTOURS = ("talbot", "line")
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -106,10 +120,14 @@ def _edges(lo: float, hi: float, width: float) -> np.ndarray:
 def _xi_grid(
     t: float, x_absmax: float, params: ModelParams, cfg: QuadratureConfig,
     refine: int = 1, gamma: float | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> list[tuple[np.ndarray, float]]:
     """Panel grid on [0, xi_max]: dense where the symbol oscillates, coarser
     on the algebraic tail.  ``refine`` halves the panel widths (error probe);
-    the mirror's ``gamma`` caps the core width at its multiplier's scale."""
+    the mirror's ``gamma`` caps the core width at its multiplier's scale.
+
+    Returns the core and tail segments as (panel midpoints, half-width): the
+    panels of a segment are uniform, so its nodes are mid + half * g_j for
+    the cfg.n_xi Gauss-Legendre points g_j."""
     c, nu = params.c, params.nu
     q = math.exp(-c**2 * t / nu)
     # Core: beyond xi_core the Gaussian-decaying modes are < 1e-18.
@@ -125,9 +143,11 @@ def _xi_grid(
     cap = math.inf if gamma is None else gamma
     w_core = min(5.0 / osc, xi_core / 6.0, 0.5 * c / nu, cap) / refine
     w_tail = 5.0 / (x_absmax + 1.0) / refine
-    nodes1, wts1 = _gauss_panels(_edges(0.0, xi_core, w_core), cfg.n_xi)
-    nodes2, wts2 = _gauss_panels(_edges(xi_core, xi_max, w_tail), cfg.n_xi)
-    return np.concatenate([nodes1, nodes2]), np.concatenate([wts1, wts2])
+    segments = []
+    for lo, hi, width in ((0.0, xi_core, w_core), (xi_core, xi_max, w_tail)):
+        edges = _edges(lo, hi, width)
+        segments.append((0.5 * (edges[:-1] + edges[1:]), 0.5 * (hi - lo) / (edges.size - 1)))
+    return segments
 
 
 def _subtraction_coefficients(t: float, params: ModelParams):
@@ -140,18 +160,10 @@ def _subtraction_coefficients(t: float, params: ModelParams):
     return q, b, a11, a22, A, 1.0 - A
 
 
-def _fourier_smooth_grid(
-    x: np.ndarray, t: float, params: ModelParams, cfg: QuadratureConfig,
-    refine: int = 1, gamma: float | None = None,
+def _smooth_residual(
+    xi: np.ndarray, t: float, params: ModelParams, gamma: float | None = None
 ) -> np.ndarray:
-    """Inverse transform of M(xi) times the smooth symbol on an array of x.
-
-    M = 1 gives the smooth part of the fundamental solution; for a given
-    ``gamma``, M = (gamma + i xi)/(gamma - i xi) gives the mirror kernel
-    before its diag(1, -1) factor, for x >= 0 (x = 0 as the x -> 0+ limit).
-    """
-    x = np.asarray(x, dtype=float)
-    xi, wts = _xi_grid(t, float(np.abs(x).max()), params, cfg, refine, gamma)
+    """M(xi) times the symbol minus its Lorentzian model, shape (xi.size, 4)."""
     F = fourier_fundamental(xi, t, params)
     q, b, a11, a22, A, B = _subtraction_coefficients(t, params)
     l1 = 1.0 / (b**2 + xi**2)
@@ -166,34 +178,74 @@ def _fourier_smooth_grid(
     res[:, 1, 0] = 1j * (F[:, 1, 0].imag - params.c**2 * odd_model)
     if gamma is not None:
         res *= ((gamma + 1j * xi) / (gamma - 1j * xi))[:, None, None]
-    # Hermitian symmetry folds the inverse onto xi > 0:
-    # (1/pi) int_0^inf Re(P e^{i xi x}) = (1/pi) int (Re P cos - Im P sin).
-    res = res.reshape(-1, 4) * (wts / math.pi)[:, None]
+    return res.reshape(-1, 4)
 
-    flat = np.empty((x.size, 4))
-    # Chunk the trig outer products to bound memory.
-    step = max(1, int(4e6 / max(xi.size, 1)))
-    xs = x.ravel()
-    for i in range(0, xs.size, step):
-        phase = np.outer(xs[i : i + step], xi)
-        acc = np.cos(phase) @ res.real
-        acc -= np.sin(phase, out=phase) @ res.imag
-        flat[i : i + acc.shape[0]] = acc
-    out = flat.reshape(x.shape + (2, 2))
-    # Closed-form transform of the subtracted model (minus its delta): sums
-    # of e^{-beta|x|} and sgn(x) e^{-beta|x|}, beta in {b, 2b}.  For x > 0 the
-    # multiplier maps e^{-beta x} to (gamma - beta)/(gamma + beta) e^{-beta x}.
+
+def _model_terms(
+    x: np.ndarray, t: float, params: ModelParams, gamma: float | None = None
+) -> np.ndarray:
+    """Closed-form transform of the subtracted model (minus its delta): sums
+    of e^{-beta|x|} and sgn(x) e^{-beta|x|}, beta in {b, 2b}.  For x > 0 the
+    multiplier maps e^{-beta x} to (gamma - beta)/(gamma + beta) e^{-beta x}."""
+    q, b, a11, a22, A, B = _subtraction_coefficients(t, params)
     sg, k1, k2 = np.sign(x), 1.0, 1.0
     if gamma is not None:
         sg, k1, k2 = 1.0, (gamma - b) / (gamma + b), (gamma - 2.0 * b) / (gamma + 2.0 * b)
     e1 = k1 * np.exp(-b * np.abs(x))
     e2 = k2 * np.exp(-2.0 * b * np.abs(x))
-    out[..., 0, 0] += q * a11 * e1 / (2.0 * b)
-    out[..., 1, 1] += q * a22 * e1 / (2.0 * b)
+    out = np.empty(x.shape + (2, 2))
+    out[..., 0, 0] = q * a11 * e1 / (2.0 * b)
+    out[..., 1, 1] = q * a22 * e1 / (2.0 * b)
     odd_x = (q / (2.0 * params.nu)) * sg * (A * e1 + B * e2)
-    out[..., 0, 1] += odd_x
-    out[..., 1, 0] += params.c**2 * odd_x
+    out[..., 0, 1] = odd_x
+    out[..., 1, 0] = params.c**2 * odd_x
     return out
+
+
+def _unit_phase(phase: np.ndarray) -> np.ndarray:
+    """e^{i phase} for a real array."""
+    out = np.empty(phase.shape, dtype=complex)
+    np.cos(phase, out=out.real)
+    np.sin(phase, out=out.imag)
+    return out
+
+
+# Bound on the (points x panels) phase matrix of one segment, in elements.
+_PHASE_CHUNK = 1_000_000
+
+
+def _fourier_smooth_grid(
+    x: np.ndarray, t: float, params: ModelParams, cfg: QuadratureConfig,
+    refine: int = 1, gamma: float | None = None,
+) -> np.ndarray:
+    """Inverse transform of M(xi) times the smooth symbol on an array of x.
+
+    M = 1 gives the smooth part of the fundamental solution; for a given
+    ``gamma``, M = (gamma + i xi)/(gamma - i xi) gives the mirror kernel
+    before its diag(1, -1) factor, for x >= 0 (x = 0 as the x -> 0+ limit).
+    """
+    x = np.asarray(x, dtype=float)
+    segments = _xi_grid(t, float(np.abs(x).max()), params, cfg, refine, gamma)
+    gx, gw = np.polynomial.legendre.leggauss(cfg.n_xi)
+    nodes = [(mid[:, None] + half * gx).ravel() for mid, half in segments]
+    res = _smooth_residual(np.concatenate(nodes), t, params, gamma)
+    # Hermitian symmetry folds the inverse onto xi > 0,
+    # (1/pi) int_0^inf Re(P e^{i xi x}); each segment's phase sum factors
+    # into panel and node phases (module docstring).
+    xs = x.ravel()
+    flat = np.zeros((xs.size, 4))
+    for (mid, half), r in zip(segments, np.split(res, [nodes[0].size])):
+        r = r.reshape(mid.size, cfg.n_xi, 4) * (half * gw / math.pi)[:, None]
+        r = r.reshape(mid.size, -1)
+        step = max(1, _PHASE_CHUNK // mid.size)
+        for i in range(0, xs.size, step):
+            xc = xs[i : i + step]
+            panel_sum = _unit_phase(np.outer(xc, mid)) @ r
+            node_phase = _unit_phase(np.outer(xc, half * gx))
+            flat[i : i + xc.size] += np.einsum(
+                "xj,xje->xe", node_phase, panel_sum.reshape(xc.size, cfg.n_xi, 4)
+            ).real
+    return flat.reshape(x.shape + (2, 2)) + _model_terms(x, t, params, gamma)
 
 
 def _fourier_smooth_with_error(
@@ -202,7 +254,18 @@ def _fourier_smooth_with_error(
 ) -> tuple[np.ndarray, float]:
     coarse = _fourier_smooth_grid(x, t, params, cfg, 1, gamma)
     fine = _fourier_smooth_grid(x, t, params, cfg, 2, gamma)
-    return fine, float(np.abs(fine - coarse).max())
+    err = float(np.abs(fine - coarse).max())
+    if logger.isEnabledFor(logging.DEBUG):
+        x_absmax = float(np.abs(x).max())
+        n_coarse, n_fine = (
+            cfg.n_xi * sum(mid.size for mid, _ in _xi_grid(t, x_absmax, params, cfg, k, gamma))
+            for k in (1, 2)
+        )
+        logger.debug(
+            "fourier self-check: points=%d nodes=%d/%d (coarse/fine) gamma=%s diff=%.3g",
+            np.size(x), n_coarse, n_fine, gamma, err,
+        )
+    return fine, err
 
 
 def invert_fourier_fundamental(

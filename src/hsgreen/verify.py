@@ -29,7 +29,7 @@ from .core import (
     write_csv,
 )
 from .errors import AccuracyError, ParameterError, UsageError
-from .solver import InitialData, SolverConfig, make_initial_data, solve_linear
+from .solver import _SPONGE_FRACTION, InitialData, SolverConfig, make_initial_data, solve_linear
 from .spectral import find_boundary_pole
 from .transforms import DEFAULT_QUADRATURE, QuadratureConfig, _edges, _gauss_panels
 from .transforms import invert_laplace_green, invert_laplace_green_dx
@@ -269,20 +269,19 @@ def instability_report(
 # ---------------------------------------------------------------------------
 
 
-def _window_mask(grid: Grid1D, x_max_fraction: float) -> np.ndarray:
-    return grid.x <= x_max_fraction * grid.L
+def _window_mask(grid: Grid1D) -> np.ndarray:
+    """Nodes left of the sponge layer, with a margin of 5% of L."""
+    return grid.x <= (1.0 - _SPONGE_FRACTION - 0.05) * grid.L
 
 
-def ansatz_M(
-    traj: Trajectory, params: ModelParams, x_max_fraction: float = 0.85
-) -> tuple[np.ndarray, np.ndarray]:
+def ansatz_M(traj: Trajectory, params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
     """Running weighted sup-norm series
 
     M(T) = sup_{t <= T} [ ||U / A0||_inf + ||(t+1)^(1/4) U_x / A0||_inf ],
 
     with U = (rho - 1, m) and the derivative reconstructed by central
     differences; the sponge region is excluded from the sups."""
-    keep = _window_mask(traj.grid, x_max_fraction)
+    keep = _window_mask(traj.grid)
     x = traj.grid.x
     times, series = [], []
     running = 0.0
@@ -332,7 +331,6 @@ def decay_report(
     params: ModelParams,
     p_list=(2, 4, math.inf),
     t_min: float = 5.0,
-    x_max_fraction: float = 0.85,
     out_dir: str | None = None,
 ) -> VerificationReport:
     """Log-log decay-rate fits of the perturbation norms.
@@ -359,7 +357,7 @@ def decay_report(
             status="inconclusive",
             details={"reason": "fit window must span at least one decade in t"},
         )
-    keep = _window_mask(traj.grid, x_max_fraction)
+    keep = _window_mask(traj.grid)
     x = traj.grid.x
     norms = {p: [] for p in p_list}
     wsup, wsup_dx = [], []
@@ -392,7 +390,7 @@ def decay_report(
     monotone = all(s1 > s2 for s1, s2 in zip(slopes, slopes[1:]))
     wsup_arr = np.asarray(wsup)[fit_mask]
     wsup_growth = _final_quarter_growth(wsup_arr)
-    _, m_series = ansatz_M(traj, params, x_max_fraction)
+    _, m_series = ansatz_M(traj, params)
     m_growth = _final_quarter_growth(m_series)
     status = "pass" if (slope_ok and wsup_growth <= 0.05 and m_growth <= 0.05) else "fail"
     report = VerificationReport(

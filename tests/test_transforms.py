@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from hsgreen import transforms as tr
 P = ModelParams()
 PD = ModelParams(a1=0.0, a2=1.0)
 PN = ModelParams(a1=1.0, a2=0.0)
+PS = ModelParams(c=1.7, nu=0.3, a1=-1.3, a2=2.9)
 
 
 def gauss_integral(f_vals, nodes, wts):
@@ -86,6 +89,52 @@ class TestInvertFourier:
         B = np.diag([0.0, P.nu])
         resid = dt + np.einsum("ab,xbc->xac", A, dx) - np.einsum("ab,xbc->xac", B, dxx)
         assert np.abs(resid).max() <= 1e-5
+
+
+def flat_phase_sum(x, t, params, refine, gamma):
+    """The unfactored sum (1/pi) sum_k w_k Re(r_k e^{i x xi_k}) over every
+    node xi_k of the oracle's grid, plus the closed-form model terms."""
+    cfg = tr.QuadratureConfig()
+    gx, gw = np.polynomial.legendre.leggauss(cfg.n_xi)
+    segments = tr._xi_grid(t, float(np.abs(x).max()), params, cfg, refine, gamma)
+    xi = np.concatenate([(mid[:, None] + h * gx).ravel() for mid, h in segments])
+    wts = np.concatenate([np.tile(h * gw, mid.size) for mid, h in segments])
+    res = tr._smooth_residual(xi, t, params, gamma) * (wts / np.pi)[:, None]
+    phase = np.outer(x, xi)
+    flat = np.cos(phase) @ res.real - np.sin(phase) @ res.imag
+    return flat.reshape(x.shape + (2, 2)) + tr._model_terms(x, t, params, gamma)
+
+
+class TestPhaseFactorization:
+    # panel phases times node phases reproduce the flat sum over all nodes
+    @pytest.mark.parametrize("refine", [1, 2])
+    @pytest.mark.parametrize("t", [2.0, 10.0])
+    @pytest.mark.parametrize("params", [P, PS], ids=["mixed", "scaled"])
+    @pytest.mark.parametrize("mirror", [False, True], ids=["whole_line", "mirror"])
+    def test_matches_flat_sum(self, mirror, params, t, refine):
+        gamma = params.gamma if mirror else None
+        x = np.linspace(0.0, 15.0, 16) if mirror else np.linspace(-12.0, 15.0, 28)
+        got = tr._fourier_smooth_grid(x, t, params, tr.QuadratureConfig(), refine, gamma)
+        assert np.abs(got - flat_phase_sum(x, t, params, refine, gamma)).max() <= 1e-12
+
+    def test_chunked_points(self, monkeypatch):
+        x = np.linspace(-9.0, 11.0, 41)
+        segments = tr._xi_grid(2.0, 11.0, P, tr.QuadratureConfig())
+        monkeypatch.setattr(tr, "_PHASE_CHUNK", 500)
+        assert all(tr._PHASE_CHUNK // mid.size < x.size for mid, _ in segments)
+        got = tr._fourier_smooth_grid(x, 2.0, P, tr.QuadratureConfig())
+        assert np.abs(got - flat_phase_sum(x, 2.0, P, 1, None)).max() <= 1e-12
+
+    def test_self_check_logged_at_debug(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger="hsgreen.transforms"):
+            _, err = tr._fourier_smooth_with_error(np.array([1.0, 6.0]), 2.0, P,
+                                                   tr.QuadratureConfig())
+        (record,) = caplog.records
+        msg = record.getMessage()
+        assert record.levelno == logging.DEBUG
+        assert "points=2 " in msg and f"diff={err:.3g}" in msg
+        coarse, fine = msg.split("nodes=")[1].split()[0].split("/")
+        assert 0 < int(coarse) < int(fine)
 
 
 class TestInvertLaplace:

@@ -115,6 +115,13 @@ class TestDecayReports:
         assert rep.status == "pass"
         assert rep.fitted["M_final"] < 1.0
 
+    def test_window_leaves_out_the_sponge(self):
+        grid = Grid1D(L=200.0, nx=2000)
+        sigma = so._sponge_profile(grid, so.SolverConfig(grid=grid, t_end=1.0))
+        keep = vf._window_mask(grid)
+        assert keep.sum() > 0.8 * grid.x.size
+        assert not np.any(sigma[keep])
+
     def test_decay_report_slopes(self, nonlinear_traj):
         rep = vf.decay_report(nonlinear_traj, P)
         assert rep.status == "pass"
