@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import copy
-import dataclasses
 import json
 import os
 import sys
@@ -175,14 +174,6 @@ def _parse_grid_spec(spec: str) -> np.ndarray:
 
 def cmd_green_eval(cfg: RunConfig, args) -> int:
     params = cfg.model
-    if params.boundary_class is BoundaryClass.MIXED_UNSTABLE:
-        pole = find_boundary_pole(params)
-        print(
-            f"error: no bounded Green's function for a1*a2 > 0 "
-            f"(reflection pole at s* = {pole:.6g})",
-            file=sys.stderr,
-        )
-        return EXIT_CONFIG
     if args.point:
         pts = [(float(x), float(y), float(t)) for x, y, t in args.point]
     else:
@@ -258,7 +249,7 @@ def _verify_reports(cfg: RunConfig, which: str, out_dir: str):
                 reports.append(
                     vf.green_bound_report(
                         params, xg, yg, tg, alpha=alpha,
-                        envelope=dataclasses.replace(env, alpha=alpha),
+                        envelope=env,
                         cfg=cfg.quadrature, out_dir=out_dir,
                     )
                 )

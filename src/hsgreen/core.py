@@ -179,18 +179,14 @@ class BoundEnvelope:
 
     bigC: exponential-tail constant (the C of exp(-(|x| + t)/C) terms)
     eps:  widening of the reflected-Gaussian variance (2*nu + eps)
-    alpha: derivative order the envelope is compared against
     """
 
     bigC: float = 10.0
     eps: float = 0.5
-    alpha: int = 0
 
     def __post_init__(self):
         if not (self.bigC > 0 and self.eps > 0):
             raise ParameterError("bigC and eps must be positive")
-        if self.alpha not in (0, 1, 2, 3):
-            raise ParameterError(f"alpha must be in {{0,1,2,3}}, got {self.alpha}")
 
 
 def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> str:

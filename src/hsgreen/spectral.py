@@ -6,8 +6,8 @@ B = diag(0, nu).  This module provides:
 
 * the dispersion roots of the Fourier symbol,
 * the Fourier-space fundamental solution (whole line),
-* the Laplace-space fundamental solution and half-line Green's function,
-  with the exact x-derivative of the latter,
+* the smooth parts of the Laplace-space fundamental solution and half-line
+  Green's function, with the exact x-derivative of the latter,
 * the boundary reflection coefficient and its right-half-plane pole.
 
 All evaluators broadcast over numpy arrays in their transform variable so the
@@ -130,49 +130,30 @@ def lambda_of_s(s, params: ModelParams):
     return lam if lam.ndim else complex(lam)
 
 
-@dataclass
-class LaplaceGreenValue:
-    """Laplace-space kernel value: smooth 2x2 matrix plus a delta coefficient.
+def laplace_fundamental(x, s, params: ModelParams) -> np.ndarray:
+    """Laplace transform of the whole-line fundamental solution, smooth part.
 
-    ``delta_weight`` is the coefficient of delta(x - y) in the (1,1) slot
-    (equal to nu/(nu*s + c^2) on the diagonal x = y, zero elsewhere).
-    """
-
-    value: np.ndarray
-    delta_weight: np.ndarray | complex
-
-
-def laplace_fundamental(x, s, params: ModelParams) -> LaplaceGreenValue:
-    """Laplace transform of the whole-line fundamental solution.
-
-    Broadcasts over x and s; returns value of shape broadcast(x, s) + (2, 2).
-    Uses the singularity-free algebraic form (no lone 1/lambda factor):
+    Broadcasts over x and s; returns shape broadcast(x, s) + (2, 2).  Uses the
+    singularity-free algebraic form (no lone 1/lambda factor):
 
         (1/2) e^{-lambda |x|} [[c^2 w^{-3/2}, sgn(x) w^{-1}],
-                               [c^2 sgn(x) w^{-1}, w^{-1/2}]],  w = nu s + c^2,
+                               [c^2 sgn(x) w^{-1}, w^{-1/2}]],  w = nu s + c^2.
 
-    with the nu delta(x)/w contribution reported via delta_weight at x = 0.
+    The delta nu delta(x)/w diag(1, 0) is left out.  w, sqrt(w) and lambda
+    keep the shape of s; only the exponential broadcasts against x.
     """
     x = np.asarray(x, dtype=float)
     w = _nu_s_plus_c2(s, params)
-    s = np.asarray(s, dtype=complex)
     sqw = np.sqrt(w)
-    lam = s / sqw
-    xb, wb = np.broadcast_arrays(x, w)
-    sqwb = np.sqrt(wb)
-    lamb = np.broadcast_to(lam, wb.shape)
-    expf = np.exp(-lamb * np.abs(xb))
-    sgn = np.sign(xb)
+    expf = np.exp(-(np.asarray(s, dtype=complex) / sqw) * np.abs(x))
+    sgn = np.sign(x)
     c2 = params.c**2
-    out = np.empty(wb.shape + (2, 2), dtype=complex)
-    out[..., 0, 0] = 0.5 * c2 * expf / (wb * sqwb)
-    out[..., 0, 1] = 0.5 * sgn * expf / wb
+    out = np.empty(expf.shape + (2, 2), dtype=complex)
+    out[..., 0, 0] = 0.5 * c2 * expf / (w * sqw)
+    out[..., 0, 1] = 0.5 * sgn * expf / w
     out[..., 1, 0] = c2 * out[..., 0, 1]
-    out[..., 1, 1] = 0.5 * expf / sqwb
-    delta_weight = np.where(xb == 0.0, params.nu / wb, 0.0 + 0.0j)
-    if out.ndim == 2:
-        return LaplaceGreenValue(out, complex(delta_weight))
-    return LaplaceGreenValue(out, delta_weight)
+    out[..., 1, 1] = 0.5 * expf / sqw
+    return out
 
 
 def reflection_coefficient(s, params: ModelParams):
@@ -223,18 +204,18 @@ def _green_terms(x, y, s, params: ModelParams):
     direct = laplace_fundamental(x - y, s, params)
     mirror = laplace_fundamental(x + y, s, params)
     r = np.asarray(reflection_coefficient(s, params))
-    return direct, r[..., None, None] * mirror.value * np.array([1.0, -1.0])
+    return direct, r[..., None, None] * mirror * np.array([1.0, -1.0])
 
 
-def laplace_green(x, y, s, params: ModelParams) -> LaplaceGreenValue:
-    """Laplace-space half-line Green's function (smooth part plus delta).
+def laplace_green(x, y, s, params: ModelParams) -> np.ndarray:
+    """Smooth part of the Laplace-space half-line Green's function.
 
     L[G](x - y, s) + R(s) L[G](x + y, s) diag(1, -1), broadcast over x, y, s.
-    The image delta at x = -y never fires for interior arguments and is not
-    reported; the diagonal delta (x = y) is returned via ``delta_weight``.
+    The diagonal delta nu delta(x - y)/(nu s + c^2) diag(1, 0) is left out;
+    the image delta at x = -y never fires for interior arguments.
     """
     direct, image = _green_terms(x, y, s, params)
-    return LaplaceGreenValue(direct.value + image, direct.delta_weight)
+    return direct + image
 
 
 def laplace_green_dx(x, y, s, params: ModelParams) -> np.ndarray:
@@ -247,4 +228,4 @@ def laplace_green_dx(x, y, s, params: ModelParams) -> np.ndarray:
     direct, image = _green_terms(x, y, s, params)
     lam = np.asarray(lambda_of_s(s, params))
     sgn = np.sign(np.subtract(x, y, dtype=float))
-    return -lam[..., None, None] * (sgn[..., None, None] * direct.value + image)
+    return -lam[..., None, None] * (sgn[..., None, None] * direct + image)

@@ -366,11 +366,14 @@ def _invert_laplace(symbol, x, y, t: float, params: ModelParams, cfg: Quadrature
         out = _invert_laplace_talbot(symbol, xarr, yarr, t, params, cfg.n_nodes)
         probe = _invert_laplace_talbot(symbol, xarr, yarr, t, params, cfg.n_nodes + 8)
         err = float(np.abs(out - probe).max())
+        logger.debug("talbot self-check: points=%d degrees=%d/%d diff=%.3g",
+                     xarr.size, cfg.n_nodes, cfg.n_nodes + 8, err)
         if err > cfg.tol:
             raise AccuracyError("parabolic contour did not meet tolerance", err, cfg.tol)
         out = probe
     else:
         out, resid = _invert_laplace_line(symbol, xarr, yarr, t, params, cfg)
+        logger.debug("line self-check: points=%d imag_residue=%.3g", xarr.size, resid)
         if resid > 1e-9:
             raise AccuracyError("line contour imaginary residue too large", resid, 1e-9)
     if np.asarray(x).ndim == 0 and np.asarray(y).ndim == 0:
@@ -388,9 +391,7 @@ def invert_laplace_green(
     The parabolic contour self-checks by comparing two degrees and raises
     AccuracyError on failure; the line contour checks its imaginary residue.
     """
-    return _invert_laplace(
-        lambda xs, ys, s, p: laplace_green(xs, ys, s, p).value, x, y, t, params, cfg
-    )
+    return _invert_laplace(laplace_green, x, y, t, params, cfg)
 
 
 def invert_laplace_green_dx(

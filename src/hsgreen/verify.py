@@ -74,16 +74,13 @@ def _stable(sup_coarse: float, sup_fine: float) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def pointwise_envelope(
-    x, y, t, params: ModelParams, env: BoundEnvelope, alpha: int | None = None
-):
+def pointwise_envelope(x, y, t, params: ModelParams, env: BoundEnvelope, alpha: int = 0):
     """Three-ridge Gaussian envelope plus exponential tails (unit constants).
 
     t^(-alpha/2) [ e^{-(x-y+ct)^2/(2 nu t)} + e^{-(x-y-ct)^2/(2 nu t)}
                    + e^{-(x+y-ct)^2/((2 nu + eps) t)} ] / sqrt(nu t)
     + e^{-(|x-y|+t)/C} + e^{-(|x+y|+t)/C}
     """
-    a = env.alpha if alpha is None else alpha
     x, y, t = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (x, y, t)))
     c, nu = params.c, params.nu
     ridge = (
@@ -91,7 +88,7 @@ def pointwise_envelope(
         + np.exp(-((x - y - c * t) ** 2) / (2.0 * nu * t))
         + np.exp(-((x + y - c * t) ** 2) / ((2.0 * nu + env.eps) * t))
     )
-    val = t ** (-a / 2.0) * ridge / np.sqrt(nu * t)
+    val = t ** (-alpha / 2.0) * ridge / np.sqrt(nu * t)
     val = val + np.exp(-(np.abs(x - y) + t) / env.bigC)
     val = val + np.exp(-(np.abs(x + y) + t) / env.bigC)
     return val if val.ndim else float(val)
@@ -154,7 +151,7 @@ def green_bound_report(
         raise UsageError("green_bound_report needs a stable boundary class")
     if alpha not in (0, 1):
         raise ParameterError("alpha must be 0 or 1")
-    env = envelope or BoundEnvelope(alpha=alpha)
+    env = envelope or BoundEnvelope()
     x_grid = np.asarray(x_grid, dtype=float)
     y_grid = np.asarray(y_grid, dtype=float)
     t_grid = np.asarray(t_grid, dtype=float)

@@ -191,13 +191,13 @@ def test_criterion_3_transform_identities():
     )
 
     s = 1.3 + 0.8j
-    plus = laplace_fundamental(2.2, s, P).value
-    minus = laplace_fundamental(-2.2, s, P).value
+    plus = laplace_fundamental(2.2, s, P)
+    minus = laplace_fundamental(-2.2, s, P)
     parity = float(np.abs(minus - plus * np.array([[1, -1], [-1, 1]])).max())
 
     worst_bnd = 0.0
     for sv in (0.5 + 0.3j, 2.0 + 0.0j, 1.0 + 2.0j):
-        gv = laplace_green(0.0, 3.0, sv, P).value
+        gv = laplace_green(0.0, 3.0, sv, P)
         row = -P.a1 * sv * gv[0, :] + P.a2 * gv[1, :]
         worst_bnd = max(worst_bnd, float(np.abs(row).max()))
 
@@ -293,7 +293,7 @@ def test_criterion_6_green_bound():
             np.linspace(0.13, 24.9, 13),
             np.linspace(1.0, 20.0, 6),
             alpha=alpha,
-            envelope=BoundEnvelope(alpha=alpha),
+            envelope=BoundEnvelope(),
         )
         ok = ok and rep.status == "pass"
         details.append(

@@ -141,5 +141,3 @@ class TestContainers:
     def test_bound_envelope_validation(self):
         with pytest.raises(ParameterError):
             BoundEnvelope(bigC=-1.0)
-        with pytest.raises(ParameterError):
-            BoundEnvelope(alpha=5)

@@ -17,6 +17,7 @@ from hsgreen.spectral import (
     laplace_green_dx,
     reflection_coefficient,
 )
+from hsgreen.transforms import _laplace_shift, _talbot_nodes
 
 P = ModelParams()  # c = nu = 1, a1 = -1, a2 = 1 (stable mixed)
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
@@ -123,17 +124,10 @@ class TestLambda:
 class TestLaplaceFundamental:
     def test_parity_structure(self):
         s = 1.7 + 0.9j
-        plus = laplace_fundamental(2.5, s, P).value
-        minus = laplace_fundamental(-2.5, s, P).value
+        plus = laplace_fundamental(2.5, s, P)
+        minus = laplace_fundamental(-2.5, s, P)
         flip = np.array([[1.0, -1.0], [-1.0, 1.0]])
         assert np.abs(minus - plus * flip).max() <= 1e-15
-
-    def test_delta_weight_only_on_diagonal(self):
-        s = 2.0 + 0.0j
-        assert laplace_fundamental(1.0, s, P).delta_weight == 0.0
-        assert laplace_fundamental(0.0, s, P).delta_weight == pytest.approx(
-            P.nu / (P.nu * 2.0 + P.c**2)
-        )
 
     def test_pde_residual_second_order(self):
         # (s I + A d/dx - B d/dx^2) L[G] = 0 away from x = 0
@@ -143,7 +137,7 @@ class TestLaplaceFundamental:
         resids = []
         for h in (2e-3, 1e-3):
             xs = np.array([3.0 - 2 * h, 3.0 - h, 3.0, 3.0 + h, 3.0 + 2 * h])
-            g = laplace_fundamental(xs, s, P).value
+            g = laplace_fundamental(xs, s, P)
             gx = (g[3] - g[1]) / (2 * h)
             gxx = (g[3] - 2 * g[2] + g[1]) / h**2
             resids.append(np.abs(s * g[2] + A @ gx - B @ gxx).max())
@@ -156,7 +150,7 @@ class TestLaplaceFundamental:
 
         s = 1.0 + 0.0j
         xs = np.linspace(-70, 70, 140001)
-        lg = laplace_fundamental(xs, s, P).value
+        lg = laplace_fundamental(xs, s, P)
         w = P.nu * s + P.c**2
         for xi in (0.4, 1.1):
             ker = np.exp(-1j * xi * xs)[:, None, None] * lg
@@ -230,7 +224,7 @@ class TestLaplaceGreen:
         pd = ModelParams(a1=0.0, a2=1.0)
         for s in (0.8 + 0.0j, 1.0 + 2.0j):
             for y in (1.0, 4.5):
-                gv = laplace_green(0.0, y, s, pd).value
+                gv = laplace_green(0.0, y, s, pd)
                 assert np.abs(gv[1, :]).max() <= 1e-15
 
     def test_robin_condition_at_wall(self):
@@ -239,17 +233,17 @@ class TestLaplaceGreen:
                    ModelParams(c=1.7, nu=0.3, a1=-1.3, a2=2.9)):
             for s in (0.5 + 0.3j, 2.0 + 0.0j, 1.0 + 2.0j):
                 for y in (1.0, 4.5):
-                    g = laplace_green(0.0, y, s, pr).value[1, :]
+                    g = laplace_green(0.0, y, s, pr)[1, :]
                     dg = laplace_green_dx(0.0, y, s, pr)[1, :]
                     scale = (abs(pr.a1 * lambda_of_s(s, pr)) + abs(pr.a2)) * np.abs(
-                        laplace_fundamental(y, s, pr).value[1, :]).max()
+                        laplace_fundamental(y, s, pr)[1, :]).max()
                     assert np.abs(pr.a1 * dg + pr.a2 * g).max() <= 1e-14 * scale
 
     def test_derivative_matches_symbol_difference(self):
         # d/dx of e^{-lambda|x - y|} away from the jump at x = y
         h, s = 1e-4, 1.0 + 2.0j
         for x, y in ((0.7, 3.0), (4.0, 1.5)):
-            rows = [laplace_green(x + k * h, y, s, P).value for k in (-1, 1)]
+            rows = [laplace_green(x + k * h, y, s, P) for k in (-1, 1)]
             fd = (rows[1] - rows[0]) / (2.0 * h)
             exact = laplace_green_dx(x, y, s, P)
             assert np.abs(fd - exact).max() <= 1e-7 * np.abs(exact).max()
@@ -261,15 +255,38 @@ class TestLaplaceGreen:
     def test_mixed_boundary_identity(self):
         # transform of (-a1 rho_t + a2 m)|_{x=0} = 0
         for s in (0.5 + 0.3j, 2.0 + 0.0j, 1.0 + 2.0j):
-            gv = laplace_green(0.0, 3.0, s, P).value
+            gv = laplace_green(0.0, 3.0, s, P)
             row = -P.a1 * s * gv[0, :] + P.a2 * gv[1, :]
             assert np.abs(row).max() <= 1e-8
-
-    def test_delta_weight_on_diagonal_only(self):
-        s = 1.0 + 1.0j
-        assert laplace_green(2.0, 2.0, s, P).delta_weight != 0.0
-        assert laplace_green(2.0, 3.0, s, P).delta_weight == 0.0
 
     def test_rejects_negative_coordinates(self):
         with pytest.raises(ParameterError):
             laplace_green(-1.0, 2.0, 1.0 + 0.0j, P)
+
+
+class TestBroadcastMatchesPointwise:
+    # The contour inversions evaluate on (points, 1) x (nodes,); each entry must
+    # equal the scalar evaluation at its own (x, y, s).  Not bitwise: NumPy's
+    # vector and scalar paths round differently.
+    @pytest.mark.parametrize(
+        "params",
+        [ModelParams(a1=0.0, a2=1.0), ModelParams(a1=1.0, a2=0.0), P,
+         ModelParams(a1=1.0, a2=1.0)],
+        ids=["dirichlet", "neumann", "mixed-stable", "mixed-unstable"],
+    )
+    def test_matches_scalar_loop(self, params):
+        t = 2.0
+        s = _talbot_nodes(t, 32)[0] + _laplace_shift(t, params)
+        x = np.array([0.0, 0.7, 3.0, 9.5])[:, None]
+        y = np.array([1.2, 2.0, 0.4, 6.0])[:, None]
+        evaluators = {
+            "fundamental": lambda xs, ys, ss: laplace_fundamental(xs - ys, ss, params),
+            "green": lambda xs, ys, ss: laplace_green(xs, ys, ss, params),
+            "green_dx": lambda xs, ys, ss: laplace_green_dx(xs, ys, ss, params),
+        }
+        for name, f in evaluators.items():
+            grid = f(x, y, s)
+            assert grid.shape == (x.size, s.size, 2, 2)
+            loop = np.array([[f(x[i, 0], y[i, 0], s[k]) for k in range(s.size)]
+                             for i in range(x.size)])
+            assert np.all(np.abs(grid - loop) <= 1e-14 * np.abs(loop)), name

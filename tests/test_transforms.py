@@ -169,6 +169,20 @@ class TestInvertLaplace:
         scale = np.abs(talbot).max()
         assert np.abs(talbot - line).max() <= 1e-6 * scale
 
+    def test_self_check_logged_at_debug(self, caplog):
+        # logged when the check passes, and before it raises
+        x, y, t = np.array([3.0, 8.0]), np.array([1.7, 5.2]), 5.0
+        with caplog.at_level(logging.DEBUG, logger="hsgreen.transforms"):
+            tr.invert_laplace_green(x, y, t, P)
+            with pytest.raises(AccuracyError) as exc:
+                tr.invert_laplace_green(x, y, t, P, tr.QuadratureConfig(tol=1e-16))
+            tr.invert_laplace_green(x, y, t, P, tr.QuadratureConfig(contour="line"))
+        assert all(r.levelno == logging.DEBUG for r in caplog.records)
+        passed, failed, line = (r.getMessage() for r in caplog.records)
+        assert passed.startswith("talbot self-check: points=2 degrees=32/40 diff=")
+        assert failed.endswith(f"diff={exc.value.achieved:.3g}")
+        assert line.startswith("line self-check: points=2 imag_residue=")
+
     def test_real_output(self):
         out = tr.invert_laplace_green(3.0, 1.0, 2.0, P)
         assert out.dtype == np.float64
