@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.special
 
 from .core import BoundaryClass, KernelValue, Matrix2, ModelParams
 from .errors import ParameterError, UsageError
@@ -34,8 +33,12 @@ def erfcx(z):
     """Scaled complementary error function exp(z^2) * erfc(z).
 
     Thin wrapper so all kernel code shares one robust primitive; accuracy is
-    pinned against a high-precision oracle in the test suite.
+    pinned against a high-precision oracle in the test suite.  scipy.special
+    is imported here, on first use, so that importing hsgreen (and the CLI)
+    does not pay its load time and memory.
     """
+    import scipy.special
+
     return scipy.special.erfcx(z)
 
 

@@ -25,10 +25,8 @@ the acoustic CFL, the dissipation limit 2/rate and, in the nonlinear
 system, cfl_par dx^2 over the remainder's viscosity, measured on the
 segment's starting density (see ``_stable_dt``).  The implicit matrix
 I - h nu D2 is tridiagonal and depends on the step size only; it is
-factored once per size without pivoting and solved by substitution run as
-recursive-doubling scans.  The scans stop only where their coefficient
-products have underflowed to exactly 0, so they compute the substitution
-itself, not a truncation of it, and a Dirichlet row returns m(0) = 0
+factored once per size without pivoting, and LAPACK's dgttrs runs the two
+substitutions with identity pivots, so a Dirichlet row returns m(0) = 0
 exactly.
 """
 
@@ -275,29 +273,6 @@ class _Rhs:
         return self.params.nu * float(np.max(np.abs(u) / (1.0 + u)))
 
 
-def _scan_levels(a: np.ndarray) -> list[np.ndarray]:
-    """Coefficients of the recurrence x[k] = a[k] x[k-1] + b[k] (a[0] unused)
-    for a recursive-doubling scan: level j holds the products of a over
-    windows of 2^j entries ending at k, for k >= 2^j.  Once every product of
-    a level is exactly 0 (underflow), that level and all later ones would add
-    exactly 0, so the list stops there."""
-    levels = []
-    s, tail = 1, a[1:]
-    while tail.size and tail.any():
-        levels.append(tail)
-        tail = tail[s:] * tail[:-s]
-        s *= 2
-    return levels
-
-
-def _scan(levels: list[np.ndarray], x: np.ndarray) -> None:
-    """Solve the recurrence of ``levels`` in place, with x holding b."""
-    s = 1
-    for tail in levels:
-        x[s:] += tail * x[:-s]
-        s *= 2
-
-
 class _ImplicitSolve:
     """Solver of (I - h J) x = b, J the matrix of ``_Rhs.implicit``.
 
@@ -305,9 +280,11 @@ class _ImplicitSolve:
     at every index of one residue class mod 3): row 0 reads nodes 0-1, an
     interior row its neighbours and the far row nodes n-2 and n-1, so no row
     reads two nodes of one colour.  I - hJ is tridiagonal.  It is factored
-    once without pivoting, and both substitutions run as recursive-doubling
-    scans.  A row of I - hJ that is a row of I (the Dirichlet pin) returns
-    its entry of b exactly.
+    once without pivoting, and LAPACK's dgttrs runs both substitutions on
+    those factors with identity pivots.  A pivoting factorization (dgttrf,
+    dgtsv) would swap the Dirichlet row once h nu/dx^2 > 1; without swaps a
+    row of I - hJ that is a row of I (the Dirichlet pin) returns its entry
+    of b exactly.
     """
 
     def __init__(self, rhs: _Rhs, h: float):
@@ -326,18 +303,22 @@ class _ImplicitSolve:
             mult[i] = lower[i] / diag[i - 1]
             diag[i] -= mult[i] * upper[i - 1]
 
+        from scipy.linalg.lapack import dgttrs
+
         self.h = h
-        self.inv_diag = 1.0 / np.array(diag)
-        self.forward = _scan_levels(-np.array(mult))
-        back = -np.array(upper) * self.inv_diag
-        self.back = _scan_levels(back[::-1].copy())
+        self._dgttrs = dgttrs
+        # dgttrs's dl, d, du, du2 and ipiv; ipiv[i] = i + 1 means no row swap
+        self.factors = (
+            np.array(mult[1:]),
+            np.array(diag),
+            np.array(upper[:-1]),
+            np.zeros(n - 2),
+            np.arange(1, n + 1, dtype=np.int32),
+        )
 
     def __call__(self, b: np.ndarray) -> np.ndarray:
-        """The solution x, computed in the array b."""
-        _scan(self.forward, b)
-        b *= self.inv_diag
-        _scan(self.back, b[::-1])
-        return b
+        """The solution x, computed in the array b (contiguous float64)."""
+        return self._dgttrs(*self.factors, b, overwrite_b=1)[0]
 
 
 # ARS(2,2,2): Ascher, Ruuth & Spiteri, Appl. Numer. Math. 25 (1997).

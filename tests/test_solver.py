@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -209,22 +212,29 @@ class TestStepMatrix:
 
 class TestImexStep:
     # nx = 600 puts h nu/dx^2 near 7, where a pivoting tridiagonal solve
-    # swaps the Dirichlet row and no longer returns x[0] == 0 exactly
+    # swaps the Dirichlet row and no longer returns x[0] == 0 exactly;
+    # L = 400, nx = 4000 is the criterion-8 decay grid
     @pytest.mark.parametrize(
-        "params, nx",
-        [(p, 60) for p in STEP_CASES] + [(p, 600) for p in STEP_CASES],
-        ids=STEP_IDS + [i + "-nx600" for i in STEP_IDS],
+        "params, L, nx",
+        [(p, 10.0, 60) for p in STEP_CASES]
+        + [(p, 10.0, 600) for p in STEP_CASES]
+        + [(p, 400.0, 4000) for p in STEP_CASES],
+        ids=STEP_IDS + [i + "-nx600" for i in STEP_IDS] + [i + "-L400-nx4000" for i in STEP_IDS],
     )
     @pytest.mark.parametrize("sponge_strength", [0.0, 1.0])
-    def test_implicit_solve_residual(self, params, nx, sponge_strength):
-        cfg = small_cfg(L=10.0, nx=nx, sponge_strength=sponge_strength)
+    def test_implicit_solve_residual(self, params, L, nx, sponge_strength):
+        cfg = small_cfg(L=L, nx=nx, sponge_strength=sponge_strength)
         rhs = so._Rhs(params, cfg, nonlinear=False)
         dt, _ = so._stable_dt(params, cfg, rhs.explicit_viscosity(np.zeros(cfg.grid.n_nodes)))
         h = so._GAMMA * dt
         b = np.random.default_rng(0).standard_normal(cfg.grid.n_nodes)
         if rhs.dirichlet:
             b[0] = 0.0
-        x = so._ImplicitSolve(rhs, h)(b.copy())
+        b_in = b.copy()
+        x = so._ImplicitSolve(rhs, h)(b_in)
+        # the solve is in place: a copy made on the way into LAPACK would
+        # leave b_in unchanged
+        assert np.shares_memory(x, b_in)
         assert np.abs(x - h * rhs.implicit(x) - b).max() <= 1e-14
         if rhs.dirichlet:
             assert x[0] == 0.0
@@ -501,3 +511,35 @@ class TestTrajectoryOutput:
         assert manifest["params"]["c"] == 1.0
         assert len(manifest["times"]) == 3
         assert "boundary_residual" in manifest
+
+
+class TestImportBoundary:
+    # scipy.special and scipy.linalg load on first use, so a process pays
+    # only for what it runs; the pytest process has both loaded already
+    @staticmethod
+    def _loaded_after(code):
+        modules = "('scipy.special', 'scipy.linalg')"
+        probe = f"{code}\nimport sys; print(*(m in sys.modules for m in {modules}))"
+        # the child finds hsgreen where this process found it
+        src = os.path.dirname(os.path.dirname(so.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, check=True, env=env
+        )
+        return out.stdout.split()
+
+    def test_cli_import_loads_neither(self):
+        assert self._loaded_after("import hsgreen.cli") == ["False", "False"]
+
+    def test_solve_loads_linalg_only(self):
+        code = (
+            "from hsgreen.core import Grid1D, ModelParams\n"
+            "from hsgreen import solver as so\n"
+            "cfg = so.SolverConfig(grid=Grid1D(L=10.0, nx=60), t_end=0.1)\n"
+            "init = so.make_initial_data(so.InitialData(), cfg.grid, ModelParams())\n"
+            "so.solve_linear(init, ModelParams(), cfg)"
+        )
+        assert self._loaded_after(code) == ["False", "True"]
+
+    def test_erfcx_loads_special(self):
+        assert self._loaded_after("from hsgreen import kernels; kernels.erfcx(0.0)")[0] == "True"
