@@ -7,10 +7,11 @@ Subcommands map one-to-one onto the verification workflows:
     hsgreen verify        --config cfg.json --out dir --which decay
     hsgreen stability-map --config cfg.json --out dir
 
-Configuration is a single JSON file with the schema documented in
-DEFAULT_CONFIG; unknown keys are rejected and every run writes a manifest
-echoing the fully resolved configuration, so runs are reproducible byte for
-byte.  Exit codes: 0 pass, 1 verified fail, 2 config error, 3 accuracy
+Configuration is a single JSON file with the schema of DEFAULT_CONFIG,
+whose dataclass sections are the dataclasses' own field defaults.  Unknown
+keys and values of the wrong kind are rejected, and every run writes a
+manifest echoing the fully resolved configuration, so runs are reproducible
+byte for byte.  Exit codes: 0 pass, 1 verified fail, 2 config error, 3 accuracy
 error, 4 inconclusive, 5 divergence.
 """
 
@@ -18,6 +19,8 @@ from __future__ import annotations
 
 import argparse
 import copy
+import dataclasses
+import functools
 import json
 import os
 import sys
@@ -53,93 +56,101 @@ EXIT_ACCURACY = 3
 EXIT_INCONCLUSIVE = 4
 EXIT_DIVERGENCE = 5
 
+
+def _field_defaults(cls, omit: tuple[str, ...] = ()) -> dict:
+    """The field defaults of a dataclass, minus ``omit``, as a config section."""
+    return {
+        f.name: f.default
+        for f in dataclasses.fields(cls)
+        if f.default is not dataclasses.MISSING and f.name not in omit
+    }
+
+
+# The sections that build a dataclass take its field defaults; the literals are
+# the values only the CLI uses.  A tuple default is a JSON list.
 DEFAULT_CONFIG: dict = {
-    "model": {"c": 1.0, "nu": 1.0, "a1": -1.0, "a2": 1.0},
+    "model": _field_defaults(ModelParams),
     "solver": {
         "L": 400.0,
         "nx": 4000,
         "t_end": 50.0,
-        "cfl_hyp": 0.45,
-        "cfl_par": 0.45,
-        "sponge_strength": 1.0,
-        "pressure_gamma": 2.0,
-        "n_snapshots": 11,
-        "initial": {
-            "kind": "algebraic",
-            "amplitude": 0.01,
-            "r": 1.0,
-            "center": 0.0,
-            "width": 0.5,
-            "components": ["rho"],
-        },
+        **_field_defaults(SolverConfig),
+        "initial": _field_defaults(InitialData, omit=("rho_table", "m_table")),
     },
-    "transforms": {
-        "n_xi": 10,
-        "contour": "talbot",
-        "n_nodes": 32,
-        "tol": 1e-8,
-    },
+    # the line contour is a Python-API cross-check, not a config choice
+    "transforms": _field_defaults(QuadratureConfig, omit=("contour",)),
     "verify": {
         "x_max": 25.0,
         "n_x": 11,
         "t_min": 1.0,
         "t_max": 20.0,
         "n_t": 6,
-        "envelope": {"bigC": 10.0, "eps": 0.5},
+        "envelope": _field_defaults(BoundEnvelope),
         "decay_t_min": 5.0,
         "lemma41": {"d0": 2.0, "r": 1.0, "E": 3.0, "x_max": 100.0, "n": 21},
         "lemma_nu": 2.0,
     },
 }
 
+_KINDS = {dict: "an object", tuple: "a list", str: "a string", int: "an integer",
+          float: "a number"}
 
-def _merge_checked(default: dict, given: dict, path: str = "") -> dict:
-    out = copy.deepcopy(default)
-    for key, val in given.items():
-        if key not in default:
-            raise ConfigurationError(f"unknown config key {path + key!r}")
-        if isinstance(default[key], dict) and isinstance(val, dict):
-            out[key] = _merge_checked(default[key], val, path + key + ".")
-        else:
-            out[key] = val
-    return out
+
+def _merge_checked(default, given, path: str = ""):
+    """``given`` merged over ``default`` after checking it has the kind of
+    ``default``: an object (no unknown keys), a list (items of the kind of the
+    default's first item, stored as a tuple), a string, an integral number for
+    an int default (stored as int) or a real number for a float default.  A
+    bool is not a number.  Raises ConfigurationError naming the key path."""
+    kind = type(default)
+    number = isinstance(given, (int, float)) and not isinstance(given, bool)
+    if kind is dict and isinstance(given, dict):
+        out = copy.deepcopy(default)
+        for key, val in given.items():
+            key_path = f"{path}.{key}" if path else key
+            if key not in default:
+                raise ConfigurationError(f"unknown config key {key_path!r}")
+            out[key] = _merge_checked(default[key], val, key_path)
+        return out
+    if kind is tuple and isinstance(given, list):
+        return tuple(_merge_checked(default[0], v, f"{path}[{i}]") for i, v in enumerate(given))
+    if kind is str and isinstance(given, str):
+        return given
+    if kind is float and number:
+        return given
+    if kind is int and number and (isinstance(given, int) or given.is_integer()):
+        return int(given)
+    where = f"config key {path!r}" if path else "the config"
+    raise ConfigurationError(f"{where} must be {_KINDS[kind]}, got {json.dumps(given)}")
 
 
 class RunConfig:
     """Fully resolved run configuration built from a JSON file."""
 
-    def __init__(self, raw: dict):
+    def __init__(self, raw):
         self.raw = _merge_checked(DEFAULT_CONFIG, raw)
-        m = self.raw["model"]
-        self.model = ModelParams(c=m["c"], nu=m["nu"], a1=m["a1"], a2=m["a2"])
-        s = self.raw["solver"]
-        self.grid = Grid1D(L=s["L"], nx=int(s["nx"]))
-        self.solver = SolverConfig(
-            grid=self.grid,
-            t_end=s["t_end"],
-            cfl_hyp=s["cfl_hyp"],
-            cfl_par=s["cfl_par"],
-            sponge_strength=s["sponge_strength"],
-            pressure_gamma=s["pressure_gamma"],
-            n_snapshots=int(s["n_snapshots"]),
-        )
-        ini = s["initial"]
-        self.initial = InitialData(
-            kind=ini["kind"],
-            amplitude=ini["amplitude"],
-            r=ini["r"],
-            center=ini["center"],
-            width=ini["width"],
-            components=tuple(ini["components"]),
-        )
-        q = self.raw["transforms"]
-        self.quadrature = QuadratureConfig(
-            n_xi=int(q["n_xi"]),
-            contour=q["contour"],
-            n_nodes=int(q["n_nodes"]),
-            tol=q["tol"],
-        )
+        self.model = ModelParams(**self.raw["model"])
+        solver = dict(self.raw["solver"])
+        self.initial = InitialData(**solver.pop("initial"))
+        self.grid = Grid1D(L=solver.pop("L"), nx=solver.pop("nx"))
+        self.solver = SolverConfig(grid=self.grid, **solver)
+        self.quadrature = QuadratureConfig(**self.raw["transforms"])
         self.verify = self.raw["verify"]
+        self.envelope = BoundEnvelope(**self.verify["envelope"])
+
+    @functools.cached_property
+    def decay_trajectory(self):
+        """The nonlinear run that the decay and ansatz reports share."""
+        if self.model.boundary_class is BoundaryClass.MIXED_UNSTABLE:
+            raise UsageError("decay verification needs a stable boundary class")
+        t_end = self.solver.t_end
+        t_knee = min(5.0, t_end / 2.0)
+        return solve_nonlinear(
+            make_initial_data(self.initial, self.grid, self.model), self.model, self.solver,
+            output_times=np.unique(np.concatenate([
+                np.linspace(0.0, t_knee, 6), np.geomspace(t_knee, t_end, 25),
+            ])),
+        )
 
     @classmethod
     def from_file(cls, path: str | None) -> "RunConfig":
@@ -228,92 +239,64 @@ def cmd_solve(cfg: RunConfig, args) -> int:
     return EXIT_PASS
 
 
-def _verify_reports(cfg: RunConfig, which: str, out_dir: str):
-    params = cfg.model
+def _verify_pointwise(cfg: RunConfig, out_dir: str):
     v = cfg.verify
-    env = BoundEnvelope(bigC=v["envelope"]["bigC"], eps=v["envelope"]["eps"])
-    names = (
-        ["pointwise", "instability", "decay", "ansatz", "lemma41", "lemma42", "lemma43"]
-        if which == "all"
-        else [which]
-    )
-    reports = []
-    traj = None
-    for name in names:
-        if name == "pointwise":
-            n_x = int(v["n_x"])
-            xg = np.linspace(0.0, v["x_max"], n_x)
-            yg = np.linspace(0.13, v["x_max"] - 0.1, n_x)
-            tg = np.linspace(v["t_min"], v["t_max"], int(v["n_t"]))
-            for alpha in (0, 1):
-                reports.append(
-                    vf.green_bound_report(
-                        params, xg, yg, tg, alpha=alpha,
-                        envelope=env,
-                        cfg=cfg.quadrature, out_dir=out_dir,
-                    )
-                )
-        elif name == "instability":
-            up = params
-            if up.boundary_class is not BoundaryClass.MIXED_UNSTABLE:
-                up = ModelParams(c=params.c, nu=params.nu, a1=1.0, a2=1.0)
-            grid = Grid1D(L=40.0, nx=800)
-            scfg = SolverConfig(grid=grid, t_end=12.0, n_snapshots=25)
-            reports.append(vf.instability_report(up, scfg, out_dir=out_dir))
-        elif name in ("decay", "ansatz"):
-            if params.boundary_class is BoundaryClass.MIXED_UNSTABLE:
-                raise UsageError("decay verification needs a stable boundary class")
-            if traj is None:
-                init = make_initial_data(cfg.initial, cfg.grid, params)
-                traj = solve_nonlinear(
-                    init, params, cfg.solver,
-                    output_times=np.unique(np.concatenate([
-                        np.linspace(0.0, min(5.0, cfg.solver.t_end / 2.0), 6),
-                        np.geomspace(min(5.0, cfg.solver.t_end / 2.0),
-                                     cfg.solver.t_end, 25),
-                    ])),
-                )
-            if name == "decay":
-                reports.append(
-                    vf.decay_report(traj, params, t_min=v["decay_t_min"], out_dir=out_dir)
-                )
-            else:
-                reports.append(vf.ansatz_report(traj, params, out_dir=out_dir))
-        elif name == "lemma41":
-            l4 = v["lemma41"]
-            # One grid serves as both the x and the t nodes: x_max is also
-            # the largest time and n also the number of times.
-            nodes = np.linspace(0.0, l4["x_max"], int(l4["n"]))
-            reports.append(
-                vf.lemma_initial_data_check(
-                    l4["d0"], l4["r"], l4["E"], nodes, nodes, out_dir=out_dir
-                )
-            )
-        elif name == "lemma42":
-            for alpha in (2.0, 3.0):
-                reports.append(
-                    vf.lemma_wave_interaction_check(
-                        "same-speed", alpha, 0.0, 0.5, v["lemma_nu"], params.c,
-                        out_dir=out_dir,
-                    )
-                )
-        elif name == "lemma43":
-            for alpha in (2.0, 3.0):
-                reports.append(
-                    vf.lemma_wave_interaction_check(
-                        "cross-speed", alpha, 0.0, 0.5, v["lemma_nu"], params.c,
-                        -params.c, out_dir=out_dir,
-                    )
-                )
-        else:
-            raise ConfigurationError(f"unknown verification target {name!r}")
-    return reports
+    xg = np.linspace(0.0, v["x_max"], v["n_x"])
+    yg = np.linspace(0.13, v["x_max"] - 0.1, v["n_x"])
+    tg = np.linspace(v["t_min"], v["t_max"], v["n_t"])
+    return [
+        vf.green_bound_report(cfg.model, xg, yg, tg, alpha=alpha, envelope=cfg.envelope,
+                              cfg=cfg.quadrature, out_dir=out_dir)
+        for alpha in (0, 1)
+    ]
+
+
+def _verify_instability(cfg: RunConfig, out_dir: str):
+    up = cfg.model
+    if up.boundary_class is not BoundaryClass.MIXED_UNSTABLE:
+        up = ModelParams(c=up.c, nu=up.nu, a1=1.0, a2=1.0)
+    scfg = SolverConfig(grid=Grid1D(L=40.0, nx=800), t_end=12.0, n_snapshots=25)
+    return [vf.instability_report(up, scfg, out_dir=out_dir)]
+
+
+def _verify_lemma41(cfg: RunConfig, out_dir: str):
+    l4 = cfg.verify["lemma41"]
+    # One grid serves as both the x and the t nodes: x_max is also the
+    # largest time and n also the number of times.
+    nodes = np.linspace(0.0, l4["x_max"], l4["n"])
+    return [vf.lemma_initial_data_check(l4["d0"], l4["r"], l4["E"], nodes, nodes,
+                                        out_dir=out_dir)]
+
+
+def _verify_wave_interaction(cfg: RunConfig, out_dir: str, kind: str, *speeds: float):
+    return [
+        vf.lemma_wave_interaction_check(kind, alpha, 0.0, 0.5, cfg.verify["lemma_nu"],
+                                        *speeds, out_dir=out_dir)
+        for alpha in (2.0, 3.0)
+    ]
+
+
+# ``verify --which`` targets in the order ``all`` runs them.
+VERIFY_TARGETS = {
+    "pointwise": _verify_pointwise,
+    "instability": _verify_instability,
+    "decay": lambda cfg, out_dir: [vf.decay_report(
+        cfg.decay_trajectory, cfg.model, t_min=cfg.verify["decay_t_min"], out_dir=out_dir)],
+    "ansatz": lambda cfg, out_dir: [vf.ansatz_report(
+        cfg.decay_trajectory, cfg.model, out_dir=out_dir)],
+    "lemma41": _verify_lemma41,
+    "lemma42": lambda cfg, out_dir: _verify_wave_interaction(
+        cfg, out_dir, "same-speed", cfg.model.c),
+    "lemma43": lambda cfg, out_dir: _verify_wave_interaction(
+        cfg, out_dir, "cross-speed", cfg.model.c, -cfg.model.c),
+}
 
 
 def cmd_verify(cfg: RunConfig, args) -> int:
     out_dir = args.out
     os.makedirs(out_dir, exist_ok=True)
-    reports = _verify_reports(cfg, args.which, out_dir)
+    names = list(VERIFY_TARGETS) if args.which == "all" else [args.which]
+    reports = [rep for name in names for rep in VERIFY_TARGETS[name](cfg, out_dir)]
     any_inconclusive = False
     all_pass = True
     for rep in reports:
@@ -375,8 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     vcmd.add_argument("--out", required=True)
     vcmd.add_argument(
         "--which",
-        choices=("pointwise", "instability", "decay", "ansatz",
-                 "lemma41", "lemma42", "lemma43", "all"),
+        choices=(*VERIFY_TARGETS, "all"),
         default="all",
     )
     vcmd.set_defaults(fn=cmd_verify)

@@ -61,6 +61,10 @@ class SolverConfig:
             raise ConfigurationError("CFL safety factors must lie in (0, 0.9]")
         if not (self.t_end > 0.0):
             raise ConfigurationError("t_end must be positive")
+        if self.n_snapshots < 2:
+            raise ConfigurationError(
+                f"n_snapshots counts t = 0 and t_end, so it must be >= 2, got {self.n_snapshots}"
+            )
 
 
 def default_grid(length: float, params: ModelParams) -> Grid1D:
@@ -114,8 +118,8 @@ def make_initial_data(spec: InitialData, grid: Grid1D, params: ModelParams) -> F
     """Discrete fields satisfying the Robin condition at t = 0.
 
     When the momentum carries a profile, its first three nodes are blended so
-    the one-sided discrete boundary relation holds exactly (a few fixed-point
-    sweeps of the node-0 correction smeared over nodes 0..2).
+    the one-sided discrete boundary relation holds to rounding (one linear
+    correction, see ``_project_boundary_compatible``).
     """
     x = grid.x
     if spec.kind == "custom":
@@ -138,20 +142,25 @@ def make_initial_data(spec: InitialData, grid: Grid1D, params: ModelParams) -> F
 
 
 def _project_boundary_compatible(m: np.ndarray, grid: Grid1D, params: ModelParams) -> np.ndarray:
-    m = m.copy()
-    dx = grid.dx
-    if params.boundary_class is BoundaryClass.DIRICHLET:
-        delta = -m[0]
-        m[0:3] += delta * np.array([1.0, 4.0 / 9.0, 1.0 / 9.0])
-        m[0] = 0.0
-        return m
-    a1, a2 = params.a1, params.a2
+    """Add delta * (1, 4/9, 1/9) to nodes 0..2 so that the one-sided relation
+    a1 (-3 m0 + 4 m1 - m2)/(2 dx) + a2 m0 = 0 holds.  Its residual, scaled as
+    R(m) = m0 - a1 (4 m1 - m2)/(3 a1 - 2 dx a2), is linear in m, so
+    delta = -R(m)/R(blend).  For a1 = 0, R(m) = m0 and R(blend) = 1, which pins
+    m0 = 0 exactly."""
+    a1, a2, dx = params.a1, params.a2, grid.dx
     blend = np.array([1.0, 4.0 / 9.0, 1.0 / 9.0])
-    for _ in range(6):
-        target = a1 * (4.0 * m[1] - m[2]) / (3.0 * a1 - 2.0 * dx * a2)
-        m[0:3] += (target - m[0]) * blend
-    # final node-0 snap so the one-sided relation holds exactly
-    m[0] = a1 * (4.0 * m[1] - m[2]) / (3.0 * a1 - 2.0 * dx * a2)
+    den = 3.0 * a1 - 2.0 * dx * a2
+
+    def resid(v: np.ndarray) -> float:
+        return v[0] - a1 * (4.0 * v[1] - v[2]) / den
+
+    if den == 0.0 or resid(blend) == 0.0:
+        raise ConfigurationError(
+            f"the wall blend cannot meet the one-sided boundary relation at "
+            f"dx = {dx:g} for (a1, a2) = ({a1:g}, {a2:g}); refine the grid"
+        )
+    m = m.copy()
+    m[0:3] -= resid(m) / resid(blend) * blend
     return m
 
 

@@ -53,6 +53,9 @@ the branch cut on the negative real axis; it is shifted right when the
 reflection coefficient has a right-half-plane pole.  A truncated vertical
 line (Bromwich) contour is available as an independent cross-check away from
 the diagonal x = y.
+
+Every self-check is written ``not err <= tol``, so a NaN estimate (a symbol
+that overflowed) fails it and AccuracyError carries the NaN.
 """
 
 from __future__ import annotations
@@ -281,7 +284,7 @@ def invert_fourier_fundamental(
         raise ParameterError(f"need t > 0, got t={t}")
     xarr = np.atleast_1d(np.asarray(x, dtype=float))
     smooth, err = _fourier_smooth_with_error(xarr, t, params, cfg)
-    if err > cfg.tol:
+    if not err <= cfg.tol:
         raise AccuracyError("fourier inversion did not meet tolerance", err, cfg.tol)
     if np.isscalar(x) or np.asarray(x).ndim == 0:
         smooth = smooth[0]
@@ -368,13 +371,13 @@ def _invert_laplace(symbol, x, y, t: float, params: ModelParams, cfg: Quadrature
         err = float(np.abs(out - probe).max())
         logger.debug("talbot self-check: points=%d degrees=%d/%d diff=%.3g",
                      xarr.size, cfg.n_nodes, cfg.n_nodes + 8, err)
-        if err > cfg.tol:
+        if not err <= cfg.tol:
             raise AccuracyError("parabolic contour did not meet tolerance", err, cfg.tol)
         out = probe
     else:
         out, resid = _invert_laplace_line(symbol, xarr, yarr, t, params, cfg)
         logger.debug("line self-check: points=%d imag_residue=%.3g", xarr.size, resid)
-        if resid > 1e-9:
+        if not resid <= 1e-9:
             raise AccuracyError("line contour imaginary residue too large", resid, 1e-9)
     if np.asarray(x).ndim == 0 and np.asarray(y).ndim == 0:
         return out[0]
@@ -431,7 +434,7 @@ def mirror_by_quadrature(
     if np.any(warr < 0.0):
         raise ParameterError("need w >= 0")
     smooth, err = _fourier_smooth_with_error(warr, t, params, cfg, params.gamma)
-    if err > 10.0 * cfg.tol:
+    if not err <= 10.0 * cfg.tol:
         raise AccuracyError("mirror quadrature did not meet tolerance", err, 10.0 * cfg.tol)
     smooth = smooth * np.array([1.0, -1.0])
     if np.asarray(w).ndim == 0:

@@ -38,7 +38,46 @@ REMOVED_KEYS = {
     "transforms.abscissa": 1.0,
     "verify.envelope.D": 2.0,
     "output_dir": "out",
+    "transforms.contour": "talbot",
 }
+
+# every leaf of the resolved default config, sorted by key path
+DEFAULT_LEAVES = [
+    ("model.a1", -1.0), ("model.a2", 1.0), ("model.c", 1.0), ("model.nu", 1.0),
+    ("solver.L", 400.0), ("solver.cfl_hyp", 0.45), ("solver.cfl_par", 0.45),
+    ("solver.initial.amplitude", 0.01), ("solver.initial.center", 0.0),
+    ("solver.initial.components", ("rho",)), ("solver.initial.kind", "algebraic"),
+    ("solver.initial.r", 1.0), ("solver.initial.width", 0.5),
+    ("solver.n_snapshots", 11), ("solver.nx", 4000), ("solver.pressure_gamma", 2.0),
+    ("solver.sponge_strength", 1.0), ("solver.t_end", 50.0),
+    ("transforms.n_nodes", 32), ("transforms.n_xi", 10), ("transforms.tol", 1e-8),
+    ("verify.decay_t_min", 5.0), ("verify.envelope.bigC", 10.0), ("verify.envelope.eps", 0.5),
+    ("verify.lemma41.E", 3.0), ("verify.lemma41.d0", 2.0), ("verify.lemma41.n", 21),
+    ("verify.lemma41.r", 1.0), ("verify.lemma41.x_max", 100.0), ("verify.lemma_nu", 2.0),
+    ("verify.n_t", 6), ("verify.n_x", 11), ("verify.t_max", 20.0), ("verify.t_min", 1.0),
+    ("verify.x_max", 25.0),
+]
+
+# configs whose values have the wrong kind, with the key path the error names
+BAD_KINDS = {
+    "string-for-float": ({"model": {"c": "fast"}}, "model.c"),
+    "null-section": ({"model": None}, "model"),
+    "string-for-int": ({"transforms": {"n_xi": "ten"}}, "transforms.n_xi"),
+    "list-at-top": ([1, 2], "the config"),
+    "fractional-int": ({"solver": {"nx": 600.7}}, "solver.nx"),
+    "bool-for-int": ({"solver": {"n_snapshots": True}}, "solver.n_snapshots"),
+    "list-item": ({"solver": {"initial": {"components": [["m"]]}}},
+                  "solver.initial.components[0]"),
+}
+
+
+def leaves(tree, path=""):
+    for key, val in tree.items():
+        key_path = f"{path}.{key}" if path else key
+        if isinstance(val, dict):
+            yield from leaves(val, key_path)
+        else:
+            yield key_path, val
 
 
 class TestConfig:
@@ -60,6 +99,35 @@ class TestConfig:
         assert manifest["command"] == "stability-map"
         assert manifest["config"]["model"]["c"] == 1.0
         assert "verify" in manifest["config"]
+
+    def test_default_leaves_pinned(self):
+        got = sorted(leaves(cli.RunConfig({}).raw))
+        assert got == DEFAULT_LEAVES
+        assert [type(v) for _, v in got] == [type(v) for _, v in DEFAULT_LEAVES]
+
+    @pytest.mark.parametrize("payload, key_path", list(BAD_KINDS.values()), ids=list(BAD_KINDS))
+    def test_wrong_kind_is_config_error(self, tmp_path, capsys, payload, key_path):
+        cfgp = write_config(tmp_path, payload)
+        assert run_cli(["stability-map", "--config", cfgp,
+                        "--out", str(tmp_path / "o")]) == cli.EXIT_CONFIG
+        assert key_path in capsys.readouterr().err
+
+    def test_integral_float_runs_as_int(self, tmp_path):
+        # the manifest echoes the cell count that ran, not the float given
+        cfgp = write_config(tmp_path, {"solver": {"nx": 4000.0}})
+        out = tmp_path / "map"
+        assert run_cli(["stability-map", "--config", cfgp, "--out", str(out),
+                        "--a1-grid=-1:1:3", "--a2-grid=-1:1:3"]) == cli.EXIT_PASS
+        assert '"nx": 4000,' in (out / "manifest.json").read_text()
+        assert type(cli.RunConfig({"solver": {"nx": 4000.0}}).grid.nx) is int
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_too_few_snapshots_is_config_error(self, tmp_path, n):
+        cfgp = write_config(tmp_path, {"solver": {**SMALL_SOLVER["solver"], "n_snapshots": n}})
+        out = tmp_path / "s"
+        assert run_cli(["solve", "--config", cfgp, "--out", str(out),
+                        "--kind", "linear"]) == cli.EXIT_CONFIG
+        assert not out.exists()
 
 
 class TestStabilityMap:

@@ -26,6 +26,12 @@ class TestConfig:
         with pytest.raises(ConfigurationError):
             small_cfg(cfl_par=0.0)
 
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_needs_two_snapshots(self, n):
+        # the t = 0 state and t_end are both snapshots
+        with pytest.raises(ConfigurationError):
+            small_cfg(n_snapshots=n)
+
     def test_default_grid_resolves_viscous_scale(self):
         g = so.default_grid(400.0, P)
         assert g.dx <= min(P.nu / P.c, 0.4)
@@ -65,6 +71,14 @@ class TestInitialData:
         dx = grid.dx
         onesided = (-3.0 * st.m[0] + 4.0 * st.m[1] - st.m[2]) / (2.0 * dx)
         assert abs(P.a1 * onesided + P.a2 * st.m[0]) <= 1e-12
+
+    def test_wall_blend_degenerate_grid_rejected(self):
+        # 3 a1 - 2 dx a2 = 0: no blend amplitude meets the one-sided relation
+        grid = Grid1D(L=10.0, nx=20)
+        spec = so.InitialData(kind="gaussian", amplitude=0.3, center=2.0, width=1.0,
+                              components=("m",))
+        with pytest.raises(ConfigurationError):
+            so.make_initial_data(spec, grid, ModelParams(a1=1.0, a2=3.0))
 
     def test_dirichlet_momentum_pinned(self):
         grid = Grid1D(L=40.0, nx=400)

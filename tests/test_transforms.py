@@ -183,6 +183,31 @@ class TestInvertLaplace:
         assert failed.endswith(f"diff={exc.value.achieved:.3g}")
         assert line.startswith("line self-check: points=2 imag_residue=")
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nan_fails_self_check(self):
+        # far beyond the acoustic front the symbol overflows to NaN; the
+        # self-check must raise and carry the NaN rather than pass it on
+        y, t = 2.0, 64.0
+        x = np.linspace(0.05, y + PS.c * t + 5.0 * np.sqrt(2.0 * PS.nu * t), 401)
+        with pytest.raises(AccuracyError) as exc:
+            tr.invert_laplace_green(x, y, t, PS)
+        assert np.isnan(exc.value.achieved)
+
+    @pytest.mark.parametrize("oracle", ["fourier", "mirror", "line"])
+    def test_nan_symbol_fails_other_self_checks(self, monkeypatch, oracle):
+        for name in ("fourier_fundamental", "laplace_green"):
+            exact = getattr(tr, name)
+            monkeypatch.setattr(tr, name, lambda *a, f=exact: f(*a) * np.nan)
+        run = {
+            "fourier": lambda: tr.invert_fourier_fundamental(np.array([1.0, 2.0]), 1.0, P),
+            "mirror": lambda: tr.mirror_by_quadrature(np.array([1.0, 2.0]), 1.0, P),
+            "line": lambda: tr.invert_laplace_green(
+                3.0, 1.0, 2.0, P, tr.QuadratureConfig(contour="line")),
+        }[oracle]
+        with pytest.raises(AccuracyError) as exc:
+            run()
+        assert np.isnan(exc.value.achieved)
+
     def test_real_output(self):
         out = tr.invert_laplace_green(3.0, 1.0, 2.0, P)
         assert out.dtype == np.float64
