@@ -57,12 +57,12 @@ EXIT_INCONCLUSIVE = 4
 EXIT_DIVERGENCE = 5
 
 
-def _field_defaults(cls, omit: tuple[str, ...] = ()) -> dict:
-    """The field defaults of a dataclass, minus ``omit``, as a config section."""
+def _field_defaults(cls) -> dict:
+    """The field defaults of a dataclass as a config section."""
     return {
         f.name: f.default
         for f in dataclasses.fields(cls)
-        if f.default is not dataclasses.MISSING and f.name not in omit
+        if f.default is not dataclasses.MISSING
     }
 
 
@@ -75,10 +75,9 @@ DEFAULT_CONFIG: dict = {
         "nx": 4000,
         "t_end": 50.0,
         **_field_defaults(SolverConfig),
-        "initial": _field_defaults(InitialData, omit=("rho_table", "m_table")),
+        "initial": _field_defaults(InitialData),
     },
-    # the line contour is a Python-API cross-check, not a config choice
-    "transforms": _field_defaults(QuadratureConfig, omit=("contour",)),
+    "transforms": _field_defaults(QuadratureConfig),
     "verify": {
         "x_max": 25.0,
         "n_x": 11,
@@ -226,9 +225,8 @@ def cmd_solve(cfg: RunConfig, args) -> int:
     try:
         traj = solver_fn(init, params, cfg.solver)
     except DivergenceError as exc:
-        partial = getattr(exc, "partial", None)
-        if partial is not None and partial.states:
-            paths = write_trajectory(partial, args.out, f"{args.kind}_partial", cfg.solver)
+        if exc.partial is not None:
+            paths = write_trajectory(exc.partial, args.out, f"{args.kind}_partial", cfg.solver)
             print(f"divergence: {exc}; last good snapshot: {paths[-2]}", file=sys.stderr)
         else:
             print(f"divergence: {exc}", file=sys.stderr)

@@ -51,7 +51,7 @@ class ModelParams:
 
     c:  sound speed (> 0)
     nu: viscosity (> 0)
-    a1, a2: Robin boundary coefficients, not both zero.
+    a1, a2: Robin boundary coefficients, not both zero (all four finite).
     """
 
     c: float = 1.0
@@ -60,6 +60,8 @@ class ModelParams:
     a2: float = 1.0
 
     def __post_init__(self):
+        if not np.all(np.isfinite((self.c, self.nu, self.a1, self.a2))):
+            raise ParameterError(f"model constants must be finite, got {self}")
         if not (self.c > 0.0):
             raise ParameterError(f"sound speed must be positive, got c={self.c}")
         if not (self.nu > 0.0):
@@ -150,8 +152,8 @@ class Trajectory:
     grid: Grid1D
     params: ModelParams
     states: list[FieldState] = field(default_factory=list)
-    # Robin residual measured with the enforcement stencil (ghost node), and
-    # the transformed-form residual -a1*drho/dt + a2*m logged as a diagnostic.
+    # Robin residual |a1 m_x + a2 m| at x = 0 with the enforced ghost node, and
+    # with the one-sided m_x, which the closure does not enforce (diagnostic).
     boundary_residual: list[float] = field(default_factory=list)
     boundary_residual_alt: list[float] = field(default_factory=list)
     # Solver work counters: steps, explicit RHS evaluations, implicit solves,

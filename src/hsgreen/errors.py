@@ -27,11 +27,13 @@ class AccuracyError(RuntimeError):
 
 
 class DivergenceError(RuntimeError):
-    """A time integration produced NaN / lost positivity."""
+    """A time integration produced NaN / lost positivity; ``partial`` is the
+    trajectory up to the last good snapshot, if any."""
 
-    def __init__(self, message: str, t: float):
+    def __init__(self, message: str, t: float, partial=None):
         super().__init__(f"{message} at t={t:.6g}")
         self.t = t
+        self.partial = partial
 
 
 class PoleError(ValueError):

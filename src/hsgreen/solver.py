@@ -67,12 +67,6 @@ class SolverConfig:
             )
 
 
-def default_grid(length: float, params: ModelParams) -> Grid1D:
-    """Grid resolving both the viscous scale nu/c and the domain (>= 1000 cells)."""
-    dx = min(params.nu / params.c, length / 1000.0)
-    return Grid1D(L=length, nx=int(math.ceil(length / dx)))
-
-
 @dataclass(frozen=True)
 class InitialData:
     """Initial perturbation family.
@@ -82,8 +76,8 @@ class InitialData:
         with |x|^(-r)-type tails the diffusion-wave amplitude picks up a
         logarithm and the clean decay rates are lost (checked numerically).
     kind "gaussian":  amplitude-mass pulse of the given width at ``center``.
-    kind "custom":    explicit node tables (rho_table is the full density).
-    ``components`` selects which of (rho - 1, m) carry the profile.
+    ``components`` selects which of (rho - 1, m) carry the profile.  Other
+    data enter the solvers directly as a :class:`FieldState`.
     """
 
     kind: str = "algebraic"
@@ -92,11 +86,9 @@ class InitialData:
     center: float = 0.0
     width: float = 0.5
     components: tuple[str, ...] = ("rho",)
-    rho_table: np.ndarray | None = None
-    m_table: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.kind not in ("algebraic", "gaussian", "custom"):
+        if self.kind not in ("algebraic", "gaussian"):
             raise ParameterError(f"unknown initial data kind {self.kind!r}")
         if self.kind == "algebraic" and not (self.r > 0.5):
             raise ParameterError(f"algebraic decay needs r > 1/2, got r={self.r}")
@@ -122,22 +114,11 @@ def make_initial_data(spec: InitialData, grid: Grid1D, params: ModelParams) -> F
     correction, see ``_project_boundary_compatible``).
     """
     x = grid.x
-    if spec.kind == "custom":
-        if spec.rho_table is None or spec.m_table is None:
-            raise ParameterError("custom initial data needs rho_table and m_table")
-        rho = np.asarray(spec.rho_table, dtype=float).copy()
-        m = np.asarray(spec.m_table, dtype=float).copy()
-        if rho.shape != x.shape or m.shape != x.shape:
-            raise ParameterError("custom tables must match the grid node count")
-    else:
-        prof = _profile(spec, x)
-        rho = 1.0 + (prof if "rho" in spec.components else 0.0) * np.ones_like(x)
-        m = (prof if "m" in spec.components else 0.0) * np.ones_like(x)
-
+    prof = _profile(spec, x)
+    rho = 1.0 + (prof if "rho" in spec.components else 0.0) * np.ones_like(x)
+    m = (prof if "m" in spec.components else 0.0) * np.ones_like(x)
     if np.any(m != 0.0):
         m = _project_boundary_compatible(m, grid, params)
-    elif params.boundary_class is BoundaryClass.DIRICHLET:
-        m[0] = 0.0
     return FieldState(t=0.0, rho=rho, m=m)
 
 
@@ -253,17 +234,14 @@ class _Rhs:
         else:
             dmdt = -c**2 * _grad(u, dx)
 
-        # Boundary node: Robin ghost for the viscous stencil, one-sided
-        # pressure/flux gradient; Dirichlet pins m(0) = 0.
+        # Wall row: _grad's one-sided gradient plus, in the nonlinear system,
+        # the remainder's Robin-ghost row (_lap leaves 0); Dirichlet pins m(0).
         if self.dirichlet:
             dmdt[0] = 0.0
         elif self.nonlinear:
             ghost_m = _robin_ghost(m, dx, p)
             ghost_rho = 3.0 * rho[0] - 3.0 * rho[1] + rho[2]
-            visc = nu * (ghost_m / ghost_rho - ghost_m - 2.0 * w[0] + w[1]) / dx**2
-            dmdt[0] = -(-3.0 * flux[0] + 4.0 * flux[1] - flux[2]) / (2.0 * dx) + visc
-        else:
-            dmdt[0] = -c**2 * (-3.0 * u[0] + 4.0 * u[1] - u[2]) / (2.0 * dx)
+            dmdt[0] += nu * (ghost_m / ghost_rho - ghost_m - 2.0 * w[0] + w[1]) / dx**2
 
         dudt -= _KAPPA4 * c / dx * _fourth_difference(u)
         dudt -= self.sigma * u
@@ -395,17 +373,16 @@ def _snapshot_times(cfg: SolverConfig, output_times) -> np.ndarray:
     return times
 
 
-def _boundary_residuals(
-    u: np.ndarray, m: np.ndarray, rhs: _Rhs, params: ModelParams, dx: float
-) -> tuple[float, float]:
+def _boundary_residuals(m: np.ndarray, params: ModelParams, dx: float) -> tuple[float, float]:
+    """|a1 m_x + a2 m| at x = 0 with the ghost the solver enforces, and with
+    the one-sided m_x = (-3 m0 + 4 m1 - m2)/(2 dx)."""
     if params.boundary_class is BoundaryClass.DIRICHLET:
         enforced = abs(m[0])
     else:
         ghost = _robin_ghost(m, dx, params)
         enforced = abs(params.a1 * (m[1] - ghost) / (2.0 * dx) + params.a2 * m[0])
-    dudt, _ = rhs(u, m)
-    alt = abs(-params.a1 * dudt[0] + params.a2 * m[0])
-    return enforced, alt
+    m_x = (-3.0 * m[0] + 4.0 * m[1] - m[2]) / (2.0 * dx)
+    return enforced, abs(params.a1 * m_x + params.a2 * m[0])
 
 
 def _integrate(
@@ -427,7 +404,7 @@ def _integrate(
         m[0] = 0.0
 
     traj = Trajectory(grid=cfg.grid, params=params)
-    r0, ra0 = _boundary_residuals(u, m, rhs, params, dx)
+    r0, ra0 = _boundary_residuals(m, params, dx)
     traj.append(FieldState(t=times[0], rho=1.0 + u, m=m.copy()), r0, ra0)
     stats = traj.stats
     stats.update(steps=0, factorizations=0, segments=[])
@@ -450,16 +427,12 @@ def _integrate(
         stats["steps"] += n_steps
         stats["segments"].append({"dt": float(dt), "steps": n_steps, "limit": limit})
         if not (np.all(np.isfinite(u)) and np.all(np.isfinite(m))):
-            exc = DivergenceError("solution lost finiteness", t_next)
-            exc.partial = traj
-            raise exc
+            raise DivergenceError("solution lost finiteness", t_next, traj)
         if nonlinear and (np.min(u) <= -0.5 or np.max(u) >= 0.5):
-            exc = DivergenceError(
-                "density left [1/2, 3/2]; reduce the initial amplitude or dx", t_next
+            raise DivergenceError(
+                "density left [1/2, 3/2]; reduce the initial amplitude or dx", t_next, traj
             )
-            exc.partial = traj
-            raise exc
-        r, ra = _boundary_residuals(u, m, rhs, params, dx)
+        r, ra = _boundary_residuals(m, params, dx)
         traj.append(FieldState(t=t_next, rho=1.0 + u, m=m.copy()), r, ra)
     # each step evaluates the explicit part twice and solves twice
     stats["explicit_rhs_evals"] = 2 * stats["steps"]

@@ -48,11 +48,11 @@ keeps its grid.
 
 Inverse Laplace strategy
 ------------------------
-Default contour is the fixed parabolic (Talbot-style) contour, which wraps
-the branch cut on the negative real axis; it is shifted right when the
-reflection coefficient has a right-half-plane pole.  A truncated vertical
-line (Bromwich) contour is available as an independent cross-check away from
-the diagonal x = y.
+The Laplace inversion is the fixed parabolic (Talbot-style) contour around
+the branch cut on the negative real axis, shifted right of the reflection
+coefficient's right-half-plane pole when there is one.  A truncated vertical
+line (Bromwich) contour, ``_invert_laplace_line``, is the tests' independent
+reference away from the diagonal x = y.
 
 Every self-check is written ``not err <= tol``, so a NaN estimate (a symbol
 that overflowed) fails it and AccuracyError carries the NaN.
@@ -70,8 +70,6 @@ from .core import BoundaryClass, KernelValue, ModelParams
 from .errors import AccuracyError, ConfigurationError, ParameterError
 from .spectral import find_boundary_pole, fourier_fundamental, laplace_green, laplace_green_dx
 
-CONTOURS = ("talbot", "line")
-
 logger = logging.getLogger(__name__)
 
 
@@ -81,22 +79,17 @@ class QuadratureConfig:
 
     n_xi:    Gauss-Legendre nodes per panel in the Fourier inversion, whose
              truncation wavenumber is chosen from the tail (``_xi_grid``).
-    contour: "talbot" (parabolic, default) or "line" (Bromwich line at
-             abscissa max(0, s*) + 1/t, right of any pole s*).
-    n_nodes: Talbot degree, or panels-per-unit-time for the line contour.
+    n_nodes: Talbot degree of the Laplace inversion.
     tol:     target absolute accuracy; quadratures self-check against it.
     """
 
     n_xi: int = 10
-    contour: str = "talbot"
     n_nodes: int = 32
     tol: float = 1e-8
 
     def __post_init__(self):
         if self.n_xi < 4 or self.n_nodes < 8:
             raise ConfigurationError("need n_xi >= 4 and n_nodes >= 8")
-        if self.contour not in CONTOURS:
-            raise ConfigurationError(f"contour must be one of {CONTOURS}")
         if not (0 < self.tol < 1e-2):
             raise ConfigurationError("tol must lie in (0, 1e-2)")
 
@@ -316,20 +309,17 @@ def _laplace_shift(t: float, params: ModelParams) -> float:
     return 0.0 if pole is None else pole + 1.0 / t
 
 
-def _invert_laplace_talbot(symbol, x, y, t: float, params: ModelParams, M: int) -> np.ndarray:
-    shift = _laplace_shift(t, params)
+def _invert_laplace_talbot(symbol, x, y, t, params, M: int, shift: float) -> np.ndarray:
+    """Degree-M sum on the contour shifted by ``shift``, before e^{shift t}."""
     s, g = _talbot_nodes(t, M)
     values = symbol(x[..., None], y[..., None], s + shift, params)
     weighted = g[:, None, None] * values
-    out = weighted.real.sum(axis=-3)
-    if shift:
-        out *= math.exp(shift * t)  # exp factored out of the shifted contour
-    return out
+    return weighted.real.sum(axis=-3)
 
 
-def _invert_laplace_line(symbol, x, y, t, params, cfg) -> tuple[np.ndarray, float]:
-    """Truncated vertical contour at abscissa max(0, s*) + 1/t, right of any
-    pole s*; returns (value, imaginary residue)."""
+def _invert_laplace_line(symbol, x, y, t, params) -> tuple[np.ndarray, float]:
+    """Tests' reference: the truncated vertical contour at abscissa max(0, s*)
+    + 1/t, right of any pole s*; returns (value, imaginary residue)."""
     a = max(0.0, find_boundary_pole(params) or 0.0) + 1.0 / t
     w_min = float(min(np.abs(x - y).min(), np.abs(x + y).min()))
     if w_min < 0.3:
@@ -340,8 +330,7 @@ def _invert_laplace_line(symbol, x, y, t, params, cfg) -> tuple[np.ndarray, floa
     # Truncation so exp(-Re(lambda) w) has decayed: Re lambda ~ sqrt(w/(2 nu)).
     decay = (30.0 + a * t) / w_min
     omega_max = 2.0 * params.nu * decay**2 + 10.0 / t
-    width = 4.0 / t * (32.0 / cfg.n_nodes)
-    omega, wts = _gauss_panels(_edges(0.0, omega_max, width), 8)
+    omega, wts = _gauss_panels(_edges(0.0, omega_max, 4.0 / t), 8)
     omega = np.concatenate([-omega[::-1], omega])
     wts = np.concatenate([wts[::-1], wts])
     s = a + 1j * omega
@@ -365,20 +354,15 @@ def _invert_laplace(symbol, x, y, t: float, params: ModelParams, cfg: Quadrature
         raise ParameterError("need x >= 0 and y >= 0")
     if np.any(xarr == yarr):
         raise ParameterError("Laplace inversion needs x != y (smooth part only)")
-    if cfg.contour == "talbot":
-        out = _invert_laplace_talbot(symbol, xarr, yarr, t, params, cfg.n_nodes)
-        probe = _invert_laplace_talbot(symbol, xarr, yarr, t, params, cfg.n_nodes + 8)
-        err = float(np.abs(out - probe).max())
-        logger.debug("talbot self-check: points=%d degrees=%d/%d diff=%.3g",
-                     xarr.size, cfg.n_nodes, cfg.n_nodes + 8, err)
-        if not err <= cfg.tol:
-            raise AccuracyError("parabolic contour did not meet tolerance", err, cfg.tol)
-        out = probe
-    else:
-        out, resid = _invert_laplace_line(symbol, xarr, yarr, t, params, cfg)
-        logger.debug("line self-check: points=%d imag_residue=%.3g", xarr.size, resid)
-        if not resid <= 1e-9:
-            raise AccuracyError("line contour imaginary residue too large", resid, 1e-9)
+    shift = _laplace_shift(t, params)
+    out = _invert_laplace_talbot(symbol, xarr, yarr, t, params, cfg.n_nodes, shift)
+    probe = _invert_laplace_talbot(symbol, xarr, yarr, t, params, cfg.n_nodes + 8, shift)
+    err = float(np.abs(out - probe).max())
+    logger.debug("talbot self-check: points=%d degrees=%d/%d diff=%.3g",
+                 xarr.size, cfg.n_nodes, cfg.n_nodes + 8, err)
+    if not err <= cfg.tol:
+        raise AccuracyError("parabolic contour did not meet tolerance", err, cfg.tol)
+    out = probe * math.exp(shift * t)
     if np.asarray(x).ndim == 0 and np.asarray(y).ndim == 0:
         return out[0]
     return out
@@ -392,7 +376,8 @@ def invert_laplace_green(
     Broadcasts over arrays x, y (same t, at least one point).  Requires x != y
     pointwise (the delta on the diagonal is not representable by quadrature).
     The parabolic contour self-checks by comparing two degrees and raises
-    AccuracyError on failure; the line contour checks its imaginary residue.
+    AccuracyError on failure; for the unstable class it compares them in the
+    shifted frame, before the factor e^{shift t} that G grows with.
     """
     return _invert_laplace(laplace_green, x, y, t, params, cfg)
 

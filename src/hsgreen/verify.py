@@ -461,6 +461,8 @@ def lemma_initial_data_check(
         raise ParameterError(f"hypothesis needs E > d0 > 0, got E={e_const}, d0={d0}")
     x_grid = np.asarray(x_grid, dtype=float)
     t_grid = np.asarray(t_grid, dtype=float)
+    if x_grid.size == 0 or t_grid.size == 0:
+        raise ParameterError("lemma check needs at least one x and one t node")
 
     def sup_ratio(scale: int) -> tuple[float, list]:
         sup = -np.inf

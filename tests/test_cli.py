@@ -129,6 +129,17 @@ class TestConfig:
                         "--kind", "linear"]) == cli.EXIT_CONFIG
         assert not out.exists()
 
+    @pytest.mark.parametrize("text, which", [
+        ('{"model": {"c": 1e400}}', "pointwise"),
+        ('{"verify": {"lemma41": {"n": 0}}}', "lemma41"),
+    ], ids=["infinite-c", "empty-lemma-grid"])
+    def test_out_of_range_value_is_config_error(self, tmp_path, text, which):
+        # json reads 1e400 as inf; n = 0 leaves the lemma grid empty
+        cfgp = tmp_path / "cfg.json"
+        cfgp.write_text(text)
+        assert run_cli(["verify", "--config", str(cfgp), "--out", str(tmp_path / "v"),
+                        "--which", which]) == cli.EXIT_CONFIG
+
 
 class TestStabilityMap:
     def test_classes_and_poles(self, tmp_path):
@@ -249,6 +260,7 @@ class TestSolve:
         code = run_cli(["solve", "--config", cfgp, "--out", str(tmp_path / "o"),
                         "--kind", "nonlinear"])
         assert code == cli.EXIT_DIVERGENCE
+        assert (tmp_path / "o" / "nonlinear_partial_manifest.json").exists()
 
     @pytest.mark.parametrize("argv", [
         ["solve", "--kind", "linear", "--plot-data"],

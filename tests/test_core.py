@@ -30,7 +30,9 @@ class TestModelParams:
         assert p.gamma == 1.0
 
     @pytest.mark.parametrize("kwargs", [dict(c=0.0), dict(c=-1.0), dict(nu=0.0),
-                                        dict(a1=0.0, a2=0.0)])
+                                        dict(a1=0.0, a2=0.0), dict(c=math.inf),
+                                        dict(nu=math.inf), dict(a1=-math.inf),
+                                        dict(a2=math.nan)])
     def test_invalid_params_rejected(self, kwargs):
         with pytest.raises(ParameterError):
             ModelParams(**kwargs)

@@ -171,6 +171,12 @@ class TestLemmaInitialData:
         with pytest.raises(ParameterError):
             vf.lemma_initial_data_check(2.0, 1.0, 1.5, [0.0], [0.0])
 
+    @pytest.mark.parametrize("x, t", [([], [0.0]), ([0.0], [])], ids=["x", "t"])
+    def test_empty_grid_rejected(self, x, t):
+        # with no node the sup ratio would be -inf, a "fail" that checked nothing
+        with pytest.raises(ParameterError):
+            vf.lemma_initial_data_check(2.0, 1.0, 3.0, x, t)
+
     def test_stated_instance_passes(self):
         rep = vf.lemma_initial_data_check(
             2.0, 1.0, 3.0, np.linspace(0.0, 100.0, 15), np.linspace(0.0, 100.0, 15)
