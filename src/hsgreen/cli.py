@@ -136,6 +136,12 @@ class RunConfig:
         self.quadrature = QuadratureConfig(**self.raw["transforms"])
         self.verify = self.raw["verify"]
         self.envelope = BoundEnvelope(**self.verify["envelope"])
+        counts = {"verify.n_x": self.verify["n_x"], "verify.n_t": self.verify["n_t"],
+                  "verify.lemma41.n": self.verify["lemma41"]["n"]}
+        for key, count in counts.items():
+            if count < 1:
+                raise ParameterError(f"config key {key!r} counts grid nodes and must be >= 1, "
+                                     f"got {count}")
 
     @functools.cached_property
     def decay_trajectory(self):

@@ -23,11 +23,15 @@ nu (m/rho - m)_xx of the nonlinear system.  The step is the smallest of
 three limits of the explicit part, chosen afresh for each snapshot segment:
 the acoustic CFL, the dissipation limit 2/rate and, in the nonlinear
 system, cfl_par dx^2 over the remainder's viscosity, measured on the
-segment's starting density (see ``_stable_dt``).  The implicit matrix
-I - h nu D2 is tridiagonal and depends on the step size only; it is
-factored once per size without pivoting, and LAPACK's dgttrs runs the two
-substitutions with identity pivots, so a Dirichlet row returns m(0) = 0
-exactly.
+segment's starting density (see ``_stable_dt``).
+
+The linear operators are assembled once per run as sparse matrices on the
+stacked state z = (u, m) (``_Rhs``), so an explicit stage is one matrix-
+vector product, plus the flux terms in the nonlinear system.  The implicit
+matrix I - h J, J = nu D2 with its boundary rows, is tridiagonal, depends
+on the step size only and is made symmetric by an exact row scaling; LAPACK
+factors it once per step size as L D L^T and solves in place
+(``_ImplicitSolve``), and a Dirichlet row returns m(0) = 0 exactly.
 """
 
 from __future__ import annotations
@@ -158,23 +162,6 @@ def _grad(f: np.ndarray, dx: float) -> np.ndarray:
     return g
 
 
-def _lap(f: np.ndarray, dx: float) -> np.ndarray:
-    """Second difference with the mirror-ghost far row.  The wall row belongs
-    to the caller, which closes it with its own ghost or pin; it is 0 here."""
-    g = np.empty_like(f)
-    dx2 = dx * dx
-    g[1:-1] = (f[2:] - 2.0 * f[1:-1] + f[:-2]) / dx2
-    g[0] = 0.0
-    g[-1] = 2.0 * (f[-2] - f[-1]) / dx2  # mirror ghost f[n] = f[n-2]
-    return g
-
-
-def _fourth_difference(f: np.ndarray) -> np.ndarray:
-    d = np.zeros_like(f)
-    d[2:-2] = f[:-4] - 4.0 * f[1:-3] + 6.0 * f[2:-2] - 4.0 * f[3:-1] + f[4:]
-    return d
-
-
 def _sponge_profile(grid: Grid1D, cfg: SolverConfig) -> np.ndarray:
     xs = grid.L * (1.0 - _SPONGE_FRACTION)
     ramp = np.clip((grid.x - xs) / (grid.L - xs), 0.0, None)
@@ -186,71 +173,114 @@ def _robin_ghost(m: np.ndarray, dx: float, params: ModelParams) -> float:
     return m[1] + 2.0 * dx * (params.a2 / params.a1) * m[0]
 
 
-class _Rhs:
-    """Semi-discrete right-hand side shared by the linear/nonlinear systems.
+def _stencil_matrix(n: int, *blocks):
+    """n x n CSR matrix from ``(rows, {offset: weight})`` blocks: each row i
+    of ``rows`` gets ``weight`` in column i + offset.  A weight is a number
+    or an array over ``rows``."""
+    from scipy import sparse
 
-    It is the sum ``explicit(u, m) + (0, implicit(m))``.  ``implicit`` is the
-    viscous term nu m_xx with its boundary rows, which the IMEX step solves
-    for; ``explicit`` is everything else, including the viscous remainder
-    nu (m/rho - m)_xx of the nonlinear system, which the implicit part does
-    not take.
+    rows, cols, vals = [], [], []
+    for idx, stencil in blocks:
+        idx = np.atleast_1d(idx)
+        for offset, weight in stencil.items():
+            rows.append(idx)
+            cols.append(idx + offset)
+            vals.append(np.broadcast_to(weight, idx.shape))
+    return sparse.csr_array(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
+    )
+
+
+class _Rhs:
+    """Semi-discrete right-hand side of the linear or nonlinear system on the
+    stacked state z = (u, m), u = rho - 1, each half of length n.
+
+    It is the sum ``explicit(z) + (0, implicit(m))``.  The linear operators
+    are assembled once, as CSR matrices:
+
+    * D1, the gradient: central rows, one-sided rows at both ends;
+    * D2, the second difference: the mirror ghost f[n] = f[n-2] in the far
+      row, 0 in the wall row;
+    * J = nu D2 plus the wall row of the Robin ghost (0 under the Dirichlet
+      pin).  ``implicit(m) = J @ m`` is the viscous term nu m_xx, which the
+      IMEX step solves for;
+    * A, the linear explicit part,
+      ``[[-_KAPPA4 c/dx D4 - S, -D1], [-c^2 D1, -S]]`` with D4 the fourth
+      difference and S the sponge.  The nonlinear system has 0 in place of
+      -c^2 D1, and under the Dirichlet pin the m wall row of A is 0.
+
+    ``explicit(z) = A @ z``.  The nonlinear system adds the flux gradient
+    -D1 (m^2/rho + p(rho)) and the viscous remainder nu D2 w, w = m/rho - m,
+    with its Robin-ghost wall row; the implicit part does not take it.
     """
 
     def __init__(self, params: ModelParams, cfg: SolverConfig, nonlinear: bool):
+        from scipy import sparse
+
         self.params = params
         self.cfg = cfg
         self.nonlinear = nonlinear
-        self.sigma = _sponge_profile(cfg.grid, cfg)
         self.dirichlet = params.boundary_class is BoundaryClass.DIRICHLET
         # p(rho) = p_scale rho^Gamma, so p'(1) = c^2 by construction
         self.p_scale = params.c**2 / cfg.pressure_gamma if nonlinear else 0.0
+        n, dx = cfg.grid.n_nodes, cfg.grid.dx
+        c, nu = params.c, params.nu
+        self.n = n
+        inner = np.arange(1, n - 1)
+
+        g = 0.5 / dx
+        d1_rows = [(inner, {-1: -g, 1: g}), (n - 1, {-2: g, -1: -4.0 * g, 0: 3.0 * g})]
+        d1 = _stencil_matrix(n, (0, {0: -3.0 * g, 1: 4.0 * g, 2: -g}), *d1_rows)
+        # the m rows: the Dirichlet pin holds m(0), so their wall row is 0
+        self.d1_m = _stencil_matrix(n, *d1_rows) if self.dirichlet else d1
+
+        r = nu / dx**2
+        d2_rows = [(inner, {-1: r, 0: -2.0 * r, 1: r}), (n - 1, {-1: 2.0 * r, 0: -2.0 * r})]
+        self.nu_d2 = _stencil_matrix(n, *d2_rows)
+        if self.dirichlet:
+            self.J = self.nu_d2
+        else:
+            # (ghost - 2 m[0] + m[1])/dx^2 with the ghost's coefficients on m[0], m[1]
+            g0, g1 = (_robin_ghost(e, dx, params) for e in np.eye(2))
+            self.J = _stencil_matrix(n, (0, {0: r * (g0 - 2.0), 1: r * (g1 + 1.0)}), *d2_rows)
+
+        k4 = _KAPPA4 * c / dx
+        d4 = _stencil_matrix(
+            n, (np.arange(2, n - 2), {-2: k4, -1: -4.0 * k4, 0: 6.0 * k4, 1: -4.0 * k4, 2: k4})
+        )
+        sigma = _sponge_profile(cfg.grid, cfg)
+        on = np.flatnonzero(sigma)
+        sponge = _stencil_matrix(n, (on, {0: sigma[on]}))
+        acoustic = None if nonlinear else -(c**2) * self.d1_m
+        self.A = sparse.block_array([[-d4 - sponge, -d1], [acoustic, -sponge]], format="csr")
 
     def implicit(self, m: np.ndarray) -> np.ndarray:
-        """nu m_xx: central differences in the interior, the Robin ghost in
-        row 0 (zero under the Dirichlet pin) and the mirror ghost in the far
-        row, so every row reads only its neighbours."""
-        dx = self.cfg.grid.dx
-        g = _lap(m, dx)
-        if self.dirichlet:
-            g[0] = 0.0
-        else:
-            g[0] = (_robin_ghost(m, dx, self.params) - 2.0 * m[0] + m[1]) / dx**2
-        return self.params.nu * g
+        """nu m_xx with its boundary rows: J @ m."""
+        return self.J @ m
 
-    def explicit(self, u: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # u is the density perturbation rho - 1 in both regimes.
-        p = self.params
-        cfg = self.cfg
-        dx = cfg.grid.dx
-        c, nu = p.c, p.nu
-
-        dudt = -_grad(m, dx)
+    def explicit(self, z: np.ndarray) -> np.ndarray:
+        dzdt = self.A @ z
         if self.nonlinear:
-            rho = 1.0 + u
+            p = self.params
+            n, dx = self.n, self.cfg.grid.dx
+            m = z[n:]
+            rho = 1.0 + z[:n]
             v = m / rho
             w = v - m  # nu w_xx is the viscous remainder nu (m/rho - m)_xx
-            flux = m * v + self.p_scale * rho**cfg.pressure_gamma
-            dmdt = -_grad(flux, dx) + nu * _lap(w, dx)
-        else:
-            dmdt = -c**2 * _grad(u, dx)
+            flux = m * v + self.p_scale * rho**self.cfg.pressure_gamma
+            dmdt = dzdt[n:]
+            dmdt -= self.d1_m @ flux
+            dmdt += self.nu_d2 @ w
+            if not self.dirichlet:  # the remainder's Robin-ghost wall row
+                ghost_m = _robin_ghost(m, dx, p)
+                ghost_rho = 3.0 * rho[0] - 3.0 * rho[1] + rho[2]
+                dmdt[0] += p.nu * (ghost_m / ghost_rho - ghost_m - 2.0 * w[0] + w[1]) / dx**2
+        return dzdt
 
-        # Wall row: _grad's one-sided gradient plus, in the nonlinear system,
-        # the remainder's Robin-ghost row (_lap leaves 0); Dirichlet pins m(0).
-        if self.dirichlet:
-            dmdt[0] = 0.0
-        elif self.nonlinear:
-            ghost_m = _robin_ghost(m, dx, p)
-            ghost_rho = 3.0 * rho[0] - 3.0 * rho[1] + rho[2]
-            dmdt[0] += nu * (ghost_m / ghost_rho - ghost_m - 2.0 * w[0] + w[1]) / dx**2
-
-        dudt -= _KAPPA4 * c / dx * _fourth_difference(u)
-        dudt -= self.sigma * u
-        dmdt -= self.sigma * m
-        return dudt, dmdt
-
-    def __call__(self, u: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        dudt, dmdt = self.explicit(u, m)
-        return dudt, dmdt + self.implicit(m)
+    def __call__(self, z: np.ndarray) -> np.ndarray:
+        dzdt = self.explicit(z)
+        dzdt[self.n:] += self.implicit(z[self.n:])
+        return dzdt
 
     def explicit_viscosity(self, u: np.ndarray) -> float:
         """Viscosity of the explicit viscous remainder: nu max|1/rho - 1| in
@@ -263,49 +293,49 @@ class _Rhs:
 class _ImplicitSolve:
     """Solver of (I - h J) x = b, J the matrix of ``_Rhs.implicit``.
 
-    J is read off by applying ``implicit`` to 3 coloured probes (unit vectors
-    at every index of one residue class mod 3): row 0 reads nodes 0-1, an
-    interior row its neighbours and the far row nodes n-2 and n-1, so no row
-    reads two nodes of one colour.  I - hJ is tridiagonal.  It is factored
-    once without pivoting, and LAPACK's dgttrs runs both substitutions on
-    those factors with identity pivots.  A pivoting factorization (dgttrf,
-    dgtsv) would swap the Dirichlet row once h nu/dx^2 > 1; without swaps a
-    row of I - hJ that is a row of I (the Dirichlet pin) returns its entry
-    of b exactly.
+    The three diagonals of the tridiagonal I - hJ are read off J.  Its wall
+    and far rows carry exactly twice their neighbour's off-diagonal (the
+    ghosts double it), so halving those two rows, which is exact, makes the
+    matrix symmetric.  Under the Dirichlet pin row 0 is a row of I instead:
+    ``b[1] -= A10 b[0]`` eliminates its column, and x[0] = b[0] exactly.
+    LAPACK's dpttrf factors the symmetric matrix once as L D L^T, and dpttrs
+    runs both substitutions in place; its back substitution keeps the
+    division off the recurrence chain.  A non-positive pivot means I - hJ
+    is indefinite, as for the unstable class with a large a2/a1 on a coarse
+    grid, and raises ConfigurationError.
     """
 
     def __init__(self, rhs: _Rhs, h: float):
-        n = rhs.cfg.grid.n_nodes
-        probes = np.zeros((3, n))
-        for c in range(3):
-            probes[c, c::3] = 1.0
-        cols = np.array([rhs.implicit(pr) for pr in probes])
-        k = np.arange(n)
-        lower = (-h * cols[(k - 1) % 3, k]).tolist()
-        diag = (1.0 - h * cols[k % 3, k]).tolist()
-        upper = (-h * cols[(k + 1) % 3, k]).tolist()
+        from scipy.linalg.lapack import dpttrf, dpttrs
 
-        mult = [0.0] * n
-        for i in range(1, n):
-            mult[i] = lower[i] / diag[i - 1]
-            diag[i] -= mult[i] * upper[i - 1]
-
-        from scipy.linalg.lapack import dgttrs
-
+        J = rhs.J
+        diag = 1.0 - h * J.diagonal()
+        upper = -h * J.diagonal(1)
         self.h = h
-        self._dgttrs = dgttrs
-        # dgttrs's dl, d, du, du2 and ipiv; ipiv[i] = i + 1 means no row swap
-        self.factors = (
-            np.array(mult[1:]),
-            np.array(diag),
-            np.array(upper[:-1]),
-            np.zeros(n - 2),
-            np.arange(1, n + 1, dtype=np.int32),
-        )
+        self.pinned = rhs.dirichlet
+        if self.pinned:
+            self.a10 = -h * J[1, 0]
+        else:
+            diag[0] *= 0.5
+            upper[0] *= 0.5
+        diag[-1] *= 0.5
+        d, e, info = dpttrf(diag, upper, overwrite_d=1, overwrite_e=1)
+        if info > 0:
+            raise ConfigurationError(
+                f"I - h J is indefinite at h = {h:g}: pivot row {info - 1} of its "
+                f"L D L^T factorization is {d[info - 1]:g}; refine the grid"
+            )
+        self._dpttrs = dpttrs
+        self.factors = (d, e)
 
     def __call__(self, b: np.ndarray) -> np.ndarray:
         """The solution x, computed in the array b (contiguous float64)."""
-        return self._dgttrs(*self.factors, b, overwrite_b=1)[0]
+        if self.pinned:
+            b[1] -= self.a10 * b[0]
+        else:
+            b[0] *= 0.5
+        b[-1] *= 0.5
+        return self._dpttrs(*self.factors, b, overwrite_b=1)[0]
 
 
 # ARS(2,2,2): Ascher, Ruuth & Spiteri, Appl. Numer. Math. 25 (1997).
@@ -313,20 +343,23 @@ _GAMMA = 1.0 - 1.0 / math.sqrt(2.0)
 _DELTA = 1.0 - 1.0 / (2.0 * _GAMMA)
 
 
-def _imex_step(
-    rhs: _Rhs, solve: _ImplicitSolve, u: np.ndarray, m: np.ndarray, dt: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """One ARS(2,2,2) step; ``solve`` inverts I - _GAMMA dt J."""
-    f1u, f1m = rhs.explicit(u, m)
-    u2 = u + (_GAMMA * dt) * f1u
-    m2 = solve(m + (_GAMMA * dt) * f1m)
-    f2u, f2m = rhs.explicit(u2, m2)
-    u = u + (_DELTA * dt) * f1u + ((1.0 - _DELTA) * dt) * f2u
-    m = solve(
-        m + (_DELTA * dt) * f1m + ((1.0 - _DELTA) * dt) * f2m
-        + ((1.0 - _GAMMA) * dt) * rhs.implicit(m2)
-    )
-    return u, m
+def _imex_step(rhs: _Rhs, solve: _ImplicitSolve, z: np.ndarray, dt: float) -> np.ndarray:
+    """One ARS(2,2,2) step of the stacked state z = (u, m); ``solve``
+    inverts I - _GAMMA dt J in place on the m half."""
+    n = rhs.n
+    f1 = rhs.explicit(z)
+    z2 = (_GAMMA * dt) * f1
+    z2 += z
+    solve(z2[n:])
+    f2 = rhs.explicit(z2)
+    # z + DELTA dt f1 + (1 - DELTA) dt f2, summed in that order, in f1's storage
+    f1 *= _DELTA * dt
+    f1 += z
+    f2 *= (1.0 - _DELTA) * dt
+    f1 += f2
+    f1[n:] += ((1.0 - _GAMMA) * dt) * rhs.implicit(z2[n:])
+    solve(f1[n:])
+    return f1
 
 
 def _stable_dt(params: ModelParams, cfg: SolverConfig, nu_explicit: float) -> tuple[float, str]:
@@ -396,16 +429,15 @@ def _integrate(
         raise ConfigurationError("initial data does not match the configured grid")
     rhs = _Rhs(params, cfg, nonlinear)
     times = _snapshot_times(cfg, output_times)
-    dx = cfg.grid.dx
+    dx, n = cfg.grid.dx, rhs.n
 
-    u = init.rho - 1.0
-    m = init.m.copy()
+    z = np.concatenate([init.rho - 1.0, init.m])  # the stacked state (u, m)
     if rhs.dirichlet:
-        m[0] = 0.0
+        z[n] = 0.0
 
     traj = Trajectory(grid=cfg.grid, params=params)
-    r0, ra0 = _boundary_residuals(m, params, dx)
-    traj.append(FieldState(t=times[0], rho=1.0 + u, m=m.copy()), r0, ra0)
+    r0, ra0 = _boundary_residuals(z[n:], params, dx)
+    traj.append(FieldState(t=times[0], rho=1.0 + z[:n], m=z[n:].copy()), r0, ra0)
     stats = traj.stats
     stats.update(steps=0, factorizations=0, segments=[])
     if nonlinear:
@@ -413,7 +445,7 @@ def _integrate(
 
     solve = None
     for t, t_next in zip(times[:-1], times[1:]):
-        dt_max, limit = _stable_dt(params, cfg, rhs.explicit_viscosity(u))
+        dt_max, limit = _stable_dt(params, cfg, rhs.explicit_viscosity(z[:n]))
         n_steps = max(1, int(math.ceil((t_next - t) / dt_max)))
         dt = (t_next - t) / n_steps
         if solve is None or solve.h != _GAMMA * dt:
@@ -421,19 +453,20 @@ def _integrate(
             solve = _ImplicitSolve(rhs, _GAMMA * dt)
             stats["factorizations"] += 1
         for _ in range(n_steps):
-            u, m = _imex_step(rhs, solve, u, m, dt)
+            z = _imex_step(rhs, solve, z, dt)
             if nonlinear:
-                stats["min_density"] = min(stats["min_density"], 1.0 + float(np.min(u)))
+                stats["min_density"] = min(stats["min_density"], 1.0 + float(np.min(z[:n])))
         stats["steps"] += n_steps
         stats["segments"].append({"dt": float(dt), "steps": n_steps, "limit": limit})
-        if not (np.all(np.isfinite(u)) and np.all(np.isfinite(m))):
+        if not np.all(np.isfinite(z)):
             raise DivergenceError("solution lost finiteness", t_next, traj)
+        u = z[:n]
         if nonlinear and (np.min(u) <= -0.5 or np.max(u) >= 0.5):
             raise DivergenceError(
                 "density left [1/2, 3/2]; reduce the initial amplitude or dx", t_next, traj
             )
-        r, ra = _boundary_residuals(m, params, dx)
-        traj.append(FieldState(t=t_next, rho=1.0 + u, m=m.copy()), r, ra)
+        r, ra = _boundary_residuals(z[n:], params, dx)
+        traj.append(FieldState(t=t_next, rho=1.0 + u, m=z[n:].copy()), r, ra)
     # each step evaluates the explicit part twice and solves twice
     stats["explicit_rhs_evals"] = 2 * stats["steps"]
     stats["implicit_solves"] = 2 * stats["steps"]

@@ -132,9 +132,14 @@ class TestConfig:
     @pytest.mark.parametrize("text, which", [
         ('{"model": {"c": 1e400}}', "pointwise"),
         ('{"verify": {"lemma41": {"n": 0}}}', "lemma41"),
-    ], ids=["infinite-c", "empty-lemma-grid"])
+        ('{"verify": {"lemma41": {"n": -1}}}', "lemma41"),
+        ('{"verify": {"n_t": -1}}', "pointwise"),
+        ('{"verify": {"n_x": -3}}', "pointwise"),
+    ], ids=["infinite-c", "empty-lemma-grid", "negative-lemma-grid", "negative-n_t",
+            "negative-n_x"])
     def test_out_of_range_value_is_config_error(self, tmp_path, text, which):
-        # json reads 1e400 as inf; n = 0 leaves the lemma grid empty
+        # json reads 1e400 as inf; n = 0 leaves the lemma grid empty, and a
+        # negative count is no grid at all
         cfgp = tmp_path / "cfg.json"
         cfgp.write_text(text)
         assert run_cli(["verify", "--config", str(cfgp), "--out", str(tmp_path / "v"),
@@ -331,6 +336,15 @@ class TestVerifyCommand:
         assert code == cli.EXIT_PASS
         rep = json.load(open(out / "green_bound_alpha1.json"))
         assert rep["sup_ratio"] > 0.0
+
+    def test_instability_indefinite_implicit_matrix(self, tmp_path, capsys):
+        # a2/a1 = 50 on the instability grid (L = 40, nx = 800): I - hJ is
+        # indefinite at the solver's step, a config error rather than a run
+        cfgp = write_config(tmp_path, {"model": {"a1": 1.0, "a2": 50.0}})
+        code = run_cli(["verify", "--config", cfgp, "--out", str(tmp_path / "v"),
+                        "--which", "instability"])
+        assert code == cli.EXIT_CONFIG
+        assert "indefinite" in capsys.readouterr().err
 
     def test_instability_pass(self, tmp_path):
         out = tmp_path / "v"

@@ -13,6 +13,10 @@ from hsgreen import transforms as tr
 
 P = ModelParams()
 PD = ModelParams(a1=0.0, a2=1.0)
+# the four boundary classes and the scaled set
+CLASS_CASES = [P, PD, ModelParams(a1=1.0, a2=0.0), ModelParams(a1=1.0, a2=1.0),
+               ModelParams(c=1.7, nu=0.3, a1=-1.3, a2=2.9)]
+CLASS_IDS = ["mixed", "dirichlet", "neumann", "unstable", "scaled"]
 
 
 def small_cfg(L=40.0, nx=800, t_end=2.0, **kw):
@@ -118,10 +122,7 @@ class TestLinearSolver:
         # the transformed-form residual is a logged diagnostic, not enforced
         assert len(traj.boundary_residual_alt) == len(traj.states)
 
-    @pytest.mark.parametrize("params", [
-        P, PD, ModelParams(a1=1.0, a2=0.0), ModelParams(a1=1.0, a2=1.0),
-        ModelParams(c=1.7, nu=0.3, a1=-1.3, a2=2.9),
-    ], ids=["mixed", "dirichlet", "neumann", "unstable", "scaled"])
+    @pytest.mark.parametrize("params", CLASS_CASES, ids=CLASS_IDS)
     def test_alt_residual_is_one_sided_relation(self, params):
         # boundary_residual_alt is |a1 m_x + a2 m| at x = 0 with the one-sided
         # m_x, read off each stored snapshot
@@ -191,15 +192,92 @@ class TestLinearSolver:
         assert err <= 1e-4 * scale
 
 
-def _rk4_step(rhs, u, m, h):
-    k1 = rhs(u, m)
-    k2 = rhs(u + 0.5 * h * k1[0], m + 0.5 * h * k1[1])
-    k3 = rhs(u + 0.5 * h * k2[0], m + 0.5 * h * k2[1])
-    k4 = rhs(u + h * k3[0], m + h * k3[1])
-    return tuple(
-        y + h / 6.0 * (a + 2.0 * b + 2.0 * c + d)
-        for y, a, b, c, d in zip((u, m), k1, k2, k3, k4)
-    )
+def _stencil_rhs(params, cfg, nonlinear, u, m):
+    """The solver's stencils written out: the explicit (du/dt, dm/dt) and the
+    implicit nu m_xx."""
+    dx, x, L = cfg.grid.dx, cfg.grid.x, cfg.grid.L
+    c, nu, a1, a2 = params.c, params.nu, params.a1, params.a2
+    dirichlet = a1 == 0.0
+
+    def grad(f):  # central, one-sided at both ends
+        g = np.empty_like(f)
+        g[1:-1] = (f[2:] - f[:-2]) / (2.0 * dx)
+        g[0] = (-3.0 * f[0] + 4.0 * f[1] - f[2]) / (2.0 * dx)
+        g[-1] = (3.0 * f[-1] - 4.0 * f[-2] + f[-3]) / (2.0 * dx)
+        return g
+
+    def lap(f):  # mirror ghost f[n] = f[n-2] in the far row, wall row 0
+        g = np.zeros_like(f)
+        g[1:-1] = (f[2:] - 2.0 * f[1:-1] + f[:-2]) / dx**2
+        g[-1] = 2.0 * (f[-2] - f[-1]) / dx**2
+        return g
+
+    def ghost(f):  # a1 (f[1] - f[-1])/(2 dx) + a2 f[0] = 0
+        return f[1] + 2.0 * dx * (a2 / a1) * f[0]
+
+    d4 = np.zeros_like(u)
+    d4[2:-2] = u[:-4] - 4.0 * u[1:-3] + 6.0 * u[2:-2] - 4.0 * u[3:-1] + u[4:]
+    xs = L * (1.0 - so._SPONGE_FRACTION)
+    sigma = cfg.sponge_strength * np.clip((x - xs) / (L - xs), 0.0, None) ** 2
+
+    dudt = -grad(m) - so._KAPPA4 * c / dx * d4 - sigma * u
+    if nonlinear:
+        rho = 1.0 + u
+        w = m / rho - m
+        flux = m * m / rho + c**2 / cfg.pressure_gamma * rho**cfg.pressure_gamma
+        dmdt = -grad(flux) + nu * lap(w)
+        if not dirichlet:
+            g_m, g_rho = ghost(m), 3.0 * rho[0] - 3.0 * rho[1] + rho[2]
+            dmdt[0] += nu * (g_m / g_rho - g_m - 2.0 * w[0] + w[1]) / dx**2
+    else:
+        dmdt = -c**2 * grad(u)
+    dmdt -= sigma * m
+    implicit = nu * lap(m)
+    if dirichlet:  # the pin holds m(0)
+        dmdt[0] = implicit[0] = 0.0
+    else:
+        implicit[0] = nu * (ghost(m) - 2.0 * m[0] + m[1]) / dx**2
+    return dudt, dmdt, implicit
+
+
+class TestAssembledOperators:
+    @pytest.mark.parametrize("params", CLASS_CASES, ids=CLASS_IDS)
+    @pytest.mark.parametrize("nonlinear", [False, True], ids=["linear", "nonlinear"])
+    @pytest.mark.parametrize("sponge_strength", [0.0, 1.0])
+    def test_match_stencils(self, params, nonlinear, sponge_strength):
+        cfg = small_cfg(L=10.0, nx=60, sponge_strength=sponge_strength)
+        n = cfg.grid.n_nodes
+        rhs = so._Rhs(params, cfg, nonlinear)
+        z = 0.1 * np.random.default_rng(1).standard_normal(2 * n)
+        if rhs.dirichlet:
+            z[n] = 0.0
+        u, m = z[:n], z[n:]
+        dzdt = rhs.explicit(z)
+        got = (dzdt[:n], dzdt[n:], rhs.implicit(m))
+        ref = _stencil_rhs(params, cfg, nonlinear, u, m)
+        # the wall rows, the far rows and the interior, each to its own scale
+        for rows in (slice(0, 3), slice(n - 3, n), slice(3, n - 3)):
+            for g, r in zip(got, ref):
+                assert np.abs(g[rows] - r[rows]).max() <= 1e-13 * np.abs(r[rows]).max()
+        if rhs.dirichlet:
+            assert dzdt[n] == 0.0 and got[2][0] == 0.0
+
+    @pytest.mark.parametrize("params", CLASS_CASES, ids=CLASS_IDS)
+    def test_ghost_rows_double_the_off_diagonal(self, params):
+        # so halving the wall and far rows of I - hJ makes it symmetric exactly
+        J = so._Rhs(params, small_cfg(L=10.0, nx=60), nonlinear=False).J.toarray()
+        lower, upper = np.diagonal(J, -1), np.diagonal(J, 1)
+        assert np.array_equal(lower[1:-1], upper[1:-1])
+        assert lower[-1] == 2.0 * upper[-1]
+        assert upper[0] == (0.0 if params.a1 == 0.0 else 2.0 * lower[0])
+
+
+def _rk4_step(rhs, z, h):
+    k1 = rhs(z)
+    k2 = rhs(z + 0.5 * h * k1)
+    k3 = rhs(z + 0.5 * h * k2)
+    k4 = rhs(z + h * k3)
+    return z + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 # one-step cases over the boundary classes; each id names the solver's
@@ -218,14 +296,14 @@ class TestStepMatrix:
         cfg = small_cfg(L=10.0, nx=60, sponge_strength=sponge_strength)
         rhs = so._Rhs(params, cfg, nonlinear=False)
         dt, _ = so._stable_dt(params, cfg, rhs.explicit_viscosity(np.zeros(cfg.grid.n_nodes)))
-        u, m = np.random.default_rng(0).standard_normal((2, cfg.grid.n_nodes))
+        # the stacked state (u, m)
+        z = np.random.default_rng(0).standard_normal(2 * cfg.grid.n_nodes)
         if rhs.dirichlet:
-            m[0] = 0.0
+            z[cfg.grid.n_nodes] = 0.0
         diffs = []
         for h in (dt / 64.0, dt / 128.0):
-            got = so._imex_step(rhs, so._ImplicitSolve(rhs, so._GAMMA * h), u.copy(), m.copy(), h)
-            ref = _rk4_step(rhs, u, m, h)
-            diffs.append(max(np.abs(g - r).max() for g, r in zip(got, ref)))
+            got = so._imex_step(rhs, so._ImplicitSolve(rhs, so._GAMMA * h), z, h)
+            diffs.append(np.abs(got - _rk4_step(rhs, z, h)).max())
         assert math.log2(diffs[0] / diffs[1]) >= 2.8
 
 
@@ -342,6 +420,49 @@ class TestImexStep:
         uneven = so.solve_linear(init, P, cfg, output_times=[0.0, 1.0, 3.0])
         assert even.stats["factorizations"] == 1
         assert uneven.stats["factorizations"] == 2
+
+
+class TestWallClosure:
+    # a rho + m pulse at x = 4 reaches the wall and reflects by t = 8
+    @pytest.mark.parametrize("params", CLASS_CASES, ids=CLASS_IDS)
+    def test_second_order_at_the_wall(self, params):
+        finals, residuals = [], []
+        for nx in (400, 800, 1600, 3200):
+            grid = Grid1D(L=40.0, nx=nx)
+            init = so.make_initial_data(
+                so.InitialData(kind="gaussian", amplitude=0.5, center=4.0, width=1.0,
+                               components=("rho", "m")), grid, params,
+            )
+            traj = so.solve_linear(init, params, so.SolverConfig(grid=grid, t_end=8.0))
+            finals.append((grid, traj.states[-1]))
+            m_max = max(np.abs(s.m).max() for s in traj.states)
+            residuals.append(max(traj.boundary_residual_alt) / m_max)
+        # the error on the quarter next to the wall, against the finer grid
+        errors = []
+        for (grid, a), (_, b) in zip(finals, finals[1:]):
+            wall = grid.x <= grid.L / 4.0
+            errors.append(max(np.abs(a.rho - b.rho[::2])[wall].max(),
+                              np.abs(a.m - b.m[::2])[wall].max()))
+
+        def orders(e):
+            return [math.log2(coarse / fine) for coarse, fine in zip(e, e[1:])]
+
+        assert min(orders(errors)) >= 1.8
+        if params.a1 == 0.0:
+            # the one-sided relation is m(0) = 0, which the pin holds exactly
+            assert max(residuals) == 0.0
+        else:
+            assert min(orders(residuals)) >= 1.8
+
+    def test_indefinite_implicit_matrix_raises(self):
+        # the unstable class with a2/a1 = 50: on this grid the Robin wall row
+        # leaves I - hJ with a negative pivot at the solver's own step
+        params = ModelParams(a1=1.0, a2=50.0)
+        cfg = small_cfg(L=40.0, nx=800)
+        rhs = so._Rhs(params, cfg, nonlinear=False)
+        dt, _ = so._stable_dt(params, cfg, 0.0)
+        with pytest.raises(ConfigurationError, match="indefinite"):
+            so._ImplicitSolve(rhs, so._GAMMA * dt)
 
 
 class TestFarBoundary:
@@ -533,11 +654,11 @@ class TestTrajectoryOutput:
 
 
 class TestImportBoundary:
-    # scipy.special and scipy.linalg load on first use, so a process pays
-    # only for what it runs; the pytest process has both loaded already
+    # scipy.special, scipy.linalg and scipy.sparse load on first use, so a
+    # process pays only for what it runs; the pytest process has them loaded
     @staticmethod
     def _loaded_after(code):
-        modules = "('scipy.special', 'scipy.linalg')"
+        modules = "('scipy.special', 'scipy.linalg', 'scipy.sparse')"
         probe = f"{code}\nimport sys; print(*(m in sys.modules for m in {modules}))"
         # the child finds hsgreen where this process found it
         src = os.path.dirname(os.path.dirname(so.__file__))
@@ -547,10 +668,10 @@ class TestImportBoundary:
         )
         return out.stdout.split()
 
-    def test_cli_import_loads_neither(self):
-        assert self._loaded_after("import hsgreen.cli") == ["False", "False"]
+    def test_cli_import_loads_none(self):
+        assert self._loaded_after("import hsgreen.cli") == ["False", "False", "False"]
 
-    def test_solve_loads_linalg_only(self):
+    def test_solve_loads_linalg_and_sparse(self):
         code = (
             "from hsgreen.core import Grid1D, ModelParams\n"
             "from hsgreen import solver as so\n"
@@ -558,7 +679,7 @@ class TestImportBoundary:
             "init = so.make_initial_data(so.InitialData(), cfg.grid, ModelParams())\n"
             "so.solve_linear(init, ModelParams(), cfg)"
         )
-        assert self._loaded_after(code) == ["False", "True"]
+        assert self._loaded_after(code) == ["False", "True", "True"]
 
     def test_erfcx_loads_special(self):
         assert self._loaded_after("from hsgreen import kernels; kernels.erfcx(0.0)")[0] == "True"
