@@ -13,6 +13,9 @@ keys and values of the wrong kind are rejected, and every run writes a
 manifest echoing the fully resolved configuration, so runs are reproducible
 byte for byte.  Exit codes: 0 pass, 1 verified fail, 2 config error, 3 accuracy
 error, 4 inconclusive, 5 divergence.
+
+``verify --which instability`` runs (a1, a2) = (1, 1) when the model is stable, as
+its report's ``parameters.params`` shows, on a fixed grid: L = 40, nx = 800, t_end = 12.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ import sys
 
 import numpy as np
 
-from .core import BoundaryClass, BoundEnvelope, Grid1D, ModelParams, classify_boundary, write_csv
+from .core import BoundaryClass, Grid1D, ModelParams, classify_boundary, write_csv
 from .errors import (
     AccuracyError,
     ConfigurationError,
@@ -84,10 +87,7 @@ DEFAULT_CONFIG: dict = {
         "t_min": 1.0,
         "t_max": 20.0,
         "n_t": 6,
-        "envelope": _field_defaults(BoundEnvelope),
-        "decay_t_min": 5.0,
-        "lemma41": {"d0": 2.0, "r": 1.0, "E": 3.0, "x_max": 100.0, "n": 21},
-        "lemma_nu": 2.0,
+        "lemma41": {"x_max": 100.0, "n": 21},
     },
 }
 
@@ -135,7 +135,6 @@ class RunConfig:
         self.solver = SolverConfig(grid=self.grid, **solver)
         self.quadrature = QuadratureConfig(**self.raw["transforms"])
         self.verify = self.raw["verify"]
-        self.envelope = BoundEnvelope(**self.verify["envelope"])
         counts = {"verify.n_x": self.verify["n_x"], "verify.n_t": self.verify["n_t"],
                   "verify.lemma41.n": self.verify["lemma41"]["n"]}
         for key, count in counts.items():
@@ -164,11 +163,9 @@ class RunConfig:
         with open(path) as fh:
             return cls(json.load(fh))
 
-    def write_manifest(self, out_dir: str, command: str, extra: dict | None = None):
+    def write_manifest(self, out_dir: str, command: str, extra: dict):
         os.makedirs(out_dir, exist_ok=True)
-        manifest = {"command": command, "config": self.raw}
-        if extra:
-            manifest.update(extra)
+        manifest = {"command": command, "config": self.raw, **extra}
         path = os.path.join(out_dir, "manifest.json")
         with open(path, "w") as fh:
             json.dump(manifest, fh, indent=2, sort_keys=True)
@@ -178,9 +175,11 @@ class RunConfig:
 def _parse_grid_spec(spec: str) -> np.ndarray:
     try:
         lo, hi, n = spec.split(":")
+        if int(n) < 1:
+            raise ValueError(n)
         return np.linspace(float(lo), float(hi), int(n))
     except ValueError as exc:
-        raise ConfigurationError(f"grid spec must be lo:hi:n, got {spec!r}") from exc
+        raise ConfigurationError(f"grid spec must be lo:hi:n with n >= 1, got {spec!r}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -249,8 +248,8 @@ def _verify_pointwise(cfg: RunConfig, out_dir: str):
     yg = np.linspace(0.13, v["x_max"] - 0.1, v["n_x"])
     tg = np.linspace(v["t_min"], v["t_max"], v["n_t"])
     return [
-        vf.green_bound_report(cfg.model, xg, yg, tg, alpha=alpha, envelope=cfg.envelope,
-                              cfg=cfg.quadrature, out_dir=out_dir)
+        vf.green_bound_report(cfg.model, xg, yg, tg, alpha=alpha, cfg=cfg.quadrature,
+                              out_dir=out_dir)
         for alpha in (0, 1)
     ]
 
@@ -265,16 +264,18 @@ def _verify_instability(cfg: RunConfig, out_dir: str):
 
 def _verify_lemma41(cfg: RunConfig, out_dir: str):
     l4 = cfg.verify["lemma41"]
-    # One grid serves as both the x and the t nodes: x_max is also the
-    # largest time and n also the number of times.
+    # One grid gives both the x and the t nodes (x_max is also the largest time).
+    # The lemma convolves the heat kernel of width d0 = 2 nu with the algebraic data
+    # (1 + y^2)^{-r}; any E > d0 meets its hypothesis, and 1.5 d0 is 3 at nu = 1.
     nodes = np.linspace(0.0, l4["x_max"], l4["n"])
-    return [vf.lemma_initial_data_check(l4["d0"], l4["r"], l4["E"], nodes, nodes,
+    d0 = 2.0 * cfg.model.nu
+    return [vf.lemma_initial_data_check(d0, cfg.initial.r, 1.5 * d0, nodes, nodes,
                                         out_dir=out_dir)]
 
 
 def _verify_wave_interaction(cfg: RunConfig, out_dir: str, kind: str, *speeds: float):
     return [
-        vf.lemma_wave_interaction_check(kind, alpha, 0.0, 0.5, cfg.verify["lemma_nu"],
+        vf.lemma_wave_interaction_check(kind, alpha, 0.0, 0.5, 2.0 * cfg.model.nu,
                                         *speeds, out_dir=out_dir)
         for alpha in (2.0, 3.0)
     ]
@@ -285,7 +286,7 @@ VERIFY_TARGETS = {
     "pointwise": _verify_pointwise,
     "instability": _verify_instability,
     "decay": lambda cfg, out_dir: [vf.decay_report(
-        cfg.decay_trajectory, cfg.model, t_min=cfg.verify["decay_t_min"], out_dir=out_dir)],
+        cfg.decay_trajectory, cfg.model, out_dir=out_dir)],
     "ansatz": lambda cfg, out_dir: [vf.ansatz_report(
         cfg.decay_trajectory, cfg.model, out_dir=out_dir)],
     "lemma41": _verify_lemma41,
@@ -297,27 +298,26 @@ VERIFY_TARGETS = {
 
 
 def cmd_verify(cfg: RunConfig, args) -> int:
-    out_dir = args.out
-    os.makedirs(out_dir, exist_ok=True)
     names = list(VERIFY_TARGETS) if args.which == "all" else [args.which]
-    reports = [rep for name in names for rep in VERIFY_TARGETS[name](cfg, out_dir)]
-    any_inconclusive = False
-    all_pass = True
-    for rep in reports:
-        rep.artifacts.append(rep.to_json(os.path.join(out_dir, f"{rep.name}.json")))
-        line = f"{rep.name}: {rep.status}"
-        if rep.sup_ratio is not None:
-            line += f" (sup ratio {rep.sup_ratio:.4g})"
-        if rep.fitted:
-            line += f" {rep.fitted}"
-        print(line)
-        any_inconclusive |= rep.status == "inconclusive"
-        all_pass &= rep.status == "pass"
-    cfg.write_manifest(out_dir, "verify", {"which": args.which,
-                                           "reports": [r.name for r in reports]})
-    if any_inconclusive:
+    reports = []
+    # Write each report as its target finishes, so a later target that raises keeps them.
+    try:
+        for name in names:
+            for rep in VERIFY_TARGETS[name](cfg, args.out):
+                rep.artifacts.append(rep.to_json(os.path.join(args.out, f"{rep.name}.json")))
+                line = f"{rep.name}: {rep.status}"
+                if rep.sup_ratio is not None:
+                    line += f" (sup ratio {rep.sup_ratio:.4g})"
+                if rep.fitted:
+                    line += f" {rep.fitted}"
+                print(line)
+                reports.append(rep)
+    finally:
+        cfg.write_manifest(args.out, "verify", {"which": args.which,
+                                                "reports": [r.name for r in reports]})
+    if any(r.status == "inconclusive" for r in reports):
         return EXIT_INCONCLUSIVE
-    return EXIT_PASS if all_pass else EXIT_FAIL
+    return EXIT_PASS if all(r.passed for r in reports) else EXIT_FAIL
 
 
 def cmd_stability_map(cfg: RunConfig, args) -> int:

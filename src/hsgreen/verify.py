@@ -668,7 +668,7 @@ def lemma_wave_interaction_check(
     sup_c, rows, branches, extras = sweep(1)
     sup_f, _, _, _ = sweep(2)
     status = "pass" if (np.isfinite(sup_f) and _stable(sup_c, sup_f)) else "fail"
-    name = "lemma_wave_same_speed" if kind == "same-speed" else "lemma_wave_cross_speed"
+    name = f"lemma_wave_{kind.replace('-', '_')}_alpha{alpha:g}"
     report = VerificationReport(
         name=name,
         parameters={

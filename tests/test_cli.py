@@ -1,11 +1,13 @@
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from hsgreen import cli
+from hsgreen import verify as vf
 
 
 def run_cli(args):
@@ -39,6 +41,13 @@ REMOVED_KEYS = {
     "verify.envelope.D": 2.0,
     "output_dir": "out",
     "transforms.contour": "talbot",
+    "verify.lemma_nu": 2.0,
+    "verify.lemma41.d0": 2.0,
+    "verify.lemma41.r": 1.0,
+    "verify.lemma41.E": 3.0,
+    "verify.decay_t_min": 5.0,
+    "verify.envelope.bigC": 10.0,
+    "verify.envelope.eps": 0.5,
 }
 
 # every leaf of the resolved default config, sorted by key path
@@ -51,11 +60,8 @@ DEFAULT_LEAVES = [
     ("solver.n_snapshots", 11), ("solver.nx", 4000), ("solver.pressure_gamma", 2.0),
     ("solver.sponge_strength", 1.0), ("solver.t_end", 50.0),
     ("transforms.n_nodes", 32), ("transforms.n_xi", 10), ("transforms.tol", 1e-8),
-    ("verify.decay_t_min", 5.0), ("verify.envelope.bigC", 10.0), ("verify.envelope.eps", 0.5),
-    ("verify.lemma41.E", 3.0), ("verify.lemma41.d0", 2.0), ("verify.lemma41.n", 21),
-    ("verify.lemma41.r", 1.0), ("verify.lemma41.x_max", 100.0), ("verify.lemma_nu", 2.0),
-    ("verify.n_t", 6), ("verify.n_x", 11), ("verify.t_max", 20.0), ("verify.t_min", 1.0),
-    ("verify.x_max", 25.0),
+    ("verify.lemma41.n", 21), ("verify.lemma41.x_max", 100.0), ("verify.n_t", 6),
+    ("verify.n_x", 11), ("verify.t_max", 20.0), ("verify.t_min", 1.0), ("verify.x_max", 25.0),
 ]
 
 # configs whose values have the wrong kind, with the key path the error names
@@ -69,6 +75,14 @@ BAD_KINDS = {
     "list-item": ({"solver": {"initial": {"components": [["m"]]}}},
                   "solver.initial.components[0]"),
 }
+
+
+@pytest.fixture
+def small_wave_lemmas(monkeypatch):
+    """The CLI's wave-lemma checks on one time level and five x nodes."""
+    check = vf.lemma_wave_interaction_check
+    monkeypatch.setattr(vf, "lemma_wave_interaction_check",
+                        lambda *a, **kw: check(*a, t_values=(4.0,), n_x=5, **kw))
 
 
 def leaves(tree, path=""):
@@ -105,6 +119,18 @@ class TestConfig:
         assert got == DEFAULT_LEAVES
         assert [type(v) for _, v in got] == [type(v) for _, v in DEFAULT_LEAVES]
 
+    def test_readme_key_paths_exist(self):
+        # every backticked config key path in the README names a key or a
+        # section of the default config; code is written `hsgreen.<module>...`
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        paths = re.findall(r"`((?:model|solver|transforms|verify)\.[\w.]+)`", readme)
+        assert "verify.lemma41.n" in paths
+        for path in paths:
+            node = cli.DEFAULT_CONFIG
+            for part in path.split("."):
+                assert isinstance(node, dict) and part in node, path
+                node = node[part]
+
     @pytest.mark.parametrize("payload, key_path", list(BAD_KINDS.values()), ids=list(BAD_KINDS))
     def test_wrong_kind_is_config_error(self, tmp_path, capsys, payload, key_path):
         cfgp = write_config(tmp_path, payload)
@@ -135,11 +161,13 @@ class TestConfig:
         ('{"verify": {"lemma41": {"n": -1}}}', "lemma41"),
         ('{"verify": {"n_t": -1}}', "pointwise"),
         ('{"verify": {"n_x": -3}}', "pointwise"),
+        ('{"solver": {"initial": {"kind": "gaussian", "r": 0.5}}}', "lemma41"),
     ], ids=["infinite-c", "empty-lemma-grid", "negative-lemma-grid", "negative-n_t",
-            "negative-n_x"])
+            "negative-n_x", "lemma-r-half"])
     def test_out_of_range_value_is_config_error(self, tmp_path, text, which):
-        # json reads 1e400 as inf; n = 0 leaves the lemma grid empty, and a
-        # negative count is no grid at all
+        # json reads 1e400 as inf; n = 0 leaves the lemma grid empty, a
+        # negative count is no grid at all, and lemma 4.1 takes r from the
+        # initial data, whose Gaussian kind does not check it
         cfgp = tmp_path / "cfg.json"
         cfgp.write_text(text)
         assert run_cli(["verify", "--config", str(cfgp), "--out", str(tmp_path / "v"),
@@ -160,6 +188,13 @@ class TestStabilityMap:
         cls, pole = table[("1", "1")]
         assert cls == "mixed_unstable"
         assert float(pole) == pytest.approx(1.618033988749895)
+
+    def test_zero_count_grid_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "map"
+        assert run_cli(["stability-map", "--out", str(out),
+                        "--a1-grid=-1:1:0"]) == cli.EXIT_CONFIG
+        assert "'-1:1:0'" in capsys.readouterr().err
+        assert not (out / "stability_map.csv").exists()
 
 
 class TestGreenEval:
@@ -213,6 +248,12 @@ class TestGreenEval:
         code = run_cli(["green-eval", "--out", str(out), "--y-grid", "5:20:4"])
         assert code == cli.EXIT_CONFIG
         assert "(20, 20)" in capsys.readouterr().err
+        assert not (out / "greens.csv").exists()
+
+    def test_zero_count_grid_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "ge"
+        assert run_cli(["green-eval", "--out", str(out), "--x-grid", "1:20:0"]) == cli.EXIT_CONFIG
+        assert "'1:20:0'" in capsys.readouterr().err
         assert not (out / "greens.csv").exists()
 
     def test_grid_row_count(self, tmp_path):
@@ -303,7 +344,6 @@ class TestExitCodes:
         cfg = {
             "solver": {"L": 80.0, "nx": 800, "t_end": 12.0,
                        "initial": {"kind": "algebraic", "amplitude": 0.005, "r": 1.0}},
-            "verify": {"decay_t_min": 5.0},
         }
         cfgp = write_config(tmp_path, cfg)
         code = run_cli(["verify", "--config", cfgp, "--out", str(tmp_path / "v"),
@@ -352,3 +392,45 @@ class TestVerifyCommand:
         assert code == cli.EXIT_PASS
         rep = json.load(open(out / "instability.json"))
         assert rep["fitted"]["relative_error"] <= 0.05
+
+    def test_wave_reports_named_by_alpha(self, tmp_path, small_wave_lemmas):
+        # alpha = 2 and 3 of each wave lemma write their own report files
+        out = tmp_path / "v"
+        for which in ("lemma42", "lemma43"):
+            assert run_cli(["verify", "--out", str(out), "--which", which]) == cli.EXIT_PASS
+        names = [f"lemma_wave_{kind}_alpha{alpha}"
+                 for kind in ("same_speed", "cross_speed") for alpha in (2, 3)]
+        for suffix in ("json", "csv"):
+            assert sorted(p.stem for p in out.glob(f"lemma_wave_*.{suffix}")) == sorted(names)
+        assert json.load(open(out / "manifest.json"))["reports"] == names[2:]
+
+    def test_lemma_constants_follow_model(self, tmp_path, small_wave_lemmas):
+        # the lemma width is the model's 2 nu, not the nu = 1 value 2
+        cfgp = write_config(tmp_path, {"model": {"c": 1.7, "nu": 0.3}})
+        out = tmp_path / "v"
+        for which in ("lemma41", "lemma42", "lemma43"):
+            assert run_cli(["verify", "--config", cfgp, "--out", str(out),
+                            "--which", which]) == cli.EXIT_PASS
+        lemma41 = json.load(open(out / "lemma_initial_data.json"))["parameters"]
+        assert lemma41["d0"] == pytest.approx(0.6)
+        assert lemma41["E"] == pytest.approx(0.9)
+        assert lemma41["r"] == 1.0
+        for name in ("same_speed", "cross_speed"):
+            wave = json.load(open(out / f"lemma_wave_{name}_alpha3.json"))["parameters"]
+            assert wave["nu"] == pytest.approx(0.6)
+            assert wave["lam"] == 1.7
+
+    def test_finished_reports_survive_later_divergence(self, tmp_path):
+        # the decay run diverges after pointwise and instability have passed:
+        # their reports are on disk and the manifest lists them
+        cfgp = write_config(tmp_path, {"solver": {
+            "L": 20.0, "nx": 200, "t_end": 5.0,
+            "initial": {"kind": "gaussian", "amplitude": 2.0, "center": 10.0, "width": 0.5},
+        }})
+        out = tmp_path / "v"
+        code = run_cli(["verify", "--config", cfgp, "--out", str(out), "--which", "all"])
+        assert code == cli.EXIT_DIVERGENCE
+        done = ["green_bound_alpha0", "green_bound_alpha1", "instability"]
+        for name in done:
+            assert json.load(open(out / f"{name}.json"))["status"] == "pass"
+        assert json.load(open(out / "manifest.json"))["reports"] == done
