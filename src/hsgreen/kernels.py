@@ -87,10 +87,10 @@ def _e_values(x, t: float, lam: float, d0: float, gamma: float):
     pref = 0.5 * math.sqrt(math.pi) * root
     gauss = np.exp(-(u * u) / (d0 * t))
     left = w <= -1.0
-    direct = erfcx(np.where(left, 0.0, w)) * gauss
+    # One erfcx per point: erfcx(w) on the right, erfcx(-w) on the left.
+    scaled = erfcx(np.where(left, -w, w)) * gauss
     exponent = np.where(left, gamma * u + 0.25 * gamma**2 * d0 * t, -1.0)
-    reflected = 2.0 * np.exp(exponent) - erfcx(np.where(left, -w, 0.0)) * gauss
-    val = pref * np.where(left, reflected, direct)
+    val = pref * np.where(left, 2.0 * np.exp(exponent) - scaled, scaled)
     return val if val.ndim else float(val)
 
 

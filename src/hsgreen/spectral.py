@@ -79,30 +79,41 @@ def fourier_fundamental(xi, t: float, params: ModelParams) -> np.ndarray:
 
     mu = -nu xi^2 / 2, D^2 = mu^2 - c^2 xi^2, which reduces to the standard
     two-mode display for distinct roots and to the confluent (t e^{sigma t})
-    form at the double roots xi = 0 and xi = +-2c/nu.
+    form at the double roots xi = 0 and xi = +-2c/nu.  D^2 is real, so the
+    evaluation is real: e^{(mu +- D) t} where D^2 >= 0, e^{mu t} times cos
+    and sin of |D| t only where D^2 < 0 (|xi| < 2c/nu).  The diagonal is real
+    and the off-diagonal imaginary.
     """
     if t < 0:
         raise ParameterError(f"need t >= 0, got t={t}")
-    xi = np.asarray(xi, dtype=float)
+    shape = np.shape(xi)
+    xi = np.asarray(xi, dtype=float).ravel()
     c, nu = params.c, params.nu
     mu = -0.5 * nu * xi**2
-    delta = np.sqrt((mu**2 - c**2 * xi**2).astype(complex))
-    # Both exponents have non-positive real part, so no overflow.
-    ep = np.exp((mu + delta) * t)
-    em = np.exp((mu - delta) * t)
+    d2 = mu**2 - c**2 * xi**2
+    real = d2 >= 0.0
+    root = np.sqrt(np.abs(d2))
+    # Real D: e^{(mu +- D) t}, both exponents non-positive, so no overflow.
+    shift = np.where(real, root, 0.0)
+    ep = np.exp((mu + shift) * t)
+    em = np.exp((mu - shift) * t)
     cosh_term = 0.5 * (ep + em)
-    z = delta * t
-    small = np.abs(z) <= _SINHC_SWITCH
-    z2 = np.where(small, z, 0.0) ** 2
-    series = t * np.exp(mu * t) * (1.0 + z2 / 6.0 + z2 * z2 / 120.0)
-    direct = (ep - em) / (2.0 * np.where(small, 1.0, delta))
-    sinhc_term = np.where(small, series, direct)
-    out = np.empty(xi.shape + (2, 2), dtype=complex)
-    out[..., 0, 0] = cosh_term - mu * sinhc_term
-    out[..., 1, 1] = cosh_term + mu * sinhc_term
-    out[..., 0, 1] = -1j * xi * sinhc_term
-    out[..., 1, 0] = c**2 * out[..., 0, 1]
-    return out
+    sinh_term = 0.5 * (ep - em)
+    # Imaginary D: there ep = em = e^{mu t}, times cos and sin of |D| t.
+    osc = ~real
+    phase = root[osc] * t
+    cosh_term[osc] *= np.cos(phase)
+    sinh_term[osc] = ep[osc] * np.sin(phase)
+    small = root * t <= _SINHC_SWITCH
+    sinhc_term = sinh_term / np.where(small, 1.0, root)
+    z2 = d2[small] * t * t
+    sinhc_term[small] = t * np.exp(mu[small] * t) * (1.0 + z2 / 6.0 + z2 * z2 / 120.0)
+    out = np.zeros((xi.size, 2, 2), dtype=complex)
+    out.real[:, 0, 0] = cosh_term - mu * sinhc_term
+    out.real[:, 1, 1] = cosh_term + mu * sinhc_term
+    out.imag[:, 0, 1] = -xi * sinhc_term
+    out.imag[:, 1, 0] = c**2 * out.imag[:, 0, 1]
+    return out.reshape(shape + (2, 2))
 
 
 def _nu_s_plus_c2(s, params: ModelParams) -> np.ndarray:
@@ -195,37 +206,66 @@ def find_boundary_pole(params: ModelParams) -> float | None:
     return None
 
 
-def _green_terms(x, y, s, params: ModelParams):
-    """Direct term L[G](x - y) and image term R(s) L[G](x + y) diag(1, -1)."""
+def _green_tables(x, y, s, params: ModelParams):
+    """Per-node w and sqrt(w), and the point tables of the Green's function:
+    a = e^{-lambda |x - y|}, sa = sgn(x - y) a and b = R(s) e^{-lambda (x + y)}."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if np.any(x < 0.0) or np.any(y < 0.0):
         raise ParameterError("need x >= 0 and y >= 0")
-    direct = laplace_fundamental(x - y, s, params)
-    mirror = laplace_fundamental(x + y, s, params)
+    w = _nu_s_plus_c2(s, params)
+    sqw = np.sqrt(w)
+    lam = np.asarray(s, dtype=complex) / sqw
     r = np.asarray(reflection_coefficient(s, params))
-    return direct, r[..., None, None] * mirror * np.array([1.0, -1.0])
+    d = x - y
+    a = np.exp(-lam * np.abs(d))
+    b = r * np.exp(-lam * (x + y))
+    return w, sqw, lam, a, np.sign(d) * a, b
+
+
+def _green_entries(w, sqw, scale, p00, p01, p10, p11, params: ModelParams) -> np.ndarray:
+    """[[c^2 p00 / w^{3/2}, p01 / w], [c^2 p10 / w, p11 / w^{1/2}]] scale / 2,
+    with the per-node weights formed on the shape of s."""
+    half = 0.5 * scale / w
+    c2 = params.c**2
+    out = np.empty(np.broadcast(p00, half).shape + (2, 2), dtype=complex)
+    np.multiply(c2 * half / sqw, p00, out=out[..., 0, 0])
+    np.multiply(half, p01, out=out[..., 0, 1])
+    np.multiply(c2 * half, p10, out=out[..., 1, 0])
+    np.multiply(0.5 * scale / sqw, p11, out=out[..., 1, 1])
+    return out
 
 
 def laplace_green(x, y, s, params: ModelParams) -> np.ndarray:
     """Smooth part of the Laplace-space half-line Green's function.
 
     L[G](x - y, s) + R(s) L[G](x + y, s) diag(1, -1), broadcast over x, y, s.
+    Only the two exponentials depend on the point, so with
+    a = e^{-lambda |x - y|}, sa = sgn(x - y) a and b = R e^{-lambda (x + y)}
+    every entry is a per-node weight times one sum of two tables:
+
+        (1/2) [[c^2 w^{-3/2} (a + b), w^{-1} (sa - b)],
+               [c^2 w^{-1} (sa + b),  w^{-1/2} (a - b)]],  w = nu s + c^2.
+
     The diagonal delta nu delta(x - y)/(nu s + c^2) diag(1, 0) is left out;
     the image delta at x = -y never fires for interior arguments.
     """
-    direct, image = _green_terms(x, y, s, params)
-    return direct + image
+    w, sqw, _, a, sa, b = _green_tables(x, y, s, params)
+    return _green_entries(w, sqw, 1.0, a + b, sa - b, sa + b, a - b, params)
 
 
 def laplace_green_dx(x, y, s, params: ModelParams) -> np.ndarray:
     """x-derivative of the smooth part of :func:`laplace_green`, for x != y:
     -lambda [sgn(x - y) L[G](x - y) + R(s) L[G](x + y) diag(1, -1)], since
-    d/dw L[G](w, s) = -lambda sgn(w) L[G](w, s).  Off-diagonals jump at x = y.
+    d/dw L[G](w, s) = -lambda sgn(w) L[G](w, s).  In the tables of
+    :func:`laplace_green` this is the same four sums, permuted, times -lambda:
+
+        -(lambda/2) [[c^2 w^{-3/2} (sa + b), w^{-1} (a - b)],
+                     [c^2 w^{-1} (a + b),    w^{-1/2} (sa - b)]].
+
+    Off-diagonals jump at x = y.
     """
     if np.any(np.equal(x, y)):
         raise ParameterError("laplace_green_dx needs x != y (the smooth part jumps there)")
-    direct, image = _green_terms(x, y, s, params)
-    lam = np.asarray(lambda_of_s(s, params))
-    sgn = np.sign(np.subtract(x, y, dtype=float))
-    return -lam[..., None, None] * (sgn[..., None, None] * direct + image)
+    w, sqw, lam, a, sa, b = _green_tables(x, y, s, params)
+    return _green_entries(w, sqw, -lam, sa + b, a - b, a + b, sa - b, params)

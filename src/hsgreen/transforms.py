@@ -30,9 +30,17 @@ exactly:
 
     sum_{p,j} r_pj e^{i x (m_p + h g_j)} = sum_j e^{i x h g_j} sum_p e^{i x m_p} r_pj,
 
-one complex exponential per (point, panel), one matrix product and one
-contraction over the n_xi node phases, instead of a cos and a sin per
-(point, node).
+one matrix product and one contraction over the n_xi node phases.  The
+panel phases factor once more: a segment's P panels sit at m_p = m_0 + 2 h p,
+and with B = ceil(sqrt(P)), p = a B + b (the panel count padded to a multiple
+of B with zero-weight panels),
+
+    e^{i x m_p} = e^{i x m_0} e^{i x 2 h B a} e^{i x 2 h b}.
+
+The residual is laid out in (b, a) order, so one GEMM against the B
+baby-step phases e^{i x 2 h b} leaves a (point, a) sum that the A giant-step
+phases e^{i x 2 h B a} contract; e^{i x m_0} joins the node phases.  That is
+about 2 sqrt(P) + n_xi complex exponentials per point, not one per panel.
 
 Mirror kernel
 -------------
@@ -50,7 +58,11 @@ Inverse Laplace strategy
 ------------------------
 The Laplace inversion is the fixed parabolic (Talbot-style) contour around
 the branch cut on the negative real axis, shifted right of the reflection
-coefficient's right-half-plane pole when there is one.  A truncated vertical
+coefficient's right-half-plane pole when there is one.  The symbol is
+evaluated once per degree on (points x nodes); in it only the two exponential
+tables e^{-lambda |x - y|} and R e^{-lambda (x + y)} depend on the point
+(``spectral.laplace_green``), and one ``matmul`` of the complex weights
+against the (points, nodes, 4) values contracts the node axis.  A truncated vertical
 line (Bromwich) contour, ``_invert_laplace_line``, is the tests' independent
 reference away from the diagonal x = y.
 
@@ -95,6 +107,18 @@ class QuadratureConfig:
 
 
 DEFAULT_QUADRATURE = QuadratureConfig()
+
+
+def _points(name: str, v) -> np.ndarray:
+    """``v`` as a float array of at least one dimension; refuses an empty or
+    non-finite point set before any quadrature runs."""
+    arr = np.atleast_1d(np.asarray(v, dtype=float))
+    if arr.size == 0:
+        raise ParameterError(f"need at least one {name} point")
+    bad = arr[~np.isfinite(arr)]
+    if bad.size:
+        raise ParameterError(f"need finite {name}, got {name}={bad[0]}")
+    return arr
 
 
 def _gauss_panels(edges: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -206,8 +230,15 @@ def _unit_phase(phase: np.ndarray) -> np.ndarray:
     return out
 
 
-# Bound on the (points x panels) phase matrix of one segment, in elements.
+# Bound on one segment's baby-step product, (points x A n_xi 4), in elements.
 _PHASE_CHUNK = 1_000_000
+
+
+def _panel_table(n: int) -> np.ndarray:
+    """Panel indices p = a B + b as a (B, A) table, B = ceil(sqrt(n)) and
+    A = ceil(n / B); entries p >= n are zero-weight pad panels."""
+    n_b = math.isqrt(n - 1) + 1
+    return np.arange(n_b)[:, None] + n_b * np.arange(-(-n // n_b))
 
 
 def _fourier_smooth_grid(
@@ -223,21 +254,30 @@ def _fourier_smooth_grid(
     x = np.asarray(x, dtype=float)
     segments = _xi_grid(t, float(np.abs(x).max()), params, cfg, refine, gamma)
     gx, gw = np.polynomial.legendre.leggauss(cfg.n_xi)
-    nodes = [(mid[:, None] + half * gx).ravel() for mid, half in segments]
+    # Each segment's nodes in (b, a, j) order; the pad panels continue the grid.
+    tables = [_panel_table(mid.size) for mid, _ in segments]
+    nodes = []
+    for (mid, half), p in zip(segments, tables):
+        pad = mid[-1] + 2.0 * half * np.arange(1, p.size - mid.size + 1)
+        nodes.append((np.append(mid, pad)[p][..., None] + half * gx).ravel())
     res = _smooth_residual(np.concatenate(nodes), t, params, gamma)
     # Hermitian symmetry folds the inverse onto xi > 0,
     # (1/pi) int_0^inf Re(P e^{i xi x}); each segment's phase sum factors
-    # into panel and node phases (module docstring).
+    # into baby-step, giant-step and node phases (module docstring).
     xs = x.ravel()
     flat = np.zeros((xs.size, 4))
-    for (mid, half), r in zip(segments, np.split(res, [nodes[0].size])):
-        r = r.reshape(mid.size, cfg.n_xi, 4) * (half * gw / math.pi)[:, None]
-        r = r.reshape(mid.size, -1)
-        step = max(1, _PHASE_CHUNK // mid.size)
+    for (mid, half), p, r in zip(segments, tables, np.split(res, [nodes[0].size])):
+        n_b, n_a = p.shape
+        r = r.reshape(n_b, n_a, cfg.n_xi, 4) * (half * gw / math.pi)[:, None]
+        r[p >= mid.size] = 0.0
+        r = r.reshape(n_b, -1)
+        step = max(1, _PHASE_CHUNK // r.shape[1])
         for i in range(0, xs.size, step):
             xc = xs[i : i + step]
-            panel_sum = _unit_phase(np.outer(xc, mid)) @ r
-            node_phase = _unit_phase(np.outer(xc, half * gx))
+            baby = _unit_phase(np.outer(xc, 2.0 * half * np.arange(n_b))) @ r
+            giant = _unit_phase(np.outer(xc, 2.0 * half * n_b * np.arange(n_a)))
+            panel_sum = np.matmul(giant[:, None, :], baby.reshape(xc.size, n_a, -1))
+            node_phase = _unit_phase(np.outer(xc, mid[0] + half * gx))
             flat[i : i + xc.size] += np.einsum(
                 "xj,xje->xe", node_phase, panel_sum.reshape(xc.size, cfg.n_xi, 4)
             ).real
@@ -275,8 +315,7 @@ def invert_fourier_fundamental(
     """
     if not (t > 0.0):
         raise ParameterError(f"need t > 0, got t={t}")
-    xarr = np.atleast_1d(np.asarray(x, dtype=float))
-    smooth, err = _fourier_smooth_with_error(xarr, t, params, cfg)
+    smooth, err = _fourier_smooth_with_error(_points("x", x), t, params, cfg)
     if not err <= cfg.tol:
         raise AccuracyError("fourier inversion did not meet tolerance", err, cfg.tol)
     if np.isscalar(x) or np.asarray(x).ndim == 0:
@@ -313,8 +352,7 @@ def _invert_laplace_talbot(symbol, x, y, t, params, M: int, shift: float) -> np.
     """Degree-M sum on the contour shifted by ``shift``, before e^{shift t}."""
     s, g = _talbot_nodes(t, M)
     values = symbol(x[..., None], y[..., None], s + shift, params)
-    weighted = g[:, None, None] * values
-    return weighted.real.sum(axis=-3)
+    return np.matmul(g, values.reshape(x.size, M, 4)).real.reshape(x.shape + (2, 2))
 
 
 def _invert_laplace_line(symbol, x, y, t, params) -> tuple[np.ndarray, float]:
@@ -345,11 +383,7 @@ def _invert_laplace(symbol, x, y, t: float, params: ModelParams, cfg: Quadrature
     """Checked contour inversion of ``symbol(x, y, s, params)`` at time t."""
     if not (t > 0.0):
         raise ParameterError(f"need t > 0, got t={t}")
-    xarr, yarr = np.broadcast_arrays(
-        np.atleast_1d(np.asarray(x, dtype=float)), np.atleast_1d(np.asarray(y, dtype=float))
-    )
-    if xarr.size == 0:
-        raise ParameterError("Laplace inversion needs at least one (x, y) point")
+    xarr, yarr = np.broadcast_arrays(_points("x", x), _points("y", y))
     if np.any(xarr < 0.0) or np.any(yarr < 0.0):
         raise ParameterError("need x >= 0 and y >= 0")
     if np.any(xarr == yarr):
@@ -415,7 +449,7 @@ def mirror_by_quadrature(
         raise ParameterError("mirror_by_quadrature needs the stable mixed class")
     if not (t > 0.0):
         raise ParameterError(f"need t > 0, got t={t}")
-    warr = np.atleast_1d(np.asarray(w, dtype=float))
+    warr = _points("w", w)
     if np.any(warr < 0.0):
         raise ParameterError("need w >= 0")
     smooth, err = _fourier_smooth_with_error(warr, t, params, cfg, params.gamma)

@@ -96,6 +96,27 @@ class TestEFunction:
             qd = e_quadrature_oracle(x, t, lam, d0, g)
             assert cf == pytest.approx(qd, rel=1e-9)
 
+    def test_one_erfcx_per_point_is_bitwise(self):
+        # the two-erfcx form: erfcx(w) right of w = -1, erfcx(-w) left of it
+        rng = np.random.default_rng(7)
+        for _ in range(40):
+            t, lam = rng.uniform(0.1, 20.0), rng.uniform(-2.0, 2.0)
+            d0, gamma = rng.uniform(0.2, 4.0), rng.uniform(0.05, 5.0)
+            root = math.sqrt(d0 * t)
+            # w = (x - lam t + gamma d0 t / 2) / sqrt(d0 t) spans (-6, 6)
+            x = lam * t - 0.5 * gamma * d0 * t + root * rng.uniform(-6.0, 6.0, 200)
+            u = x - lam * t
+            w = (u + 0.5 * gamma * d0 * t) / root
+            gauss = np.exp(-(u * u) / (d0 * t))
+            left = w <= -1.0
+            direct = K.erfcx(np.where(left, 0.0, w)) * gauss
+            exponent = np.where(left, gamma * u + 0.25 * gamma**2 * d0 * t, -1.0)
+            reflected = 2.0 * np.exp(exponent) - K.erfcx(np.where(left, -w, 0.0)) * gauss
+            ref = 0.5 * math.sqrt(math.pi) * root * np.where(left, reflected, direct)
+            assert left.any() and (~left).any()
+            assert np.array_equal(K._e_values(x, t, lam, d0, gamma), ref)
+            assert K._e_values(float(x[0]), t, lam, d0, gamma) == ref[0]
+
     def test_positive_and_decaying(self):
         args = [K.EFunctionArgs(x=x, t=2.0, lam=1.0, d0=2.0, gamma=1.0)
                 for x in (0.0, 10.0, 40.0)]

@@ -20,6 +20,7 @@ from hsgreen.spectral import (
 from hsgreen.transforms import _laplace_shift, _talbot_nodes
 
 P = ModelParams()  # c = nu = 1, a1 = -1, a2 = 1 (stable mixed)
+PS = ModelParams(c=1.7, nu=0.3, a1=-1.3, a2=2.9)
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
 
@@ -91,6 +92,30 @@ class TestFourierFundamental:
         F_mid = fourier_fundamental(2.0 + 5e-3, 1.0, P)
         assert np.abs(F_in - F_mid).max() <= 0.1
         assert np.abs(F_out - F_mid).max() <= 0.1
+
+    @pytest.mark.parametrize("params", [P, PS], ids=["mixed", "scaled"])
+    def test_real_form_matches_complex_formula(self, params):
+        # The complex-arithmetic form with sqrt(D^2) taken in C, written out.
+        c, nu = params.c, params.nu
+        k = 2.0 * c / nu
+        xi = np.concatenate([np.linspace(-400.0, 400.0, 8001),
+                             [0.0, k - 1e-3, k + 1e-3, -k - 1e-3, -k + 1e-3]])
+        mu = -0.5 * nu * xi**2
+        delta = np.sqrt((mu**2 - c**2 * xi**2).astype(complex))
+        for t in (0.0, 0.01, 0.5, 2.0, 10.0, 64.0):
+            ep, em = np.exp((mu + delta) * t), np.exp((mu - delta) * t)
+            small = np.abs(delta * t) <= 1e-2
+            z2 = np.where(small, delta * t, 0.0) ** 2
+            sinhc = np.where(small, t * np.exp(mu * t) * (1.0 + z2 / 6.0 + z2 * z2 / 120.0),
+                             (ep - em) / (2.0 * np.where(small, 1.0, delta)))
+            ref = np.empty(xi.shape + (2, 2), dtype=complex)
+            ref[:, 0, 0] = 0.5 * (ep + em) - mu * sinhc
+            ref[:, 1, 1] = 0.5 * (ep + em) + mu * sinhc
+            ref[:, 0, 1] = -1j * xi * sinhc
+            ref[:, 1, 0] = c**2 * ref[:, 0, 1]
+            got = fourier_fundamental(xi, t, params)
+            assert got.shape == ref.shape
+            assert np.all(np.abs(got - ref) <= 1e-14 * np.maximum(1.0, np.abs(ref))), t
 
 
 class TestLambda:
@@ -247,6 +272,32 @@ class TestLaplaceGreen:
             fd = (rows[1] - rows[0]) / (2.0 * h)
             exact = laplace_green_dx(x, y, s, P)
             assert np.abs(fd - exact).max() <= 1e-7 * np.abs(exact).max()
+
+    @pytest.mark.parametrize(
+        "params",
+        [ModelParams(a1=0.0, a2=1.0), ModelParams(a1=1.0, a2=0.0), P,
+         ModelParams(a1=1.0, a2=1.0), PS],
+        ids=["dirichlet", "neumann", "mixed-stable", "mixed-unstable", "scaled"],
+    )
+    def test_regrouped_tables_match_term_composition(self, params):
+        # direct L[G](x - y) plus image R L[G](x + y) diag(1, -1), and for the
+        # derivative -lambda (sgn(x - y) direct + image), built term by term
+        t = 2.0
+        s = _talbot_nodes(t, 40)[0] + _laplace_shift(t, params)
+        x = np.array([0.0, 0.7, 3.0, 9.5, 0.2])[:, None]
+        y = np.array([1.2, 2.0, 0.4, 6.0, 4.0])[:, None]
+        direct = laplace_fundamental(x - y, s, params)
+        image = (reflection_coefficient(s, params)[:, None, None]
+                 * laplace_fundamental(x + y, s, params) * np.array([1.0, -1.0]))
+        lam = lambda_of_s(s, params)[:, None, None]
+        sgn = np.sign(x - y)[..., None, None]
+        # entrywise, relative to the two terms (the sum cancels at the wall)
+        scale = np.abs(direct) + np.abs(image)
+        got = laplace_green(x, y, s, params)
+        assert np.all(np.abs(got - (direct + image)) <= 1e-14 * scale)
+        got_dx = laplace_green_dx(x, y, s, params)
+        ref_dx = -lam * (sgn * direct + image)
+        assert np.all(np.abs(got_dx - ref_dx) <= 1e-14 * np.abs(lam) * scale)
 
     def test_derivative_refuses_diagonal(self):
         with pytest.raises(ParameterError):

@@ -1,4 +1,5 @@
 import logging
+import math
 
 import numpy as np
 import pytest
@@ -127,9 +128,36 @@ class TestPhaseFactorization:
         x = np.linspace(-9.0, 11.0, 41)
         segments = tr._xi_grid(2.0, 11.0, P, tr.QuadratureConfig())
         monkeypatch.setattr(tr, "_PHASE_CHUNK", 500)
-        assert all(tr._PHASE_CHUNK // mid.size < x.size for mid, _ in segments)
+        # each chunk holds _PHASE_CHUNK // (A n_xi 4) points of a segment
+        assert all(tr._PHASE_CHUNK // (tr._panel_table(mid.size).shape[1] * 40) < x.size
+                   for mid, _ in segments)
         got = tr._fourier_smooth_grid(x, 2.0, P, tr.QuadratureConfig())
         assert np.abs(got - flat_phase_sum(x, 2.0, P, 1, None)).max() <= 1e-12
+
+    @pytest.mark.parametrize("panels", [1, 13, 49], ids=["one", "prime", "square"])
+    @pytest.mark.parametrize("mirror", [False, True], ids=["whole_line", "mirror"])
+    def test_panel_counts(self, monkeypatch, mirror, panels):
+        # P = 1, a prime P (padded to A B = 16) and a perfect square (7 x 7)
+        def grid(t, x_absmax, params, cfg, refine=1, gamma=None):
+            segments = []
+            for lo, hi in ((0.0, 4.0), (4.0, 30.0)):
+                edges = np.linspace(lo, hi, panels + 1)
+                segments.append((0.5 * (edges[:-1] + edges[1:]), 0.5 * (hi - lo) / panels))
+            return segments
+
+        monkeypatch.setattr(tr, "_xi_grid", grid)
+        gamma = P.gamma if mirror else None
+        x = np.linspace(0.0, 15.0, 16) if mirror else np.linspace(-12.0, 15.0, 28)
+        got = tr._fourier_smooth_grid(x, 2.0, P, tr.QuadratureConfig(), 1, gamma)
+        flat = flat_phase_sum(x, 2.0, P, 1, gamma)
+        assert np.abs(got - flat).max() <= 1e-13 * np.abs(flat).max()
+
+    def test_panel_table_covers_each_panel_once(self):
+        for n in range(1, 300):
+            p = tr._panel_table(n)
+            n_b, n_a = p.shape
+            assert n_b == math.ceil(math.sqrt(n)) and (n_a - 1) * n_b < n <= n_a * n_b
+            assert np.array_equal(np.sort(p.ravel()), np.arange(p.size))
 
     def test_self_check_logged_at_debug(self, caplog):
         with caplog.at_level(logging.DEBUG, logger="hsgreen.transforms"):
@@ -284,6 +312,61 @@ class TestInvertLaplaceDx:
     def test_empty_point_set_rejected(self, invert):
         with pytest.raises(ParameterError):
             invert([], [], 1.0, P)
+
+
+class TestOraclePoints:
+    # Bad point sets are refused with a ParameterError that names the value,
+    # before any quadrature runs.
+    @pytest.mark.parametrize("oracle", ["fourier", "mirror"])
+    def test_empty_fourier_side_rejected(self, oracle):
+        run = {"fourier": tr.invert_fourier_fundamental, "mirror": tr.mirror_by_quadrature}
+        with pytest.raises(ParameterError, match="at least one"):
+            run[oracle](np.array([]), 1.0, P)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_fourier_point_rejected(self, bad):
+        with pytest.raises(ParameterError, match=f"x={bad}"):
+            tr.invert_fourier_fundamental(np.array([1.0, bad]), 1.0, P)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_mirror_point_rejected(self, bad):
+        with pytest.raises(ParameterError, match=f"w={bad}"):
+            tr.mirror_by_quadrature(np.array([bad]), 1.0, P)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("coord", ["x", "y"])
+    def test_non_finite_laplace_point_rejected(self, coord, bad):
+        pts = {"x": np.array([1.0]), "y": np.array([2.0])}
+        pts[coord] = np.array([bad])
+        with pytest.raises(ParameterError, match=f"{coord}={bad}"):
+            tr.invert_laplace_green(pts["x"], pts["y"], 1.0, P)
+
+
+class TestSymbolCalls:
+    # The oracles evaluate their symbol through the module binding, once per
+    # Talbot degree and once per Fourier grid level, so a wrapper there sees
+    # every evaluation.
+    def test_talbot_calls_laplace_green_once_per_degree(self, monkeypatch):
+        sizes, exact = [], tr.laplace_green
+
+        def counted(x, y, s, params):
+            sizes.append(np.broadcast(x, y, s).size)
+            return exact(x, y, s, params)
+
+        monkeypatch.setattr(tr, "laplace_green", counted)
+        tr.invert_laplace_green(np.array([2.0, 3.0]), np.array([1.0, 1.5]), 2.0, P)
+        assert sizes == [2 * 32, 2 * 40]
+
+    def test_fourier_calls_symbol_once_per_level(self, monkeypatch):
+        calls, exact = [], tr.fourier_fundamental
+
+        def counted(xi, t, params):
+            calls.append(np.size(xi))
+            return exact(xi, t, params)
+
+        monkeypatch.setattr(tr, "fourier_fundamental", counted)
+        tr.invert_fourier_fundamental(np.array([1.0, 4.0]), 2.0, P)
+        assert len(calls) == 2 and 0 < calls[0] < calls[1]
 
 
 class TestMirrorByQuadrature:
