@@ -208,8 +208,8 @@ def green_leading(x: float, y: float, t: float, params: ModelParams) -> KernelVa
     location y.  The three Gaussian ridges x - y = +-ct and x + y = ct are
     each produced by exactly one term of the assembly.
     """
-    if x < 0.0 or y < 0.0 or not (t > 0.0):
-        raise ParameterError(f"need x, y >= 0 and t > 0, got x={x}, y={y}, t={t}")
+    if not (0.0 <= x < math.inf and 0.0 <= y < math.inf and 0.0 < t < math.inf):
+        raise ParameterError(f"need finite x, y >= 0 and t > 0, got x={x}, y={y}, t={t}")
     bc = params.boundary_class
     if bc is BoundaryClass.MIXED_UNSTABLE:
         pole = find_boundary_pole(params)

@@ -4,19 +4,27 @@ These evaluators never use the closed-form leading-order kernels; they invert
 the exact transform-space objects from :mod:`hsgreen.spectral` by quadrature,
 so agreement with :mod:`hsgreen.kernels` is a genuine cross-check.
 
+Every oracle computes on the unit model c = nu = 1 (``_unit_frame``): with
+L = nu/c, T = nu/c^2 and D = diag(1, c),
+
+    G(x, y, t; c, nu, a1, a2) = (1/L) D G(x/L, y/L, t/T; 1, 1, a1, a2 L) D^{-1},
+
+and the x-derivative takes one more 1/L.  The rules below are written for the
+unit model.  ``QuadratureConfig.tol`` stays absolute in physical units: each
+self-check compares its two levels after the mapping back.
+
 Inverse Fourier strategy
 ------------------------
 The Fourier symbol of the fundamental solution does not vanish at large
-wavenumber: its slow mode tends to exp(-c^2 t / nu) with algebraic 1/xi
-corrections, so the raw integrand is not quadrature-friendly.  We subtract a
-large-wavenumber model S(xi, t) built from Lorentzian profiles whose inverse
-transforms are explicit decaying exponentials:
+wavenumber: its slow mode tends to exp(-t) with algebraic 1/xi corrections, so
+the raw integrand is not quadrature-friendly.  We subtract a large-wavenumber
+model S(xi, t) built from Lorentzian profiles whose inverse transforms are
+explicit decaying exponentials:
 
-    S11 = q (1 + a11 L1),          a11 = (c^2/nu^2)(1 - c^2 t / nu)
-    S22 = q a22 L1,                a22 = -c^2/nu^2
-    S12 = -(i q / nu)  (A xi L1 + B xi L2),   S21 = c^2 S12
-    L1 = 1/(b^2 + xi^2), L2 = 1/(4 b^2 + xi^2), b = c/nu, q = e^{-c^2 t/nu},
-    A = 2 - c^2 t/(3 nu), B = 1 - A.
+    S11 = q (1 + a11 L1),          a11 = 1 - t
+    S22 = -q L1
+    S12 = S21 = -i q (A xi L1 + B xi L2)
+    L1 = 1/(1 + xi^2), L2 = 1/(4 + xi^2), q = e^{-t}, A = 2 - t/3, B = 1 - A.
 
 A and B match both the 1/xi and 1/xi^3 coefficients of the odd entries, so
 the remaining integrand decays like xi^{-4} (even entries) and xi^{-5} (odd
@@ -50,7 +58,7 @@ M(xi) = (gamma + i xi)/(gamma - i xi) applied to its symbol.  The mirror
 oracle reuses the panels and the subtraction above: M times the residual is
 inverted by a cos and a sin sum per entry (M breaks the parity), and the
 model term maps in closed form, e^{-beta w} -> (gamma - beta)/(gamma + beta)
-e^{-beta w} for w > 0 and beta in {b, 2b}.  M varies on the scale gamma, so
+e^{-beta w} for w > 0 and beta in {1, 2}.  M varies on the scale gamma, so
 the mirror caps the core panel width at gamma; the whole-line oracle (M = 1)
 keeps its grid.
 
@@ -92,7 +100,7 @@ class QuadratureConfig:
     n_xi:    Gauss-Legendre nodes per panel in the Fourier inversion, whose
              truncation wavenumber is chosen from the tail (``_xi_grid``).
     n_nodes: Talbot degree of the Laplace inversion.
-    tol:     target absolute accuracy; quadratures self-check against it.
+    tol:     target absolute accuracy in physical units; self-checks use it.
     """
 
     n_xi: int = 10
@@ -121,6 +129,17 @@ def _points(name: str, v) -> np.ndarray:
     return arr
 
 
+def _unit_frame(t: float, params: ModelParams):
+    """(L, t' = t/T, unit model, entry scale [[1, 1/c], [c, 1]]/L): the oracle
+    runs the unit model at x/L and t' and multiplies its result by the entry
+    scale.  Refuses a t that is not finite and > 0."""
+    if not (0.0 < t < math.inf):
+        raise ParameterError(f"need finite t > 0, got t={t}")
+    c, L = params.c, params.nu / params.c
+    unit = ModelParams(c=1.0, nu=1.0, a1=params.a1, a2=params.a2 * L)
+    return L, t * c / L, unit, np.array([[1.0, 1.0 / c], [c, 1.0]]) / L
+
+
 def _gauss_panels(edges: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes/weights on the union of panels given by edges."""
     gx, gw = np.polynomial.legendre.leggauss(n)
@@ -138,8 +157,8 @@ def _edges(lo: float, hi: float, width: float) -> np.ndarray:
 
 
 def _xi_grid(
-    t: float, x_absmax: float, params: ModelParams, cfg: QuadratureConfig,
-    refine: int = 1, gamma: float | None = None,
+    t: float, x_absmax: float, cfg: QuadratureConfig,
+    refine: int = 1, gamma: float | None = None, scale=1.0,
 ) -> list[tuple[np.ndarray, float]]:
     """Panel grid on [0, xi_max]: dense where the symbol oscillates, coarser
     on the algebraic tail.  ``refine`` halves the panel widths (error probe);
@@ -148,20 +167,18 @@ def _xi_grid(
     Returns the core and tail segments as (panel midpoints, half-width): the
     panels of a segment are uniform, so its nodes are mid + half * g_j for
     the cfg.n_xi Gauss-Legendre points g_j."""
-    c, nu = params.c, params.nu
-    q = math.exp(-c**2 * t / nu)
+    q = math.exp(-t)
     # Core: beyond xi_core the Gaussian-decaying modes are < 1e-18.
-    xi_core = math.sqrt(83.0 / (nu * t)) + 2.0 * c / nu
-    # Residual after subtraction decays like C_res / xi^4; pick xi_max so
-    # the tail integral is below tol/4 (coefficient padded for safety).
-    r = c**2 / nu**2
-    c_res = q * (r**2 * (2.0 + 0.5 * (c**2 * t / nu) ** 2) + r) + 1e-30
-    xi_max = (4.0 * c_res / (3.0 * math.pi * cfg.tol)) ** (1.0 / 3.0)
-    xi_max = max(xi_max, 1.2 * xi_core + 5.0, 10.0 * c / nu)
+    xi_core = math.sqrt(83.0 / t) + 2.0
+    # Residual after subtraction decays like C_res / xi^4; pick xi_max so the
+    # tail integral times the entry scale is below tol/4 (C_res padded).
+    c_res = q * (2.0 + 0.5 * t**2 + 1.0) + 1e-30
+    xi_max = (4.0 * c_res * np.max(scale) / (3.0 * math.pi * cfg.tol)) ** (1.0 / 3.0)
+    xi_max = max(xi_max, 1.2 * xi_core + 5.0, 10.0)
     xi_core = min(xi_core, xi_max * 0.5)
-    osc = x_absmax + c * t + 1.0
+    osc = x_absmax + t + 1.0
     cap = math.inf if gamma is None else gamma
-    w_core = min(5.0 / osc, xi_core / 6.0, 0.5 * c / nu, cap) / refine
+    w_core = min(5.0 / osc, xi_core / 6.0, 0.5, cap) / refine
     w_tail = 5.0 / (x_absmax + 1.0) / refine
     segments = []
     for lo, hi, width in ((0.0, xi_core, w_core), (xi_core, xi_max, w_tail)):
@@ -170,55 +187,44 @@ def _xi_grid(
     return segments
 
 
-def _subtraction_coefficients(t: float, params: ModelParams):
-    c, nu = params.c, params.nu
-    q = math.exp(-c**2 * t / nu)
-    b = c / nu
-    a11 = (c**2 / nu**2) * (1.0 - c**2 * t / nu)
-    a22 = -(c**2) / nu**2
-    A = 2.0 - c**2 * t / (3.0 * nu)
-    return q, b, a11, a22, A, 1.0 - A
+def _subtraction_coefficients(t: float):
+    A = 2.0 - t / 3.0
+    return math.exp(-t), 1.0 - t, A, 1.0 - A
 
 
-def _smooth_residual(
-    xi: np.ndarray, t: float, params: ModelParams, gamma: float | None = None
-) -> np.ndarray:
+def _smooth_residual(xi: np.ndarray, t: float, gamma: float | None = None) -> np.ndarray:
     """M(xi) times the symbol minus its Lorentzian model, shape (xi.size, 4)."""
-    F = fourier_fundamental(xi, t, params)
-    q, b, a11, a22, A, B = _subtraction_coefficients(t, params)
-    l1 = 1.0 / (b**2 + xi**2)
-    l2 = 1.0 / (4.0 * b**2 + xi**2)
-    odd_model = -(q / params.nu) * (A * xi * l1 + B * xi * l2)
+    F = fourier_fundamental(xi, t, ModelParams(c=1.0, nu=1.0))
+    q, a11, A, B = _subtraction_coefficients(t)
+    l1 = 1.0 / (1.0 + xi**2)
+    l2 = 1.0 / (4.0 + xi**2)
+    odd_model = -q * (A * xi * l1 + B * xi * l2)
     # Residual after the Lorentzian subtraction: real even diagonal entries,
     # imaginary odd off-diagonal ones.
     res = np.empty((xi.size, 2, 2), dtype=complex)
     res[:, 0, 0] = F[:, 0, 0].real - q * (1.0 + a11 * l1)
-    res[:, 1, 1] = F[:, 1, 1].real - q * a22 * l1
+    res[:, 1, 1] = F[:, 1, 1].real + q * l1
     res[:, 0, 1] = 1j * (F[:, 0, 1].imag - odd_model)
-    res[:, 1, 0] = 1j * (F[:, 1, 0].imag - params.c**2 * odd_model)
+    res[:, 1, 0] = 1j * (F[:, 1, 0].imag - odd_model)
     if gamma is not None:
         res *= ((gamma + 1j * xi) / (gamma - 1j * xi))[:, None, None]
     return res.reshape(-1, 4)
 
 
-def _model_terms(
-    x: np.ndarray, t: float, params: ModelParams, gamma: float | None = None
-) -> np.ndarray:
+def _model_terms(x: np.ndarray, t: float, gamma: float | None = None) -> np.ndarray:
     """Closed-form transform of the subtracted model (minus its delta): sums
-    of e^{-beta|x|} and sgn(x) e^{-beta|x|}, beta in {b, 2b}.  For x > 0 the
+    of e^{-beta|x|} and sgn(x) e^{-beta|x|}, beta in {1, 2}.  For x > 0 the
     multiplier maps e^{-beta x} to (gamma - beta)/(gamma + beta) e^{-beta x}."""
-    q, b, a11, a22, A, B = _subtraction_coefficients(t, params)
+    q, a11, A, B = _subtraction_coefficients(t)
     sg, k1, k2 = np.sign(x), 1.0, 1.0
     if gamma is not None:
-        sg, k1, k2 = 1.0, (gamma - b) / (gamma + b), (gamma - 2.0 * b) / (gamma + 2.0 * b)
-    e1 = k1 * np.exp(-b * np.abs(x))
-    e2 = k2 * np.exp(-2.0 * b * np.abs(x))
+        sg, k1, k2 = 1.0, (gamma - 1.0) / (gamma + 1.0), (gamma - 2.0) / (gamma + 2.0)
+    e1 = k1 * np.exp(-np.abs(x))
+    e2 = k2 * np.exp(-2.0 * np.abs(x))
     out = np.empty(x.shape + (2, 2))
-    out[..., 0, 0] = q * a11 * e1 / (2.0 * b)
-    out[..., 1, 1] = q * a22 * e1 / (2.0 * b)
-    odd_x = (q / (2.0 * params.nu)) * sg * (A * e1 + B * e2)
-    out[..., 0, 1] = odd_x
-    out[..., 1, 0] = params.c**2 * odd_x
+    out[..., 0, 0] = q * a11 * e1 / 2.0
+    out[..., 1, 1] = -q * e1 / 2.0
+    out[..., 0, 1] = out[..., 1, 0] = (q / 2.0) * sg * (A * e1 + B * e2)
     return out
 
 
@@ -242,17 +248,17 @@ def _panel_table(n: int) -> np.ndarray:
 
 
 def _fourier_smooth_grid(
-    x: np.ndarray, t: float, params: ModelParams, cfg: QuadratureConfig,
-    refine: int = 1, gamma: float | None = None,
+    x: np.ndarray, t: float, cfg: QuadratureConfig,
+    refine: int = 1, gamma: float | None = None, scale=1.0,
 ) -> np.ndarray:
-    """Inverse transform of M(xi) times the smooth symbol on an array of x.
+    """Inverse transform of M(xi) times the smooth symbol on an array of x, times ``scale``.
 
     M = 1 gives the smooth part of the fundamental solution; for a given
     ``gamma``, M = (gamma + i xi)/(gamma - i xi) gives the mirror kernel
     before its diag(1, -1) factor, for x >= 0 (x = 0 as the x -> 0+ limit).
     """
     x = np.asarray(x, dtype=float)
-    segments = _xi_grid(t, float(np.abs(x).max()), params, cfg, refine, gamma)
+    segments = _xi_grid(t, float(np.abs(x).max()), cfg, refine, gamma, scale)
     gx, gw = np.polynomial.legendre.leggauss(cfg.n_xi)
     # Each segment's nodes in (b, a, j) order; the pad panels continue the grid.
     tables = [_panel_table(mid.size) for mid, _ in segments]
@@ -260,7 +266,7 @@ def _fourier_smooth_grid(
     for (mid, half), p in zip(segments, tables):
         pad = mid[-1] + 2.0 * half * np.arange(1, p.size - mid.size + 1)
         nodes.append((np.append(mid, pad)[p][..., None] + half * gx).ravel())
-    res = _smooth_residual(np.concatenate(nodes), t, params, gamma)
+    res = _smooth_residual(np.concatenate(nodes), t, gamma)
     # Hermitian symmetry folds the inverse onto xi > 0,
     # (1/pi) int_0^inf Re(P e^{i xi x}); each segment's phase sum factors
     # into baby-step, giant-step and node phases (module docstring).
@@ -281,25 +287,25 @@ def _fourier_smooth_grid(
             flat[i : i + xc.size] += np.einsum(
                 "xj,xje->xe", node_phase, panel_sum.reshape(xc.size, cfg.n_xi, 4)
             ).real
-    return flat.reshape(x.shape + (2, 2)) + _model_terms(x, t, params, gamma)
+    return (flat.reshape(x.shape + (2, 2)) + _model_terms(x, t, gamma)) * scale
 
 
 def _fourier_smooth_with_error(
-    x: np.ndarray, t: float, params: ModelParams, cfg: QuadratureConfig,
-    gamma: float | None = None,
+    x: np.ndarray, t: float, cfg: QuadratureConfig,
+    gamma: float | None = None, scale=1.0,
 ) -> tuple[np.ndarray, float]:
-    coarse = _fourier_smooth_grid(x, t, params, cfg, 1, gamma)
-    fine = _fourier_smooth_grid(x, t, params, cfg, 2, gamma)
+    coarse = _fourier_smooth_grid(x, t, cfg, 1, gamma, scale)
+    fine = _fourier_smooth_grid(x, t, cfg, 2, gamma, scale)
     err = float(np.abs(fine - coarse).max())
     if logger.isEnabledFor(logging.DEBUG):
         x_absmax = float(np.abs(x).max())
         n_coarse, n_fine = (
-            cfg.n_xi * sum(mid.size for mid, _ in _xi_grid(t, x_absmax, params, cfg, k, gamma))
+            cfg.n_xi * sum(mid.size for mid, _ in _xi_grid(t, x_absmax, cfg, k, gamma, scale))
             for k in (1, 2)
         )
         logger.debug(
-            "fourier self-check: points=%d nodes=%d/%d (coarse/fine) gamma=%s diff=%.3g",
-            np.size(x), n_coarse, n_fine, gamma, err,
+            "fourier self-check: points=%d nodes=%d/%d (coarse/fine) t'=%.6g gamma'=%s "
+            "diff=%.3g", np.size(x), n_coarse, n_fine, t, gamma, err,
         )
     return fine, err
 
@@ -313,15 +319,13 @@ def invert_fourier_fundamental(
     The persistent delta exp(-c^2 t/nu) delta(x) diag(1, 0) is returned in the
     delta list.  Raises AccuracyError when the self-estimate misses cfg.tol.
     """
-    if not (t > 0.0):
-        raise ParameterError(f"need t > 0, got t={t}")
-    smooth, err = _fourier_smooth_with_error(_points("x", x), t, params, cfg)
+    L, t1, _, scale = _unit_frame(t, params)
+    smooth, err = _fourier_smooth_with_error(_points("x", x) / L, t1, cfg, None, scale)
     if not err <= cfg.tol:
         raise AccuracyError("fourier inversion did not meet tolerance", err, cfg.tol)
     if np.isscalar(x) or np.asarray(x).ndim == 0:
         smooth = smooth[0]
-    q = math.exp(-params.c**2 * t / params.nu)
-    return KernelValue(smooth=smooth, deltas=[(0.0, q * np.diag([1.0, 0.0]))])
+    return KernelValue(smooth=smooth, deltas=[(0.0, math.exp(-t1) * np.diag([1.0, 0.0]))])
 
 
 # ---------------------------------------------------------------------------
@@ -379,24 +383,25 @@ def _invert_laplace_line(symbol, x, y, t, params) -> tuple[np.ndarray, float]:
     return total.real, resid
 
 
-def _invert_laplace(symbol, x, y, t: float, params: ModelParams, cfg: QuadratureConfig):
-    """Checked contour inversion of ``symbol(x, y, s, params)`` at time t."""
-    if not (t > 0.0):
-        raise ParameterError(f"need t > 0, got t={t}")
-    xarr, yarr = np.broadcast_arrays(_points("x", x), _points("y", y))
-    if np.any(xarr < 0.0) or np.any(yarr < 0.0):
+def _invert_laplace(symbol, x, y, t: float, params: ModelParams, cfg: QuadratureConfig, order=0):
+    """Checked contour inversion of ``symbol(x, y, s, params)`` at time t on the
+    unit model; each of the ``order`` x-derivatives maps back with one more 1/L."""
+    L, t1, unit, scale = _unit_frame(t, params)
+    x1, y1 = np.broadcast_arrays(_points("x", x) / L, _points("y", y) / L)
+    if np.any(x1 < 0.0) or np.any(y1 < 0.0):
         raise ParameterError("need x >= 0 and y >= 0")
-    if np.any(xarr == yarr):
+    if np.any(x1 == y1):
         raise ParameterError("Laplace inversion needs x != y (smooth part only)")
-    shift = _laplace_shift(t, params)
-    out = _invert_laplace_talbot(symbol, xarr, yarr, t, params, cfg.n_nodes, shift)
-    probe = _invert_laplace_talbot(symbol, xarr, yarr, t, params, cfg.n_nodes + 8, shift)
+    scale = scale / L**order
+    shift = _laplace_shift(t1, unit)
+    out = _invert_laplace_talbot(symbol, x1, y1, t1, unit, cfg.n_nodes, shift) * scale
+    probe = _invert_laplace_talbot(symbol, x1, y1, t1, unit, cfg.n_nodes + 8, shift) * scale
     err = float(np.abs(out - probe).max())
-    logger.debug("talbot self-check: points=%d degrees=%d/%d diff=%.3g",
-                 xarr.size, cfg.n_nodes, cfg.n_nodes + 8, err)
+    logger.debug("talbot self-check: points=%d degrees=%d/%d t'=%.6g diff=%.3g",
+                 x1.size, cfg.n_nodes, cfg.n_nodes + 8, t1, err)
     if not err <= cfg.tol:
         raise AccuracyError("parabolic contour did not meet tolerance", err, cfg.tol)
-    out = probe * math.exp(shift * t)
+    out = probe * math.exp(shift * t1)
     if np.asarray(x).ndim == 0 and np.asarray(y).ndim == 0:
         return out[0]
     return out
@@ -421,7 +426,7 @@ def invert_laplace_green_dx(
 ):
     """x-derivative of the smooth Green's function: inverts the exact symbol
     ``laplace_green_dx`` exactly as :func:`invert_laplace_green` does."""
-    return _invert_laplace(laplace_green_dx, x, y, t, params, cfg)
+    return _invert_laplace(laplace_green_dx, x, y, t, params, cfg, order=1)
 
 
 def mirror_by_quadrature(
@@ -447,12 +452,11 @@ def mirror_by_quadrature(
     """
     if params.boundary_class is not BoundaryClass.MIXED_STABLE:
         raise ParameterError("mirror_by_quadrature needs the stable mixed class")
-    if not (t > 0.0):
-        raise ParameterError(f"need t > 0, got t={t}")
+    L, t1, unit, scale = _unit_frame(t, params)
     warr = _points("w", w)
     if np.any(warr < 0.0):
         raise ParameterError("need w >= 0")
-    smooth, err = _fourier_smooth_with_error(warr, t, params, cfg, params.gamma)
+    smooth, err = _fourier_smooth_with_error(warr / L, t1, cfg, unit.gamma, scale)
     if not err <= 10.0 * cfg.tol:
         raise AccuracyError("mirror quadrature did not meet tolerance", err, 10.0 * cfg.tol)
     smooth = smooth * np.array([1.0, -1.0])

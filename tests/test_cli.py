@@ -339,6 +339,11 @@ class TestExitCodes:
                         "--point", "7", "5", "4"])
         assert code == cli.EXIT_ACCURACY
 
+    def test_non_finite_time_is_config_error(self, tmp_path, capsys):
+        code = run_cli(["green-eval", "--out", str(tmp_path / "o"), "--point", "7", "5", "inf"])
+        assert code == cli.EXIT_CONFIG
+        assert "t=inf" in capsys.readouterr().err
+
     def test_inconclusive_exit_code(self, tmp_path):
         # decay window shorter than a decade -> inconclusive -> exit 4
         cfg = {

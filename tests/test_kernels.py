@@ -278,6 +278,14 @@ class TestGreenLeading:
                 kv = K.green_leading(0.0, y, t, pd)
                 assert np.abs(kv.smooth[1, :]).max() <= 1e-15
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("coord", ["x", "y", "t"])
+    def test_non_finite_argument_rejected(self, coord, bad):
+        args = {"x": 3.0, "y": 2.0, "t": 1.5}
+        args[coord] = bad
+        with pytest.raises(ParameterError, match=f"{coord}={bad}"):
+            K.green_leading(args["x"], args["y"], args["t"], P)
+
     def test_delta_sits_at_source(self):
         kv = K.green_leading(3.0, 2.0, 1.5, P)
         assert kv.deltas[0][0] == 2.0

@@ -31,6 +31,9 @@ VISCOSITIES = st.floats(0.05, 3.0)
 GAMMAS = st.floats(0.1, 10.0)
 # Talbot misses its tolerance at some points once t' reaches about 30.
 TIMES = st.floats(0.5, 20.0)
+# Both sides of the Fourier and mirror properties sum on one unit-model grid,
+# but x/L and t/T round: an ulp there moves the sums by up to 3e-12 of the sup.
+FOURIER_REL = 1e-11
 
 
 def models(c: float, nu: float, gamma1: float):
@@ -79,7 +82,7 @@ class TestScalingIdentity:
         z1 = np.linspace(-(t1 + 4.0), t1 + 4.0, 17)
         got = tr.invert_fourier_fundamental(z1 * L, t1 * T, phys, mapped_cfg(scale))
         ref = tr.invert_fourier_fundamental(z1, t1, unit)
-        assert_scaled(got.smooth, ref.smooth, scale, 1e-7)
+        assert_scaled(got.smooth, ref.smooth, scale, FOURIER_REL)
         assert math.isclose(got.deltas[0][1][0, 0], ref.deltas[0][1][0, 0], rel_tol=1e-12)
 
     @given(c=SPEEDS, nu=VISCOSITIES, gamma1=GAMMAS, t1=TIMES)
@@ -88,7 +91,7 @@ class TestScalingIdentity:
         phys, unit, L, T, scale = models(c, nu, gamma1)
         w1 = np.linspace(0.0, t1 + 4.0, 9)
         got = tr.mirror_by_quadrature(w1 * L, t1 * T, phys, mapped_cfg(scale))
-        assert_scaled(got, tr.mirror_by_quadrature(w1, t1, unit), scale, 1e-7)
+        assert_scaled(got, tr.mirror_by_quadrature(w1, t1, unit), scale, FOURIER_REL)
 
     @given(c=SPEEDS, nu=VISCOSITIES, gamma1=GAMMAS, t1=TIMES, y1=st.floats(0.0, 4.0))
     @settings(max_examples=50)

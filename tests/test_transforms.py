@@ -70,7 +70,7 @@ class TestInvertFourier:
         errs = []
         for n_xi in (6, 12):
             cfg = tr.QuadratureConfig(n_xi=n_xi, tol=5e-3)
-            _, err = tr._fourier_smooth_with_error(x, 2.0, P, cfg)
+            _, err = tr._fourier_smooth_with_error(x, 2.0, cfg)
             errs.append(err)
         assert errs[1] < errs[0]
 
@@ -98,18 +98,18 @@ class TestInvertFourier:
         assert np.abs(resid).max() <= 1e-5
 
 
-def flat_phase_sum(x, t, params, refine, gamma):
+def flat_phase_sum(x, t, refine, gamma):
     """The unfactored sum (1/pi) sum_k w_k Re(r_k e^{i x xi_k}) over every
     node xi_k of the oracle's grid, plus the closed-form model terms."""
     cfg = tr.QuadratureConfig()
     gx, gw = np.polynomial.legendre.leggauss(cfg.n_xi)
-    segments = tr._xi_grid(t, float(np.abs(x).max()), params, cfg, refine, gamma)
+    segments = tr._xi_grid(t, float(np.abs(x).max()), cfg, refine, gamma)
     xi = np.concatenate([(mid[:, None] + h * gx).ravel() for mid, h in segments])
     wts = np.concatenate([np.tile(h * gw, mid.size) for mid, h in segments])
-    res = tr._smooth_residual(xi, t, params, gamma) * (wts / np.pi)[:, None]
+    res = tr._smooth_residual(xi, t, gamma) * (wts / np.pi)[:, None]
     phase = np.outer(x, xi)
     flat = np.cos(phase) @ res.real - np.sin(phase) @ res.imag
-    return flat.reshape(x.shape + (2, 2)) + tr._model_terms(x, t, params, gamma)
+    return flat.reshape(x.shape + (2, 2)) + tr._model_terms(x, t, gamma)
 
 
 class TestPhaseFactorization:
@@ -121,24 +121,24 @@ class TestPhaseFactorization:
     def test_matches_flat_sum(self, mirror, params, t, refine):
         gamma = params.gamma if mirror else None
         x = np.linspace(0.0, 15.0, 16) if mirror else np.linspace(-12.0, 15.0, 28)
-        got = tr._fourier_smooth_grid(x, t, params, tr.QuadratureConfig(), refine, gamma)
-        assert np.abs(got - flat_phase_sum(x, t, params, refine, gamma)).max() <= 1e-12
+        got = tr._fourier_smooth_grid(x, t, tr.QuadratureConfig(), refine, gamma)
+        assert np.abs(got - flat_phase_sum(x, t, refine, gamma)).max() <= 1e-12
 
     def test_chunked_points(self, monkeypatch):
         x = np.linspace(-9.0, 11.0, 41)
-        segments = tr._xi_grid(2.0, 11.0, P, tr.QuadratureConfig())
+        segments = tr._xi_grid(2.0, 11.0, tr.QuadratureConfig())
         monkeypatch.setattr(tr, "_PHASE_CHUNK", 500)
         # each chunk holds _PHASE_CHUNK // (A n_xi 4) points of a segment
         assert all(tr._PHASE_CHUNK // (tr._panel_table(mid.size).shape[1] * 40) < x.size
                    for mid, _ in segments)
-        got = tr._fourier_smooth_grid(x, 2.0, P, tr.QuadratureConfig())
-        assert np.abs(got - flat_phase_sum(x, 2.0, P, 1, None)).max() <= 1e-12
+        got = tr._fourier_smooth_grid(x, 2.0, tr.QuadratureConfig())
+        assert np.abs(got - flat_phase_sum(x, 2.0, 1, None)).max() <= 1e-12
 
     @pytest.mark.parametrize("panels", [1, 13, 49], ids=["one", "prime", "square"])
     @pytest.mark.parametrize("mirror", [False, True], ids=["whole_line", "mirror"])
     def test_panel_counts(self, monkeypatch, mirror, panels):
         # P = 1, a prime P (padded to A B = 16) and a perfect square (7 x 7)
-        def grid(t, x_absmax, params, cfg, refine=1, gamma=None):
+        def grid(t, x_absmax, cfg, refine=1, gamma=None, scale=1.0):
             segments = []
             for lo, hi in ((0.0, 4.0), (4.0, 30.0)):
                 edges = np.linspace(lo, hi, panels + 1)
@@ -148,8 +148,8 @@ class TestPhaseFactorization:
         monkeypatch.setattr(tr, "_xi_grid", grid)
         gamma = P.gamma if mirror else None
         x = np.linspace(0.0, 15.0, 16) if mirror else np.linspace(-12.0, 15.0, 28)
-        got = tr._fourier_smooth_grid(x, 2.0, P, tr.QuadratureConfig(), 1, gamma)
-        flat = flat_phase_sum(x, 2.0, P, 1, gamma)
+        got = tr._fourier_smooth_grid(x, 2.0, tr.QuadratureConfig(), 1, gamma)
+        flat = flat_phase_sum(x, 2.0, 1, gamma)
         assert np.abs(got - flat).max() <= 1e-13 * np.abs(flat).max()
 
     def test_panel_table_covers_each_panel_once(self):
@@ -161,12 +161,12 @@ class TestPhaseFactorization:
 
     def test_self_check_logged_at_debug(self, caplog):
         with caplog.at_level(logging.DEBUG, logger="hsgreen.transforms"):
-            _, err = tr._fourier_smooth_with_error(np.array([1.0, 6.0]), 2.0, P,
+            _, err = tr._fourier_smooth_with_error(np.array([1.0, 6.0]), 2.0,
                                                    tr.QuadratureConfig())
         (record,) = caplog.records
         msg = record.getMessage()
         assert record.levelno == logging.DEBUG
-        assert "points=2 " in msg and f"diff={err:.3g}" in msg
+        assert "points=2 " in msg and "t'=2 " in msg and f"diff={err:.3g}" in msg
         coarse, fine = msg.split("nodes=")[1].split()[0].split("/")
         assert 0 < int(coarse) < int(fine)
 
@@ -194,12 +194,12 @@ class TestInvertLaplace:
         )
         assert np.abs(gl - built).max() <= 1e-6 * np.abs(built).max()
 
-    def test_two_contours_agree(self):
-        t = 5.0
+    @pytest.mark.parametrize("params, t", [(P, 5.0), (PS, 2.0)], ids=["mixed", "scaled"])
+    def test_two_contours_agree(self, params, t):
         x = np.array([3.0, 8.0])
         y = np.array([1.7, 5.2])
-        talbot = tr.invert_laplace_green(x, y, t, P)
-        line = line_reference(tr.laplace_green, x, y, t, P)
+        talbot = tr.invert_laplace_green(x, y, t, params)
+        line = line_reference(tr.laplace_green, x, y, t, params)
         scale = np.abs(talbot).max()
         assert np.abs(talbot - line).max() <= 1e-6 * scale
 
@@ -212,7 +212,7 @@ class TestInvertLaplace:
                 tr.invert_laplace_green(x, y, t, P, tr.QuadratureConfig(tol=1e-16))
         assert all(r.levelno == logging.DEBUG for r in caplog.records)
         passed, failed = (r.getMessage() for r in caplog.records)
-        assert passed.startswith("talbot self-check: points=2 degrees=32/40 diff=")
+        assert passed.startswith("talbot self-check: points=2 degrees=32/40 t'=5 diff=")
         assert failed.endswith(f"diff={exc.value.achieved:.3g}")
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -334,6 +334,18 @@ class TestOraclePoints:
             tr.mirror_by_quadrature(np.array([bad]), 1.0, P)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("oracle", ["fourier", "mirror", "talbot", "talbot_dx"])
+    def test_non_finite_time_rejected(self, oracle, bad):
+        run = {
+            "fourier": lambda t: tr.invert_fourier_fundamental(1.0, t, P),
+            "mirror": lambda t: tr.mirror_by_quadrature(1.0, t, P),
+            "talbot": lambda t: tr.invert_laplace_green(2.0, 1.0, t, P),
+            "talbot_dx": lambda t: tr.invert_laplace_green_dx(2.0, 1.0, t, P),
+        }[oracle]
+        with pytest.raises(ParameterError, match=f"t={bad}"):
+            run(bad)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
     @pytest.mark.parametrize("coord", ["x", "y"])
     def test_non_finite_laplace_point_rejected(self, coord, bad):
         pts = {"x": np.array([1.0]), "y": np.array([2.0])}
@@ -382,7 +394,7 @@ class TestMirrorByQuadrature:
         wt = np.array([3.0, 5.0, 8.0])
         pts = np.concatenate([wt - 2 * h, wt - h, wt, wt + h, wt + 2 * h])
         gm = tr.mirror_by_quadrature(pts, t, P, self.CFG)
-        G = tr._fourier_smooth_grid(pts, t, P, tr.QuadratureConfig())
+        G = tr._fourier_smooth_grid(pts, t, tr.QuadratureConfig())
         g_all = gm * np.array([1.0, -1.0]) + G
         n = wt.size
         gm2, gm1, g0, gp1, gp2 = (g_all[i * n:(i + 1) * n] for i in range(5))
@@ -398,7 +410,7 @@ class TestMirrorByQuadrature:
         t, w = 3.0, np.array([4.5])
         pg = ModelParams(a1=-1.0, a2=100.0)  # gamma = 100
         gm = tr.mirror_by_quadrature(w, t, pg, self.CFG)
-        G = tr._fourier_smooth_grid(w, t, pg, tr.QuadratureConfig())
+        G = tr._fourier_smooth_grid(w, t, tr.QuadratureConfig())
         g = gm * np.array([1.0, -1.0]) + G
         assert np.abs(g - 2.0 * G).max() <= 0.05 * np.abs(G).max()
 
