@@ -194,14 +194,14 @@ class TestInvertLaplace:
         )
         assert np.abs(gl - built).max() <= 1e-6 * np.abs(built).max()
 
-    @pytest.mark.parametrize("params, t", [(P, 5.0), (PS, 2.0)], ids=["mixed", "scaled"])
-    def test_two_contours_agree(self, params, t):
+    def test_two_contours_agree(self):
         x = np.array([3.0, 8.0])
         y = np.array([1.7, 5.2])
-        talbot = tr.invert_laplace_green(x, y, t, params)
-        line = line_reference(tr.laplace_green, x, y, t, params)
-        scale = np.abs(talbot).max()
-        assert np.abs(talbot - line).max() <= 1e-6 * scale
+        for params, t in ((P, 5.0), (PS, 2.0)):
+            talbot = tr.invert_laplace_green(x, y, t, params)
+            line = line_reference(tr.laplace_green, x, y, t, params)
+            scale = np.abs(talbot).max()
+            assert np.abs(talbot - line).max() <= 1e-6 * scale
 
     def test_self_check_logged_at_debug(self, caplog):
         # logged when the check passes, and before it raises
