@@ -31,13 +31,7 @@ import sys
 import numpy as np
 
 from .core import BoundaryClass, Grid1D, ModelParams, classify_boundary, write_csv
-from .errors import (
-    AccuracyError,
-    ConfigurationError,
-    DivergenceError,
-    ParameterError,
-    UsageError,
-)
+from .errors import AccuracyError, ConfigurationError, DivergenceError, ParameterError, UsageError
 from .kernels import green_leading
 from .solver import (
     InitialData,

@@ -26,7 +26,7 @@ import numpy as np
 
 from .core import BoundaryClass, KernelValue, Matrix2, ModelParams
 from .errors import ParameterError, UsageError
-from .spectral import find_boundary_pole
+from .spectral import refuse_unstable
 
 
 def erfcx(z):
@@ -210,14 +210,8 @@ def green_leading(x: float, y: float, t: float, params: ModelParams) -> KernelVa
     """
     if not (0.0 <= x < math.inf and 0.0 <= y < math.inf and 0.0 < t < math.inf):
         raise ParameterError(f"need finite x, y >= 0 and t > 0, got x={x}, y={y}, t={t}")
+    refuse_unstable(params)
     bc = params.boundary_class
-    if bc is BoundaryClass.MIXED_UNSTABLE:
-        pole = find_boundary_pole(params)
-        raise UsageError(
-            "no bounded Green's function for a1*a2 > 0: the reflection "
-            f"coefficient has a right-half-plane pole at s* = {pole:.6g} "
-            "(exponential growth in time)"
-        )
     smooth = np.asarray(_leading_smooth(float(x - y), t, params))
     if bc is BoundaryClass.DIRICHLET:
         smooth = smooth + _leading_smooth(float(x + y), t, params) * np.array([1.0, -1.0])

@@ -570,7 +570,9 @@ def green_column(
     if width < 4.0 * dx:
         raise ConfigurationError(f"pulse width {width} under-resolved (need >= 4 dx = {4 * dx})")
     if not (10.0 * width <= y0 <= cfg.grid.L - 10.0 * width):
-        raise ConfigurationError("pulse center must sit >= 10 widths away from both boundaries")
+        raise ConfigurationError(
+            f"pulse center y0={y0:g} must sit >= 10 widths ({width:g}) from both boundaries, "
+            f"in [{10.0 * width:g}, {cfg.grid.L - 10.0 * width:g}]")
     runs = {}
     for comp in ("rho", "m"):
         spec = InitialData(kind="gaussian", amplitude=1.0, center=y0, width=width,

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ModelParams
-from .errors import BranchCutError, ParameterError, PoleError
+from .core import BoundaryClass, ModelParams
+from .errors import BranchCutError, ParameterError, PoleError, UsageError
 
 # Relative |Delta * t| below which the confluent (series) form of
 # sinh(z)/z is used; keeps the double-root wavenumbers xi = +-2c/nu and the
@@ -204,6 +204,16 @@ def find_boundary_pole(params: ModelParams) -> float | None:
         if residual <= 1e-12 * (abs(params.a2) + abs(params.a1) + 1.0):
             return r
     return None
+
+
+def refuse_unstable(params: ModelParams) -> None:
+    """Raises UsageError, naming the pole s*, for the unstable mixed class."""
+    if params.boundary_class is BoundaryClass.MIXED_UNSTABLE:
+        raise UsageError(
+            "no bounded Green's function for a1*a2 > 0: the reflection coefficient "
+            f"has a right-half-plane pole at s* = {find_boundary_pole(params):.6g} "
+            "(exponential growth in time)"
+        )
 
 
 def _green_tables(x, y, s, params: ModelParams):

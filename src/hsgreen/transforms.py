@@ -70,9 +70,9 @@ coefficient's right-half-plane pole when there is one.  The symbol is
 evaluated once per degree on (points x nodes); in it only the two exponential
 tables e^{-lambda |x - y|} and R e^{-lambda (x + y)} depend on the point
 (``spectral.laplace_green``), and one ``matmul`` of the complex weights
-against the (points, nodes, 4) values contracts the node axis.  A truncated vertical
-line (Bromwich) contour, ``_invert_laplace_line``, is the tests' independent
-reference away from the diagonal x = y.
+against the (points, nodes, 4) values contracts the node axis.  Its independent
+reference, ``fourier_green``, sums the whole-line oracle at x - y and the image
+at x + y: +-G(x + y) diag(1, -1) (Dirichlet/Neumann) or the mirror kernel.
 
 Every self-check is written ``not err <= tol``, so a NaN estimate (a symbol
 that overflowed) fails it and AccuracyError carries the NaN.
@@ -88,7 +88,8 @@ import numpy as np
 
 from .core import BoundaryClass, KernelValue, ModelParams
 from .errors import AccuracyError, ConfigurationError, ParameterError
-from .spectral import find_boundary_pole, fourier_fundamental, laplace_green, laplace_green_dx
+from .spectral import (find_boundary_pole, fourier_fundamental, laplace_green,
+                       laplace_green_dx, refuse_unstable)
 
 logger = logging.getLogger(__name__)
 
@@ -359,30 +360,6 @@ def _invert_laplace_talbot(symbol, x, y, t, params, M: int, shift: float) -> np.
     return np.matmul(g, values.reshape(x.size, M, 4)).real.reshape(x.shape + (2, 2))
 
 
-def _invert_laplace_line(symbol, x, y, t, params) -> tuple[np.ndarray, float]:
-    """Tests' reference: the truncated vertical contour at abscissa max(0, s*)
-    + 1/t, right of any pole s*; returns (value, imaginary residue)."""
-    a = max(0.0, find_boundary_pole(params) or 0.0) + 1.0 / t
-    w_min = float(min(np.abs(x - y).min(), np.abs(x + y).min()))
-    if w_min < 0.3:
-        raise ConfigurationError(
-            "line contour needs |x - y| >= 0.3 (integrand decays too slowly "
-            f"near the diagonal), got {w_min:.3g}"
-        )
-    # Truncation so exp(-Re(lambda) w) has decayed: Re lambda ~ sqrt(w/(2 nu)).
-    decay = (30.0 + a * t) / w_min
-    omega_max = 2.0 * params.nu * decay**2 + 10.0 / t
-    omega, wts = _gauss_panels(_edges(0.0, omega_max, 4.0 / t), 8)
-    omega = np.concatenate([-omega[::-1], omega])
-    wts = np.concatenate([wts[::-1], wts])
-    s = a + 1j * omega
-    values = symbol(x[..., None], y[..., None], s, params)
-    phase = (np.exp(s * t) * wts)[:, None, None] / (2.0 * math.pi)
-    total = (phase * values).sum(axis=-3)
-    resid = float(np.abs(total.imag).max() / max(np.abs(total.real).max(), 1e-300))
-    return total.real, resid
-
-
 def _invert_laplace(symbol, x, y, t: float, params: ModelParams, cfg: QuadratureConfig, order=0):
     """Checked contour inversion of ``symbol(x, y, s, params)`` at time t on the
     unit model; each of the ``order`` x-derivatives maps back with one more 1/L."""
@@ -463,3 +440,25 @@ def mirror_by_quadrature(
     if np.asarray(w).ndim == 0:
         return smooth[0]
     return smooth
+
+
+def fourier_green(
+    x, y, t: float, params: ModelParams, cfg: QuadratureConfig = DEFAULT_QUADRATURE
+):
+    """Smooth half-line G: ``invert_fourier_fundamental`` at x - y plus the image at
+    x + y, that oracle times +-diag(1, -1) (Dirichlet/Neumann) or the mirror kernel,
+    each with its own self-check.  Broadcasts over x, y >= 0 with x != y."""
+    refuse_unstable(params)
+    xa, ya = np.broadcast_arrays(_points("x", x), _points("y", y))
+    bad = np.flatnonzero((xa < 0.0) | (ya < 0.0) | (xa == ya))
+    if bad.size:
+        raise ParameterError(f"need x, y >= 0 and x != y, got x={xa[bad[0]]}, y={ya[bad[0]]}")
+    out = invert_fourier_fundamental(xa - ya, t, params, cfg).smooth
+    bc = params.boundary_class
+    if bc is BoundaryClass.MIXED_STABLE:
+        out = out + mirror_by_quadrature(xa + ya, t, params, cfg)
+    else:
+        sign = 1.0 if bc is BoundaryClass.DIRICHLET else -1.0
+        image = invert_fourier_fundamental(xa + ya, t, params, cfg).smooth
+        out = out + sign * image * np.array([1.0, -1.0])
+    return out[0] if np.ndim(x) == np.ndim(y) == 0 else out

@@ -30,7 +30,7 @@ from .core import (
 )
 from .errors import AccuracyError, ParameterError, UsageError
 from .solver import _SPONGE_FRACTION, InitialData, SolverConfig, make_initial_data, solve_linear
-from .spectral import find_boundary_pole
+from .spectral import find_boundary_pole, refuse_unstable
 from .transforms import DEFAULT_QUADRATURE, QuadratureConfig, _edges, _gauss_panels
 from .transforms import invert_laplace_green, invert_laplace_green_dx
 
@@ -147,8 +147,7 @@ def green_bound_report(
     The transform oracle used here is independently validated against the
     narrow-pulse solver columns in the acceptance suite.
     """
-    if params.boundary_class is BoundaryClass.MIXED_UNSTABLE:
-        raise UsageError("green_bound_report needs a stable boundary class")
+    refuse_unstable(params)
     if alpha not in (0, 1):
         raise ParameterError("alpha must be 0 or 1")
     env = envelope or BoundEnvelope()

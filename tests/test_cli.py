@@ -1,3 +1,4 @@
+import importlib
 import json
 import math
 import re
@@ -131,6 +132,16 @@ class TestConfig:
                 assert isinstance(node, dict) and part in node, path
                 node = node[part]
 
+    def test_readme_code_references_resolve(self):
+        # every backticked `hsgreen.<module>` or `hsgreen.<module>.<name>` in
+        # the README imports, and the module has that name
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        refs = re.findall(r"`hsgreen\.(\w+)(?:\.(\w+))?`", readme)
+        assert ("transforms", "fourier_green") in refs
+        for module, name in refs:
+            mod = importlib.import_module(f"hsgreen.{module}")
+            assert not name or hasattr(mod, name), f"hsgreen.{module}.{name}"
+
     @pytest.mark.parametrize("payload, key_path", list(BAD_KINDS.values()), ids=list(BAD_KINDS))
     def test_wrong_kind_is_config_error(self, tmp_path, capsys, payload, key_path):
         cfgp = write_config(tmp_path, payload)
@@ -242,6 +253,14 @@ class TestGreenEval:
         ys = cli._parse_grid_spec(args.y_grid)
         assert np.all((ys >= margin) & (ys <= grid.L - margin))
         assert not np.isin(cli._parse_grid_spec(args.x_grid), ys).any()
+
+    def test_source_near_wall_names_allowed_interval(self, tmp_path, capsys):
+        # a pulse at y = 2 would reach the wall; the message names y0, the
+        # pulse width (4 dx) and the interval y0 may take on the default grid
+        code = run_cli(["green-eval", "--out", str(tmp_path / "ge"), "--point", "1", "2", "3"])
+        assert code == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "y0=2 " in err and "(0.4)" in err and "[4, 396]" in err
 
     def test_source_on_grid_point_rejected_up_front(self, tmp_path, capsys):
         out = tmp_path / "ge"

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from hsgreen.core import ModelParams
-from hsgreen.errors import AccuracyError, ConfigurationError, ParameterError
+from hsgreen.errors import AccuracyError, ConfigurationError, ParameterError, UsageError
 from hsgreen import transforms as tr
 
 P = ModelParams()
@@ -18,12 +18,12 @@ def gauss_integral(f_vals, nodes, wts):
     return float(wts @ f_vals)
 
 
-def line_reference(symbol, x, y, t, params):
-    """The Bromwich line contour, held to an imaginary residue <= 1e-9."""
+def unshifted_talbot(x, y, t, params, M=48):
+    """The parabolic contour without the shift: for r = 2M/(5t) > s* it
+    encloses the pole s* too, so it is a second evaluator of the unstable G."""
+    assert 2.0 * M / (5.0 * t) > tr.find_boundary_pole(params)
     x, y = np.broadcast_arrays(np.atleast_1d(x), np.atleast_1d(y))
-    out, resid = tr._invert_laplace_line(symbol, x, y, t, params)
-    assert resid <= 1e-9
-    return out
+    return tr._invert_laplace_talbot(tr.laplace_green, x, y, t, params, M, 0.0)
 
 
 class TestQuadratureConfig:
@@ -98,31 +98,34 @@ class TestInvertFourier:
         assert np.abs(resid).max() <= 1e-5
 
 
-def flat_phase_sum(x, t, refine, gamma):
+def flat_phase_sum(x, t, refine, gamma, scale=1.0):
     """The unfactored sum (1/pi) sum_k w_k Re(r_k e^{i x xi_k}) over every
-    node xi_k of the oracle's grid, plus the closed-form model terms."""
+    node xi_k of the oracle's grid, plus the closed-form model terms, times
+    the entry ``scale``."""
     cfg = tr.QuadratureConfig()
     gx, gw = np.polynomial.legendre.leggauss(cfg.n_xi)
-    segments = tr._xi_grid(t, float(np.abs(x).max()), cfg, refine, gamma)
+    segments = tr._xi_grid(t, float(np.abs(x).max()), cfg, refine, gamma, scale)
     xi = np.concatenate([(mid[:, None] + h * gx).ravel() for mid, h in segments])
     wts = np.concatenate([np.tile(h * gw, mid.size) for mid, h in segments])
     res = tr._smooth_residual(xi, t, gamma) * (wts / np.pi)[:, None]
     phase = np.outer(x, xi)
     flat = np.cos(phase) @ res.real - np.sin(phase) @ res.imag
-    return flat.reshape(x.shape + (2, 2)) + tr._model_terms(x, t, gamma)
+    return (flat.reshape(x.shape + (2, 2)) + tr._model_terms(x, t, gamma)) * scale
 
 
 class TestPhaseFactorization:
-    # panel phases times node phases reproduce the flat sum over all nodes
+    # panel phases times node phases reproduce the flat sum over all nodes;
+    # each set's entry scale enters the tail rule and the result
     @pytest.mark.parametrize("refine", [1, 2])
     @pytest.mark.parametrize("t", [2.0, 10.0])
     @pytest.mark.parametrize("params", [P, PS], ids=["mixed", "scaled"])
     @pytest.mark.parametrize("mirror", [False, True], ids=["whole_line", "mirror"])
     def test_matches_flat_sum(self, mirror, params, t, refine):
         gamma = params.gamma if mirror else None
+        scale = tr._unit_frame(t, params)[3]
         x = np.linspace(0.0, 15.0, 16) if mirror else np.linspace(-12.0, 15.0, 28)
-        got = tr._fourier_smooth_grid(x, t, tr.QuadratureConfig(), refine, gamma)
-        assert np.abs(got - flat_phase_sum(x, t, refine, gamma)).max() <= 1e-12
+        got = tr._fourier_smooth_grid(x, t, tr.QuadratureConfig(), refine, gamma, scale)
+        assert np.abs(got - flat_phase_sum(x, t, refine, gamma, scale)).max() <= 1e-12
 
     def test_chunked_points(self, monkeypatch):
         x = np.linspace(-9.0, 11.0, 41)
@@ -178,30 +181,25 @@ class TestInvertLaplace:
         x = np.array([3.0, 7.0, 12.0])
         y = np.array([2.0, 6.5, 4.0])
         gl = tr.invert_laplace_green(x, y, t, PD)
-        direct = tr.invert_fourier_fundamental(x - y, t, PD).smooth
-        image = tr.invert_fourier_fundamental(x + y, t, PD).smooth
-        built = direct + image * np.array([1.0, -1.0])
-        scale = np.abs(built).max()
-        assert np.abs(gl - built).max() <= 1e-6 * scale
+        built = tr.fourier_green(x, y, t, PD)
+        assert np.abs(gl - built).max() <= 1e-6 * np.abs(built).max()
 
     def test_neumann_identity(self):
         t = 2.0
         x, y = np.array([4.0]), np.array([1.5])
         gl = tr.invert_laplace_green(x, y, t, PN)
-        built = (
-            tr.invert_fourier_fundamental(x - y, t, PN).smooth
-            - tr.invert_fourier_fundamental(x + y, t, PN).smooth * np.array([1.0, -1.0])
-        )
+        built = tr.fourier_green(x, y, t, PN)
         assert np.abs(gl - built).max() <= 1e-6 * np.abs(built).max()
 
     def test_two_contours_agree(self):
+        # the Laplace contour against the Fourier-side G
         x = np.array([3.0, 8.0])
         y = np.array([1.7, 5.2])
         for params, t in ((P, 5.0), (PS, 2.0)):
             talbot = tr.invert_laplace_green(x, y, t, params)
-            line = line_reference(tr.laplace_green, x, y, t, params)
+            fourier = tr.fourier_green(x, y, t, params)
             scale = np.abs(talbot).max()
-            assert np.abs(talbot - line).max() <= 1e-6 * scale
+            assert np.abs(talbot - fourier).max() <= 1e-6 * scale
 
     def test_self_check_logged_at_debug(self, caplog):
         # logged when the check passes, and before it raises
@@ -245,17 +243,12 @@ class TestInvertLaplace:
         with pytest.raises(ParameterError):
             tr.invert_laplace_green(2.0, 2.0, 1.0, P)
 
-    def test_line_contour_rejects_near_diagonal(self):
-        with pytest.raises(ConfigurationError):
-            line_reference(tr.laplace_green, 2.05, 2.0, 1.0, P)
-
     def test_unstable_class_uses_shifted_contour(self):
         pu = ModelParams(a1=1.0, a2=1.0)
         out = tr.invert_laplace_green(6.0, 3.0, 2.0, pu)
         assert np.all(np.isfinite(out))
-        # cross-check against the line contour right of the pole
-        line = line_reference(tr.laplace_green, 6.0, 3.0, 2.0, pu)
-        assert np.abs(out - line).max() <= 1e-5
+        # cross-check against the unshifted contour around the pole
+        assert np.abs(out - unshifted_talbot(6.0, 3.0, 2.0, pu)).max() <= 1e-5
 
     @pytest.mark.parametrize("t", [5.0, 8.0])
     def test_unstable_self_check_runs_in_shifted_frame(self, t):
@@ -263,8 +256,8 @@ class TestInvertLaplace:
         # that factor, so it no longer fails on the growth alone
         pu, x, y = ModelParams(a1=1.0, a2=1.0), np.array([1.0, 5.0]), np.full(2, 3.0)
         out = tr.invert_laplace_green(x, y, t, pu)
-        line = line_reference(tr.laplace_green, x, y, t, pu)
-        assert np.abs(out - line).max() <= 5e-5 * np.abs(line).max()
+        ref = unshifted_talbot(x, y, t, pu)
+        assert np.abs(out - ref).max() <= 5e-5 * np.abs(ref).max()
         with pytest.raises(AccuracyError):
             tr.invert_laplace_green(x, y, t, pu, tr.QuadratureConfig(tol=1e-16))
 
@@ -301,12 +294,15 @@ class TestInvertLaplaceDx:
 
     @pytest.mark.parametrize("name", sorted(SETS))
     def test_two_contours_agree(self, name):
-        pr, t = self.SETS[name], 2.0
+        # against a five-point forward stencil of the Fourier-side G with
+        # h = 1e-2, which stays on x >= 0 at the wall point x = 0
+        pr, t, h = self.SETS[name], 2.0, 1e-2
         x = np.array([3.0, 8.0, 12.0, 0.0])
         y = np.array([1.5, 5.2, 9.0, 2.0])
         talbot = tr.invert_laplace_green_dx(x, y, t, pr)
-        line = line_reference(tr.laplace_green_dx, x, y, t, pr)
-        assert np.abs(talbot - line).max() <= 5e-5 * np.abs(talbot).max()
+        f = [tr.fourier_green(x + k * h, y, t, pr) for k in range(5)]
+        fd = (-25 * f[0] + 48 * f[1] - 36 * f[2] + 16 * f[3] - 3 * f[4]) / (12 * h)
+        assert np.abs(talbot - fd).max() <= 5e-5 * np.abs(talbot).max()
 
     @pytest.mark.parametrize("invert", [tr.invert_laplace_green, tr.invert_laplace_green_dx])
     def test_empty_point_set_rejected(self, invert):
@@ -334,13 +330,15 @@ class TestOraclePoints:
             tr.mirror_by_quadrature(np.array([bad]), 1.0, P)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
-    @pytest.mark.parametrize("oracle", ["fourier", "mirror", "talbot", "talbot_dx"])
+    @pytest.mark.parametrize("oracle",
+                             ["fourier", "mirror", "talbot", "talbot_dx", "fourier_green"])
     def test_non_finite_time_rejected(self, oracle, bad):
         run = {
             "fourier": lambda t: tr.invert_fourier_fundamental(1.0, t, P),
             "mirror": lambda t: tr.mirror_by_quadrature(1.0, t, P),
             "talbot": lambda t: tr.invert_laplace_green(2.0, 1.0, t, P),
             "talbot_dx": lambda t: tr.invert_laplace_green_dx(2.0, 1.0, t, P),
+            "fourier_green": lambda t: tr.fourier_green(2.0, 1.0, t, P),
         }[oracle]
         with pytest.raises(ParameterError, match=f"t={bad}"):
             run(bad)
@@ -352,6 +350,8 @@ class TestOraclePoints:
         pts[coord] = np.array([bad])
         with pytest.raises(ParameterError, match=f"{coord}={bad}"):
             tr.invert_laplace_green(pts["x"], pts["y"], 1.0, P)
+        with pytest.raises(ParameterError, match=f"{coord}={bad}"):
+            tr.fourier_green(pts["x"], pts["y"], 1.0, P)
 
 
 class TestSymbolCalls:
@@ -379,6 +379,38 @@ class TestSymbolCalls:
         monkeypatch.setattr(tr, "fourier_fundamental", counted)
         tr.invert_fourier_fundamental(np.array([1.0, 4.0]), 2.0, P)
         assert len(calls) == 2 and 0 < calls[0] < calls[1]
+
+
+class TestFourierGreen:
+    # the whole-line oracle at x - y plus the image at x + y
+    def test_unstable_class_names_pole(self):
+        with pytest.raises(UsageError, match=r"s\* = 1\.61803"):
+            tr.fourier_green(3.0, 1.0, 2.0, ModelParams(a1=1.0, a2=1.0))
+
+    @pytest.mark.parametrize("x, y", [(-0.5, 1.0), (1.0, -0.5), (2.0, 2.0)],
+                             ids=["negative_x", "negative_y", "diagonal"])
+    def test_bad_point_rejected(self, x, y):
+        with pytest.raises(ParameterError, match=f"got x={x}, y={y}"):
+            tr.fourier_green(np.array([3.0, x]), np.array([1.0, y]), 2.0, P)
+
+    def test_shapes(self):
+        assert tr.fourier_green(3.0, 1.0, 2.0, P).shape == (2, 2)
+        assert tr.fourier_green(np.array([3.0, 5.0]), 1.0, 2.0, P).shape == (2, 2, 2)
+        assert tr.fourier_green(2.0, np.array([[0.5], [1.0]]), 2.0, P).shape == (2, 1, 2, 2)
+
+    @pytest.mark.parametrize("params, calls", [
+        (PD, ["invert_fourier_fundamental"] * 2),
+        (PN, ["invert_fourier_fundamental"] * 2),
+        (P, ["invert_fourier_fundamental", "mirror_by_quadrature"]),
+    ], ids=["dirichlet", "neumann", "mixed"])
+    def test_calls_module_bindings(self, monkeypatch, params, calls):
+        # the oracles are looked up at call time, so a wrapper there sees them
+        seen = []
+        for name in ("invert_fourier_fundamental", "mirror_by_quadrature"):
+            exact = getattr(tr, name)
+            monkeypatch.setattr(tr, name, lambda *a, f=exact, n=name: seen.append(n) or f(*a))
+        tr.fourier_green(np.array([3.0, 5.0]), 1.0, 2.0, params)
+        assert seen == calls
 
 
 class TestMirrorByQuadrature:
