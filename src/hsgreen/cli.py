@@ -38,11 +38,12 @@ from .solver import (
     SolverConfig,
     green_column,
     make_initial_data,
+    pulse_width,
     solve_linear,
     solve_nonlinear,
     write_trajectory,
 )
-from .spectral import find_boundary_pole
+from .spectral import find_boundary_pole, refuse_unstable
 from .transforms import QuadratureConfig, invert_laplace_green
 from . import verify as vf
 
@@ -196,19 +197,20 @@ def cmd_green_eval(cfg: RunConfig, args) -> int:
             f"green-eval needs x != y at every point; first offending (x, y) = "
             f"({clash[0]:g}, {clash[1]:g})"
         )
+    refuse_unstable(params)  # a model fault is named before a placement fault
+    for y in dict.fromkeys(y for _, y, _ in pts):
+        pulse_width(y, cfg.solver)
     columns = ["x", "y", "t"]
     for tag in ("lead", "lap", "pde"):
         columns += [f"{tag}_{i}{j}" for i in (1, 2) for j in (1, 2)]
     rows = []
     pde_cache: dict[float, object] = {}
-    snap_times = sorted({t for _, _, t in pts})
+    snap_times = np.array(sorted({t for _, _, t in pts}))
     for x, y, t in pts:
         lead = green_leading(x, y, t, params).smooth
         lap = invert_laplace_green(x, y, t, params, cfg.quadrature)
         if y not in pde_cache:
-            pde_cache[y] = green_column(
-                y, params, cfg.solver, output_times=np.array(snap_times)
-            )
+            pde_cache[y] = green_column(y, params, cfg.solver, output_times=snap_times)
         pde = pde_cache[y].matrix_at(x, t)
         rows.append([x, y, t] + [m[i, j] for m in (lead, lap, pde) for i in range(2) for j in range(2)])
     path = write_csv(os.path.join(args.out, "greens.csv"), columns, rows)

@@ -6,6 +6,10 @@ of the flux matrix; the boundary adds a reflected kernel built from an
 exponentially weighted Gaussian moment (``e_function``) that is evaluated
 through the scaled complementary error function to avoid overflow.
 
+Every kernel broadcasts over its space argument at one time t (a scalar point
+gives a float or a 2x2 matrix); ``green_leading`` gives a column of G over x at
+one source y.  A point not finite or off the domain raises ``ParameterError``.
+
 Normalization: matching the exact Fourier-space mass F[G]_11(0, t) = 1 and
 the small-wavenumber expansion forces the heat-kernel prefactor
 1/sqrt(2 pi nu t) per acoustic family; the 1/sqrt(2 pi) is baked into all
@@ -20,7 +24,6 @@ m = +c rho) and is cross-checked against the inversion oracles in the tests.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,33 +45,31 @@ def erfcx(z):
     return scipy.special.erfcx(z)
 
 
-@dataclass(frozen=True)
-class EFunctionArgs:
-    """Arguments of the exponentially weighted Gaussian moment.
-
-    E(x, t; lam, d0) = int_0^inf exp(-gamma z) exp(-(x + z - lam t)^2/(d0 t)) dz
-    """
-
-    x: float
-    t: float
-    lam: float
-    d0: float
-    gamma: float
-
-    def __post_init__(self):
-        if not (self.t > 0.0):
-            raise ParameterError(f"need t > 0, got t={self.t}")
-        if not (self.d0 > 0.0):
-            raise ParameterError(f"need d0 > 0, got d0={self.d0}")
-        if not (self.gamma > 0.0):
-            raise ParameterError(f"need gamma > 0, got gamma={self.gamma}")
+def _positive(name: str, v: float) -> None:
+    """Refuses a scalar ``v`` that is not finite and > 0, naming it."""
+    if not (0.0 < v < math.inf):
+        raise ParameterError(f"need finite {name} > 0, got {name}={v}")
 
 
-def _e_values(x, t: float, lam: float, d0: float, gamma: float):
-    """Vectorized overflow-free closed form of the weighted Gaussian moment.
+def _points(name: str, v, lo: float = -math.inf) -> np.ndarray:
+    """``v`` as a float array; refuses a value that is not finite or lies
+    below ``lo``, naming the first."""
+    arr = np.asarray(v, dtype=float)
+    if arr.ndim == 0 and math.isfinite(arr) and arr >= lo:
+        return arr  # a scalar skips the array reductions below
+    bad = arr[~(np.isfinite(arr) & (arr >= lo))]
+    if bad.size:
+        bound = "" if lo == -math.inf else f" >= {lo:g}"
+        raise ParameterError(f"need finite {name}{bound}, got {name}={bad[0]}")
+    return arr
 
-    E = (sqrt(pi d0 t)/2) erfcx(w) exp(-(x - lam t)^2/(d0 t)),
-    w = (x - lam t + gamma d0 t / 2) / sqrt(d0 t).
+
+def e_function(x, t: float, lam: float, d0: float, gamma: float):
+    """Weighted Gaussian moment, strictly positive, broadcast over x:
+
+        E(x, t; lam, d0) = int_0^inf exp(-gamma z) exp(-(x + z - lam t)^2/(d0 t)) dz
+                         = (sqrt(pi d0 t)/2) erfcx(w) exp(-(x - lam t)^2/(d0 t)),
+        w = (x - lam t + gamma d0 t / 2) / sqrt(d0 t).
 
     The exponents combine exactly: gamma(x - lam t) + gamma^2 d0 t/4 - w^2
     = -(x - lam t)^2/(d0 t), so no factor exceeds unit scale for w >= 0.
@@ -78,9 +79,12 @@ def _e_values(x, t: float, lam: float, d0: float, gamma: float):
         E = (sqrt(pi d0 t)/2) [2 e^{gamma u + gamma^2 d0 t / 4}
                                - erfcx(-w) e^{-u^2/(d0 t)}]
 
-    is used there; its leading exponent is negative in that regime.
+    is used there; its leading exponent is negative in that regime.  Needs
+    t, d0, gamma > 0; returns a float for a scalar x.
     """
-    x = np.asarray(x, dtype=float)
+    x = _points("x", x)
+    for name, v in (("t", t), ("d0", d0), ("gamma", gamma)):
+        _positive(name, v)
     u = x - lam * t
     root = math.sqrt(d0 * t)
     w = (u + 0.5 * gamma * d0 * t) / root
@@ -94,19 +98,15 @@ def _e_values(x, t: float, lam: float, d0: float, gamma: float):
     return val if val.ndim else float(val)
 
 
-def e_function(args: EFunctionArgs) -> float:
-    """Closed-form value of the weighted Gaussian moment (strictly positive)."""
-    return float(_e_values(args.x, args.t, args.lam, args.d0, args.gamma))
-
-
-def e_function_dx(args: EFunctionArgs) -> float:
+def e_function_dx(x, t: float, lam: float, d0: float, gamma: float):
     """Exact x-derivative gamma*E - exp(-(x - lam t)^2/(d0 t))
     (integration by parts in the defining integral)."""
-    u = args.x - args.lam * args.t
-    return args.gamma * e_function(args) - math.exp(-(u * u) / (args.d0 * args.t))
+    u = np.asarray(x, dtype=float) - lam * t
+    return gamma * e_function(x, t, lam, d0, gamma) - np.exp(-(u * u) / (d0 * t))
 
 
-def e_bound_check(args: EFunctionArgs, eps: float, bigC: float, k: int = 0) -> float:
+def e_bound_check(x, t: float, lam: float, d0: float, gamma: float,
+                  eps: float, bigC: float, k: int = 0):
     """Ratio of |d^k E / dx^k| to its two-term decay envelope
 
         t^(-k/2) exp(-(x - lam t)^2 / ((d0 + eps) t)) + exp(-(|x| + t)/bigC)
@@ -118,10 +118,11 @@ def e_bound_check(args: EFunctionArgs, eps: float, bigC: float, k: int = 0) -> f
         raise ParameterError("need eps > 0 and bigC > 0")
     if k not in (0, 1):
         raise ParameterError(f"derivative order k must be 0 or 1, got {k}")
-    num = e_function(args) if k == 0 else abs(e_function_dx(args))
-    u = args.x - args.lam * args.t
-    env = args.t ** (-k / 2.0) * math.exp(-(u * u) / ((args.d0 + eps) * args.t))
-    env += math.exp(-(abs(args.x) + args.t) / bigC)
+    fn = e_function if k == 0 else e_function_dx
+    num = np.abs(fn(x, t, lam, d0, gamma))
+    u = np.asarray(x, dtype=float) - lam * t
+    env = t ** (-k / 2.0) * np.exp(-(u * u) / ((d0 + eps) * t))
+    env += np.exp(-(np.abs(x) + t) / bigC)
     return num / env
 
 
@@ -141,66 +142,53 @@ def singular_weight(t: float, params: ModelParams) -> float:
     return math.exp(-params.c**2 * t / params.nu)
 
 
-def _leading_smooth(x, t: float, params: ModelParams) -> np.ndarray:
-    """Two-wave heat-kernel approximation of the smooth fundamental solution.
-
-    Vectorized over x; returns shape x.shape + (2, 2).
-    """
-    x = np.asarray(x, dtype=float)
+def _leading_smooth(x: np.ndarray, t: float, params: ModelParams) -> np.ndarray:
+    """The two drifting heat kernels at checked points x; shape x.shape + (2, 2)."""
     c, nu = params.c, params.nu
     pref = 1.0 / math.sqrt(2.0 * math.pi * nu * t)
     gp = pref * np.exp(-((x - c * t) ** 2) / (2.0 * nu * t))  # right-moving
     gm = pref * np.exp(-((x + c * t) ** 2) / (2.0 * nu * t))  # left-moving
-    pp = acoustic_projection(+1, params)
-    pm = acoustic_projection(-1, params)
-    return gp[..., None, None] * pp + gm[..., None, None] * pm
+    return (np.multiply.outer(gp, acoustic_projection(+1, params))
+            + np.multiply.outer(gm, acoustic_projection(-1, params)))
 
 
-def fundamental_leading(x: float, t: float, params: ModelParams) -> KernelValue:
-    """Leading-order whole-line fundamental solution at offset x, time t > 0."""
-    if not (t > 0.0):
-        raise ParameterError(f"need t > 0, got t={t}")
-    smooth = np.asarray(_leading_smooth(float(x), t, params))
+def fundamental_leading(x, t: float, params: ModelParams) -> KernelValue:
+    """Leading-order whole-line fundamental solution at offsets x, time t > 0:
+    smooth part of shape x.shape + (2, 2), delta at offset 0."""
+    x = _points("x", x)
+    _positive("t", t)
     delta = singular_weight(t, params) * np.diag([1.0, 0.0])
-    return KernelValue(smooth=smooth, deltas=[(0.0, delta)])
+    return KernelValue(smooth=_leading_smooth(x, t, params), deltas=[(0.0, delta)])
 
 
-def _mirror_smooth(w, t: float, params: ModelParams) -> np.ndarray:
-    """Boundary part of the Green's function for the stable mixed class.
+def mirror_leading(w, t: float, params: ModelParams) -> Matrix2:
+    """Leading-order mirror kernel at w = x + y >= 0 for the stable mixed class,
+    of shape w.shape + (2, 2).
 
-    w = x + y >= 0.  Combines the negated image kernel with the reflected
-    part 2 gamma [E(w,t;c,2nu) P+ + E(w,t;-c,2nu) P-], all right-multiplied
-    by diag(1,-1); same 1/sqrt(2 pi nu t) normalization as the direct part.
+    Combines the negated image kernel with the reflected part
+    2 gamma [E(w,t;c,2nu) P+ + E(w,t;-c,2nu) P-], all right-multiplied by
+    diag(1,-1); same 1/sqrt(2 pi nu t) normalization as the direct part.
     """
-    w = np.asarray(w, dtype=float)
-    c, nu, gamma = params.c, params.nu, params.gamma
-    pref = 1.0 / math.sqrt(2.0 * math.pi * nu * t)
-    pp = acoustic_projection(+1, params)
-    pm = acoustic_projection(-1, params)
-    image = _leading_smooth(w, t, params)
-    e_plus = _e_values(w, t, c, 2.0 * nu, gamma)
-    e_minus = _e_values(w, t, -c, 2.0 * nu, gamma)
-    reflected = 2.0 * gamma * pref * (
-        np.asarray(e_plus)[..., None, None] * pp
-        + np.asarray(e_minus)[..., None, None] * pm
-    )
-    return (-image + reflected) * np.array([1.0, -1.0])
-
-
-def mirror_leading(w: float, t: float, params: ModelParams) -> Matrix2:
-    """Leading-order mirror kernel at w = x + y for the stable mixed class."""
     if params.boundary_class is not BoundaryClass.MIXED_STABLE:
         raise UsageError(
             "mirror_leading is defined for the stable mixed class only; "
             "Dirichlet/Neumann use the degenerate +-G(x+y) diag(1,-1) forms"
         )
-    if w < 0.0 or not (t > 0.0):
-        raise ParameterError(f"need w >= 0 and t > 0, got w={w}, t={t}")
-    return np.asarray(_mirror_smooth(float(w), t, params))
+    w = _points("w", w, 0.0)
+    _positive("t", t)
+    c, nu, gamma = params.c, params.nu, params.gamma
+    pref = 1.0 / math.sqrt(2.0 * math.pi * nu * t)
+    reflected = 2.0 * gamma * pref * (
+        np.multiply.outer(e_function(w, t, c, 2.0 * nu, gamma), acoustic_projection(+1, params))
+        + np.multiply.outer(e_function(w, t, -c, 2.0 * nu, gamma), acoustic_projection(-1, params))
+    )
+    return (-_leading_smooth(w, t, params) + reflected) * np.array([1.0, -1.0])
 
 
-def green_leading(x: float, y: float, t: float, params: ModelParams) -> KernelValue:
-    """Leading-order half-line Green's function at (x, t; y), interior points.
+def green_leading(x, y: float, t: float, params: ModelParams) -> KernelValue:
+    """Leading-order half-line Green's function at (x, t; y), interior points:
+    the column over x >= 0 at one source y >= 0, smooth part of shape
+    x.shape + (2, 2).
 
     Assembles the direct kernel at offset x - y plus the class-dependent
     boundary part at w = x + y.  The image delta (located at x = -y) never
@@ -208,16 +196,16 @@ def green_leading(x: float, y: float, t: float, params: ModelParams) -> KernelVa
     location y.  The three Gaussian ridges x - y = +-ct and x + y = ct are
     each produced by exactly one term of the assembly.
     """
-    if not (0.0 <= x < math.inf and 0.0 <= y < math.inf and 0.0 < t < math.inf):
-        raise ParameterError(f"need finite x, y >= 0 and t > 0, got x={x}, y={y}, t={t}")
+    x, y = _points("x", x, 0.0), _points("y", y, 0.0)
+    if y.ndim:
+        raise ParameterError(f"green_leading takes one source y, got y of shape {y.shape}")
+    _positive("t", t)
     refuse_unstable(params)
-    bc = params.boundary_class
-    smooth = np.asarray(_leading_smooth(float(x - y), t, params))
-    if bc is BoundaryClass.DIRICHLET:
-        smooth = smooth + _leading_smooth(float(x + y), t, params) * np.array([1.0, -1.0])
-    elif bc is BoundaryClass.NEUMANN:
-        smooth = smooth - _leading_smooth(float(x + y), t, params) * np.array([1.0, -1.0])
-    else:
-        smooth = smooth + _mirror_smooth(float(x + y), t, params)
+    if params.boundary_class is BoundaryClass.MIXED_STABLE:
+        boundary = mirror_leading(x + y, t, params)
+    else:  # the image kernel, + for Dirichlet and - for Neumann
+        sign = 1.0 if params.boundary_class is BoundaryClass.DIRICHLET else -1.0
+        boundary = sign * _leading_smooth(x + y, t, params) * np.array([1.0, -1.0])
+    smooth = _leading_smooth(x - y, t, params) + boundary
     delta = singular_weight(t, params) * np.diag([1.0, 0.0])
     return KernelValue(smooth=smooth, deltas=[(float(y), delta)])

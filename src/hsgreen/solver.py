@@ -540,19 +540,35 @@ class GreenColumns:
     rho_pulse: Trajectory
     m_pulse: Trajectory
 
-    def matrix_at(self, x: float, t: float) -> np.ndarray:
-        """2x2 column matrix at (x, t); t must be a stored snapshot time."""
-        out = np.empty((2, 2))
-        for j, traj in enumerate((self.rho_pulse, self.m_pulse)):
-            times = traj.times
-            k = int(np.argmin(np.abs(times - t)))
-            if abs(times[k] - t) > 1e-9 * max(1.0, t):
+    def matrix_at(self, x, t: float) -> np.ndarray:
+        """Column matrices at points x in [0, L], shape x.shape + (2, 2); t must
+        be a stored snapshot time."""
+        x, L = np.asarray(x, dtype=float), self.rho_pulse.grid.L
+        bad = x[~((x >= 0.0) & (x <= L))]
+        if bad.size:
+            raise ParameterError(f"x={bad[0]} lies outside the solver grid [0, L={L:g}]")
+        cols = []
+        for traj in (self.rho_pulse, self.m_pulse):
+            k = int(np.argmin(np.abs(traj.times - t)))
+            if abs(traj.times[k] - t) > 1e-9 * max(1.0, t):
                 raise ParameterError(f"t={t} is not a stored snapshot time")
-            st = traj.states[k]
-            xg = traj.grid.x
-            out[0, j] = np.interp(x, xg, st.rho - 1.0)
-            out[1, j] = np.interp(x, xg, st.m)
-        return out
+            st, xg = traj.states[k], traj.grid.x
+            cols.append(np.stack([np.interp(x, xg, st.rho - 1.0), np.interp(x, xg, st.m)], -1))
+        return np.stack(cols, -1)
+
+
+def pulse_width(y0: float, cfg: SolverConfig, width: float | None = None) -> float:
+    """Width of the narrow pulses ``green_column`` starts at y0 (default 4 dx).
+    Refuses a width under 4 dx and a y0 nearer than 10 widths to either end."""
+    dx = cfg.grid.dx
+    width = 4.0 * dx if width is None else width
+    if width < 4.0 * dx:
+        raise ConfigurationError(f"pulse width {width} under-resolved (need >= 4 dx = {4 * dx})")
+    if not (10.0 * width <= y0 <= cfg.grid.L - 10.0 * width):
+        raise ConfigurationError(
+            f"pulse center y0={y0:g} must sit >= 10 widths ({width:g}) from both boundaries, "
+            f"in [{10.0 * width:g}, {cfg.grid.L - 10.0 * width:g}]")
+    return width
 
 
 def green_column(
@@ -564,15 +580,7 @@ def green_column(
 ) -> GreenColumns:
     """Approximate the two columns of the Green's function by evolving
     unit-mass narrow pulses in each component separately."""
-    dx = cfg.grid.dx
-    if width is None:
-        width = 4.0 * dx
-    if width < 4.0 * dx:
-        raise ConfigurationError(f"pulse width {width} under-resolved (need >= 4 dx = {4 * dx})")
-    if not (10.0 * width <= y0 <= cfg.grid.L - 10.0 * width):
-        raise ConfigurationError(
-            f"pulse center y0={y0:g} must sit >= 10 widths ({width:g}) from both boundaries, "
-            f"in [{10.0 * width:g}, {cfg.grid.L - 10.0 * width:g}]")
+    width = pulse_width(y0, cfg, width)
     runs = {}
     for comp in ("rho", "m"):
         spec = InitialData(kind="gaussian", amplitude=1.0, center=y0, width=width,

@@ -81,9 +81,7 @@ def test_criterion_1_special_functions():
             for d0 in (1.0, 2.0, 4.0):
                 for t in (0.5, 3.7, 50.0):
                     for x in (-50.0, -12.5, 0.0, 7.5, 50.0):
-                        cf = K.e_function(
-                            K.EFunctionArgs(x=x, t=t, lam=lam, d0=d0, gamma=gamma)
-                        )
+                        cf = K.e_function(x, t, lam, d0, gamma)
                         center = max(lam * t - x, 0.0)
                         width = max(1.0 / gamma, math.sqrt(d0 * t))
                         hi = center + 60.0 * width
@@ -114,11 +112,10 @@ def test_criterion_2_e_identities():
     fd_ok = True
     worst_ratio = 0.0
     for x in (-4.0, -1.0, 0.0, 2.0, 6.0):
-        exact = K.e_function_dx(K.EFunctionArgs(x=x, **kw))
+        exact = K.e_function_dx(x, **kw)
         errs = []
         for h in (2e-2, 1e-2):
-            vals = [K.e_function(K.EFunctionArgs(x=x + k * h, **kw))
-                    for k in (-2, -1, 1, 2)]
+            vals = K.e_function(x + h * np.array([-2, -1, 1, 2]), **kw)
             fd = (vals[0] - 8 * vals[1] + 8 * vals[2] - vals[3]) / (12 * h)
             errs.append(abs(fd - exact))
         ratio = errs[1] / max(errs[0], 1e-300)
@@ -152,7 +149,7 @@ def test_criterion_2_e_identities():
         k1 = rhs(u); k2 = rhs(u + dt / 2 * k1)
         k3 = rhs(u + dt / 2 * k2); k4 = rhs(u + dt * k3)
         u += dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-    f_exact = K._e_values(x, 1.0, lam, d0, gamma) / math.sqrt(math.pi * d0)
+    f_exact = K.e_function(x, 1.0, lam, d0, gamma) / math.sqrt(math.pi * d0)
     win = np.abs(x) <= 8.0
     rel = np.abs(u[win] - f_exact[win]).max() / np.abs(f_exact[win]).max()
     ok = fd_ok and rel <= 1e-4
@@ -246,7 +243,7 @@ def test_criterion_5_three_oracle_agreement(columns):
         xs = np.linspace(1.0, 16.0, 31)
         xs = xs[np.abs(xs - y0) > 0.25]
         lap = tr.invert_laplace_green(xs, np.full_like(xs, y0), t, P)
-        pde = np.stack([columns.matrix_at(float(x), t) for x in xs])
+        pde = columns.matrix_at(xs, t)
         scale = np.abs(lap).max()
         keep = np.abs(lap).max(axis=(1, 2)) >= 0.05 * scale
         diff = np.abs(lap - pde).max(axis=(1, 2))[keep]
@@ -262,7 +259,7 @@ def test_criterion_5_three_oracle_agreement(columns):
             xs = np.linspace(1.0, 16.0, n)
             xs = xs[np.abs(xs - y0) > 0.25]
             lap = tr.invert_laplace_green(xs, np.full_like(xs, y0), t, P)
-            lead = np.stack([K.green_leading(float(x), y0, t, P).smooth for x in xs])
+            lead = K.green_leading(xs, y0, t, P).smooth
             ratio = np.abs(lap - lead).max(axis=(1, 2)) / vf.pointwise_envelope(
                 xs, y0, t, P, env, alpha=0
             )

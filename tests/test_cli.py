@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from hsgreen import cli
+from hsgreen import solver as so
 from hsgreen import verify as vf
 
 
@@ -110,7 +111,7 @@ class TestConfig:
         out = tmp_path / "map"
         assert run_cli(["stability-map", "--out", str(out),
                         "--a1-grid=-1:1:3", "--a2-grid=-1:1:3"]) == cli.EXIT_PASS
-        manifest = json.load(open(out / "manifest.json"))
+        manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["command"] == "stability-map"
         assert manifest["config"]["model"]["c"] == 1.0
         assert "verify" in manifest["config"]
@@ -190,7 +191,7 @@ class TestStabilityMap:
         out = tmp_path / "map"
         assert run_cli(["stability-map", "--out", str(out),
                         "--a1-grid=-1:1:3", "--a2-grid=-1:1:3"]) == cli.EXIT_PASS
-        rows = open(out / "stability_map.csv").read().strip().splitlines()
+        rows = (out / "stability_map.csv").read_text().strip().splitlines()
         assert rows[0] == "a1,a2,class,pole"
         table = {tuple(r.split(",")[:2]): r.split(",")[2:] for r in rows[1:]}
         assert table[("0", "1")][0] == "dirichlet"
@@ -215,7 +216,7 @@ class TestGreenEval:
         out = tmp_path / "ge"
         assert run_cli(["green-eval", "--config", cfgp, "--out", str(out),
                         "--point", "5", "3", "4"]) == cli.EXIT_PASS
-        lines = open(out / "greens.csv").read().strip().splitlines()
+        lines = (out / "greens.csv").read_text().strip().splitlines()
         header = lines[0].split(",")
         assert header[:3] == ["x", "y", "t"]
         assert len(header) == 15  # 3 keys + 3 evaluators x 4 entries
@@ -241,7 +242,7 @@ class TestGreenEval:
             args = cli.build_parser().parse_args(argv)
             n_points = len(args.point) if args.point else math.prod(
                 len(cli._parse_grid_spec(g)) for g in (args.x_grid, args.y_grid, args.t_grid))
-            rows = open(out / "greens.csv").read().strip().splitlines()
+            rows = (out / "greens.csv").read_text().strip().splitlines()
             assert len(rows) - 1 == n_points
 
     def test_default_grids_are_evaluable(self):
@@ -261,6 +262,29 @@ class TestGreenEval:
         assert code == cli.EXIT_CONFIG
         err = capsys.readouterr().err
         assert "y0=2 " in err and "(0.4)" in err and "[4, 396]" in err
+
+    def test_source_placement_checked_before_any_solve(self, tmp_path, capsys, monkeypatch):
+        # y = 2 is refused before the y = 5 columns of the first point are solved
+        solves = []
+        real = so.solve_linear
+        monkeypatch.setattr(so, "solve_linear", lambda *a, **kw: solves.append(1) or real(*a, **kw))
+        out = tmp_path / "ge"
+        code = run_cli(["green-eval", "--out", str(out),
+                        "--point", "7", "5", "4", "--point", "1", "2", "3"])
+        assert code == cli.EXIT_CONFIG
+        assert "y0=2 " in capsys.readouterr().err
+        assert solves == [] and not out.exists()
+
+    def test_point_beyond_solver_grid_is_config_error(self, tmp_path, capsys):
+        # np.interp would clamp x = 23 to the far end x = L = 20
+        cfgp = write_config(tmp_path, {"solver": {"L": 20.0, "nx": 200, "t_end": 2.0,
+                                                  "n_snapshots": 2}})
+        out = tmp_path / "ge"
+        assert run_cli(["green-eval", "--config", cfgp, "--out", str(out),
+                        "--point", "23", "5", "2"]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "x=23.0 " in err and "L=20]" in err
+        assert not (out / "greens.csv").exists()
 
     def test_source_on_grid_point_rejected_up_front(self, tmp_path, capsys):
         out = tmp_path / "ge"
@@ -282,7 +306,7 @@ class TestGreenEval:
         assert run_cli(["green-eval", "--config", cfgp, "--out", str(out),
                         "--x-grid", "2:10:3", "--y-grid", "12:14:2",
                         "--t-grid", "1:3:2"]) == cli.EXIT_PASS
-        lines = open(out / "greens.csv").read().strip().splitlines()
+        lines = (out / "greens.csv").read_text().strip().splitlines()
         assert len(lines) - 1 == 3 * 2 * 2
 
     def test_unstable_params_exit_config_naming_pole(self, tmp_path, capsys):
@@ -380,14 +404,14 @@ class TestVerifyCommand:
         out = tmp_path / "v"
         code = run_cli(["verify", "--out", str(out), "--which", "lemma41"])
         assert code == cli.EXIT_PASS
-        rep = json.load(open(out / "lemma_initial_data.json"))
+        rep = json.loads((out / "lemma_initial_data.json").read_text())
         assert rep["status"] == "pass"
 
     def test_pointwise_pass(self, tmp_path):
         out = tmp_path / "v"
         code = run_cli(["verify", "--out", str(out), "--which", "pointwise"])
         assert code == cli.EXIT_PASS
-        rep = json.load(open(out / "green_bound_alpha0.json"))
+        rep = json.loads((out / "green_bound_alpha0.json").read_text())
         assert rep["status"] == "pass"
         assert rep["details"]["ridge_distance_sigmas"] <= 3.0
 
@@ -398,7 +422,7 @@ class TestVerifyCommand:
         code = run_cli(["verify", "--config", cfgp, "--out", str(out),
                         "--which", "pointwise"])
         assert code == cli.EXIT_PASS
-        rep = json.load(open(out / "green_bound_alpha1.json"))
+        rep = json.loads((out / "green_bound_alpha1.json").read_text())
         assert rep["sup_ratio"] > 0.0
 
     def test_instability_indefinite_implicit_matrix(self, tmp_path, capsys):
@@ -414,7 +438,7 @@ class TestVerifyCommand:
         out = tmp_path / "v"
         code = run_cli(["verify", "--out", str(out), "--which", "instability"])
         assert code == cli.EXIT_PASS
-        rep = json.load(open(out / "instability.json"))
+        rep = json.loads((out / "instability.json").read_text())
         assert rep["fitted"]["relative_error"] <= 0.05
 
     def test_wave_reports_named_by_alpha(self, tmp_path, small_wave_lemmas):
@@ -426,7 +450,7 @@ class TestVerifyCommand:
                  for kind in ("same_speed", "cross_speed") for alpha in (2, 3)]
         for suffix in ("json", "csv"):
             assert sorted(p.stem for p in out.glob(f"lemma_wave_*.{suffix}")) == sorted(names)
-        assert json.load(open(out / "manifest.json"))["reports"] == names[2:]
+        assert json.loads((out / "manifest.json").read_text())["reports"] == names[2:]
 
     def test_lemma_constants_follow_model(self, tmp_path, small_wave_lemmas):
         # the lemma width is the model's 2 nu, not the nu = 1 value 2
@@ -435,12 +459,12 @@ class TestVerifyCommand:
         for which in ("lemma41", "lemma42", "lemma43"):
             assert run_cli(["verify", "--config", cfgp, "--out", str(out),
                             "--which", which]) == cli.EXIT_PASS
-        lemma41 = json.load(open(out / "lemma_initial_data.json"))["parameters"]
+        lemma41 = json.loads((out / "lemma_initial_data.json").read_text())["parameters"]
         assert lemma41["d0"] == pytest.approx(0.6)
         assert lemma41["E"] == pytest.approx(0.9)
         assert lemma41["r"] == 1.0
         for name in ("same_speed", "cross_speed"):
-            wave = json.load(open(out / f"lemma_wave_{name}_alpha3.json"))["parameters"]
+            wave = json.loads((out / f"lemma_wave_{name}_alpha3.json").read_text())["parameters"]
             assert wave["nu"] == pytest.approx(0.6)
             assert wave["lam"] == 1.7
 
@@ -456,5 +480,5 @@ class TestVerifyCommand:
         assert code == cli.EXIT_DIVERGENCE
         done = ["green_bound_alpha0", "green_bound_alpha1", "instability"]
         for name in done:
-            assert json.load(open(out / f"{name}.json"))["status"] == "pass"
-        assert json.load(open(out / "manifest.json"))["reports"] == done
+            assert json.loads((out / f"{name}.json").read_text())["status"] == "pass"
+        assert json.loads((out / "manifest.json").read_text())["reports"] == done

@@ -1,10 +1,13 @@
 import math
+from pathlib import Path
 import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hsgreen.core import Grid1D, ModelParams
 from hsgreen.errors import ConfigurationError, DivergenceError, ParameterError
@@ -573,12 +576,18 @@ class TestNonlinearTerm:
 
 
 class TestGreenColumn:
+    @pytest.fixture(scope="class")
+    def narrow_columns(self):
+        cfg = so.SolverConfig(grid=Grid1D(L=30.0, nx=600), t_end=2.0, n_snapshots=3)
+        return so.green_column(10.0, P, cfg, width=0.3)
+
     def test_width_and_placement_validated(self):
         cfg = small_cfg()
         with pytest.raises(ConfigurationError):
             so.green_column(5.0, P, cfg, width=cfg.grid.dx)
         with pytest.raises(ConfigurationError):
             so.green_column(0.5, P, cfg, width=1.0)
+        assert so.pulse_width(5.0, cfg) == 4.0 * cfg.grid.dx
 
     def test_delta_persistence_short_time(self):
         # at t << nu/c^2 the density pulse keeps mass ~ exp(-c^2 t/nu) near
@@ -632,6 +641,22 @@ class TestGreenColumn:
         with pytest.raises(ParameterError):
             cols.matrix_at(5.0, 0.77)
 
+    @pytest.mark.parametrize("x", [30.5, -0.1, math.nan, [5.0, 31.0]],
+                             ids=["beyond-L", "negative", "nan", "array"])
+    def test_matrix_at_refuses_points_off_grid(self, narrow_columns, x):
+        # np.interp would clamp them to the nearest end of [0, L]
+        with pytest.raises(ParameterError, match=r"x=(30.5|-0.1|nan|31.0) .*L=30\]"):
+            narrow_columns.matrix_at(x, 1.0)
+
+    @given(xs=st.lists(st.floats(0.0, 30.0), min_size=1, max_size=8),
+           t=st.sampled_from([0.0, 1.0, 2.0]))
+    @settings(max_examples=30)
+    def test_matrix_at_array_equals_scalar_loop(self, narrow_columns, xs, t):
+        got = narrow_columns.matrix_at(np.array(xs), t)
+        ref = np.stack([narrow_columns.matrix_at(x, t) for x in xs])
+        assert got.shape == ref.shape
+        assert np.abs(got - ref).max() <= 1e-15 * np.abs(ref).max()
+
 
 class TestTrajectoryOutput:
     def test_write_and_manifest(self, tmp_path):
@@ -643,11 +668,11 @@ class TestTrajectoryOutput:
         traj = so.solve_linear(init, P, cfg)
         paths = so.write_trajectory(traj, str(tmp_path), "run", cfg)
         assert len(paths) == 4  # 3 snapshots + manifest
-        header = open(paths[0]).readline().strip()
+        header = Path(paths[0]).read_text().splitlines()[0]
         assert header == "x,rho,m"
         import json
 
-        manifest = json.load(open(paths[-1]))
+        manifest = json.loads(Path(paths[-1]).read_text())
         assert manifest["params"]["c"] == 1.0
         assert len(manifest["times"]) == 3
         assert "boundary_residual" in manifest

@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -63,10 +64,10 @@ class TestPointwiseEnvelope:
             np.linspace(2.0, 6.0, 2), alpha=0, out_dir=str(tmp_path),
         )
         path = rep.to_json(str(tmp_path / "rep.json"))
-        data = json.load(open(path))
+        data = json.loads(Path(path).read_text())
         assert data["name"] == "green_bound_alpha0"
         assert data["status"] in ("pass", "fail", "inconclusive")
-        csv = open(rep.artifacts[0]).readline().strip()
+        csv = Path(rep.artifacts[0]).read_text().splitlines()[0]
         assert csv == "x,y_or_s,t,lhs,rhs,ratio"
 
 
