@@ -198,8 +198,13 @@ def cmd_green_eval(cfg: RunConfig, args) -> int:
             f"({clash[0]:g}, {clash[1]:g})"
         )
     refuse_unstable(params)  # a model fault is named before a placement fault
-    for y in dict.fromkeys(y for _, y, _ in pts):
+    L, t_end = cfg.grid.L, cfg.solver.t_end
+    for x, y, t in pts:
         pulse_width(y, cfg.solver)
+        if not 0.0 <= x <= L:
+            raise ConfigurationError(f"x={x} lies outside the solver grid [0, L={L:g}]")
+        if not 0.0 < t <= t_end:
+            raise ConfigurationError(f"t={t:g} lies outside the solver run (0, t_end={t_end:g}]")
     columns = ["x", "y", "t"]
     for tag in ("lead", "lap", "pde"):
         columns += [f"{tag}_{i}{j}" for i in (1, 2) for j in (1, 2)]

@@ -145,6 +145,11 @@ class FieldState:
             raise ParameterError("rho and m must have equal shapes")
 
 
+def wall_relation(m: np.ndarray, dx: float, params: ModelParams) -> float:
+    """Signed one-sided Robin relation a1 (-3 m0 + 4 m1 - m2)/(2 dx) + a2 m0 at x = 0."""
+    return float(params.a1 * (-3.0 * m[0] + 4.0 * m[1] - m[2]) / (2.0 * dx) + params.a2 * m[0])
+
+
 @dataclass
 class Trajectory:
     """Time-ordered sequence of field states plus per-snapshot diagnostics."""
@@ -152,25 +157,25 @@ class Trajectory:
     grid: Grid1D
     params: ModelParams
     states: list[FieldState] = field(default_factory=list)
-    # Robin residual |a1 m_x + a2 m| at x = 0 with the enforced ghost node, and
-    # with the one-sided m_x, which the closure does not enforce (diagnostic).
-    boundary_residual: list[float] = field(default_factory=list)
-    boundary_residual_alt: list[float] = field(default_factory=list)
     # Solver work counters: steps, explicit RHS evaluations, implicit solves,
     # factorizations, each snapshot segment's dt with the limit that set it,
     # and for nonlinear runs the minimum density.  Not written to manifests.
     stats: dict = field(default_factory=dict)
 
-    def append(self, state: FieldState, residual: float, residual_alt: float) -> None:
+    def append(self, state: FieldState) -> None:
         if self.states and state.t <= self.states[-1].t:
             raise ParameterError("snapshot times must be strictly increasing")
         self.states.append(state)
-        self.boundary_residual.append(residual)
-        self.boundary_residual_alt.append(residual_alt)
 
     @property
     def times(self) -> np.ndarray:
         return np.array([s.t for s in self.states])
+
+    @property
+    def boundary_residual(self) -> list[float]:
+        """|wall_relation| of each stored snapshot: the ghost node enforces the
+        centered relation, so a wrong wall closure shows in this one-sided one."""
+        return [abs(wall_relation(s.m, self.grid.dx, self.params)) for s in self.states]
 
 
 @dataclass(frozen=True)

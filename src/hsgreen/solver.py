@@ -32,6 +32,11 @@ matrix I - h J, J = nu D2 with its boundary rows, is tridiagonal, depends
 on the step size only and is made symmetric by an exact row scaling; LAPACK
 factors it once per step size as L D L^T and solves in place
 (``_ImplicitSolve``), and a Dirichlet row returns m(0) = 0 exactly.
+
+The wall check is the one-sided relation ``core.wall_relation``: the
+initial momentum is projected onto it, and ``Trajectory.boundary_residual``
+is its size on every snapshot.  The ghost enforces the centered relation,
+so that residual is O(dx^2) only where the wall closure is right.
 """
 
 from __future__ import annotations
@@ -43,7 +48,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .core import BoundaryClass, FieldState, Grid1D, ModelParams, Trajectory, write_csv
+from .core import (BoundaryClass, FieldState, Grid1D, ModelParams, Trajectory,
+                   wall_relation, write_csv)
 from .errors import ConfigurationError, DivergenceError, ParameterError
 
 _KAPPA4 = 0.25
@@ -114,8 +120,9 @@ def make_initial_data(spec: InitialData, grid: Grid1D, params: ModelParams) -> F
     """Discrete fields satisfying the Robin condition at t = 0.
 
     When the momentum carries a profile, its first three nodes are blended so
-    the one-sided discrete boundary relation holds to rounding (one linear
-    correction, see ``_project_boundary_compatible``).
+    the one-sided relation ``core.wall_relation`` holds to rounding, with
+    m(0) = 0 exactly for Dirichlet; ``_project_boundary_compatible`` refuses
+    the grid dx = 2 a1/(3 a2), where no blend can meet it.
     """
     x = grid.x
     prof = _profile(spec, x)
@@ -128,24 +135,23 @@ def make_initial_data(spec: InitialData, grid: Grid1D, params: ModelParams) -> F
 
 def _project_boundary_compatible(m: np.ndarray, grid: Grid1D, params: ModelParams) -> np.ndarray:
     """Add delta * (1, 4/9, 1/9) to nodes 0..2 so that the one-sided relation
-    a1 (-3 m0 + 4 m1 - m2)/(2 dx) + a2 m0 = 0 holds.  Its residual, scaled as
-    R(m) = m0 - a1 (4 m1 - m2)/(3 a1 - 2 dx a2), is linear in m, so
-    delta = -R(m)/R(blend).  For a1 = 0, R(m) = m0 and R(blend) = 1, which pins
-    m0 = 0 exactly."""
+    r(m) = a1 (-3 m0 + 4 m1 - m2)/(2 dx) + a2 m0 vanishes.  r is linear, so
+    delta = -r(m)/r(blend), with r(blend) = a2 - 2 a1/(3 dx).  That is zero at
+    dx = 2 a1/(3 a2), and a grid where it is zero to rounding is refused.
+    For a1 = 0 the relation is m0 = 0, which is set exactly."""
     a1, a2, dx = params.a1, params.a2, grid.dx
     blend = np.array([1.0, 4.0 / 9.0, 1.0 / 9.0])
-    den = 3.0 * a1 - 2.0 * dx * a2
-
-    def resid(v: np.ndarray) -> float:
-        return v[0] - a1 * (4.0 * v[1] - v[2]) / den
-
-    if den == 0.0 or resid(blend) == 0.0:
+    r_blend = wall_relation(blend, dx, params)
+    if abs(r_blend) <= 1e-12 * (abs(a2) + 2.0 * abs(a1) / (3.0 * dx)):
         raise ConfigurationError(
-            f"the wall blend cannot meet the one-sided boundary relation at "
-            f"dx = {dx:g} for (a1, a2) = ({a1:g}, {a2:g}); refine the grid"
+            f"the wall blend cannot meet the one-sided boundary relation at dx = {dx:g}: "
+            f"(a1, a2) = ({a1:g}, {a2:g}) make it singular at dx = 2 a1/(3 a2) = "
+            f"{2.0 * a1 / (3.0 * a2):g}; choose another nx"
         )
     m = m.copy()
-    m[0:3] -= resid(m) / resid(blend) * blend
+    m[0:3] -= wall_relation(m, dx, params) / r_blend * blend
+    if a1 == 0.0:
+        m[0] = 0.0
     return m
 
 
@@ -166,6 +172,11 @@ def _sponge_profile(grid: Grid1D, cfg: SolverConfig) -> np.ndarray:
     xs = grid.L * (1.0 - _SPONGE_FRACTION)
     ramp = np.clip((grid.x - xs) / (grid.L - xs), 0.0, None)
     return cfg.sponge_strength * ramp**2
+
+
+def _pressure(rho: np.ndarray, params: ModelParams, cfg: SolverConfig) -> np.ndarray:
+    """p(rho) = (c^2/Gamma) rho^Gamma with Gamma = ``cfg.pressure_gamma``: p'(1) = c^2."""
+    return params.c**2 / cfg.pressure_gamma * rho**cfg.pressure_gamma
 
 
 def _robin_ghost(m: np.ndarray, dx: float, params: ModelParams) -> float:
@@ -221,8 +232,6 @@ class _Rhs:
         self.cfg = cfg
         self.nonlinear = nonlinear
         self.dirichlet = params.boundary_class is BoundaryClass.DIRICHLET
-        # p(rho) = p_scale rho^Gamma, so p'(1) = c^2 by construction
-        self.p_scale = params.c**2 / cfg.pressure_gamma if nonlinear else 0.0
         n, dx = cfg.grid.n_nodes, cfg.grid.dx
         c, nu = params.c, params.nu
         self.n = n
@@ -267,7 +276,7 @@ class _Rhs:
             rho = 1.0 + z[:n]
             v = m / rho
             w = v - m  # nu w_xx is the viscous remainder nu (m/rho - m)_xx
-            flux = m * v + self.p_scale * rho**self.cfg.pressure_gamma
+            flux = m * v + _pressure(rho, p, self.cfg)
             dmdt = dzdt[n:]
             dmdt -= self.d1_m @ flux
             dmdt += self.nu_d2 @ w
@@ -406,18 +415,6 @@ def _snapshot_times(cfg: SolverConfig, output_times) -> np.ndarray:
     return times
 
 
-def _boundary_residuals(m: np.ndarray, params: ModelParams, dx: float) -> tuple[float, float]:
-    """|a1 m_x + a2 m| at x = 0 with the ghost the solver enforces, and with
-    the one-sided m_x = (-3 m0 + 4 m1 - m2)/(2 dx)."""
-    if params.boundary_class is BoundaryClass.DIRICHLET:
-        enforced = abs(m[0])
-    else:
-        ghost = _robin_ghost(m, dx, params)
-        enforced = abs(params.a1 * (m[1] - ghost) / (2.0 * dx) + params.a2 * m[0])
-    m_x = (-3.0 * m[0] + 4.0 * m[1] - m[2]) / (2.0 * dx)
-    return enforced, abs(params.a1 * m_x + params.a2 * m[0])
-
-
 def _integrate(
     init: FieldState,
     params: ModelParams,
@@ -429,15 +426,14 @@ def _integrate(
         raise ConfigurationError("initial data does not match the configured grid")
     rhs = _Rhs(params, cfg, nonlinear)
     times = _snapshot_times(cfg, output_times)
-    dx, n = cfg.grid.dx, rhs.n
+    n = rhs.n
 
     z = np.concatenate([init.rho - 1.0, init.m])  # the stacked state (u, m)
     if rhs.dirichlet:
         z[n] = 0.0
 
     traj = Trajectory(grid=cfg.grid, params=params)
-    r0, ra0 = _boundary_residuals(z[n:], params, dx)
-    traj.append(FieldState(t=times[0], rho=1.0 + z[:n], m=z[n:].copy()), r0, ra0)
+    traj.append(FieldState(t=times[0], rho=1.0 + z[:n], m=z[n:].copy()))
     stats = traj.stats
     stats.update(steps=0, factorizations=0, segments=[])
     if nonlinear:
@@ -465,8 +461,7 @@ def _integrate(
             raise DivergenceError(
                 "density left [1/2, 3/2]; reduce the initial amplitude or dx", t_next, traj
             )
-        r, ra = _boundary_residuals(z[n:], params, dx)
-        traj.append(FieldState(t=t_next, rho=1.0 + u, m=z[n:].copy()), r, ra)
+        traj.append(FieldState(t=t_next, rho=1.0 + u, m=z[n:].copy()))
     # each step evaluates the explicit part twice and solves twice
     stats["explicit_rhs_evals"] = 2 * stats["steps"]
     stats["implicit_solves"] = 2 * stats["steps"]
@@ -501,29 +496,22 @@ class NonlinearTermValue:
     q: np.ndarray
 
 
-def nonlinear_term(
-    state: FieldState,
-    params: ModelParams,
-    grid: Grid1D,
-    pressure_gamma: float = 2.0,
-) -> NonlinearTermValue:
-    """Quadratic flux remainder of the momentum equation around (1, 0):
+def nonlinear_term(state: FieldState, params: ModelParams,
+                   cfg: SolverConfig) -> NonlinearTermValue:
+    """Quadratic flux remainder of the momentum equation around (1, 0), on
+    the grid and with the pressure law of the run ``cfg``:
 
     q_tilde = -[ m^2/rho + p(rho) - p(1) - p'(1)(rho - 1) + nu ((rho-1) m / rho)_x ]
     """
     rho, m = state.rho, state.m
     if np.any(rho <= 0.0):
         raise ParameterError("density must be positive")
-    scale = params.c**2 / pressure_gamma
     u = rho - 1.0
-    p_of = lambda r: scale * r**pressure_gamma  # noqa: E731
-    dp1 = scale * pressure_gamma
-    inner = u * m / rho
     q_tilde = -(
-        m * m / rho + p_of(rho) - p_of(np.ones_like(rho)) - dp1 * u
-        + params.nu * _grad(inner, grid.dx)
+        m * m / rho + _pressure(rho, params, cfg) - _pressure(1.0, params, cfg)
+        - params.c**2 * u + params.nu * _grad(u * m / rho, cfg.grid.dx)
     )
-    return NonlinearTermValue(q_tilde=q_tilde, q=_grad(q_tilde, grid.dx))
+    return NonlinearTermValue(q_tilde=q_tilde, q=_grad(q_tilde, cfg.grid.dx))
 
 
 @dataclass
@@ -599,7 +587,8 @@ def write_trajectory(
     traj: Trajectory, out_dir: str, prefix: str, cfg: SolverConfig | None = None
 ) -> list[str]:
     """Write one CSV per snapshot (x, rho, m; 17 significant digits) plus a
-    JSON manifest echoing params, config, and the residual logs."""
+    JSON manifest echoing params, config, and each snapshot's boundary
+    residual."""
     os.makedirs(out_dir, exist_ok=True)
     paths = [
         write_csv(os.path.join(out_dir, f"{prefix}_{k:04d}.csv"), ("x", "rho", "m"),
@@ -611,7 +600,6 @@ def write_trajectory(
         "grid": {"L": traj.grid.L, "nx": traj.grid.nx},
         "times": [st.t for st in traj.states],
         "boundary_residual": traj.boundary_residual,
-        "boundary_residual_alt": traj.boundary_residual_alt,
         "snapshots": [os.path.basename(pth) for pth in paths],
     }
     if cfg is not None:

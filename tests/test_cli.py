@@ -286,6 +286,24 @@ class TestGreenEval:
         assert "x=23.0 " in err and "L=20]" in err
         assert not (out / "greens.csv").exists()
 
+    @pytest.mark.parametrize("solver, point, named", [
+        ({"L": 20.0, "nx": 400, "t_end": 20.0}, ["23", "5", "18"], ["x=23.0 ", "L=20]"]),
+        ({}, ["7", "5", "60"], ["t=60 ", "t_end=50]"]),
+    ], ids=["x-beyond-L", "t-beyond-t_end"])
+    def test_point_outside_solver_run_refused_before_any_evaluator(
+            self, tmp_path, capsys, monkeypatch, solver, point, named):
+        calls = []
+        for mod, name in [(cli, "green_leading"), (cli, "invert_laplace_green"),
+                          (so, "solve_linear")]:
+            monkeypatch.setattr(mod, name, lambda *a, **kw: calls.append(a))
+        cfgp = write_config(tmp_path, {"solver": solver})
+        out = tmp_path / "ge"
+        assert run_cli(["green-eval", "--config", cfgp, "--out", str(out),
+                        "--point", *point]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert all(text in err for text in named)
+        assert calls == [] and not out.exists()
+
     def test_source_on_grid_point_rejected_up_front(self, tmp_path, capsys):
         out = tmp_path / "ge"
         code = run_cli(["green-eval", "--out", str(out), "--y-grid", "5:20:4"])
@@ -336,6 +354,20 @@ class TestSolve:
             assert tables == sorted(p.name for p in out2.glob("*.csv"))
             for name in tables:
                 assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+    @pytest.mark.parametrize("a2, L, nx, code", [
+        (3.0, 10.0, 20, cli.EXIT_PASS),    # 3 a1 = 2 dx a2: the relation is 4 m1 = m2
+        (1.0, 40.0, 60, cli.EXIT_CONFIG),  # dx = 2 a1/(3 a2): the blend cannot meet it
+    ], ids=["feasible", "singular"])
+    def test_wall_blend_grid_rule(self, tmp_path, a2, L, nx, code):
+        initial = {"kind": "gaussian", "amplitude": 0.01, "center": L / 2, "width": 1.0,
+                   "components": ["rho", "m"]}
+        cfgp = write_config(tmp_path, {
+            "model": {"a1": 1.0, "a2": a2},
+            "solver": {"L": L, "nx": nx, "t_end": 1.0, "n_snapshots": 2, "initial": initial},
+        })
+        assert run_cli(["solve", "--config", cfgp, "--out", str(tmp_path / "s"),
+                        "--kind", "linear"]) == code
 
     def test_divergence_exit_code(self, tmp_path):
         bad = {

@@ -136,9 +136,9 @@ class TestContainers:
         g = Grid1D(L=1.0, nx=4)
         traj = Trajectory(grid=g, params=ModelParams())
         z = np.zeros(5)
-        traj.append(FieldState(t=0.0, rho=1 + z, m=z), 0.0, 0.0)
+        traj.append(FieldState(t=0.0, rho=1 + z, m=z))
         with pytest.raises(ParameterError):
-            traj.append(FieldState(t=0.0, rho=1 + z, m=z), 0.0, 0.0)
+            traj.append(FieldState(t=0.0, rho=1 + z, m=z))
 
     def test_bound_envelope_validation(self):
         with pytest.raises(ParameterError):

@@ -67,28 +67,34 @@ class TestInitialData:
         assert np.all(st.rho == 1.0) and np.all(st.m == 0.0)
 
     def test_momentum_profile_projected_onto_boundary_relation(self):
-        grid = Grid1D(L=40.0, nx=800)
+        # the mixed default, and two grids with 3 a1 = 2 dx a2, where the
+        # relation reduces to 4 m1 = m2 and the blend still meets it
         spec = so.InitialData(kind="gaussian", amplitude=0.3, center=2.0, width=1.0,
                               components=("m",))
-        st = so.make_initial_data(spec, grid, P)
-        dx = grid.dx
-        onesided = (-3.0 * st.m[0] + 4.0 * st.m[1] - st.m[2]) / (2.0 * dx)
-        assert abs(P.a1 * onesided + P.a2 * st.m[0]) <= 1e-12
+        for params, grid in [(P, Grid1D(L=40.0, nx=800)),
+                             (ModelParams(a1=1.0, a2=3.0), Grid1D(L=10.0, nx=20)),
+                             (ModelParams(a1=1.0, a2=1.5), Grid1D(L=10.0, nx=10))]:
+            st = so.make_initial_data(spec, grid, params)
+            onesided = (-3.0 * st.m[0] + 4.0 * st.m[1] - st.m[2]) / (2.0 * grid.dx)
+            assert abs(params.a1 * onesided + params.a2 * st.m[0]) <= 1e-12
 
     def test_wall_blend_degenerate_grid_rejected(self):
-        # 3 a1 - 2 dx a2 = 0: no blend amplitude meets the one-sided relation
-        grid = Grid1D(L=10.0, nx=20)
-        spec = so.InitialData(kind="gaussian", amplitude=0.3, center=2.0, width=1.0,
-                              components=("m",))
-        with pytest.raises(ConfigurationError):
-            so.make_initial_data(spec, grid, ModelParams(a1=1.0, a2=3.0))
+        # the blend's own residual a2 - 2 a1/(3 dx) vanishes at dx = 2 a1/(3 a2):
+        # no blend amplitude meets the one-sided relation there
+        grid = Grid1D(L=40.0, nx=60)
+        spec = so.InitialData(kind="gaussian", amplitude=0.3, center=20.0, width=1.0,
+                              components=("rho", "m"))
+        with pytest.raises(ConfigurationError, match=r"dx = 2 a1/\(3 a2\) = 0.666667"):
+            so.make_initial_data(spec, grid, ModelParams(a1=1.0, a2=1.0))
 
     def test_dirichlet_momentum_pinned(self):
         grid = Grid1D(L=40.0, nx=400)
         spec = so.InitialData(kind="gaussian", amplitude=0.3, center=3.0, width=1.0,
                               components=("m",))
-        st = so.make_initial_data(spec, grid, PD)
-        assert st.m[0] == 0.0
+        # a2 m0 = 0 is m0 = 0, exactly, whatever a2 scales it by
+        for a2 in (0.3, 1.0, 3.0, 7.3):
+            st = so.make_initial_data(spec, grid, ModelParams(a1=0.0, a2=a2))
+            assert st.m[0] == 0.0
 
 
 class TestLinearSolver:
@@ -122,12 +128,31 @@ class TestLinearSolver:
         traj = so.solve_linear(init, P, cfg)
         m_max = max(np.abs(s.m).max() for s in traj.states)
         assert max(traj.boundary_residual) <= 1e-6 * m_max
-        # the transformed-form residual is a logged diagnostic, not enforced
-        assert len(traj.boundary_residual_alt) == len(traj.states)
+
+    def test_boundary_residual_sees_a_wrong_wall_row(self, monkeypatch):
+        # the Neumann closure in the implicit operator's wall row, with the
+        # Robin ghost left elsewhere: the one-sided residual of criterion 10's
+        # run must exceed the criterion's tolerance
+        init_rhs = so._Rhs.__init__
+
+        def neumann_wall_row(rhs, params, cfg, nonlinear):
+            init_rhs(rhs, params, cfg, nonlinear)
+            r = params.nu / cfg.grid.dx**2
+            rhs.J[0, 0], rhs.J[0, 1] = -2.0 * r, 2.0 * r
+
+        monkeypatch.setattr(so._Rhs, "__init__", neumann_wall_row)
+        grid = Grid1D(L=40.0, nx=800)
+        init = so.make_initial_data(
+            so.InitialData(kind="gaussian", amplitude=0.5, center=15.0, width=1.0,
+                           components=("rho", "m")), grid, P,
+        )
+        traj = so.solve_linear(init, P, so.SolverConfig(grid=grid, t_end=5.0))
+        m_max = max(np.abs(s.m).max() for s in traj.states)
+        assert max(traj.boundary_residual) > 1e-6 * m_max
 
     @pytest.mark.parametrize("params", CLASS_CASES, ids=CLASS_IDS)
     def test_alt_residual_is_one_sided_relation(self, params):
-        # boundary_residual_alt is |a1 m_x + a2 m| at x = 0 with the one-sided
+        # boundary_residual is |a1 m_x + a2 m| at x = 0 with the one-sided
         # m_x, read off each stored snapshot
         grid = Grid1D(L=40.0, nx=400)
         init = so.make_initial_data(
@@ -135,11 +160,11 @@ class TestLinearSolver:
                            components=("rho", "m")), grid, params,
         )
         traj = so.solve_linear(init, params, so.SolverConfig(grid=grid, t_end=2.0))
-        assert len(traj.boundary_residual_alt) == len(traj.states)
-        for st, alt in zip(traj.states, traj.boundary_residual_alt):
+        assert len(traj.boundary_residual) == len(traj.states)
+        for st, resid in zip(traj.states, traj.boundary_residual):
             m_x = (-3.0 * st.m[0] + 4.0 * st.m[1] - st.m[2]) / (2.0 * grid.dx)
-            assert alt == pytest.approx(abs(params.a1 * m_x + params.a2 * st.m[0]),
-                                        rel=1e-12, abs=0.0)
+            assert resid == pytest.approx(abs(params.a1 * m_x + params.a2 * st.m[0]),
+                                          rel=1e-12, abs=0.0)
 
     def test_energy_non_increasing_dirichlet(self):
         grid = Grid1D(L=60.0, nx=1200)
@@ -439,7 +464,7 @@ class TestWallClosure:
             traj = so.solve_linear(init, params, so.SolverConfig(grid=grid, t_end=8.0))
             finals.append((grid, traj.states[-1]))
             m_max = max(np.abs(s.m).max() for s in traj.states)
-            residuals.append(max(traj.boundary_residual_alt) / m_max)
+            residuals.append(max(traj.boundary_residual) / m_max)
         # the error on the quarter next to the wall, against the finer grid
         errors = []
         for (grid, a), (_, b) in zip(finals, finals[1:]):
@@ -550,29 +575,29 @@ class TestNonlinearSolver:
 
 class TestNonlinearTerm:
     def test_vanishes_at_constant_state(self):
-        grid = Grid1D(L=10.0, nx=100)
+        cfg = small_cfg(L=10.0, nx=100)
         st = so.FieldState(t=0.0, rho=np.ones(101), m=np.zeros(101))
-        val = so.nonlinear_term(st, P, grid)
+        val = so.nonlinear_term(st, P, cfg)
         assert np.abs(val.q_tilde).max() == 0.0
         assert np.abs(val.q).max() == 0.0
 
     def test_quadratic_amplitude_scaling(self):
-        grid = Grid1D(L=40.0, nx=800)
-        x = grid.x
+        cfg = small_cfg(L=40.0, nx=800)
+        x = cfg.grid.x
         norms = []
         for eps in (1e-3, 2e-3):
             rho = 1.0 + eps * np.exp(-((x - 20.0) ** 2) / 4.0)
             m = eps * np.exp(-((x - 20.0) ** 2) / 4.0)
-            val = so.nonlinear_term(so.FieldState(t=0.0, rho=rho, m=m), P, grid)
+            val = so.nonlinear_term(so.FieldState(t=0.0, rho=rho, m=m), P, cfg)
             norms.append(np.abs(val.q_tilde).max())
         exponent = math.log2(norms[1] / norms[0])
         assert abs(exponent - 2.0) <= 0.05
 
     def test_positive_density_required(self):
-        grid = Grid1D(L=10.0, nx=10)
+        cfg = small_cfg(L=10.0, nx=10)
         st = so.FieldState(t=0.0, rho=np.full(11, -0.1), m=np.zeros(11))
         with pytest.raises(ParameterError):
-            so.nonlinear_term(st, P, grid)
+            so.nonlinear_term(st, P, cfg)
 
 
 class TestGreenColumn:

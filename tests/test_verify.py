@@ -148,12 +148,13 @@ class TestDecayReports:
         _, m_series = vf.ansatz_M(nonlinear_traj, P)
         m_sq = float(m_series[-1]) ** 2
         grid = nonlinear_traj.grid
+        cfg = so.SolverConfig(grid=grid, t_end=50.0)  # the fixture's run
         keep = grid.x <= 0.85 * grid.L
         ratios = []
         for st in nonlinear_traj.states:
             if st.t < 1.0:
                 continue
-            val = so.nonlinear_term(st, P, grid)
+            val = so.nonlinear_term(st, P, cfg)
             env = m_sq * (
                 psi_envelope(grid.x, st.t, P.c, 2.0)
                 + psi_envelope(grid.x, st.t, -P.c, 2.0)
