@@ -407,11 +407,22 @@ def _snapshot_times(cfg: SolverConfig, output_times) -> np.ndarray:
     if output_times is None:
         times = np.linspace(0.0, cfg.t_end, cfg.n_snapshots)
     else:
-        times = np.asarray(output_times, dtype=float)
+        times = np.atleast_1d(np.asarray(output_times, dtype=float))
+        if times.size == 0:
+            raise ConfigurationError("need at least one output time")
         if times[0] != 0.0:
             times = np.concatenate([[0.0], times])
-    if np.any(np.diff(times) <= 0) or times[-1] > cfg.t_end + 1e-12:
-        raise ConfigurationError("output times must increase and stay within t_end")
+    flat = ~(np.diff(times) > 0)
+    if flat.any():
+        k = int(np.argmax(flat))
+        raise ConfigurationError(
+            f"output times must increase from 0, got {float(times[k])} then {float(times[k + 1])}"
+        )
+    beyond = ~(times <= cfg.t_end + 1e-12)
+    if beyond.any():
+        raise ConfigurationError(
+            f"output time {float(times[np.argmax(beyond)])} lies beyond t_end = {cfg.t_end}"
+        )
     return times
 
 

@@ -7,8 +7,19 @@ B = diag(0, nu).  This module provides:
 * the dispersion roots of the Fourier symbol,
 * the Fourier-space fundamental solution (whole line),
 * the smooth parts of the Laplace-space fundamental solution and half-line
-  Green's function, with the exact x-derivative of the latter,
+  Green's function,
 * the boundary reflection coefficient and its right-half-plane pole.
+
+The x-derivative of the half-line Green's function is not a second symbol.
+Laplace-transforming the model, u_t + m_x = 0 and m_t + c^2 u_x = nu m_xx,
+gives m_x = -s u and u_x = -(s/w) m with w = nu s + c^2, column by column,
+so away from x = y
+
+    L[G_x](x, y, s) = -s [[0, 1/w], [1, 0]] L[G](x, y, s):
+
+row 0 of the derivative is -s/w times row 1 of L[G], row 1 is -s times
+row 0.  The direct term on either side of x = y and the image term each
+solve that system; only the off-diagonal jump at x = y escapes it.
 
 All evaluators broadcast over numpy arrays in their transform variable so the
 inversion quadratures in :mod:`hsgreen.transforms` stay vectorized.
@@ -216,36 +227,6 @@ def refuse_unstable(params: ModelParams) -> None:
         )
 
 
-def _green_tables(x, y, s, params: ModelParams):
-    """Per-node w and sqrt(w), and the point tables of the Green's function:
-    a = e^{-lambda |x - y|}, sa = sgn(x - y) a and b = R(s) e^{-lambda (x + y)}."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if np.any(x < 0.0) or np.any(y < 0.0):
-        raise ParameterError("need x >= 0 and y >= 0")
-    w = _nu_s_plus_c2(s, params)
-    sqw = np.sqrt(w)
-    lam = np.asarray(s, dtype=complex) / sqw
-    r = np.asarray(reflection_coefficient(s, params))
-    d = x - y
-    a = np.exp(-lam * np.abs(d))
-    b = r * np.exp(-lam * (x + y))
-    return w, sqw, lam, a, np.sign(d) * a, b
-
-
-def _green_entries(w, sqw, scale, p00, p01, p10, p11, params: ModelParams) -> np.ndarray:
-    """[[c^2 p00 / w^{3/2}, p01 / w], [c^2 p10 / w, p11 / w^{1/2}]] scale / 2,
-    with the per-node weights formed on the shape of s."""
-    half = 0.5 * scale / w
-    c2 = params.c**2
-    out = np.empty(np.broadcast(p00, half).shape + (2, 2), dtype=complex)
-    np.multiply(c2 * half / sqw, p00, out=out[..., 0, 0])
-    np.multiply(half, p01, out=out[..., 0, 1])
-    np.multiply(c2 * half, p10, out=out[..., 1, 0])
-    np.multiply(0.5 * scale / sqw, p11, out=out[..., 1, 1])
-    return out
-
-
 def laplace_green(x, y, s, params: ModelParams) -> np.ndarray:
     """Smooth part of the Laplace-space half-line Green's function.
 
@@ -258,24 +239,26 @@ def laplace_green(x, y, s, params: ModelParams) -> np.ndarray:
                [c^2 w^{-1} (sa + b),  w^{-1/2} (a - b)]],  w = nu s + c^2.
 
     The diagonal delta nu delta(x - y)/(nu s + c^2) diag(1, 0) is left out;
-    the image delta at x = -y never fires for interior arguments.
+    the image delta at x = -y never fires for interior arguments.  Its
+    x-derivative needs no table of its own (module docstring).
     """
-    w, sqw, _, a, sa, b = _green_tables(x, y, s, params)
-    return _green_entries(w, sqw, 1.0, a + b, sa - b, sa + b, a - b, params)
-
-
-def laplace_green_dx(x, y, s, params: ModelParams) -> np.ndarray:
-    """x-derivative of the smooth part of :func:`laplace_green`, for x != y:
-    -lambda [sgn(x - y) L[G](x - y) + R(s) L[G](x + y) diag(1, -1)], since
-    d/dw L[G](w, s) = -lambda sgn(w) L[G](w, s).  In the tables of
-    :func:`laplace_green` this is the same four sums, permuted, times -lambda:
-
-        -(lambda/2) [[c^2 w^{-3/2} (sa + b), w^{-1} (a - b)],
-                     [c^2 w^{-1} (a + b),    w^{-1/2} (sa - b)]].
-
-    Off-diagonals jump at x = y.
-    """
-    if np.any(np.equal(x, y)):
-        raise ParameterError("laplace_green_dx needs x != y (the smooth part jumps there)")
-    w, sqw, lam, a, sa, b = _green_tables(x, y, s, params)
-    return _green_entries(w, sqw, -lam, sa + b, a - b, a + b, sa - b, params)
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if np.any(x < 0.0) or np.any(y < 0.0):
+        raise ParameterError("need x >= 0 and y >= 0")
+    w = _nu_s_plus_c2(s, params)
+    sqw = np.sqrt(w)
+    lam = np.asarray(s, dtype=complex) / sqw
+    r = np.asarray(reflection_coefficient(s, params))
+    d = x - y
+    a = np.exp(-lam * np.abs(d))
+    sa = np.sign(d) * a
+    b = r * np.exp(-lam * (x + y))
+    half = 0.5 / w
+    c2 = params.c**2
+    out = np.empty(np.broadcast(a, half).shape + (2, 2), dtype=complex)
+    np.multiply(c2 * half / sqw, a + b, out=out[..., 0, 0])
+    np.multiply(half, sa - b, out=out[..., 0, 1])
+    np.multiply(c2 * half, sa + b, out=out[..., 1, 0])
+    np.multiply(0.5 / sqw, a - b, out=out[..., 1, 1])
+    return out

@@ -70,7 +70,10 @@ coefficient's right-half-plane pole when there is one.  The symbol is
 evaluated once per degree on (points x nodes); in it only the two exponential
 tables e^{-lambda |x - y|} and R e^{-lambda (x + y)} depend on the point
 (``spectral.laplace_green``), and one ``matmul`` of the complex weights
-against the (points, nodes, 4) values contracts the node axis.  Its independent
+against the (points, nodes, 4) values contracts the node axis.  G_x reads
+the same table through L[G_x] = -s [[0, 1/w], [1, 0]] L[G], w = nu s + c^2
+(``spectral``): one ``matmul`` against the weight stack (-g s/w, -g s)
+weights rows 1 and 0 of L[G], which swap into place.  Its independent
 reference, ``fourier_green``, sums the whole-line oracle at x - y and the image
 at x + y: +-G(x + y) diag(1, -1) (Dirichlet/Neumann) or the mirror kernel.
 
@@ -88,8 +91,7 @@ import numpy as np
 
 from .core import BoundaryClass, KernelValue, ModelParams
 from .errors import AccuracyError, ConfigurationError, ParameterError
-from .spectral import (find_boundary_pole, fourier_fundamental, laplace_green,
-                       laplace_green_dx, refuse_unstable)
+from .spectral import find_boundary_pole, fourier_fundamental, laplace_green, refuse_unstable
 
 logger = logging.getLogger(__name__)
 
@@ -353,16 +355,22 @@ def _laplace_shift(t: float, params: ModelParams) -> float:
     return 0.0 if pole is None else pole + 1.0 / t
 
 
-def _invert_laplace_talbot(symbol, x, y, t, params, M: int, shift: float) -> np.ndarray:
-    """Degree-M sum on the contour shifted by ``shift``, before e^{shift t}."""
+def _invert_laplace_talbot(x, y, t, params, M: int, shift: float, order: int = 0) -> np.ndarray:
+    """Degree-M sum of G (order 0) or G_x (order 1) on the contour shifted by
+    ``shift``, before e^{shift t}; both contract one ``laplace_green`` table."""
     s, g = _talbot_nodes(t, M)
-    values = symbol(x[..., None], y[..., None], s + shift, params)
-    return np.matmul(g, values.reshape(x.size, M, 4)).real.reshape(x.shape + (2, 2))
+    s = s + shift
+    values = laplace_green(x[..., None], y[..., None], s, params).reshape(x.size, M, 4)
+    if order == 0:
+        return np.matmul(g, values).real.reshape(x.shape + (2, 2))
+    weights = np.stack([-g * s / (params.nu * s + params.c**2), -g * s])
+    rows = np.matmul(weights, values).real  # (points, 2, 4): rows of G, weighted
+    return np.stack([rows[:, 0, 2:], rows[:, 1, :2]], axis=1).reshape(x.shape + (2, 2))
 
 
-def _invert_laplace(symbol, x, y, t: float, params: ModelParams, cfg: QuadratureConfig, order=0):
-    """Checked contour inversion of ``symbol(x, y, s, params)`` at time t on the
-    unit model; each of the ``order`` x-derivatives maps back with one more 1/L."""
+def _invert_laplace(x, y, t: float, params: ModelParams, cfg: QuadratureConfig, order=0):
+    """Checked contour inversion of G (order 0) or G_x (order 1) at time t on the
+    unit model; the x-derivative maps back with one more 1/L."""
     L, t1, unit, scale = _unit_frame(t, params)
     x1, y1 = np.broadcast_arrays(_points("x", x) / L, _points("y", y) / L)
     if np.any(x1 < 0.0) or np.any(y1 < 0.0):
@@ -371,8 +379,8 @@ def _invert_laplace(symbol, x, y, t: float, params: ModelParams, cfg: Quadrature
         raise ParameterError("Laplace inversion needs x != y (smooth part only)")
     scale = scale / L**order
     shift = _laplace_shift(t1, unit)
-    out = _invert_laplace_talbot(symbol, x1, y1, t1, unit, cfg.n_nodes, shift) * scale
-    probe = _invert_laplace_talbot(symbol, x1, y1, t1, unit, cfg.n_nodes + 8, shift) * scale
+    out = _invert_laplace_talbot(x1, y1, t1, unit, cfg.n_nodes, shift, order) * scale
+    probe = _invert_laplace_talbot(x1, y1, t1, unit, cfg.n_nodes + 8, shift, order) * scale
     err = float(np.abs(out - probe).max())
     logger.debug("talbot self-check: points=%d degrees=%d/%d t'=%.6g diff=%.3g",
                  x1.size, cfg.n_nodes, cfg.n_nodes + 8, t1, err)
@@ -395,15 +403,16 @@ def invert_laplace_green(
     AccuracyError on failure; for the unstable class it compares them in the
     shifted frame, before the factor e^{shift t} that G grows with.
     """
-    return _invert_laplace(laplace_green, x, y, t, params, cfg)
+    return _invert_laplace(x, y, t, params, cfg)
 
 
 def invert_laplace_green_dx(
     x, y, t: float, params: ModelParams, cfg: QuadratureConfig = DEFAULT_QUADRATURE
 ):
-    """x-derivative of the smooth Green's function: inverts the exact symbol
-    ``laplace_green_dx`` exactly as :func:`invert_laplace_green` does."""
-    return _invert_laplace(laplace_green_dx, x, y, t, params, cfg, order=1)
+    """x-derivative of the smooth Green's function, exact (not a difference
+    quotient): inverts the table of :func:`invert_laplace_green` with the
+    derivative weights, with the same self-check."""
+    return _invert_laplace(x, y, t, params, cfg, order=1)
 
 
 def mirror_by_quadrature(

@@ -473,6 +473,22 @@ class TestVerifyCommand:
         rep = json.loads((out / "instability.json").read_text())
         assert rep["fitted"]["relative_error"] <= 0.05
 
+    def test_norm_tables_name_their_columns(self, tmp_path):
+        # the norm series are not sup-ratio tables and carry their own headers
+        cfgp = write_config(tmp_path, {"solver": {
+            "L": 60.0, "nx": 300, "t_end": 50.0,
+            "initial": {"kind": "algebraic", "amplitude": 0.005, "r": 1.0},
+        }})
+        out = tmp_path / "v"
+        for which in ("instability", "decay", "ansatz"):
+            assert run_cli(["verify", "--config", cfgp, "--out", str(out),
+                            "--which", which]) == cli.EXIT_PASS
+        headers = {name: (out / name).read_text().splitlines()[0]
+                   for name in ("instability_norms.csv", "decay_norms.csv", "ansatz_M.csv")}
+        assert headers == {"instability_norms.csv": "t,max_abs_m,fit",
+                           "decay_norms.csv": "t,L2,L4,Linf",
+                           "ansatz_M.csv": "t,M"}
+
     def test_wave_reports_named_by_alpha(self, tmp_path, small_wave_lemmas):
         # alpha = 2 and 3 of each wave lemma write their own report files
         out = tmp_path / "v"

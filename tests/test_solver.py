@@ -666,6 +666,17 @@ class TestGreenColumn:
         with pytest.raises(ParameterError):
             cols.matrix_at(5.0, 0.77)
 
+    @pytest.mark.parametrize("times, message", [
+        ([1.0, 3.0], r"output time 3.0 lies beyond t_end = 2.0"),
+        ([1.0, 1.0], r"must increase from 0, got 1.0 then 1.0"),
+        ([2.0, 1.0], r"must increase from 0, got 2.0 then 1.0"),
+        ([], r"at least one output time"),
+    ], ids=["beyond-t_end", "repeated", "decreasing", "empty"])
+    def test_bad_output_times_named(self, times, message):
+        cfg = so.SolverConfig(grid=Grid1D(L=30.0, nx=300), t_end=2.0)
+        with pytest.raises(ConfigurationError, match=message):
+            so.green_column(10.0, P, cfg, output_times=times)
+
     @pytest.mark.parametrize("x", [30.5, -0.1, math.nan, [5.0, 31.0]],
                              ids=["beyond-L", "negative", "nan", "array"])
     def test_matrix_at_refuses_points_off_grid(self, narrow_columns, x):

@@ -14,14 +14,22 @@ from hsgreen.spectral import (
     lambda_of_s,
     laplace_fundamental,
     laplace_green,
-    laplace_green_dx,
     reflection_coefficient,
 )
-from hsgreen.transforms import _laplace_shift, _talbot_nodes
+from hsgreen.transforms import (_invert_laplace_talbot, _laplace_shift, _talbot_nodes,
+                                invert_laplace_green_dx)
 
 P = ModelParams()  # c = nu = 1, a1 = -1, a2 = 1 (stable mixed)
 PS = ModelParams(c=1.7, nu=0.3, a1=-1.3, a2=2.9)
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
+
+
+def green_dx(x, y, s, params):
+    """L[G_x] = -s [[0, 1/w], [1, 0]] L[G], w = nu s + c^2, from the first-order system."""
+    g = laplace_green(x, y, s, params)
+    s = np.asarray(s, dtype=complex)[..., None]
+    w = params.nu * s + params.c**2
+    return np.stack([-s / w * g[..., 1, :], -s * g[..., 0, :]], axis=-2)
 
 
 class TestDispersion:
@@ -259,7 +267,7 @@ class TestLaplaceGreen:
             for s in (0.5 + 0.3j, 2.0 + 0.0j, 1.0 + 2.0j):
                 for y in (1.0, 4.5):
                     g = laplace_green(0.0, y, s, pr)[1, :]
-                    dg = laplace_green_dx(0.0, y, s, pr)[1, :]
+                    dg = green_dx(0.0, y, s, pr)[1, :]
                     scale = (abs(pr.a1 * lambda_of_s(s, pr)) + abs(pr.a2)) * np.abs(
                         laplace_fundamental(y, s, pr)[1, :]).max()
                     assert np.abs(pr.a1 * dg + pr.a2 * g).max() <= 1e-14 * scale
@@ -270,7 +278,7 @@ class TestLaplaceGreen:
         for x, y in ((0.7, 3.0), (4.0, 1.5)):
             rows = [laplace_green(x + k * h, y, s, P) for k in (-1, 1)]
             fd = (rows[1] - rows[0]) / (2.0 * h)
-            exact = laplace_green_dx(x, y, s, P)
+            exact = green_dx(x, y, s, P)
             assert np.abs(fd - exact).max() <= 1e-7 * np.abs(exact).max()
 
     @pytest.mark.parametrize(
@@ -283,7 +291,9 @@ class TestLaplaceGreen:
         # direct L[G](x - y) plus image R L[G](x + y) diag(1, -1), and for the
         # derivative -lambda (sgn(x - y) direct + image), built term by term
         t = 2.0
-        s = _talbot_nodes(t, 40)[0] + _laplace_shift(t, params)
+        nodes, g = _talbot_nodes(t, 40)
+        shift = _laplace_shift(t, params)
+        s = nodes + shift
         x = np.array([0.0, 0.7, 3.0, 9.5, 0.2])[:, None]
         y = np.array([1.2, 2.0, 0.4, 6.0, 4.0])[:, None]
         direct = laplace_fundamental(x - y, s, params)
@@ -295,13 +305,18 @@ class TestLaplaceGreen:
         scale = np.abs(direct) + np.abs(image)
         got = laplace_green(x, y, s, params)
         assert np.all(np.abs(got - (direct + image)) <= 1e-14 * scale)
-        got_dx = laplace_green_dx(x, y, s, params)
+        got_dx = green_dx(x, y, s, params)
         ref_dx = -lam * (sgn * direct + image)
         assert np.all(np.abs(got_dx - ref_dx) <= 1e-14 * np.abs(lam) * scale)
+        # the library's derivative path: the contour sum of the same identity
+        lib_dx = _invert_laplace_talbot(x.ravel(), y.ravel(), t, params, 40, shift, order=1)
+        ref_sum = np.einsum("k,pkij->pij", g, ref_dx).real
+        bound = np.einsum("k,pkij->pij", np.abs(g), np.abs(lam) * scale)
+        assert np.all(np.abs(lib_dx - ref_sum) <= 1e-14 * bound)
 
     def test_derivative_refuses_diagonal(self):
         with pytest.raises(ParameterError):
-            laplace_green_dx(np.array([1.0, 2.0]), 2.0, 1.0 + 0.0j, P)
+            invert_laplace_green_dx(np.array([1.0, 2.0]), 2.0, 1.0, P)
 
     def test_mixed_boundary_identity(self):
         # transform of (-a1 rho_t + a2 m)|_{x=0} = 0
@@ -333,7 +348,6 @@ class TestBroadcastMatchesPointwise:
         evaluators = {
             "fundamental": lambda xs, ys, ss: laplace_fundamental(xs - ys, ss, params),
             "green": lambda xs, ys, ss: laplace_green(xs, ys, ss, params),
-            "green_dx": lambda xs, ys, ss: laplace_green_dx(xs, ys, ss, params),
         }
         for name, f in evaluators.items():
             grid = f(x, y, s)

@@ -8,6 +8,7 @@ import pytest
 from hsgreen.core import BoundEnvelope, Grid1D, ModelParams
 from hsgreen.errors import ParameterError, UsageError
 from hsgreen import solver as so
+from hsgreen import transforms as tr
 from hsgreen import verify as vf
 
 P = ModelParams()
@@ -69,6 +70,42 @@ class TestPointwiseEnvelope:
         assert data["status"] in ("pass", "fail", "inconclusive")
         csv = Path(rep.artifacts[0]).read_text().splitlines()[0]
         assert csv == "x,y_or_s,t,lhs,rhs,ratio"
+
+    def test_coarse_sup_is_the_given_grid_alone(self):
+        # the report inverts the refined grid once; its coarse sup must be the
+        # one that inversions at the given points alone give, bitwise
+        xg, yg, tg = np.linspace(0.0, 12.0, 5), np.linspace(0.13, 11.9, 4), [1.0, 4.0, 7.0]
+        rep = vf.green_bound_report(P, xg, yg, tg)
+        X, Y = np.meshgrid(xg, yg, indexing="ij")
+        sup = max(
+            float((np.abs(tr.invert_laplace_green(X.ravel(), Y.ravel(), t, P)).max(axis=(-2, -1))
+                   / vf.pointwise_envelope(X.ravel(), Y.ravel(), t, P, BoundEnvelope())).max())
+            for t in tg
+        )
+        assert rep.grid_levels[0]["sup"] == sup
+        assert rep.grid_levels[0]["sup"] <= rep.grid_levels[1]["sup"]
+
+    def test_unsorted_grid_gives_sorted_sups(self):
+        xg, yg = np.linspace(0.0, 12.0, 5), np.linspace(0.13, 11.9, 4)
+        tg = np.array([1.0, 4.0, 7.0])
+        ref = vf.green_bound_report(P, xg, yg, tg, alpha=1)
+        rep = vf.green_bound_report(P, xg[[3, 0, 4, 1, 2]], yg[::-1], tg[[2, 0, 1]], alpha=1)
+        assert [lv["sup"] for lv in rep.grid_levels] == [lv["sup"] for lv in ref.grid_levels]
+        assert rep.details == ref.details
+
+    def test_one_inversion_per_refined_time(self, monkeypatch):
+        # the coarse grid is read off the refined one, not inverted again
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return tr.invert_laplace_green(*args, **kwargs)
+
+        monkeypatch.setattr(vf, "invert_laplace_green", counted)
+        n_t = 6
+        vf.green_bound_report(P, np.linspace(0.0, 25.0, 5), np.linspace(0.13, 24.9, 5),
+                              np.linspace(1.0, 20.0, n_t))
+        assert len(calls) == 2 * n_t - 1
 
 
 class TestInstabilityReport:
