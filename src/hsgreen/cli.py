@@ -14,8 +14,9 @@ manifest echoing the fully resolved configuration, so runs are reproducible
 byte for byte.  Exit codes: 0 pass, 1 verified fail, 2 config error, 3 accuracy
 error, 4 inconclusive, 5 divergence.
 
-``verify --which instability`` runs (a1, a2) = (1, 1) when the model is stable, as
-its report's ``parameters.params`` shows, on a fixed grid: L = 40, nx = 800, t_end = 12.
+``verify --which instability`` starts from the exact unstable mode e^{-(a2/a1) x}, on a
+grid and run derived from a2/a1 and the pole s*, not from ``solver``.  A stable model
+runs (a1, a2) = (1, 1), and the report's ``details.substituted_for`` names its pair.
 """
 
 from __future__ import annotations
@@ -94,8 +95,8 @@ def _merge_checked(default, given, path: str = ""):
     """``given`` merged over ``default`` after checking it has the kind of
     ``default``: an object (no unknown keys), a list (items of the kind of the
     default's first item, stored as a tuple), a string, an integral number for
-    an int default (stored as int) or a real number for a float default.  A
-    bool is not a number.  Raises ConfigurationError naming the key path."""
+    an int default (stored as int) or a real number for a float default (stored as
+    float).  A bool is not a number.  Raises ConfigurationError naming the key path."""
     kind = type(default)
     number = isinstance(given, (int, float)) and not isinstance(given, bool)
     if kind is dict and isinstance(given, dict):
@@ -111,7 +112,7 @@ def _merge_checked(default, given, path: str = ""):
     if kind is str and isinstance(given, str):
         return given
     if kind is float and number:
-        return given
+        return float(given)
     if kind is int and number and (isinstance(given, int) or given.is_integer()):
         return int(given)
     where = f"config key {path!r}" if path else "the config"
@@ -256,11 +257,12 @@ def _verify_pointwise(cfg: RunConfig, out_dir: str):
 
 
 def _verify_instability(cfg: RunConfig, out_dir: str):
-    up = cfg.model
-    if up.boundary_class is not BoundaryClass.MIXED_UNSTABLE:
-        up = ModelParams(c=up.c, nu=up.nu, a1=1.0, a2=1.0)
-    scfg = SolverConfig(grid=Grid1D(L=40.0, nx=800), t_end=12.0, n_snapshots=25)
-    return [vf.instability_report(up, scfg, out_dir=out_dir)]
+    model = cfg.model
+    if model.boundary_class is BoundaryClass.MIXED_UNSTABLE:
+        return [vf.instability_report(model, out_dir=out_dir)]
+    rep = vf.instability_report(dataclasses.replace(model, a1=1.0, a2=1.0), out_dir=out_dir)
+    rep.details["substituted_for"] = {"a1": model.a1, "a2": model.a2}
+    return [rep]
 
 
 def _verify_lemma41(cfg: RunConfig, out_dir: str):

@@ -132,6 +132,15 @@ def _points(name: str, v) -> np.ndarray:
     return arr
 
 
+def _half_line_points(x, y) -> tuple[np.ndarray, np.ndarray]:
+    """x, y as broadcast float arrays; refuses the first point off the half line or on x = y."""
+    xa, ya = np.broadcast_arrays(_points("x", x), _points("y", y))
+    bad = np.flatnonzero((xa < 0.0) | (ya < 0.0) | (xa == ya))
+    if bad.size:
+        raise ParameterError(f"need x, y >= 0 and x != y, got x={xa[bad[0]]}, y={ya[bad[0]]}")
+    return xa, ya
+
+
 def _unit_frame(t: float, params: ModelParams):
     """(L, t' = t/T, unit model, entry scale [[1, 1/c], [c, 1]]/L): the oracle
     runs the unit model at x/L and t' and multiplies its result by the entry
@@ -372,11 +381,7 @@ def _invert_laplace(x, y, t: float, params: ModelParams, cfg: QuadratureConfig, 
     """Checked contour inversion of G (order 0) or G_x (order 1) at time t on the
     unit model; the x-derivative maps back with one more 1/L."""
     L, t1, unit, scale = _unit_frame(t, params)
-    x1, y1 = np.broadcast_arrays(_points("x", x) / L, _points("y", y) / L)
-    if np.any(x1 < 0.0) or np.any(y1 < 0.0):
-        raise ParameterError("need x >= 0 and y >= 0")
-    if np.any(x1 == y1):
-        raise ParameterError("Laplace inversion needs x != y (smooth part only)")
+    x1, y1 = (v / L for v in _half_line_points(x, y))
     scale = scale / L**order
     shift = _laplace_shift(t1, unit)
     out = _invert_laplace_talbot(x1, y1, t1, unit, cfg.n_nodes, shift, order) * scale
@@ -387,9 +392,7 @@ def _invert_laplace(x, y, t: float, params: ModelParams, cfg: QuadratureConfig, 
     if not err <= cfg.tol:
         raise AccuracyError("parabolic contour did not meet tolerance", err, cfg.tol)
     out = probe * math.exp(shift * t1)
-    if np.asarray(x).ndim == 0 and np.asarray(y).ndim == 0:
-        return out[0]
-    return out
+    return out[0] if np.ndim(x) == np.ndim(y) == 0 else out
 
 
 def invert_laplace_green(
@@ -441,14 +444,12 @@ def mirror_by_quadrature(
     L, t1, unit, scale = _unit_frame(t, params)
     warr = _points("w", w)
     if np.any(warr < 0.0):
-        raise ParameterError("need w >= 0")
+        raise ParameterError(f"need w >= 0, got w={warr[np.argmax(warr < 0.0)]}")
     smooth, err = _fourier_smooth_with_error(warr / L, t1, cfg, unit.gamma, scale)
     if not err <= 10.0 * cfg.tol:
         raise AccuracyError("mirror quadrature did not meet tolerance", err, 10.0 * cfg.tol)
     smooth = smooth * np.array([1.0, -1.0])
-    if np.asarray(w).ndim == 0:
-        return smooth[0]
-    return smooth
+    return smooth[0] if np.ndim(w) == 0 else smooth
 
 
 def fourier_green(
@@ -458,10 +459,7 @@ def fourier_green(
     x + y, that oracle times +-diag(1, -1) (Dirichlet/Neumann) or the mirror kernel,
     each with its own self-check.  Broadcasts over x, y >= 0 with x != y."""
     refuse_unstable(params)
-    xa, ya = np.broadcast_arrays(_points("x", x), _points("y", y))
-    bad = np.flatnonzero((xa < 0.0) | (ya < 0.0) | (xa == ya))
-    if bad.size:
-        raise ParameterError(f"need x, y >= 0 and x != y, got x={xa[bad[0]]}, y={ya[bad[0]]}")
+    xa, ya = _half_line_points(x, y)
     out = invert_fourier_fundamental(xa - ya, t, params, cfg).smooth
     bc = params.boundary_class
     if bc is BoundaryClass.MIXED_STABLE:

@@ -305,8 +305,7 @@ def test_criterion_6_green_bound():
 
 def test_criterion_7_instability_dichotomy():
     pu = ModelParams(a1=1.0, a2=1.0)
-    cfg = so.SolverConfig(grid=Grid1D(L=40.0, nx=800), t_end=12.0, n_snapshots=25)
-    rep = vf.instability_report(pu, cfg)
+    rep = vf.instability_report(pu)
     rate_ok = rep.status == "pass" and rep.fitted["relative_error"] <= 0.05
 
     # stable mixed pair: sup norm non-increasing once the transient (the

@@ -159,6 +159,18 @@ class TestConfig:
         assert '"nx": 4000,' in (out / "manifest.json").read_text()
         assert type(cli.RunConfig({"solver": {"nx": 4000.0}}).grid.nx) is int
 
+    def test_integral_number_for_float_key_stored_as_float(self, tmp_path):
+        # {"a2": 2} and {"a2": 2.0} describe one run, so they write one manifest
+        texts = []
+        for name, a2 in (("int", 2), ("float", 2.0)):
+            cfgp = write_config(tmp_path, {"model": {"a2": a2}}, name=f"{name}.json")
+            out = tmp_path / name
+            assert run_cli(["stability-map", "--config", cfgp, "--out", str(out),
+                            "--a1-grid=-1:1:3", "--a2-grid=-1:1:3"]) == cli.EXIT_PASS
+            texts.append((out / "manifest.json").read_text())
+        assert texts[0] == texts[1]
+        assert '"a2": 2.0,' in texts[0]
+
     @pytest.mark.parametrize("n", [0, 1])
     def test_too_few_snapshots_is_config_error(self, tmp_path, n):
         cfgp = write_config(tmp_path, {"solver": {**SMALL_SOLVER["solver"], "n_snapshots": n}})
@@ -458,11 +470,12 @@ class TestVerifyCommand:
         assert rep["sup_ratio"] > 0.0
 
     def test_instability_indefinite_implicit_matrix(self, tmp_path, capsys):
-        # a2/a1 = 50 on the instability grid (L = 40, nx = 800): I - hJ is
-        # indefinite at the solver's step, a config error rather than a run
-        cfgp = write_config(tmp_path, {"model": {"a1": 1.0, "a2": 50.0}})
-        code = run_cli(["verify", "--config", cfgp, "--out", str(tmp_path / "v"),
-                        "--which", "instability"])
+        # a2/a1 = 50 on a user-set grid (L = 40, nx = 800): I - hJ is indefinite
+        # at the solver's step, a config error rather than a run
+        cfgp = write_config(tmp_path, {"model": {"a1": 1, "a2": 50}, "solver": {
+            "L": 40, "nx": 800, "t_end": 1, "n_snapshots": 2}})
+        code = run_cli(["solve", "--config", cfgp, "--out", str(tmp_path / "s"),
+                        "--kind", "linear"])
         assert code == cli.EXIT_CONFIG
         assert "indefinite" in capsys.readouterr().err
 
@@ -472,6 +485,20 @@ class TestVerifyCommand:
         assert code == cli.EXIT_PASS
         rep = json.loads((out / "instability.json").read_text())
         assert rep["fitted"]["relative_error"] <= 0.05
+        # the stable default wall ran as (1, 1), and the report says which pair it replaced
+        assert rep["parameters"]["params"]["a1"] == rep["parameters"]["params"]["a2"] == 1.0
+        assert rep["details"]["substituted_for"] == {"a1": -1.0, "a2": 1.0}
+
+    @pytest.mark.parametrize("a2", [10.0, 50.0])
+    def test_instability_stiff_wall_passes(self, tmp_path, a2):
+        # the grid and run derive from a2/a1, so a stiff unstable wall runs unchanged
+        cfgp = write_config(tmp_path, {"model": {"a1": 1.0, "a2": a2}})
+        out = tmp_path / "v"
+        code = run_cli(["verify", "--config", cfgp, "--out", str(out), "--which", "instability"])
+        assert code == cli.EXIT_PASS
+        rep = json.loads((out / "instability.json").read_text())
+        assert rep["fitted"]["relative_error"] <= 0.05
+        assert "substituted_for" not in rep["details"]
 
     def test_norm_tables_name_their_columns(self, tmp_path):
         # the norm series are not sup-ratio tables and carry their own headers

@@ -329,6 +329,10 @@ class TestOraclePoints:
         with pytest.raises(ParameterError, match=f"w={bad}"):
             tr.mirror_by_quadrature(np.array([bad]), 1.0, P)
 
+    def test_negative_mirror_point_rejected(self):
+        with pytest.raises(ParameterError, match="got w=-0.5"):
+            tr.mirror_by_quadrature(np.array([1.0, -0.5, -2.0]), 1.0, P)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
     @pytest.mark.parametrize("oracle",
                              ["fourier", "mirror", "talbot", "talbot_dx", "fourier_green"])
@@ -387,11 +391,19 @@ class TestFourierGreen:
         with pytest.raises(UsageError, match=r"s\* = 1\.61803"):
             tr.fourier_green(3.0, 1.0, 2.0, ModelParams(a1=1.0, a2=1.0))
 
-    @pytest.mark.parametrize("x, y", [(-0.5, 1.0), (1.0, -0.5), (2.0, 2.0)],
-                             ids=["negative_x", "negative_y", "diagonal"])
-    def test_bad_point_rejected(self, x, y):
+    # one refusal serves the three half-line oracles; the fourier_green cases keep
+    # the bare point ids
+    @pytest.mark.parametrize("oracle, x, y", [
+        pytest.param(oracle, x, y, id=pid if name == "fourier_green" else f"{pid}-{name}")
+        for name, oracle in [("fourier_green", tr.fourier_green),
+                             ("talbot", tr.invert_laplace_green),
+                             ("talbot_dx", tr.invert_laplace_green_dx)]
+        for pid, x, y in [("negative_x", -0.5, 1.0), ("negative_y", 1.0, -0.5),
+                          ("diagonal", 2.0, 2.0)]
+    ])
+    def test_bad_point_rejected(self, oracle, x, y):
         with pytest.raises(ParameterError, match=f"got x={x}, y={y}"):
-            tr.fourier_green(np.array([3.0, x]), np.array([1.0, y]), 2.0, P)
+            oracle(np.array([3.0, x]), np.array([1.0, y]), 2.0, P)
 
     def test_shapes(self):
         assert tr.fourier_green(3.0, 1.0, 2.0, P).shape == (2, 2)

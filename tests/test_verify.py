@@ -108,26 +108,47 @@ class TestPointwiseEnvelope:
         assert len(calls) == 2 * n_t - 1
 
 
+# (c, nu), (a1, a2): a2/a1 from 0.01 to 1000, both unstable sign pairs and off-unit (c, nu)
+INSTABILITY_SETS = [
+    ((1.0, 1.0), (1.0, 0.01)), ((1.0, 1.0), (1.0, 0.2)), ((1.0, 1.0), (1.0, 1.0)),
+    ((1.0, 1.0), (1.0, 5.0)), ((1.0, 1.0), (1.0, 20.0)), ((1.0, 1.0), (1.0, 50.0)),
+    ((1.0, 1.0), (1.0, 200.0)), ((1.0, 1.0), (1.0, 1000.0)), ((1.0, 1.0), (-2.0, -0.5)),
+    ((1.7, 0.3), (1.3, 2.9)), ((3.0, 0.05), (1.0, 0.6)), ((0.3, 0.05), (1.0, 1.0)),
+]
+
+
 class TestInstabilityReport:
     def test_stable_class_refused(self):
-        cfg = so.SolverConfig(grid=Grid1D(L=40.0, nx=400), t_end=5.0)
         with pytest.raises(UsageError):
-            vf.instability_report(P, cfg)
+            vf.instability_report(P)
 
     def test_growth_rate_matches_pole(self):
         pu = ModelParams(a1=1.0, a2=1.0)
-        cfg = so.SolverConfig(grid=Grid1D(L=40.0, nx=800), t_end=12.0, n_snapshots=25)
-        rep = vf.instability_report(pu, cfg)
+        rep = vf.instability_report(pu)
         assert rep.status == "pass"
         assert rep.fitted["relative_error"] <= 0.05
         assert rep.fitted["pole"] == pytest.approx((1 + math.sqrt(5)) / 2)
 
     def test_second_parameter_pair(self):
         pu = ModelParams(a1=1.0, a2=2.0)
-        cfg = so.SolverConfig(grid=Grid1D(L=40.0, nx=1600), t_end=6.0, n_snapshots=25)
-        rep = vf.instability_report(pu, cfg)
+        rep = vf.instability_report(pu)
         assert rep.status == "pass"
         assert rep.fitted["pole"] == pytest.approx(2.0 + 2.0 * math.sqrt(2.0))
+
+    @pytest.mark.parametrize("speeds, wall", INSTABILITY_SETS,
+                             ids=[f"c{c:g}-nu{nu:g}-a1_{a1:g}-a2_{a2:g}"
+                                  for (c, nu), (a1, a2) in INSTABILITY_SETS])
+    def test_exact_mode_rate_across_parameters(self, speeds, wall):
+        # the grid and run derive from a2/a1 and s*: ell/40 cells on [0, 40 ell], three e-folds
+        params = ModelParams(*speeds, *wall)
+        rep = vf.instability_report(params)
+        assert rep.status == "pass"
+        assert rep.fitted["relative_error"] <= 2e-3
+        ell = wall[0] / wall[1]
+        assert rep.parameters["L"] == pytest.approx(40.0 * ell)
+        assert rep.parameters["nx"] == 1600
+        assert rep.parameters["t_end"] == pytest.approx(3.0 / rep.fitted["pole"])
+        assert rep.details["dt"] * rep.fitted["pole"] <= 0.1 + 1e-12
 
 
 class TestDecayReports:
