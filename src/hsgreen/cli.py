@@ -112,7 +112,11 @@ def _merge_checked(default, given, path: str = ""):
     if kind is str and isinstance(given, str):
         return given
     if kind is float and number:
-        return float(given)
+        try:
+            return float(given)
+        except OverflowError:
+            raise ConfigurationError(f"config key {path!r} is an integer too large "
+                                     "for a float") from None
     if kind is int and number and (isinstance(given, int) or given.is_integer()):
         return int(given)
     where = f"config key {path!r}" if path else "the config"
@@ -249,11 +253,8 @@ def _verify_pointwise(cfg: RunConfig, out_dir: str):
     xg = np.linspace(0.0, v["x_max"], v["n_x"])
     yg = np.linspace(0.13, v["x_max"] - 0.1, v["n_x"])
     tg = np.linspace(v["t_min"], v["t_max"], v["n_t"])
-    return [
-        vf.green_bound_report(cfg.model, xg, yg, tg, alpha=alpha, cfg=cfg.quadrature,
-                              out_dir=out_dir)
-        for alpha in (0, 1)
-    ]
+    return vf.green_bound_reports(cfg.model, xg, yg, tg, (0, 1), cfg=cfg.quadrature,
+                                  out_dir=out_dir)
 
 
 def _verify_instability(cfg: RunConfig, out_dir: str):

@@ -245,7 +245,9 @@ def laplace_green(x, y, s, params: ModelParams) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if np.any(x < 0.0) or np.any(y < 0.0):
-        raise ParameterError("need x >= 0 and y >= 0")
+        xa, ya = np.broadcast_arrays(x, y)
+        i = np.flatnonzero((xa < 0.0) | (ya < 0.0))[0]
+        raise ParameterError(f"need x >= 0 and y >= 0, got x={xa.flat[i]}, y={ya.flat[i]}")
     w = _nu_s_plus_c2(s, params)
     sqw = np.sqrt(w)
     lam = np.asarray(s, dtype=complex) / sqw

@@ -73,7 +73,12 @@ tables e^{-lambda |x - y|} and R e^{-lambda (x + y)} depend on the point
 against the (points, nodes, 4) values contracts the node axis.  G_x reads
 the same table through L[G_x] = -s [[0, 1/w], [1, 0]] L[G], w = nu s + c^2
 (``spectral``): one ``matmul`` against the weight stack (-g s/w, -g s)
-weights rows 1 and 0 of L[G], which swap into place.  Its independent
+weights rows 1 and 0 of L[G], which swap into place.  One table per degree
+and time level serves both orders: each order keeps its own contraction
+(G's stays ``np.matmul(g, values)``; folding g into the derivative stack
+moves G by rounding, as the Talbot weights grow like e^{2M/5}) and its own
+degree M vs M + 8 self-check, so an order that misses its tolerance fails
+alone.  Its independent
 reference, ``fourier_green``, sums the whole-line oracle at x - y and the image
 at x + y: +-G(x + y) diag(1, -1) (Dirichlet/Neumann) or the mirror kernel.
 
@@ -83,6 +88,7 @@ that overflowed) fails it and AccuracyError carries the NaN.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass
@@ -152,9 +158,18 @@ def _unit_frame(t: float, params: ModelParams):
     return L, t * c / L, unit, np.array([[1.0, 1.0 / c], [c, 1.0]]) / L
 
 
+@functools.lru_cache(maxsize=16)
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n-point Gauss-Legendre rule on [-1, 1], computed once per n; the
+    arrays are read-only because every caller shares them."""
+    gx, gw = np.polynomial.legendre.leggauss(n)
+    gx.flags.writeable = gw.flags.writeable = False
+    return gx, gw
+
+
 def _gauss_panels(edges: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes/weights on the union of panels given by edges."""
-    gx, gw = np.polynomial.legendre.leggauss(n)
+    gx, gw = _gauss_legendre(n)
     lo, hi = edges[:-1], edges[1:]
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
@@ -271,7 +286,7 @@ def _fourier_smooth_grid(
     """
     x = np.asarray(x, dtype=float)
     segments = _xi_grid(t, float(np.abs(x).max()), cfg, refine, gamma, scale)
-    gx, gw = np.polynomial.legendre.leggauss(cfg.n_xi)
+    gx, gw = _gauss_legendre(cfg.n_xi)
     # Each segment's nodes in (b, a, j) order; the pad panels continue the grid.
     tables = [_panel_table(mid.size) for mid, _ in segments]
     nodes = []
@@ -364,35 +379,54 @@ def _laplace_shift(t: float, params: ModelParams) -> float:
     return 0.0 if pole is None else pole + 1.0 / t
 
 
-def _invert_laplace_talbot(x, y, t, params, M: int, shift: float, order: int = 0) -> np.ndarray:
-    """Degree-M sum of G (order 0) or G_x (order 1) on the contour shifted by
-    ``shift``, before e^{shift t}; both contract one ``laplace_green`` table."""
+def _invert_laplace_talbot(x, y, t, params, M: int, shift: float, orders) -> list:
+    """Degree-M sums of G (order 0) and G_x (order 1), one per entry of ``orders``,
+    on the contour shifted by ``shift``, before e^{shift t}; all contract one
+    ``laplace_green`` table."""
     s, g = _talbot_nodes(t, M)
     s = s + shift
     values = laplace_green(x[..., None], y[..., None], s, params).reshape(x.size, M, 4)
-    if order == 0:
-        return np.matmul(g, values).real.reshape(x.shape + (2, 2))
-    weights = np.stack([-g * s / (params.nu * s + params.c**2), -g * s])
-    rows = np.matmul(weights, values).real  # (points, 2, 4): rows of G, weighted
-    return np.stack([rows[:, 0, 2:], rows[:, 1, :2]], axis=1).reshape(x.shape + (2, 2))
+    sums = []
+    for order in orders:
+        if order == 0:
+            total = np.matmul(g, values).real
+        else:
+            weights = np.stack([-g * s / (params.nu * s + params.c**2), -g * s])
+            rows = np.matmul(weights, values).real  # (points, 2, 4): rows of G, weighted
+            total = np.stack([rows[:, 0, 2:], rows[:, 1, :2]], axis=1)
+        sums.append(total.reshape(x.shape + (2, 2)))
+    return sums
 
 
-def _invert_laplace(x, y, t: float, params: ModelParams, cfg: QuadratureConfig, order=0):
-    """Checked contour inversion of G (order 0) or G_x (order 1) at time t on the
-    unit model; the x-derivative maps back with one more 1/L."""
+def _invert_laplace(x, y, t: float, params: ModelParams, cfg: QuadratureConfig, orders=(0,)):
+    """Contour inversions of G (order 0) and G_x (order 1) at time t on the unit
+    model, one table per degree for all ``orders``; the x-derivative maps back
+    with one more 1/L.  Returns, per order, its values or the AccuracyError of
+    its own self-check, so an order that misses cfg.tol does not fail the others."""
     L, t1, unit, scale = _unit_frame(t, params)
     x1, y1 = (v / L for v in _half_line_points(x, y))
-    scale = scale / L**order
     shift = _laplace_shift(t1, unit)
-    out = _invert_laplace_talbot(x1, y1, t1, unit, cfg.n_nodes, shift, order) * scale
-    probe = _invert_laplace_talbot(x1, y1, t1, unit, cfg.n_nodes + 8, shift, order) * scale
-    err = float(np.abs(out - probe).max())
-    logger.debug("talbot self-check: points=%d degrees=%d/%d t'=%.6g diff=%.3g",
-                 x1.size, cfg.n_nodes, cfg.n_nodes + 8, t1, err)
-    if not err <= cfg.tol:
-        raise AccuracyError("parabolic contour did not meet tolerance", err, cfg.tol)
-    out = probe * math.exp(shift * t1)
-    return out[0] if np.ndim(x) == np.ndim(y) == 0 else out
+    outs = _invert_laplace_talbot(x1, y1, t1, unit, cfg.n_nodes, shift, orders)
+    probes = _invert_laplace_talbot(x1, y1, t1, unit, cfg.n_nodes + 8, shift, orders)
+    results = []
+    for order, out, probe in zip(orders, outs, probes):
+        order_scale = scale / L**order
+        out, probe = out * order_scale, probe * order_scale
+        err = float(np.abs(out - probe).max())
+        logger.debug("talbot self-check: points=%d degrees=%d/%d t'=%.6g diff=%.3g",
+                     x1.size, cfg.n_nodes, cfg.n_nodes + 8, t1, err)
+        if not err <= cfg.tol:
+            results.append(AccuracyError("parabolic contour did not meet tolerance", err, cfg.tol))
+        else:
+            probe = probe * math.exp(shift * t1)
+            results.append(probe[0] if np.ndim(x) == np.ndim(y) == 0 else probe)
+    return results
+
+
+def _raise_or_return(result):
+    if isinstance(result, AccuracyError):
+        raise result
+    return result
 
 
 def invert_laplace_green(
@@ -406,7 +440,7 @@ def invert_laplace_green(
     AccuracyError on failure; for the unstable class it compares them in the
     shifted frame, before the factor e^{shift t} that G grows with.
     """
-    return _invert_laplace(x, y, t, params, cfg)
+    return _raise_or_return(_invert_laplace(x, y, t, params, cfg)[0])
 
 
 def invert_laplace_green_dx(
@@ -415,7 +449,7 @@ def invert_laplace_green_dx(
     """x-derivative of the smooth Green's function, exact (not a difference
     quotient): inverts the table of :func:`invert_laplace_green` with the
     derivative weights, with the same self-check."""
-    return _invert_laplace(x, y, t, params, cfg, order=1)
+    return _raise_or_return(_invert_laplace(x, y, t, params, cfg, orders=(1,))[0])
 
 
 def mirror_by_quadrature(

@@ -76,6 +76,7 @@ BAD_KINDS = {
     "bool-for-int": ({"solver": {"n_snapshots": True}}, "solver.n_snapshots"),
     "list-item": ({"solver": {"initial": {"components": [["m"]]}}},
                   "solver.initial.components[0]"),
+    "huge-integer-for-float": ({"model": {"c": 10**400}}, "model.c"),
 }
 
 
@@ -458,6 +459,24 @@ class TestVerifyCommand:
         rep = json.loads((out / "green_bound_alpha0.json").read_text())
         assert rep["status"] == "pass"
         assert rep["details"]["ridge_distance_sigmas"] <= 3.0
+
+    def test_pointwise_reports_match_single_alpha_calls(self, tmp_path):
+        # one shared inversion per time level writes what two separate reports write
+        out, ref = tmp_path / "v", tmp_path / "ref"
+        assert run_cli(["verify", "--out", str(out), "--which", "pointwise"]) == cli.EXIT_PASS
+        v = cli.DEFAULT_CONFIG["verify"]
+        grids = (np.linspace(0.0, v["x_max"], v["n_x"]),
+                 np.linspace(0.13, v["x_max"] - 0.1, v["n_x"]),
+                 np.linspace(v["t_min"], v["t_max"], v["n_t"]))
+        for alpha in (0, 1):
+            name = f"green_bound_alpha{alpha}"
+            rep = vf.green_bound_report(cli.RunConfig({}).model, *grids, alpha=alpha,
+                                        out_dir=str(ref))
+            rep.to_json(str(ref / f"{name}.json"))
+            assert (out / f"{name}.csv").read_bytes() == (ref / f"{name}.csv").read_bytes()
+            got, want = (json.loads((d / f"{name}.json").read_text()) for d in (out, ref))
+            assert got.pop("artifacts") != want.pop("artifacts")
+            assert got == want
 
     def test_pointwise_single_x_point(self, tmp_path):
         # x = 0 alone: the alpha = 1 check needs no stencil room at the wall

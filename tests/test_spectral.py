@@ -309,7 +309,7 @@ class TestLaplaceGreen:
         ref_dx = -lam * (sgn * direct + image)
         assert np.all(np.abs(got_dx - ref_dx) <= 1e-14 * np.abs(lam) * scale)
         # the library's derivative path: the contour sum of the same identity
-        lib_dx = _invert_laplace_talbot(x.ravel(), y.ravel(), t, params, 40, shift, order=1)
+        (lib_dx,) = _invert_laplace_talbot(x.ravel(), y.ravel(), t, params, 40, shift, (1,))
         ref_sum = np.einsum("k,pkij->pij", g, ref_dx).real
         bound = np.einsum("k,pkij->pij", np.abs(g), np.abs(lam) * scale)
         assert np.all(np.abs(lib_dx - ref_sum) <= 1e-14 * bound)
@@ -326,8 +326,11 @@ class TestLaplaceGreen:
             assert np.abs(row).max() <= 1e-8
 
     def test_rejects_negative_coordinates(self):
-        with pytest.raises(ParameterError):
-            laplace_green(-1.0, 2.0, 1.0 + 0.0j, P)
+        # the refusal names the first bad point
+        with pytest.raises(ParameterError, match=r"got x=-0\.5, y=1\.0$"):
+            laplace_green(-0.5, 1.0, 1.0 + 0.0j, P)
+        with pytest.raises(ParameterError, match=r"got x=2\.0, y=-3\.0$"):
+            laplace_green(np.array([1.0, 2.0]), np.array([1.5, -3.0]), 1.0 + 0.0j, P)
 
 
 class TestBroadcastMatchesPointwise:

@@ -23,7 +23,7 @@ def unshifted_talbot(x, y, t, params, M=48):
     encloses the pole s* too, so it is a second evaluator of the unstable G."""
     assert 2.0 * M / (5.0 * t) > tr.find_boundary_pole(params)
     x, y = np.broadcast_arrays(np.atleast_1d(x), np.atleast_1d(y))
-    return tr._invert_laplace_talbot(x, y, t, params, M, 0.0)
+    return tr._invert_laplace_talbot(x, y, t, params, M, 0.0, (0,))[0]
 
 
 class TestQuadratureConfig:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -94,18 +95,38 @@ class TestPointwiseEnvelope:
         assert rep.details == ref.details
 
     def test_one_inversion_per_refined_time(self, monkeypatch):
-        # the coarse grid is read off the refined one, not inverted again
-        calls = []
+        # the coarse grid is read off the refined one, not inverted again, and
+        # one inversion, one laplace_green table per Talbot degree, serves both alphas
+        calls, tables = [], []
+        invert, table = tr._invert_laplace, tr.laplace_green
 
         def counted(*args, **kwargs):
             calls.append(args)
-            return tr.invert_laplace_green(*args, **kwargs)
+            return invert(*args, **kwargs)
 
-        monkeypatch.setattr(vf, "invert_laplace_green", counted)
+        def counted_table(*args, **kwargs):
+            tables.append(args)
+            return table(*args, **kwargs)
+
+        monkeypatch.setattr(vf, "_invert_laplace", counted)
+        monkeypatch.setattr(tr, "laplace_green", counted_table)
         n_t = 6
-        vf.green_bound_report(P, np.linspace(0.0, 25.0, 5), np.linspace(0.13, 24.9, 5),
-                              np.linspace(1.0, 20.0, n_t))
+        reps = vf.green_bound_reports(P, np.linspace(0.0, 25.0, 5), np.linspace(0.13, 24.9, 5),
+                                      np.linspace(1.0, 20.0, n_t), alphas=(0, 1))
+        assert [r.name for r in reps] == ["green_bound_alpha0", "green_bound_alpha1"]
         assert len(calls) == 2 * n_t - 1
+        assert len(tables) == 2 * (2 * n_t - 1)
+
+    def test_alpha_that_misses_tol_fails_alone(self):
+        # each alpha keeps its own self-check on the shared table: alpha = 1
+        # misses tol here and alpha = 0 passes, as separate reports give
+        pm = ModelParams(c=0.3, nu=0.05, a1=-1.0, a2=0.6)
+        grids = (np.linspace(0.083, 0.58, 4), [0.0, 0.02], [0.278, 0.3])
+        both = vf.green_bound_reports(pm, *grids, alphas=(0, 1))
+        assert [r.status for r in both] == ["pass", "inconclusive"]
+        assert "achieved 2.357e-08, target 1.000e-08" in both[1].details["reason"]
+        alone = [vf.green_bound_report(pm, *grids, alpha=alpha) for alpha in (0, 1)]
+        assert [dataclasses.asdict(r) for r in both] == [dataclasses.asdict(r) for r in alone]
 
 
 # (c, nu), (a1, a2): a2/a1 from 0.01 to 1000, both unstable sign pairs and off-unit (c, nu)
