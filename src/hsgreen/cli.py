@@ -90,15 +90,33 @@ DEFAULT_CONFIG: dict = {
 _KINDS = {dict: "an object", tuple: "a list", str: "a string", int: "an integer",
           float: "a number"}
 
+# Integer keys count nodes, cells or times: 1 to a float array's largest length, less 1.
+_MAX_COUNT = np.iinfo(np.intp).max // 8 - 1
+
+
+class _LongInt(str):
+    """The digits of a JSON integer longer than ``int`` converts."""
+
+
+def _json_int(digits: str):
+    try:
+        return int(digits)
+    except ValueError:
+        return _LongInt(digits)
+
 
 def _merge_checked(default, given, path: str = ""):
     """``given`` merged over ``default`` after checking it has the kind of
     ``default``: an object (no unknown keys), a list (items of the kind of the
     default's first item, stored as a tuple), a string, an integral number for
     an int default (stored as int) or a real number for a float default (stored as
-    float).  A bool is not a number.  Raises ConfigurationError naming the key path."""
+    float).  A bool is not a number, and an int is a count in [1, _MAX_COUNT].
+    Raises ConfigurationError naming the key path."""
     kind = type(default)
     number = isinstance(given, (int, float)) and not isinstance(given, bool)
+    where = f"config key {path!r}" if path else "the config"
+    if isinstance(given, _LongInt):
+        raise ConfigurationError(f"{where} is an integer of {len(given.lstrip('-'))} digits")
     if kind is dict and isinstance(given, dict):
         out = copy.deepcopy(default)
         for key, val in given.items():
@@ -115,11 +133,12 @@ def _merge_checked(default, given, path: str = ""):
         try:
             return float(given)
         except OverflowError:
-            raise ConfigurationError(f"config key {path!r} is an integer too large "
-                                     "for a float") from None
+            raise ConfigurationError(f"{where} is an integer too large for a float") from None
     if kind is int and number and (isinstance(given, int) or given.is_integer()):
+        if not 1 <= given <= _MAX_COUNT:
+            raise ConfigurationError(f"{where} is a count and must lie in [1, {_MAX_COUNT}], "
+                                     f"got {given}")
         return int(given)
-    where = f"config key {path!r}" if path else "the config"
     raise ConfigurationError(f"{where} must be {_KINDS[kind]}, got {json.dumps(given)}")
 
 
@@ -135,12 +154,6 @@ class RunConfig:
         self.solver = SolverConfig(grid=self.grid, **solver)
         self.quadrature = QuadratureConfig(**self.raw["transforms"])
         self.verify = self.raw["verify"]
-        counts = {"verify.n_x": self.verify["n_x"], "verify.n_t": self.verify["n_t"],
-                  "verify.lemma41.n": self.verify["lemma41"]["n"]}
-        for key, count in counts.items():
-            if count < 1:
-                raise ParameterError(f"config key {key!r} counts grid nodes and must be >= 1, "
-                                     f"got {count}")
 
     @functools.cached_property
     def decay_trajectory(self):
@@ -161,7 +174,7 @@ class RunConfig:
         if path is None:
             return cls({})
         with open(path) as fh:
-            return cls(json.load(fh))
+            return cls(json.load(fh, parse_int=_json_int))
 
     def write_manifest(self, out_dir: str, command: str, extra: dict):
         os.makedirs(out_dir, exist_ok=True)
@@ -175,11 +188,12 @@ class RunConfig:
 def _parse_grid_spec(spec: str) -> np.ndarray:
     try:
         lo, hi, n = spec.split(":")
-        if int(n) < 1:
+        if not 1 <= int(n) <= _MAX_COUNT:
             raise ValueError(n)
         return np.linspace(float(lo), float(hi), int(n))
     except ValueError as exc:
-        raise ConfigurationError(f"grid spec must be lo:hi:n with n >= 1, got {spec!r}") from exc
+        raise ConfigurationError(f"grid spec must be lo:hi:n with 1 <= n <= {_MAX_COUNT}, "
+                                 f"got {spec!r}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -9,9 +9,11 @@ L = nu/c, T = nu/c^2 and D = diag(1, c),
 
     G(x, y, t; c, nu, a1, a2) = (1/L) D G(x/L, y/L, t/T; 1, 1, a1, a2 L) D^{-1},
 
-and the x-derivative takes one more 1/L.  The rules below are written for the
-unit model.  ``QuadratureConfig.tol`` stays absolute in physical units: each
-self-check compares its two levels after the mapping back.
+and the x-derivative takes one more 1/L.  The rules below, and every
+self-check against ``QuadratureConfig.tol``, are in unit-model units; only a
+result that passes is multiplied by its entry scale [[1, 1/c], [c, 1]]/L, so a
+physical entry's error is at most tol times its scale, and the physical and
+unit-model calls pass or raise together.
 
 Inverse Fourier strategy
 ------------------------
@@ -38,7 +40,7 @@ exactly:
 
     sum_{p,j} r_pj e^{i x (m_p + h g_j)} = sum_j e^{i x h g_j} sum_p e^{i x m_p} r_pj,
 
-one matrix product and one contraction over the n_xi node phases.  The
+one matrix product and one contraction over the _N_XI node phases.  The
 panel phases factor once more: a segment's P panels sit at m_p = m_0 + 2 h p,
 and with B = ceil(sqrt(P)), p = a B + b (the panel count padded to a multiple
 of B with zero-weight panels),
@@ -48,7 +50,7 @@ of B with zero-weight panels),
 The residual is laid out in (b, a) order, so one GEMM against the B
 baby-step phases e^{i x 2 h b} leaves a (point, a) sum that the A giant-step
 phases e^{i x 2 h B a} contract; e^{i x m_0} joins the node phases.  That is
-about 2 sqrt(P) + n_xi complex exponentials per point, not one per panel.
+about 2 sqrt(P) + _N_XI complex exponentials per point, not one per panel.
 
 Mirror kernel
 -------------
@@ -77,10 +79,10 @@ weights rows 1 and 0 of L[G], which swap into place.  One table per degree
 and time level serves both orders: each order keeps its own contraction
 (G's stays ``np.matmul(g, values)``; folding g into the derivative stack
 moves G by rounding, as the Talbot weights grow like e^{2M/5}) and its own
-degree M vs M + 8 self-check, so an order that misses its tolerance fails
-alone.  Its independent
-reference, ``fourier_green``, sums the whole-line oracle at x - y and the image
-at x + y: +-G(x + y) diag(1, -1) (Dirichlet/Neumann) or the mirror kernel.
+degree M = 32 vs M + 8 self-check, so an order that misses its tolerance
+fails alone.  Its independent reference, ``fourier_green``, sums the
+whole-line oracle at x - y and the image at x + y: +-G(x + y) diag(1, -1)
+(Dirichlet/Neumann) or the mirror kernel.
 
 Every self-check is written ``not err <= tol``, so a NaN estimate (a symbol
 that overflowed) fails it and AccuracyError carries the NaN.
@@ -100,25 +102,18 @@ from .errors import AccuracyError, ConfigurationError, ParameterError
 from .spectral import find_boundary_pole, fourier_fundamental, laplace_green, refuse_unstable
 
 logger = logging.getLogger(__name__)
+_N_XI = 10  # Gauss-Legendre nodes per Fourier panel
+_TALBOT_DEGREE = 32  # its self-check probes degree + 8
 
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Knobs for the inversion quadratures.
+    """tol: the oracles' absolute target in unit-model units (``_unit_frame``),
+    so a physical entry's error is at most tol times its entry scale."""
 
-    n_xi:    Gauss-Legendre nodes per panel in the Fourier inversion, whose
-             truncation wavenumber is chosen from the tail (``_xi_grid``).
-    n_nodes: Talbot degree of the Laplace inversion.
-    tol:     target absolute accuracy in physical units; self-checks use it.
-    """
-
-    n_xi: int = 10
-    n_nodes: int = 32
     tol: float = 1e-8
 
     def __post_init__(self):
-        if self.n_xi < 4 or self.n_nodes < 8:
-            raise ConfigurationError("need n_xi >= 4 and n_nodes >= 8")
         if not (0 < self.tol < 1e-2):
             raise ConfigurationError("tol must lie in (0, 1e-2)")
 
@@ -184,8 +179,7 @@ def _edges(lo: float, hi: float, width: float) -> np.ndarray:
 
 
 def _xi_grid(
-    t: float, x_absmax: float, cfg: QuadratureConfig,
-    refine: int = 1, gamma: float | None = None, scale=1.0,
+    t: float, x_absmax: float, cfg: QuadratureConfig, refine: int = 1, gamma: float | None = None,
 ) -> list[tuple[np.ndarray, float]]:
     """Panel grid on [0, xi_max]: dense where the symbol oscillates, coarser
     on the algebraic tail.  ``refine`` halves the panel widths (error probe);
@@ -193,14 +187,14 @@ def _xi_grid(
 
     Returns the core and tail segments as (panel midpoints, half-width): the
     panels of a segment are uniform, so its nodes are mid + half * g_j for
-    the cfg.n_xi Gauss-Legendre points g_j."""
+    the _N_XI Gauss-Legendre points g_j."""
     q = math.exp(-t)
     # Core: beyond xi_core the Gaussian-decaying modes are < 1e-18.
     xi_core = math.sqrt(83.0 / t) + 2.0
     # Residual after subtraction decays like C_res / xi^4; pick xi_max so the
-    # tail integral times the entry scale is below tol/4 (C_res padded).
+    # tail integral is below tol/4 (C_res padded).
     c_res = q * (2.0 + 0.5 * t**2 + 1.0) + 1e-30
-    xi_max = (4.0 * c_res * np.max(scale) / (3.0 * math.pi * cfg.tol)) ** (1.0 / 3.0)
+    xi_max = (4.0 * c_res / (3.0 * math.pi * cfg.tol)) ** (1.0 / 3.0)
     xi_max = max(xi_max, 1.2 * xi_core + 5.0, 10.0)
     xi_core = min(xi_core, xi_max * 0.5)
     osc = x_absmax + t + 1.0
@@ -263,7 +257,7 @@ def _unit_phase(phase: np.ndarray) -> np.ndarray:
     return out
 
 
-# Bound on one segment's baby-step product, (points x A n_xi 4), in elements.
+# Bound on one segment's baby-step product, (points x A _N_XI 4), in elements.
 _PHASE_CHUNK = 1_000_000
 
 
@@ -275,18 +269,17 @@ def _panel_table(n: int) -> np.ndarray:
 
 
 def _fourier_smooth_grid(
-    x: np.ndarray, t: float, cfg: QuadratureConfig,
-    refine: int = 1, gamma: float | None = None, scale=1.0,
+    x: np.ndarray, t: float, cfg: QuadratureConfig, refine: int = 1, gamma: float | None = None,
 ) -> np.ndarray:
-    """Inverse transform of M(xi) times the smooth symbol on an array of x, times ``scale``.
+    """Inverse transform of M(xi) times the smooth symbol of the unit model on an array of x.
 
     M = 1 gives the smooth part of the fundamental solution; for a given
     ``gamma``, M = (gamma + i xi)/(gamma - i xi) gives the mirror kernel
     before its diag(1, -1) factor, for x >= 0 (x = 0 as the x -> 0+ limit).
     """
     x = np.asarray(x, dtype=float)
-    segments = _xi_grid(t, float(np.abs(x).max()), cfg, refine, gamma, scale)
-    gx, gw = _gauss_legendre(cfg.n_xi)
+    segments = _xi_grid(t, float(np.abs(x).max()), cfg, refine, gamma)
+    gx, gw = _gauss_legendre(_N_XI)
     # Each segment's nodes in (b, a, j) order; the pad panels continue the grid.
     tables = [_panel_table(mid.size) for mid, _ in segments]
     nodes = []
@@ -301,7 +294,7 @@ def _fourier_smooth_grid(
     flat = np.zeros((xs.size, 4))
     for (mid, half), p, r in zip(segments, tables, np.split(res, [nodes[0].size])):
         n_b, n_a = p.shape
-        r = r.reshape(n_b, n_a, cfg.n_xi, 4) * (half * gw / math.pi)[:, None]
+        r = r.reshape(n_b, n_a, _N_XI, 4) * (half * gw / math.pi)[:, None]
         r[p >= mid.size] = 0.0
         r = r.reshape(n_b, -1)
         step = max(1, _PHASE_CHUNK // r.shape[1])
@@ -312,28 +305,23 @@ def _fourier_smooth_grid(
             panel_sum = np.matmul(giant[:, None, :], baby.reshape(xc.size, n_a, -1))
             node_phase = _unit_phase(np.outer(xc, mid[0] + half * gx))
             flat[i : i + xc.size] += np.einsum(
-                "xj,xje->xe", node_phase, panel_sum.reshape(xc.size, cfg.n_xi, 4)
+                "xj,xje->xe", node_phase, panel_sum.reshape(xc.size, _N_XI, 4)
             ).real
-    return (flat.reshape(x.shape + (2, 2)) + _model_terms(x, t, gamma)) * scale
+    return flat.reshape(x.shape + (2, 2)) + _model_terms(x, t, gamma)
 
 
 def _fourier_smooth_with_error(
-    x: np.ndarray, t: float, cfg: QuadratureConfig,
-    gamma: float | None = None, scale=1.0,
+    x: np.ndarray, t: float, cfg: QuadratureConfig, gamma: float | None = None,
 ) -> tuple[np.ndarray, float]:
-    coarse = _fourier_smooth_grid(x, t, cfg, 1, gamma, scale)
-    fine = _fourier_smooth_grid(x, t, cfg, 2, gamma, scale)
+    coarse = _fourier_smooth_grid(x, t, cfg, 1, gamma)
+    fine = _fourier_smooth_grid(x, t, cfg, 2, gamma)
     err = float(np.abs(fine - coarse).max())
     if logger.isEnabledFor(logging.DEBUG):
         x_absmax = float(np.abs(x).max())
-        n_coarse, n_fine = (
-            cfg.n_xi * sum(mid.size for mid, _ in _xi_grid(t, x_absmax, cfg, k, gamma, scale))
-            for k in (1, 2)
-        )
-        logger.debug(
-            "fourier self-check: points=%d nodes=%d/%d (coarse/fine) t'=%.6g gamma'=%s "
-            "diff=%.3g", np.size(x), n_coarse, n_fine, t, gamma, err,
-        )
+        nodes = [_N_XI * sum(m.size for m, _ in _xi_grid(t, x_absmax, cfg, k, gamma))
+                 for k in (1, 2)]
+        logger.debug("fourier self-check: points=%d nodes=%d/%d (coarse/fine) t'=%.6g "
+                     "gamma'=%s diff=%.3g", np.size(x), *nodes, t, gamma, err)
     return fine, err
 
 
@@ -347,11 +335,10 @@ def invert_fourier_fundamental(
     delta list.  Raises AccuracyError when the self-estimate misses cfg.tol.
     """
     L, t1, _, scale = _unit_frame(t, params)
-    smooth, err = _fourier_smooth_with_error(_points("x", x) / L, t1, cfg, None, scale)
+    smooth, err = _fourier_smooth_with_error(_points("x", x) / L, t1, cfg)
     if not err <= cfg.tol:
         raise AccuracyError("fourier inversion did not meet tolerance", err, cfg.tol)
-    if np.isscalar(x) or np.asarray(x).ndim == 0:
-        smooth = smooth[0]
+    smooth = smooth[0] * scale if np.ndim(x) == 0 else smooth * scale
     return KernelValue(smooth=smooth, deltas=[(0.0, math.exp(-t1) * np.diag([1.0, 0.0]))])
 
 
@@ -406,19 +393,17 @@ def _invert_laplace(x, y, t: float, params: ModelParams, cfg: QuadratureConfig, 
     L, t1, unit, scale = _unit_frame(t, params)
     x1, y1 = (v / L for v in _half_line_points(x, y))
     shift = _laplace_shift(t1, unit)
-    outs = _invert_laplace_talbot(x1, y1, t1, unit, cfg.n_nodes, shift, orders)
-    probes = _invert_laplace_talbot(x1, y1, t1, unit, cfg.n_nodes + 8, shift, orders)
+    degrees = (_TALBOT_DEGREE, _TALBOT_DEGREE + 8)
+    outs, probes = (_invert_laplace_talbot(x1, y1, t1, unit, M, shift, orders) for M in degrees)
     results = []
     for order, out, probe in zip(orders, outs, probes):
-        order_scale = scale / L**order
-        out, probe = out * order_scale, probe * order_scale
         err = float(np.abs(out - probe).max())
         logger.debug("talbot self-check: points=%d degrees=%d/%d t'=%.6g diff=%.3g",
-                     x1.size, cfg.n_nodes, cfg.n_nodes + 8, t1, err)
+                     x1.size, *degrees, t1, err)
         if not err <= cfg.tol:
             results.append(AccuracyError("parabolic contour did not meet tolerance", err, cfg.tol))
         else:
-            probe = probe * math.exp(shift * t1)
+            probe = probe * (scale / L**order) * math.exp(shift * t1)
             results.append(probe[0] if np.ndim(x) == np.ndim(y) == 0 else probe)
     return results
 
@@ -479,10 +464,10 @@ def mirror_by_quadrature(
     warr = _points("w", w)
     if np.any(warr < 0.0):
         raise ParameterError(f"need w >= 0, got w={warr[np.argmax(warr < 0.0)]}")
-    smooth, err = _fourier_smooth_with_error(warr / L, t1, cfg, unit.gamma, scale)
+    smooth, err = _fourier_smooth_with_error(warr / L, t1, cfg, unit.gamma)
     if not err <= 10.0 * cfg.tol:
         raise AccuracyError("mirror quadrature did not meet tolerance", err, 10.0 * cfg.tol)
-    smooth = smooth * np.array([1.0, -1.0])
+    smooth = smooth * scale * np.array([1.0, -1.0])
     return smooth[0] if np.ndim(w) == 0 else smooth
 
 

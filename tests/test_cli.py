@@ -50,6 +50,8 @@ REMOVED_KEYS = {
     "verify.decay_t_min": 5.0,
     "verify.envelope.bigC": 10.0,
     "verify.envelope.eps": 0.5,
+    "transforms.n_xi": 10,
+    "transforms.n_nodes": 32,
 }
 
 # every leaf of the resolved default config, sorted by key path
@@ -61,7 +63,7 @@ DEFAULT_LEAVES = [
     ("solver.initial.r", 1.0), ("solver.initial.width", 0.5),
     ("solver.n_snapshots", 11), ("solver.nx", 4000), ("solver.pressure_gamma", 2.0),
     ("solver.sponge_strength", 1.0), ("solver.t_end", 50.0),
-    ("transforms.n_nodes", 32), ("transforms.n_xi", 10), ("transforms.tol", 1e-8),
+    ("transforms.tol", 1e-8),
     ("verify.lemma41.n", 21), ("verify.lemma41.x_max", 100.0), ("verify.n_t", 6),
     ("verify.n_x", 11), ("verify.t_max", 20.0), ("verify.t_min", 1.0), ("verify.x_max", 25.0),
 ]
@@ -70,13 +72,17 @@ DEFAULT_LEAVES = [
 BAD_KINDS = {
     "string-for-float": ({"model": {"c": "fast"}}, "model.c"),
     "null-section": ({"model": None}, "model"),
-    "string-for-int": ({"transforms": {"n_xi": "ten"}}, "transforms.n_xi"),
+    "string-for-int": ({"verify": {"n_x": "ten"}}, "verify.n_x"),
     "list-at-top": ([1, 2], "the config"),
     "fractional-int": ({"solver": {"nx": 600.7}}, "solver.nx"),
     "bool-for-int": ({"solver": {"n_snapshots": True}}, "solver.n_snapshots"),
     "list-item": ({"solver": {"initial": {"components": [["m"]]}}},
                   "solver.initial.components[0]"),
     "huge-integer-for-float": ({"model": {"c": 10**400}}, "model.c"),
+    # counts that no array can hold; the grid is refused before it is allocated
+    "huge-integer-for-int": ({"verify": {"n_x": 10**400}}, "verify.n_x"),
+    "count-beyond-array": ({"verify": {"n_x": 2**62}}, "verify.n_x"),
+    "float-count-beyond-array": ({"solver": {"nx": 1e300}}, "solver.nx"),
 }
 
 
@@ -151,6 +157,17 @@ class TestConfig:
                         "--out", str(tmp_path / "o")]) == cli.EXIT_CONFIG
         assert key_path in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["verify.n_x", "model.c"])
+    def test_integer_beyond_int_digits_is_config_error(self, tmp_path, capsys, key):
+        # more digits than int() converts (4,300 by default): json.load would raise
+        # ValueError on it, so the loader keeps its digits and the key check names it
+        section, leaf = key.split(".")
+        cfgp = tmp_path / "long.json"
+        cfgp.write_text(f'{{"{section}": {{"{leaf}": 1{"0" * 5000}}}}}')
+        assert run_cli(["stability-map", "--config", str(cfgp),
+                        "--out", str(tmp_path / "o")]) == cli.EXIT_CONFIG
+        assert f"config key {key!r} is an integer of 5001 digits" in capsys.readouterr().err
+
     def test_integral_float_runs_as_int(self, tmp_path):
         # the manifest echoes the cell count that ran, not the float given
         cfgp = write_config(tmp_path, {"solver": {"nx": 4000.0}})
@@ -220,6 +237,13 @@ class TestStabilityMap:
                         "--a1-grid=-1:1:0"]) == cli.EXIT_CONFIG
         assert "'-1:1:0'" in capsys.readouterr().err
         assert not (out / "stability_map.csv").exists()
+
+    def test_count_beyond_array_grid_is_config_error(self, tmp_path, capsys):
+        # refused by the count bound, before any array is allocated
+        spec = f"-1:1:{2**62}"
+        assert run_cli(["stability-map", "--out", str(tmp_path / "map"),
+                        f"--a1-grid={spec}"]) == cli.EXIT_CONFIG
+        assert f"1 <= n <= {cli._MAX_COUNT}, got {spec!r}" in capsys.readouterr().err
 
 
 class TestGreenEval:
@@ -420,8 +444,8 @@ class TestSolve:
 
 class TestExitCodes:
     def test_accuracy_error_exit_code(self, tmp_path):
-        # starving the contour of nodes at a tight tolerance -> exit 3
-        cfg = {"transforms": {"n_nodes": 8, "tol": 1e-13}}
+        # a tolerance below the contour's degree-32 vs 40 difference -> exit 3
+        cfg = {"transforms": {"tol": 1e-13}}
         cfgp = write_config(tmp_path, cfg)
         code = run_cli(["green-eval", "--config", cfgp, "--out", str(tmp_path / "o"),
                         "--point", "7", "5", "4"])

@@ -29,8 +29,6 @@ def unshifted_talbot(x, y, t, params, M=48):
 class TestQuadratureConfig:
     def test_validation(self):
         with pytest.raises(ConfigurationError):
-            tr.QuadratureConfig(n_xi=2)
-        with pytest.raises(ConfigurationError):
             tr.QuadratureConfig(tol=0.5)
 
 
@@ -64,21 +62,11 @@ class TestInvertFourier:
         with pytest.raises(ParameterError):
             tr.invert_fourier_fundamental(1.0, 0.0, P)
 
-    def test_refinement_monotonicity(self):
-        # doubling the nodes-per-panel count reduces the self-reported error
-        x = np.array([1.0, 6.0])
-        errs = []
-        for n_xi in (6, 12):
-            cfg = tr.QuadratureConfig(n_xi=n_xi, tol=5e-3)
-            _, err = tr._fourier_smooth_with_error(x, 2.0, cfg)
-            errs.append(err)
-        assert errs[1] < errs[0]
-
     def test_accuracy_error_carries_estimate(self):
-        cfg = tr.QuadratureConfig(n_xi=4, tol=1e-12)
+        cfg = tr.QuadratureConfig(tol=1e-15)
         with pytest.raises(AccuracyError) as exc:
             tr.invert_fourier_fundamental(np.array([1.0]), 0.6, P, cfg)
-        assert exc.value.achieved > 1e-12
+        assert exc.value.achieved > 1e-15
 
     def test_matches_five_point_time_derivative(self):
         # the inverse transform solves the PDE row-wise away from x = 0
@@ -98,34 +86,32 @@ class TestInvertFourier:
         assert np.abs(resid).max() <= 1e-5
 
 
-def flat_phase_sum(x, t, refine, gamma, scale=1.0):
+def flat_phase_sum(x, t, refine, gamma):
     """The unfactored sum (1/pi) sum_k w_k Re(r_k e^{i x xi_k}) over every
-    node xi_k of the oracle's grid, plus the closed-form model terms, times
-    the entry ``scale``."""
-    cfg = tr.QuadratureConfig()
-    gx, gw = np.polynomial.legendre.leggauss(cfg.n_xi)
-    segments = tr._xi_grid(t, float(np.abs(x).max()), cfg, refine, gamma, scale)
+    node xi_k of the oracle's grid, plus the closed-form model terms."""
+    gx, gw = np.polynomial.legendre.leggauss(tr._N_XI)
+    segments = tr._xi_grid(t, float(np.abs(x).max()), tr.QuadratureConfig(), refine, gamma)
     xi = np.concatenate([(mid[:, None] + h * gx).ravel() for mid, h in segments])
     wts = np.concatenate([np.tile(h * gw, mid.size) for mid, h in segments])
     res = tr._smooth_residual(xi, t, gamma) * (wts / np.pi)[:, None]
     phase = np.outer(x, xi)
     flat = np.cos(phase) @ res.real - np.sin(phase) @ res.imag
-    return (flat.reshape(x.shape + (2, 2)) + tr._model_terms(x, t, gamma)) * scale
+    return flat.reshape(x.shape + (2, 2)) + tr._model_terms(x, t, gamma)
 
 
 class TestPhaseFactorization:
-    # panel phases times node phases reproduce the flat sum over all nodes;
-    # each set's entry scale enters the tail rule and the result
+    # panel phases times node phases reproduce the flat sum over all nodes, at
+    # the unit-model point (x/L, t', gamma') that each set's (x, t) maps to
     @pytest.mark.parametrize("refine", [1, 2])
     @pytest.mark.parametrize("t", [2.0, 10.0])
     @pytest.mark.parametrize("params", [P, PS], ids=["mixed", "scaled"])
     @pytest.mark.parametrize("mirror", [False, True], ids=["whole_line", "mirror"])
     def test_matches_flat_sum(self, mirror, params, t, refine):
-        gamma = params.gamma if mirror else None
-        scale = tr._unit_frame(t, params)[3]
-        x = np.linspace(0.0, 15.0, 16) if mirror else np.linspace(-12.0, 15.0, 28)
-        got = tr._fourier_smooth_grid(x, t, tr.QuadratureConfig(), refine, gamma, scale)
-        assert np.abs(got - flat_phase_sum(x, t, refine, gamma, scale)).max() <= 1e-12
+        L, t1, unit, _ = tr._unit_frame(t, params)
+        gamma = unit.gamma if mirror else None
+        x = (np.linspace(0.0, 15.0, 16) if mirror else np.linspace(-12.0, 15.0, 28)) / L
+        got = tr._fourier_smooth_grid(x, t1, tr.QuadratureConfig(), refine, gamma)
+        assert np.abs(got - flat_phase_sum(x, t1, refine, gamma)).max() <= 1e-12
 
     def test_chunked_points(self, monkeypatch):
         x = np.linspace(-9.0, 11.0, 41)
@@ -141,7 +127,7 @@ class TestPhaseFactorization:
     @pytest.mark.parametrize("mirror", [False, True], ids=["whole_line", "mirror"])
     def test_panel_counts(self, monkeypatch, mirror, panels):
         # P = 1, a prime P (padded to A B = 16) and a perfect square (7 x 7)
-        def grid(t, x_absmax, cfg, refine=1, gamma=None, scale=1.0):
+        def grid(t, x_absmax, cfg, refine=1, gamma=None):
             segments = []
             for lo, hi in ((0.0, 4.0), (4.0, 30.0)):
                 edges = np.linspace(lo, hi, panels + 1)
