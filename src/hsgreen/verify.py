@@ -307,28 +307,10 @@ def _window_mask(grid: Grid1D) -> np.ndarray:
     return grid.x <= (1.0 - _SPONGE_FRACTION - 0.05) * grid.L
 
 
-def ansatz_M(traj: Trajectory, params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
-    """Running weighted sup-norm series
-
-    M(T) = sup_{t <= T} [ ||U / A0||_inf + ||(t+1)^(1/4) U_x / A0||_inf ],
-
-    with U = (rho - 1, m) and the derivative reconstructed by central
-    differences; the sponge region is excluded from the sups."""
-    keep = _window_mask(traj.grid)
-    x = traj.grid.x
-    times, series = [], []
-    running = 0.0
-    for st in traj.states:
-        u = st.rho - 1.0
-        a0 = a0_profile(x[keep], st.t, params.c)
-        amp = np.maximum(np.abs(u), np.abs(st.m))[keep] / a0
-        ux = np.gradient(u, x)[keep]
-        mx = np.gradient(st.m, x)[keep]
-        damp = (st.t + 1.0) ** 0.25 * np.maximum(np.abs(ux), np.abs(mx)) / a0
-        running = max(running, float(amp.max() + damp.max()))
-        times.append(st.t)
-        series.append(running)
-    return np.array(times), np.array(series)
+#: The L^p norms whose decay rates are fitted (the rates hold for p in (1, inf]),
+#: and the first fitted time, past the initial transient.
+DECAY_P = (2, 4, math.inf)
+DECAY_T_MIN = 5.0
 
 
 def _final_quarter_growth(series: np.ndarray) -> float:
@@ -337,117 +319,96 @@ def _final_quarter_growth(series: np.ndarray) -> float:
     return float((series[-1] - base) / base) if base else 0.0
 
 
-def ansatz_report(
+def decay_report(
     traj: Trajectory, params: ModelParams, out_dir: str | None = None
 ) -> VerificationReport:
-    times, series = ansatz_M(traj, params)
-    growth = _final_quarter_growth(series)
-    status = "pass" if growth <= 0.05 else "fail"
-    report = VerificationReport(
-        name="ansatz_M",
-        parameters={"params": dataclasses.asdict(params)},
-        status=status,
-        fitted={"M_final": float(series[-1]), "final_quarter_growth": growth},
-        tolerances={"plateau_growth": 0.05},
-        details={"times": times.tolist(), "M": series.tolist()},
-    )
-    if out_dir:
-        report.artifacts.append(
-            write_csv(os.path.join(out_dir, "ansatz_M.csv"), ("t", "M"), zip(times, series))
-        )
-    return report
+    """Log-log decay-rate fits of the perturbation norms, and the ansatz bound.
 
-
-def decay_report(
-    traj: Trajectory,
-    params: ModelParams,
-    p_list=(2, 4, math.inf),
-    t_min: float = 5.0,
-    out_dir: str | None = None,
-) -> VerificationReport:
-    """Log-log decay-rate fits of the perturbation norms.
-
-    Pass requires each fitted slope of ||(rho-1, m)(., t)||_p to sit within
-    0.1 of -(1/2)(1 - 1/p), the weighted sup-norm
+    Pass requires each fitted slope of ||(rho-1, m)(., t)||_p, p in DECAY_P, over
+    t >= DECAY_T_MIN to sit within 0.1 of -(1/2)(1 - 1/p), the weighted sup-norm
 
         sup_x |U| [(x - c(t+1))^2 + (t+1)]^(1/2)
 
-    to plateau (final-quarter growth <= 5%), and the ansatz series M(T) to
-    plateau.  The derivative weighted norm (extra (1+t)^(-1/4)) is reported.
-    p = 1 is outside the valid range and is refused.
-    """
-    for p in p_list:
-        if p <= 1:
-            raise ParameterError(f"L^p decay rates hold for p in (1, inf], got p={p}")
-    ts_all = traj.times
-    fit_mask = ts_all >= t_min
-    ts = ts_all[fit_mask]
-    if ts.size < 4 or ts[-1] / max(ts[0], 1e-12) < 10.0:
-        return VerificationReport(
-            name="decay",
-            parameters={"p_list": [float(p) for p in p_list]},
-            status="inconclusive",
-            details={"reason": "fit window must span at least one decade in t"},
-        )
-    keep = _window_mask(traj.grid)
-    x = traj.grid.x
-    norms = {p: [] for p in p_list}
-    wsup, wsup_dx = [], []
-    for st in traj.states:
-        mag = np.sqrt((st.rho - 1.0) ** 2 + st.m**2)[keep]
-        for p in p_list:
-            if math.isinf(p):
-                norms[p].append(float(mag.max()))
-            else:
-                norms[p].append(float(np.trapezoid(mag**p, x[keep]) ** (1.0 / p)))
-        weight = np.sqrt((x[keep] - params.c * (st.t + 1.0)) ** 2 + (st.t + 1.0))
-        amp = np.maximum(np.abs(st.rho - 1.0), np.abs(st.m))[keep]
-        wsup.append(float((amp * weight).max()))
-        ux = np.gradient(st.rho - 1.0, x)[keep]
-        mx = np.gradient(st.m, x)[keep]
-        damp = np.maximum(np.abs(ux), np.abs(mx))
-        wsup_dx.append(float((damp * weight).max() * (st.t + 1.0) ** 0.25))
+    to plateau (final-quarter growth <= 5%), and the running ansatz norm
 
-    logt = np.log(ts + 1.0)
-    fitted, slope_ok = {}, True
-    for p in p_list:
-        vals = np.log(np.asarray(norms[p])[fit_mask])
-        coef, cov = np.polyfit(logt, vals, 1, cov=True)
-        target = -0.5 * (1.0 - (0.0 if math.isinf(p) else 1.0 / p))
-        band = 2.0 * math.sqrt(max(cov[0, 0], 0.0))
-        key = "Linf" if math.isinf(p) else f"L{p:g}"
-        fitted[key] = {"slope": float(coef[0]), "target": target, "band": band}
-        slope_ok = slope_ok and abs(coef[0] - target) <= 0.1
-    slopes = [fitted[k]["slope"] for k in fitted]
-    monotone = all(s1 > s2 for s1, s2 in zip(slopes, slopes[1:]))
-    wsup_arr = np.asarray(wsup)[fit_mask]
-    wsup_growth = _final_quarter_growth(wsup_arr)
-    _, m_series = ansatz_M(traj, params)
-    m_growth = _final_quarter_growth(m_series)
-    status = "pass" if (slope_ok and wsup_growth <= 0.05 and m_growth <= 0.05) else "fail"
+        M(T) = sup_{t <= T} [ ||U / A0||_inf + ||(t+1)^(1/4) U_x / A0||_inf ]
+
+    to plateau.  U = (rho - 1, m), U_x is its central difference, and the sponge
+    region is left out of every norm.  The derivative weighted norm (extra
+    (1+t)^(-1/4)) is reported.  A fit window shorter than a decade, or a norm
+    that is 0 at a fitted time, makes the report inconclusive; every report
+    carries M_final and M_growth.  With ``out_dir`` the norms are written to
+    ``decay_norms.csv`` and M(T) to ``ansatz_M.csv``.
+    """
+    keep = _window_mask(traj.grid)
+    x, xk = traj.grid.x, traj.grid.x[keep]
+    times = traj.times
+    norms = np.empty((times.size, len(DECAY_P)))
+    wsup, wsup_dx, m_series = np.empty((3, times.size))
+    running = 0.0
+    for i, st in enumerate(traj.states):
+        tp = st.t + 1.0
+        u = st.rho - 1.0
+        amp = np.maximum(np.abs(u), np.abs(st.m))[keep]
+        grad = np.maximum(np.abs(np.gradient(u, x)), np.abs(np.gradient(st.m, x)))[keep]
+        mag = np.sqrt(u**2 + st.m**2)[keep]
+        norms[i] = [mag.max() if math.isinf(p) else np.trapezoid(mag**p, xk) ** (1.0 / p)
+                    for p in DECAY_P]
+        weight = np.sqrt((xk - params.c * tp) ** 2 + tp)
+        wsup[i] = (amp * weight).max()
+        wsup_dx[i] = (grad * weight).max() * tp**0.25
+        a0 = a0_profile(xk, st.t, params.c)
+        running = max(running, float((amp / a0).max() + (tp**0.25 * grad / a0).max()))
+        m_series[i] = running
+
+    fit = times >= DECAY_T_MIN
+    ts = times[fit]
+    zero = (norms[fit] == 0.0).any(axis=1)
+    keys = ["Linf" if math.isinf(p) else f"L{p:g}" for p in DECAY_P]
     report = VerificationReport(
         name="decay",
         parameters={
             "params": dataclasses.asdict(params),
-            "p_list": [float(p) for p in p_list],
-            "t_window": [float(ts[0]), float(ts[-1])],
+            "p_list": [float(p) for p in DECAY_P],
+            "t_window": [float(ts[0]), float(ts[-1])] if ts.size else None,
         },
-        status=status,
-        fitted=fitted,
+        status="inconclusive",
         tolerances={"slope_window": 0.1, "plateau_growth": 0.05},
-        details={
-            "weighted_sup_final": float(wsup_arr[-1]),
-            "weighted_sup_growth": wsup_growth,
-            "weighted_sup_dx_final": float(np.asarray(wsup_dx)[fit_mask][-1]),
-            "M_final": float(m_series[-1]),
-            "M_growth": m_growth,
-            "slopes_monotone_in_p": monotone,
-        },
     )
+    m_details = {"M_final": float(m_series[-1]), "M_growth": _final_quarter_growth(m_series)}
+    if ts.size < 4 or ts[-1] / max(ts[0], 1e-12) < 10.0:
+        report.details = {"reason": "fit window must span at least one decade in t",
+                          **m_details}
+    elif zero.any():
+        report.details = {"reason": f"no decay to fit: a norm is 0 at t = {ts[zero][0]:g}, "
+                                    "the first such fitted time", **m_details}
+    else:
+        logt = np.log(ts + 1.0)
+        slope_ok = True
+        for key, p, vals in zip(keys, DECAY_P, np.log(norms[fit]).T):
+            coef, cov = np.polyfit(logt, vals, 1, cov=True)
+            target = -0.5 * (1.0 - (0.0 if math.isinf(p) else 1.0 / p))
+            band = 2.0 * math.sqrt(max(cov[0, 0], 0.0))
+            report.fitted[key] = {"slope": float(coef[0]), "target": target, "band": band}
+            slope_ok = slope_ok and abs(coef[0] - target) <= 0.1
+        slopes = [fit_p["slope"] for fit_p in report.fitted.values()]
+        wsup_growth = _final_quarter_growth(wsup[fit])
+        report.status = ("pass" if slope_ok and wsup_growth <= 0.05
+                         and m_details["M_growth"] <= 0.05 else "fail")
+        report.details = {
+            "weighted_sup_final": float(wsup[fit][-1]),
+            "weighted_sup_growth": wsup_growth,
+            "weighted_sup_dx_final": float(wsup_dx[fit][-1]),
+            **m_details,
+            "slopes_monotone_in_p": all(s1 > s2 for s1, s2 in zip(slopes, slopes[1:])),
+        }
     if out_dir:
-        rows = [(t,) + tuple(norms[p][i] for p in p_list) for i, t in enumerate(ts_all)]
-        header = ("t",) + tuple("Linf" if math.isinf(p) else f"L{p:g}" for p in p_list)
-        report.artifacts.append(write_csv(os.path.join(out_dir, "decay_norms.csv"), header, rows))
+        report.artifacts += [
+            write_csv(os.path.join(out_dir, "decay_norms.csv"), ("t", *keys),
+                      np.column_stack([times, norms])),
+            write_csv(os.path.join(out_dir, "ansatz_M.csv"), ("t", "M"),
+                      zip(times, m_series)),
+        ]
     return report
 
 
@@ -534,7 +495,6 @@ def _wave_kernel_lhs(
     x: np.ndarray,
     t: float,
     alpha: float,
-    alpha_prime: float,
     beta: float,
     nu: float,
     lam: float,
@@ -548,8 +508,8 @@ def _wave_kernel_lhs(
 
     vectorized over the x grid.  All temporal powers and the Gaussian
     variance use (t - s + 1); the drift keeps (t - s).  The unregularized
-    kernel diverges at the upper limit once alpha - alpha' reaches 3, which
-    is exactly the regime the end-to-end estimates need.
+    kernel diverges at the upper limit once alpha reaches 3, which is exactly
+    the regime the end-to-end estimates need.
     """
     s_nodes, s_wts = _merged_panels([(0.0, t, max(t / (36.0 * scale), 1e-3))], n=6)
     y_lo = min(float(x.min()) - max(lam, 0.0) * t, lam_prime * (t + 1.0))
@@ -562,7 +522,7 @@ def _wave_kernel_lhs(
     out = np.zeros(x.size)
     for k, (s, ws) in enumerate(zip(s_nodes, s_wts)):
         tau = t - s
-        pref = (tau + 1.0) ** (-(alpha - alpha_prime) / 2.0 - alpha_prime / 2.0)
+        pref = (tau + 1.0) ** (-alpha / 2.0)
         gauss = np.exp(-((x[:, None] - y[None, :] - lam * tau) ** 2) / (nu * (tau + 1.0)))
         out += ws * pref * (s + 1.0) ** (-beta / 2.0) * (gauss @ (y_wts * psi_y[k]))
     return out
@@ -630,7 +590,6 @@ def _lemma43_rhs(x, t, alpha, beta, nu, lam, lam_prime, eps, K):
 def lemma_wave_interaction_check(
     kind: str,
     alpha: float,
-    alpha_prime: float,
     beta: float,
     nu: float,
     lam: float,
@@ -650,10 +609,8 @@ def lemma_wave_interaction_check(
     """
     if kind not in ("same-speed", "cross-speed"):
         raise ParameterError("kind must be 'same-speed' or 'cross-speed'")
-    if not (alpha >= alpha_prime >= 0.0 and beta >= 0.0 and nu > 0.0):
-        raise ParameterError("hypothesis violated: need alpha >= alpha' >= 0, beta >= 0")
-    if alpha - alpha_prime > 3.0:
-        raise ParameterError("hypothesis violated: need alpha - alpha' <= 3")
+    if not (0.0 <= alpha <= 3.0 and beta >= 0.0 and nu > 0.0):
+        raise ParameterError("hypothesis violated: need 0 <= alpha <= 3, beta >= 0, nu > 0")
     if kind == "same-speed":
         lam_prime = lam
     else:
@@ -675,7 +632,7 @@ def lemma_wave_interaction_check(
             lo = min(lam, lam_prime) * tp - 12.0 * math.sqrt(tp)
             hi = max(lam, lam_prime) * tp + 12.0 * math.sqrt(tp)
             x = np.linspace(lo, hi, n_x)
-            lhs = _wave_kernel_lhs(x, t, alpha, alpha_prime, beta, nu, lam, lam_prime, scale)
+            lhs = _wave_kernel_lhs(x, t, alpha, beta, nu, lam, lam_prime, scale)
             if kind == "same-speed":
                 rhs, branches, extras = _lemma42_rhs(x, t, alpha, beta, nu, lam, eps)
             else:
@@ -692,7 +649,7 @@ def lemma_wave_interaction_check(
     return _refinement_report(
         f"lemma_wave_{kind.replace('-', '_')}_alpha{alpha:g}",
         {
-            "alpha": alpha, "alpha_prime": alpha_prime, "beta": beta,
+            "alpha": alpha, "beta": beta,
             "nu": nu, "lam": lam, "lam_prime": lam_prime, "eps": eps, "K": K,
             "t_values": list(t_values),
         },

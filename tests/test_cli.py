@@ -140,6 +140,14 @@ class TestConfig:
                 assert isinstance(node, dict) and part in node, path
                 node = node[part]
 
+    def test_readme_verify_targets_exist(self):
+        # every `--which NAME` in the README, inline or in a code block, is a
+        # verify target or `all`
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        names = re.findall(r"--which (\w+)", readme)
+        assert "decay" in names
+        assert set(names) <= {*cli.VERIFY_TARGETS, "all"}
+
     def test_readme_code_references_resolve(self):
         # every backticked `hsgreen.<module>` or `hsgreen.<module>.<name>` in
         # the README imports, and the module has that name
@@ -423,7 +431,8 @@ class TestSolve:
     @pytest.mark.parametrize("argv", [
         ["solve", "--kind", "linear", "--plot-data"],
         ["verify", "--refine", "2"],
-    ], ids=["solve-plot-data", "verify-refine"])
+        ["verify", "--which", "ansatz"],
+    ], ids=["solve-plot-data", "verify-refine", "verify-ansatz"])
     def test_removed_flag_rejected(self, tmp_path, argv):
         with pytest.raises(SystemExit) as exc:
             run_cli(argv + ["--out", str(tmp_path / "s")])
@@ -466,6 +475,17 @@ class TestExitCodes:
         code = run_cli(["verify", "--config", cfgp, "--out", str(tmp_path / "v"),
                         "--which", "decay"])
         assert code == cli.EXIT_INCONCLUSIVE
+
+    def test_zero_data_decay_inconclusive(self, tmp_path):
+        # no decay to fit: inconclusive before any log of a zero norm is taken
+        cfgp = write_config(tmp_path, {"solver": {"L": 60.0, "nx": 300, "t_end": 50.0,
+                                                  "initial": {"amplitude": 0.0}}})
+        out = tmp_path / "v"
+        code = run_cli(["verify", "--config", cfgp, "--out", str(out), "--which", "decay"])
+        assert code == cli.EXIT_INCONCLUSIVE
+        rep = json.loads((out / "decay.json").read_text())
+        assert rep["details"]["reason"].startswith("no decay to fit: a norm is 0 at t = 5,")
+        assert rep["details"]["M_final"] == 0.0
 
 
 class TestVerifyCommand:
@@ -550,7 +570,7 @@ class TestVerifyCommand:
             "initial": {"kind": "algebraic", "amplitude": 0.005, "r": 1.0},
         }})
         out = tmp_path / "v"
-        for which in ("instability", "decay", "ansatz"):
+        for which in ("instability", "decay"):
             assert run_cli(["verify", "--config", cfgp, "--out", str(out),
                             "--which", which]) == cli.EXIT_PASS
         headers = {name: (out / name).read_text().splitlines()[0]
