@@ -3,7 +3,9 @@
 The model has four physical constants: sound speed ``c``, viscosity ``nu``,
 and the boundary coefficients ``(a1, a2)`` of the Robin condition
 ``a1 * dm/dx + a2 * m = 0`` at ``x = 0``.  Everything else in the package is
-parameterized by a :class:`ModelParams` instance.
+parameterized by a :class:`ModelParams` instance.  ``check_points`` and
+``check_positive`` are the argument checks that the kernels and the transform
+oracles share.
 
 The envelope functions ``theta_envelope`` / ``psi_envelope`` / ``a0_profile``
 are the Gaussian and algebraic space-time profiles used by the verification
@@ -14,6 +16,7 @@ throughout so that they stay finite at ``t = 0``.
 from __future__ import annotations
 
 import enum
+import math
 import os
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
@@ -79,6 +82,25 @@ class ModelParams:
         if self.a1 == 0.0:
             raise ParameterError("gamma = -a2/a1 is undefined for a1 = 0 (Dirichlet)")
         return -self.a2 / self.a1
+
+
+def check_positive(name: str, v: float) -> None:
+    """Refuses a scalar ``v`` that is not finite and > 0, naming it."""
+    if not (0.0 < v < math.inf):
+        raise ParameterError(f"need finite {name} > 0, got {name}={v}")
+
+
+def check_points(name: str, v, lo: float = -math.inf) -> np.ndarray:
+    """``v`` as a float array (0-d for a scalar); refuses a value that is not
+    finite or lies below ``lo``, naming the first."""
+    arr = np.asarray(v, dtype=float)
+    if arr.ndim == 0 and math.isfinite(arr) and arr >= lo:
+        return arr  # a scalar skips the array reductions below
+    bad = arr[~(np.isfinite(arr) & (arr >= lo))]
+    if bad.size:
+        bound = "" if lo == -math.inf else f" >= {lo:g}"
+        raise ParameterError(f"need finite {name}{bound}, got {name}={bad[0]}")
+    return arr
 
 
 # 2x2 real matrices are plain numpy arrays of shape (2, 2); the alias is for

@@ -10,7 +10,8 @@ class UsageError(RuntimeError):
 
 
 class ConfigurationError(ValueError):
-    """A config object is inconsistent (bad CFL, contour placement, schema)."""
+    """A config object is inconsistent (a grid the solver cannot run, output
+    times beyond t_end, a pulse too near a wall, a config file off the schema)."""
 
 
 class AccuracyError(RuntimeError):

@@ -27,7 +27,7 @@ import math
 
 import numpy as np
 
-from .core import BoundaryClass, KernelValue, Matrix2, ModelParams
+from .core import BoundaryClass, KernelValue, Matrix2, ModelParams, check_points, check_positive
 from .errors import ParameterError, UsageError
 from .spectral import refuse_unstable
 
@@ -43,25 +43,6 @@ def erfcx(z):
     import scipy.special
 
     return scipy.special.erfcx(z)
-
-
-def _positive(name: str, v: float) -> None:
-    """Refuses a scalar ``v`` that is not finite and > 0, naming it."""
-    if not (0.0 < v < math.inf):
-        raise ParameterError(f"need finite {name} > 0, got {name}={v}")
-
-
-def _points(name: str, v, lo: float = -math.inf) -> np.ndarray:
-    """``v`` as a float array; refuses a value that is not finite or lies
-    below ``lo``, naming the first."""
-    arr = np.asarray(v, dtype=float)
-    if arr.ndim == 0 and math.isfinite(arr) and arr >= lo:
-        return arr  # a scalar skips the array reductions below
-    bad = arr[~(np.isfinite(arr) & (arr >= lo))]
-    if bad.size:
-        bound = "" if lo == -math.inf else f" >= {lo:g}"
-        raise ParameterError(f"need finite {name}{bound}, got {name}={bad[0]}")
-    return arr
 
 
 def e_function(x, t: float, lam: float, d0: float, gamma: float):
@@ -82,9 +63,9 @@ def e_function(x, t: float, lam: float, d0: float, gamma: float):
     is used there; its leading exponent is negative in that regime.  Needs
     t, d0, gamma > 0; returns a float for a scalar x.
     """
-    x = _points("x", x)
+    x = check_points("x", x)
     for name, v in (("t", t), ("d0", d0), ("gamma", gamma)):
-        _positive(name, v)
+        check_positive(name, v)
     u = x - lam * t
     root = math.sqrt(d0 * t)
     w = (u + 0.5 * gamma * d0 * t) / root
@@ -155,8 +136,8 @@ def _leading_smooth(x: np.ndarray, t: float, params: ModelParams) -> np.ndarray:
 def fundamental_leading(x, t: float, params: ModelParams) -> KernelValue:
     """Leading-order whole-line fundamental solution at offsets x, time t > 0:
     smooth part of shape x.shape + (2, 2), delta at offset 0."""
-    x = _points("x", x)
-    _positive("t", t)
+    x = check_points("x", x)
+    check_positive("t", t)
     delta = singular_weight(t, params) * np.diag([1.0, 0.0])
     return KernelValue(smooth=_leading_smooth(x, t, params), deltas=[(0.0, delta)])
 
@@ -174,8 +155,8 @@ def mirror_leading(w, t: float, params: ModelParams) -> Matrix2:
             "mirror_leading is defined for the stable mixed class only; "
             "Dirichlet/Neumann use the degenerate +-G(x+y) diag(1,-1) forms"
         )
-    w = _points("w", w, 0.0)
-    _positive("t", t)
+    w = check_points("w", w, 0.0)
+    check_positive("t", t)
     c, nu, gamma = params.c, params.nu, params.gamma
     pref = 1.0 / math.sqrt(2.0 * math.pi * nu * t)
     reflected = 2.0 * gamma * pref * (
@@ -196,10 +177,10 @@ def green_leading(x, y: float, t: float, params: ModelParams) -> KernelValue:
     location y.  The three Gaussian ridges x - y = +-ct and x + y = ct are
     each produced by exactly one term of the assembly.
     """
-    x, y = _points("x", x, 0.0), _points("y", y, 0.0)
+    x, y = check_points("x", x, 0.0), check_points("y", y, 0.0)
     if y.ndim:
         raise ParameterError(f"green_leading takes one source y, got y of shape {y.shape}")
-    _positive("t", t)
+    check_positive("t", t)
     refuse_unstable(params)
     if params.boundary_class is BoundaryClass.MIXED_STABLE:
         boundary = mirror_leading(x + y, t, params)

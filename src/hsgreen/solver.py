@@ -22,7 +22,7 @@ everything else is explicit, including the viscous remainder
 nu (m/rho - m)_xx of the nonlinear system.  The step is the smallest of
 three limits of the explicit part, chosen afresh for each snapshot segment:
 the acoustic CFL, the dissipation limit 2/rate and, in the nonlinear
-system, cfl_par dx^2 over the remainder's viscosity, measured on the
+system, _CFL dx^2 over the remainder's viscosity, measured on the
 segment's starting density (see ``_stable_dt``).
 
 The linear operators are assembled once per run as sparse matrices on the
@@ -54,21 +54,18 @@ from .errors import ConfigurationError, DivergenceError, ParameterError
 
 _KAPPA4 = 0.25
 _SPONGE_FRACTION = 0.1
+_CFL = 0.45  # safety factor of the acoustic and the explicit-viscous step limits
+_PRESSURE_GAMMA = 2.0  # p(rho) = (c^2/Gamma) rho^Gamma
 
 
 @dataclass(frozen=True)
 class SolverConfig:
     grid: Grid1D
     t_end: float
-    cfl_hyp: float = 0.45
-    cfl_par: float = 0.45
     sponge_strength: float = 1.0
-    pressure_gamma: float = 2.0
     n_snapshots: int = 11
 
     def __post_init__(self):
-        if not (0.0 < self.cfl_hyp <= 0.9 and 0.0 < self.cfl_par <= 0.9):
-            raise ConfigurationError("CFL safety factors must lie in (0, 0.9]")
         if not (self.t_end > 0.0):
             raise ConfigurationError("t_end must be positive")
         if self.n_snapshots < 2:
@@ -174,9 +171,9 @@ def _sponge_profile(grid: Grid1D, cfg: SolverConfig) -> np.ndarray:
     return cfg.sponge_strength * ramp**2
 
 
-def _pressure(rho: np.ndarray, params: ModelParams, cfg: SolverConfig) -> np.ndarray:
-    """p(rho) = (c^2/Gamma) rho^Gamma with Gamma = ``cfg.pressure_gamma``: p'(1) = c^2."""
-    return params.c**2 / cfg.pressure_gamma * rho**cfg.pressure_gamma
+def _pressure(rho: np.ndarray, params: ModelParams) -> np.ndarray:
+    """p(rho) = (c^2/Gamma) rho^Gamma with Gamma = _PRESSURE_GAMMA: p'(1) = c^2."""
+    return params.c**2 / _PRESSURE_GAMMA * rho**_PRESSURE_GAMMA
 
 
 def _robin_ghost(m: np.ndarray, dx: float, params: ModelParams) -> float:
@@ -276,7 +273,7 @@ class _Rhs:
             rho = 1.0 + z[:n]
             v = m / rho
             w = v - m  # nu w_xx is the viscous remainder nu (m/rho - m)_xx
-            flux = m * v + _pressure(rho, p, self.cfg)
+            flux = m * v + _pressure(rho, p)
             dmdt = dzdt[n:]
             dmdt -= self.d1_m @ flux
             dmdt += self.nu_d2 @ w
@@ -376,7 +373,7 @@ def _stable_dt(params: ModelParams, cfg: SolverConfig, nu_explicit: float) -> tu
 
     The implicit nu m_xx sets no limit.  The explicit part gives three:
 
-    * acoustic: cfl_hyp dx / c;
+    * acoustic: _CFL dx / c;
     * dissipation: 2 / rate with rate = 16 _KAPPA4 c/dx + c/dx + sponge.
       The ARS explicit stability polynomial 1 + z + z^2/2 holds the real
       interval [-2, 0].  The most negative real eigenvalue, at the odd-even
@@ -385,7 +382,7 @@ def _stable_dt(params: ModelParams, cfg: SolverConfig, nu_explicit: float) -> tu
       where the imaginary acoustic eigenvalues meet the dissipation; a von
       Neumann analysis of the interior scheme with _KAPPA4 = 0.25 first fails
       at 2.5 / rate, for every dx and nu tried;
-    * explicit-viscous: cfl_par dx^2 / nu_explicit for the viscous remainder
+    * explicit-viscous: _CFL dx^2 / nu_explicit for the viscous remainder
       of viscosity nu_explicit (``_Rhs.explicit_viscosity``), the same rule
       as for a fully explicit nu m_xx.
     """
@@ -393,11 +390,9 @@ def _stable_dt(params: ModelParams, cfg: SolverConfig, nu_explicit: float) -> tu
     c = params.c
     rate = 16.0 * _KAPPA4 * c / dx + c / dx + cfg.sponge_strength
     limits = {
-        "acoustic": cfg.cfl_hyp * dx / c,
+        "acoustic": _CFL * dx / c,
         "dissipation": 2.0 / rate,
-        "explicit-viscous": (
-            cfg.cfl_par * dx**2 / nu_explicit if nu_explicit > 0.0 else math.inf
-        ),
+        "explicit-viscous": _CFL * dx**2 / nu_explicit if nu_explicit > 0.0 else math.inf,
     }
     limit = min(limits, key=limits.get)
     return limits[limit], limit
@@ -510,7 +505,7 @@ class NonlinearTermValue:
 def nonlinear_term(state: FieldState, params: ModelParams,
                    cfg: SolverConfig) -> NonlinearTermValue:
     """Quadratic flux remainder of the momentum equation around (1, 0), on
-    the grid and with the pressure law of the run ``cfg``:
+    the grid of the run ``cfg``:
 
     q_tilde = -[ m^2/rho + p(rho) - p(1) - p'(1)(rho - 1) + nu ((rho-1) m / rho)_x ]
     """
@@ -519,7 +514,7 @@ def nonlinear_term(state: FieldState, params: ModelParams,
         raise ParameterError("density must be positive")
     u = rho - 1.0
     q_tilde = -(
-        m * m / rho + _pressure(rho, params, cfg) - _pressure(1.0, params, cfg)
+        m * m / rho + _pressure(rho, params) - _pressure(1.0, params)
         - params.c**2 * u + params.nu * _grad(u * m / rho, cfg.grid.dx)
     )
     return NonlinearTermValue(q_tilde=q_tilde, q=_grad(q_tilde, cfg.grid.dx))
@@ -594,9 +589,7 @@ def green_column(
 # ---------------------------------------------------------------------------
 
 
-def write_trajectory(
-    traj: Trajectory, out_dir: str, prefix: str, cfg: SolverConfig | None = None
-) -> list[str]:
+def write_trajectory(traj: Trajectory, out_dir: str, prefix: str, cfg: SolverConfig) -> list[str]:
     """Write one CSV per snapshot (x, rho, m; 17 significant digits) plus a
     JSON manifest echoing params, config, and each snapshot's boundary
     residual."""
@@ -612,11 +605,8 @@ def write_trajectory(
         "times": [st.t for st in traj.states],
         "boundary_residual": traj.boundary_residual,
         "snapshots": [os.path.basename(pth) for pth in paths],
+        "solver": asdict(cfg),
     }
-    if cfg is not None:
-        cfg_dict = asdict(cfg)
-        cfg_dict["grid"] = {"L": cfg.grid.L, "nx": cfg.grid.nx}
-        manifest["solver"] = cfg_dict
     mpath = os.path.join(out_dir, f"{prefix}_manifest.json")
     with open(mpath, "w") as fh:
         json.dump(manifest, fh, indent=2)

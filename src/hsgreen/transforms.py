@@ -97,7 +97,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BoundaryClass, KernelValue, ModelParams
+from .core import BoundaryClass, KernelValue, ModelParams, check_points, check_positive
 from .errors import AccuracyError, ConfigurationError, ParameterError
 from .spectral import find_boundary_pole, fourier_fundamental, laplace_green, refuse_unstable
 
@@ -121,15 +121,12 @@ class QuadratureConfig:
 DEFAULT_QUADRATURE = QuadratureConfig()
 
 
-def _points(name: str, v) -> np.ndarray:
-    """``v`` as a float array of at least one dimension; refuses an empty or
-    non-finite point set before any quadrature runs."""
-    arr = np.atleast_1d(np.asarray(v, dtype=float))
+def _points(name: str, v, lo: float = -math.inf) -> np.ndarray:
+    """``v`` checked by ``core.check_points`` as a float array of at least one
+    dimension; also refuses an empty point set, before any quadrature runs."""
+    arr = np.atleast_1d(check_points(name, v, lo))
     if arr.size == 0:
         raise ParameterError(f"need at least one {name} point")
-    bad = arr[~np.isfinite(arr)]
-    if bad.size:
-        raise ParameterError(f"need finite {name}, got {name}={bad[0]}")
     return arr
 
 
@@ -146,8 +143,7 @@ def _unit_frame(t: float, params: ModelParams):
     """(L, t' = t/T, unit model, entry scale [[1, 1/c], [c, 1]]/L): the oracle
     runs the unit model at x/L and t' and multiplies its result by the entry
     scale.  Refuses a t that is not finite and > 0."""
-    if not (0.0 < t < math.inf):
-        raise ParameterError(f"need finite t > 0, got t={t}")
+    check_positive("t", t)
     c, L = params.c, params.nu / params.c
     unit = ModelParams(c=1.0, nu=1.0, a1=params.a1, a2=params.a2 * L)
     return L, t * c / L, unit, np.array([[1.0, 1.0 / c], [c, 1.0]]) / L
@@ -369,19 +365,21 @@ def _laplace_shift(t: float, params: ModelParams) -> float:
 def _invert_laplace_talbot(x, y, t, params, M: int, shift: float, orders) -> list:
     """Degree-M sums of G (order 0) and G_x (order 1), one per entry of ``orders``,
     on the contour shifted by ``shift``, before e^{shift t}; all contract one
-    ``laplace_green`` table."""
+    ``laplace_green`` table.  A table entry that overflows becomes inf or NaN
+    without a warning: the self-check catches it and raises AccuracyError."""
     s, g = _talbot_nodes(t, M)
     s = s + shift
-    values = laplace_green(x[..., None], y[..., None], s, params).reshape(x.size, M, 4)
     sums = []
-    for order in orders:
-        if order == 0:
-            total = np.matmul(g, values).real
-        else:
-            weights = np.stack([-g * s / (params.nu * s + params.c**2), -g * s])
-            rows = np.matmul(weights, values).real  # (points, 2, 4): rows of G, weighted
-            total = np.stack([rows[:, 0, 2:], rows[:, 1, :2]], axis=1)
-        sums.append(total.reshape(x.shape + (2, 2)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = laplace_green(x[..., None], y[..., None], s, params).reshape(x.size, M, 4)
+        for order in orders:
+            if order == 0:
+                total = np.matmul(g, values).real
+            else:
+                weights = np.stack([-g * s / (params.nu * s + params.c**2), -g * s])
+                rows = np.matmul(weights, values).real  # (points, 2, 4): rows of G, weighted
+                total = np.stack([rows[:, 0, 2:], rows[:, 1, :2]], axis=1)
+            sums.append(total.reshape(x.shape + (2, 2)))
     return sums
 
 
@@ -461,9 +459,7 @@ def mirror_by_quadrature(
     if params.boundary_class is not BoundaryClass.MIXED_STABLE:
         raise ParameterError("mirror_by_quadrature needs the stable mixed class")
     L, t1, unit, scale = _unit_frame(t, params)
-    warr = _points("w", w)
-    if np.any(warr < 0.0):
-        raise ParameterError(f"need w >= 0, got w={warr[np.argmax(warr < 0.0)]}")
+    warr = _points("w", w, 0.0)
     smooth, err = _fourier_smooth_with_error(warr / L, t1, cfg, unit.gamma)
     if not err <= 10.0 * cfg.tol:
         raise AccuracyError("mirror quadrature did not meet tolerance", err, 10.0 * cfg.tol)

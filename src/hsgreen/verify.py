@@ -138,14 +138,12 @@ def green_bound_report(
     y_grid,
     t_grid,
     alpha: int = 0,
-    envelope: BoundEnvelope | None = None,
     cfg: QuadratureConfig = DEFAULT_QUADRATURE,
     out_dir: str | None = None,
 ) -> VerificationReport:
     """Sup of |smooth Green's function| (or its x-derivative) over the
     three-ridge envelope; the single-alpha case of :func:`green_bound_reports`."""
-    (report,) = green_bound_reports(params, x_grid, y_grid, t_grid, (alpha,), envelope, cfg,
-                                    out_dir)
+    (report,) = green_bound_reports(params, x_grid, y_grid, t_grid, (alpha,), cfg, out_dir)
     return report
 
 
@@ -155,14 +153,13 @@ def green_bound_reports(
     y_grid,
     t_grid,
     alphas=(0, 1),
-    envelope: BoundEnvelope | None = None,
     cfg: QuadratureConfig = DEFAULT_QUADRATURE,
     out_dir: str | None = None,
 ) -> list[VerificationReport]:
     """One report per alpha in ``alphas``: the sup of |smooth Green's function|
     (alpha = 0) or of its x-derivative (alpha = 1) over the three-ridge
-    envelope; each passes when finite, refinement-stable, and attained near
-    one of the acoustic ridges.
+    envelope with the ``BoundEnvelope`` defaults; each passes when finite,
+    refinement-stable, and attained near one of the acoustic ridges.
 
     alpha = 1 inverts the exact x-derivative, not a difference quotient,
     which would straddle the jump of the smooth part at x = y.  Points on
@@ -180,7 +177,7 @@ def green_bound_reports(
     refuse_unstable(params)
     if any(alpha not in (0, 1) for alpha in alphas):
         raise ParameterError("alpha must be 0 or 1")
-    env = envelope or BoundEnvelope()
+    env = BoundEnvelope()
     x_grid, y_grid, t_grid = (np.sort(np.asarray(g, dtype=float))
                               for g in (x_grid, y_grid, t_grid))
     X, Y = np.meshgrid(_interleaved(x_grid), _interleaved(y_grid), indexing="ij")
@@ -596,17 +593,19 @@ def lemma_wave_interaction_check(
     lam_prime: float | None = None,
     t_values=(4.0, 16.0, 48.0),
     n_x: int = 41,
-    eps: float = 0.5,
-    K: float | None = None,
     out_dir: str | None = None,
 ) -> VerificationReport:
     """Space-time wave-interaction convolution against the lemma envelopes.
 
     kind "same-speed" uses the single-speed envelope table; "cross-speed"
-    the two-speed table with its characteristic-zone term.  Hypothesis
-    violations are refused.  The selected logarithmic branches are logged so
-    a wrong-branch assembly is visible in the report.
+    the two-speed table with its characteristic-zone term.  Both widen the
+    Gaussian variance to nu + eps, eps = 0.5; the zone lies K sqrt(t+1)
+    inside both rays, K = 2|lam - lam'| + 1 (the lemma needs K > 2|lam - lam'|).
+    Hypothesis violations are refused.  The selected logarithmic branches are
+    logged so a wrong-branch assembly is visible in the report.
     """
+    eps = 0.5
+    K = None  # the cross-speed zone margin
     if kind not in ("same-speed", "cross-speed"):
         raise ParameterError("kind must be 'same-speed' or 'cross-speed'")
     if not (0.0 <= alpha <= 3.0 and beta >= 0.0 and nu > 0.0):
@@ -618,10 +617,7 @@ def lemma_wave_interaction_check(
             raise ParameterError("cross-speed needs lam' != lam")
         if alpha < 1.0:
             raise ParameterError("hypothesis violated: cross-speed needs alpha >= 1")
-        if K is None:
-            K = 2.0 * abs(lam - lam_prime) + 1.0
-        elif K <= 2.0 * abs(lam - lam_prime):
-            raise ParameterError("hypothesis violated: need K > 2|lam - lam'|")
+        K = 2.0 * abs(lam - lam_prime) + 1.0
 
     def sweep(scale: int):
         sup = -np.inf

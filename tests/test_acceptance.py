@@ -288,7 +288,6 @@ def test_criterion_6_green_bound():
             np.linspace(0.13, 24.9, 13),
             np.linspace(1.0, 20.0, 6),
             alpha=alpha,
-            envelope=BoundEnvelope(),
         )
         ok = ok and rep.status == "pass"
         details.append(

@@ -52,16 +52,19 @@ REMOVED_KEYS = {
     "verify.envelope.eps": 0.5,
     "transforms.n_xi": 10,
     "transforms.n_nodes": 32,
+    "solver.cfl_hyp": 0.45,
+    "solver.cfl_par": 0.45,
+    "solver.pressure_gamma": 2.0,
 }
 
 # every leaf of the resolved default config, sorted by key path
 DEFAULT_LEAVES = [
     ("model.a1", -1.0), ("model.a2", 1.0), ("model.c", 1.0), ("model.nu", 1.0),
-    ("solver.L", 400.0), ("solver.cfl_hyp", 0.45), ("solver.cfl_par", 0.45),
+    ("solver.L", 400.0),
     ("solver.initial.amplitude", 0.01), ("solver.initial.center", 0.0),
     ("solver.initial.components", ("rho",)), ("solver.initial.kind", "algebraic"),
     ("solver.initial.r", 1.0), ("solver.initial.width", 0.5),
-    ("solver.n_snapshots", 11), ("solver.nx", 4000), ("solver.pressure_gamma", 2.0),
+    ("solver.n_snapshots", 11), ("solver.nx", 4000),
     ("solver.sponge_strength", 1.0), ("solver.t_end", 50.0),
     ("transforms.tol", 1e-8),
     ("verify.lemma41.n", 21), ("verify.lemma41.x_max", 100.0), ("verify.n_t", 6),
@@ -129,11 +132,14 @@ class TestConfig:
         assert [type(v) for _, v in got] == [type(v) for _, v in DEFAULT_LEAVES]
 
     def test_readme_key_paths_exist(self):
-        # every backticked config key path in the README names a key or a
-        # section of the default config; code is written `hsgreen.<module>...`
+        # every config key path inside a code span or block of the README,
+        # such as `[0, solver.L]`, names a key or a section of the default
+        # config; a dotted name after `hsgreen.` is code, not a key path
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-        paths = re.findall(r"`((?:model|solver|transforms|verify)\.[\w.]+)`", readme)
-        assert "verify.lemma41.n" in paths
+        spans = re.findall(r"```.*?```|`[^`]+`", readme, flags=re.S)
+        paths = [path for span in spans for path in re.findall(
+            r"(?<![\w.])((?:model|solver|transforms|verify)\.[\w.]*\w)", span)]
+        assert "verify.lemma41.n" in paths and "solver.L" in paths
         for path in paths:
             node = cli.DEFAULT_CONFIG
             for part in path.split("."):
@@ -439,7 +445,7 @@ class TestSolve:
         assert exc.value.code == 2
 
     @pytest.mark.parametrize("key", list(REMOVED_KEYS))
-    def test_removed_config_key_rejected(self, tmp_path, key):
+    def test_removed_config_key_rejected(self, tmp_path, capsys, key):
         # a config that still sets a deleted key is a config error, not a
         # silent no-op
         *path, leaf = key.split(".")
@@ -449,6 +455,9 @@ class TestSolve:
         cfgp = write_config(tmp_path, payload)
         assert run_cli(["solve", "--config", cfgp, "--out", str(tmp_path / "s"),
                         "--kind", "linear"]) == cli.EXIT_CONFIG
+        # the message names the key, or its section when the whole section is gone
+        named = re.search(r"unknown config key '([\w.]+)'", capsys.readouterr().err)[1]
+        assert key == named or key.startswith(named + ".")
 
 
 class TestExitCodes:
@@ -464,6 +473,15 @@ class TestExitCodes:
         code = run_cli(["green-eval", "--out", str(tmp_path / "o"), "--point", "7", "5", "inf"])
         assert code == cli.EXIT_CONFIG
         assert "t=inf" in capsys.readouterr().err
+
+    def test_pointwise_symbol_overflow_inconclusive(self, tmp_path):
+        # at (c, nu) = (3, 0.05) the window reaches t' = c^2 t/nu = 3600, where
+        # the Laplace symbol overflows: both self-checks fail on the NaN, and
+        # no overflow warning escapes first
+        cfgp = write_config(tmp_path, {"model": {"c": 3.0, "nu": 0.05, "a1": -1.0, "a2": 0.6}})
+        code = run_cli(["verify", "--config", cfgp, "--out", str(tmp_path / "v"),
+                        "--which", "pointwise"])
+        assert code == cli.EXIT_INCONCLUSIVE
 
     def test_inconclusive_exit_code(self, tmp_path):
         # decay window shorter than a decade -> inconclusive -> exit 4

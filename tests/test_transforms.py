@@ -199,7 +199,6 @@ class TestInvertLaplace:
         assert passed.startswith("talbot self-check: points=2 degrees=32/40 t'=5 diff=")
         assert failed.endswith(f"diff={exc.value.achieved:.3g}")
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nan_fails_self_check(self):
         # far beyond the acoustic front the symbol overflows to NaN; the
         # self-check must raise and carry the NaN rather than pass it on
@@ -208,6 +207,18 @@ class TestInvertLaplace:
         with pytest.raises(AccuracyError) as exc:
             tr.invert_laplace_green(x, y, t, PS)
         assert np.isnan(exc.value.achieved)
+
+    @pytest.mark.parametrize("oracle, params", [
+        (tr.invert_laplace_green, P), (tr.invert_laplace_green_dx, P),
+        (tr.invert_laplace_green, PD),
+    ], ids=["mixed", "mixed-dx", "dirichlet"])
+    def test_overflow_raises_only_accuracy_error(self, oracle, params):
+        # the symbol overflows in exp at x = 800, t = 128; under the suite's
+        # warnings-as-errors an overflow warning would escape before the
+        # AccuracyError that the NaN self-check raises
+        with pytest.raises(AccuracyError) as exc:
+            oracle(np.array([800.0]), np.array([2.0]), 128.0, params)
+        assert math.isnan(exc.value.achieved)
 
     @pytest.mark.parametrize("oracle", ["fourier", "mirror"])
     def test_nan_symbol_fails_other_self_checks(self, monkeypatch, oracle):

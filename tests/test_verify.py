@@ -277,10 +277,6 @@ class TestLemmaWaveInteraction:
             vf.lemma_wave_interaction_check("cross-speed", 0.5, 0.5, 2.0, 1.0, -1.0)
         with pytest.raises(ParameterError):
             vf.lemma_wave_interaction_check("cross-speed", 2.0, 0.5, 2.0, 1.0, 1.0)
-        with pytest.raises(ParameterError):
-            vf.lemma_wave_interaction_check(
-                "cross-speed", 2.0, 0.5, 2.0, 1.0, -1.0, K=3.0
-            )
 
     def test_same_speed_instantiation(self):
         rep = vf.lemma_wave_interaction_check(
