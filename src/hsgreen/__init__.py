@@ -1,6 +1,6 @@
 """Half-line Green's function toolkit for linearized viscous acoustics.
 
-Subpackages:
+Modules:
     core        shared types, envelope profiles
     spectral    transform-space objects (dispersion, Laplace/Fourier symbols)
     kernels     closed-form leading-order physical-space kernels
@@ -12,7 +12,6 @@ Subpackages:
 
 from .core import (
     BoundaryClass,
-    BoundEnvelope,
     FieldState,
     Grid1D,
     KernelValue,
@@ -26,7 +25,6 @@ from .core import (
 
 __all__ = [
     "BoundaryClass",
-    "BoundEnvelope",
     "FieldState",
     "Grid1D",
     "KernelValue",

@@ -14,6 +14,10 @@ manifest echoing the fully resolved configuration, so runs are reproducible
 byte for byte.  Exit codes: 0 pass, 1 verified fail, 2 config error, 3 accuracy
 error, 4 inconclusive, 5 divergence.
 
+``verify`` reads no config section of its own: the pointwise window (x in [0, 25],
+y in [0.13, 24.9], t in [1, 20]) and the lemma 4.1 nodes are the constants
+POINTWISE_GRIDS and LEMMA41_NODES, and the harnesses take the rest from ``model``,
+``solver`` and ``transforms``.
 ``verify --which instability`` starts from the exact unstable mode e^{-(a2/a1) x}, on a
 grid and run derived from a2/a1 and the pole s*, not from ``solver``.  A stable model
 runs (a1, a2) = (1, 1), and the report's ``details.substituted_for`` names its pair.
@@ -28,6 +32,7 @@ import argparse
 import copy
 import dataclasses
 import json
+import math
 import os
 import sys
 
@@ -79,14 +84,6 @@ DEFAULT_CONFIG: dict = {
         "initial": _field_defaults(InitialData),
     },
     "transforms": _field_defaults(QuadratureConfig),
-    "verify": {
-        "x_max": 25.0,
-        "n_x": 11,
-        "t_min": 1.0,
-        "t_max": 20.0,
-        "n_t": 6,
-        "lemma41": {"x_max": 100.0, "n": 21},
-    },
 }
 
 _KINDS = {dict: "an object", tuple: "a list", str: "a string", int: "an integer",
@@ -111,8 +108,9 @@ def _merge_checked(default, given, path: str = ""):
     """``given`` merged over ``default`` after checking it has the kind of
     ``default``: an object (no unknown keys), a list (items of the kind of the
     default's first item, stored as a tuple), a string, an integral number for
-    an int default (stored as int) or a real number for a float default (stored as
-    float).  A bool is not a number, and an int is a count in [1, _MAX_COUNT].
+    an int default (stored as int) or a finite real number for a float default
+    (stored as float).  A bool is not a number, and an int is a count in
+    [1, _MAX_COUNT].
     Raises ConfigurationError naming the key path."""
     kind = type(default)
     number = isinstance(given, (int, float)) and not isinstance(given, bool)
@@ -133,9 +131,12 @@ def _merge_checked(default, given, path: str = ""):
         return given
     if kind is float and number:
         try:
-            return float(given)
+            value = float(given)
         except OverflowError:
             raise ConfigurationError(f"{where} is an integer too large for a float") from None
+        if not math.isfinite(value):
+            raise ConfigurationError(f"{where} must be finite, got {json.dumps(given)}")
+        return value
     if kind is int and number and (isinstance(given, int) or given.is_integer()):
         if not 1 <= given <= _MAX_COUNT:
             raise ConfigurationError(f"{where} is a count and must lie in [1, {_MAX_COUNT}], "
@@ -155,7 +156,6 @@ class RunConfig:
         self.grid = Grid1D(L=solver.pop("L"), nx=solver.pop("nx"))
         self.solver = SolverConfig(grid=self.grid, **solver)
         self.quadrature = QuadratureConfig(**self.raw["transforms"])
-        self.verify = self.raw["verify"]
 
     @classmethod
     def from_file(cls, path: str | None) -> "RunConfig":
@@ -250,12 +250,13 @@ def cmd_solve(cfg: RunConfig, args) -> int:
     return EXIT_PASS
 
 
+# The pointwise window: the coarse x, y and t nodes.
+POINTWISE_GRIDS = (np.linspace(0.0, 25.0, 11), np.linspace(0.13, 24.9, 11),
+                   np.linspace(1.0, 20.0, 6))
+
+
 def _verify_pointwise(cfg: RunConfig, out_dir: str):
-    v = cfg.verify
-    xg = np.linspace(0.0, v["x_max"], v["n_x"])
-    yg = np.linspace(0.13, v["x_max"] - 0.1, v["n_x"])
-    tg = np.linspace(v["t_min"], v["t_max"], v["n_t"])
-    return vf.green_bound_reports(cfg.model, xg, yg, tg, (0, 1), cfg=cfg.quadrature,
+    return vf.green_bound_reports(cfg.model, *POINTWISE_GRIDS, (0, 1), cfg=cfg.quadrature,
                                   out_dir=out_dir)
 
 
@@ -282,15 +283,16 @@ def _verify_decay(cfg: RunConfig, out_dir: str):
     return [vf.decay_report(traj, cfg.model, out_dir=out_dir)]
 
 
+# The lemma 4.1 nodes, both the x and the t nodes of its check.
+LEMMA41_NODES = np.linspace(0.0, 100.0, 21)
+
+
 def _verify_lemma41(cfg: RunConfig, out_dir: str):
-    l4 = cfg.verify["lemma41"]
-    # One grid gives both the x and the t nodes (x_max is also the largest time).
     # The lemma convolves the heat kernel of width d0 = 2 nu with the algebraic data
     # (1 + y^2)^{-r}; any E > d0 meets its hypothesis, and 1.5 d0 is 3 at nu = 1.
-    nodes = np.linspace(0.0, l4["x_max"], l4["n"])
     d0 = 2.0 * cfg.model.nu
-    return [vf.lemma_initial_data_check(d0, cfg.initial.r, 1.5 * d0, nodes, nodes,
-                                        out_dir=out_dir)]
+    return [vf.lemma_initial_data_check(d0, cfg.initial.r, 1.5 * d0, LEMMA41_NODES,
+                                        LEMMA41_NODES, out_dir=out_dir)]
 
 
 def _verify_wave_interaction(cfg: RunConfig, out_dir: str, kind: str, *speeds: float):
@@ -402,7 +404,8 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     try:
         return args.fn(cfg, args)
-    except (ConfigurationError, ParameterError, UsageError) as exc:
+    except (ConfigurationError, ParameterError, UsageError, MemoryError) as exc:
+        # a count within _MAX_COUNT can still ask for more memory than the host has
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except AccuracyError as exc:

@@ -200,24 +200,6 @@ class Trajectory:
         return [abs(wall_relation(s.m, self.grid.dx, self.params)) for s in self.states]
 
 
-@dataclass(frozen=True)
-class BoundEnvelope:
-    """Constants of a pointwise-bound right-hand side
-    (``verify.pointwise_envelope``).  The direct Gaussians have variance
-    2*nu t, fixed by the model, so only the reflected one is widened.
-
-    bigC: exponential-tail constant (the C of exp(-(|x| + t)/C) terms)
-    eps:  widening of the reflected-Gaussian variance (2*nu + eps)
-    """
-
-    bigC: float = 10.0
-    eps: float = 0.5
-
-    def __post_init__(self):
-        if not (self.bigC > 0 and self.eps > 0):
-            raise ParameterError("bigC and eps must be positive")
-
-
 def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> str:
     """Write a CSV table, creating its directory.  Numbers are written with 17
     significant digits (they read back bit-exact), strings as they are and

@@ -92,8 +92,8 @@ def e_bound_check(x, t: float, lam: float, d0: float, gamma: float,
 
         t^(-k/2) exp(-(x - lam t)^2 / ((d0 + eps) t)) + exp(-(|x| + t)/bigC)
 
-    for k in {0, 1}.  Harnesses assert the sup of this ratio over a refining
-    grid stabilizes.
+    for k in {0, 1}.  No harness calls it; the kernel tests check that its sup
+    over a refining grid is finite and moves by at most 10%.
     """
     if not (eps > 0.0 and bigC > 0.0):
         raise ParameterError("need eps > 0 and bigC > 0")

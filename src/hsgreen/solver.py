@@ -68,6 +68,8 @@ class SolverConfig:
     def __post_init__(self):
         if not (self.t_end > 0.0):
             raise ConfigurationError("t_end must be positive")
+        if not (self.sponge_strength >= 0.0):
+            raise ConfigurationError(f"sponge_strength must be >= 0, got {self.sponge_strength}")
         if self.n_snapshots < 2:
             raise ConfigurationError(
                 f"n_snapshots counts t = 0 and t_end, so it must be >= 2, got {self.n_snapshots}"
@@ -99,6 +101,8 @@ class InitialData:
             raise ParameterError(f"unknown initial data kind {self.kind!r}")
         if self.kind == "algebraic" and not (self.r > 0.5):
             raise ParameterError(f"algebraic decay needs r > 1/2, got r={self.r}")
+        if not (self.width > 0.0):
+            raise ParameterError(f"need width > 0, got width={self.width}")
         if not set(self.components) <= {"rho", "m"}:
             raise ParameterError(f"components must be within {{'rho','m'}}, got {self.components}")
 

@@ -19,7 +19,6 @@ import numpy as np
 
 from .core import (
     BoundaryClass,
-    BoundEnvelope,
     FieldState,
     Grid1D,
     ModelParams,
@@ -98,23 +97,34 @@ def _refinement_report(
 # ---------------------------------------------------------------------------
 
 
-def pointwise_envelope(x, y, t, params: ModelParams, env: BoundEnvelope, alpha: int = 0):
+#: The pointwise envelope's tail constant C, in e^{-(|x| + t)/C}, and its default
+#: widening eps of the reflected Gaussian's variance (2 nu + eps) t.
+ENVELOPE_TAIL_C = 10.0
+ENVELOPE_EPS = 0.5
+
+
+def pointwise_envelope(x, y, t, params: ModelParams, alpha: int = 0, eps: float = ENVELOPE_EPS):
     """Three-ridge Gaussian envelope plus exponential tails (unit constants).
 
     t^(-alpha/2) [ e^{-(x-y+ct)^2/(2 nu t)} + e^{-(x-y-ct)^2/(2 nu t)}
                    + e^{-(x+y-ct)^2/((2 nu + eps) t)} ] / sqrt(nu t)
-    + e^{-(|x-y|+t)/C} + e^{-(|x+y|+t)/C}
+    + e^{-(|x-y|+t)/C} + e^{-(|x+y|+t)/C},  C = ENVELOPE_TAIL_C.
+
+    The direct Gaussians have the model's variance 2 nu t, so only the
+    reflected one is widened, by eps > 0.
     """
+    if not (eps > 0.0):
+        raise ParameterError(f"need eps > 0, got eps={eps}")
     x, y, t = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (x, y, t)))
     c, nu = params.c, params.nu
     ridge = (
         np.exp(-((x - y + c * t) ** 2) / (2.0 * nu * t))
         + np.exp(-((x - y - c * t) ** 2) / (2.0 * nu * t))
-        + np.exp(-((x + y - c * t) ** 2) / ((2.0 * nu + env.eps) * t))
+        + np.exp(-((x + y - c * t) ** 2) / ((2.0 * nu + eps) * t))
     )
     val = t ** (-alpha / 2.0) * ridge / np.sqrt(nu * t)
-    val = val + np.exp(-(np.abs(x - y) + t) / env.bigC)
-    val = val + np.exp(-(np.abs(x + y) + t) / env.bigC)
+    val = val + np.exp(-(np.abs(x - y) + t) / ENVELOPE_TAIL_C)
+    val = val + np.exp(-(np.abs(x + y) + t) / ENVELOPE_TAIL_C)
     return val if val.ndim else float(val)
 
 
@@ -158,8 +168,9 @@ def green_bound_reports(
 ) -> list[VerificationReport]:
     """One report per alpha in ``alphas``: the sup of |smooth Green's function|
     (alpha = 0) or of its x-derivative (alpha = 1) over the three-ridge
-    envelope with the ``BoundEnvelope`` defaults; each passes when finite,
-    refinement-stable, and attained near one of the acoustic ridges.
+    envelope at eps = ENVELOPE_EPS; each passes when finite, refinement-stable,
+    and attained near one of the acoustic ridges.  The caller gives the grids;
+    the CLI's pointwise target uses a fixed window, x in [0, 25] and t in [1, 20].
 
     alpha = 1 inverts the exact x-derivative, not a difference quotient,
     which would straddle the jump of the smooth part at x = y.  Points on
@@ -177,7 +188,6 @@ def green_bound_reports(
     refuse_unstable(params)
     if any(alpha not in (0, 1) for alpha in alphas):
         raise ParameterError("alpha must be 0 or 1")
-    env = BoundEnvelope()
     x_grid, y_grid, t_grid = (np.sort(np.asarray(g, dtype=float))
                               for g in (x_grid, y_grid, t_grid))
     X, Y = np.meshgrid(_interleaved(x_grid), _interleaved(y_grid), indexing="ij")
@@ -204,7 +214,7 @@ def green_bound_reports(
     sizes = {"nx": x_grid.size, "ny": y_grid.size, "nt": t_grid.size}
 
     def verdict(alpha: int, lhs: np.ndarray) -> VerificationReport:
-        rhs = np.array([pointwise_envelope(xs, ys, float(t), params, env, alpha=alpha)
+        rhs = np.array([pointwise_envelope(xs, ys, float(t), params, alpha)
                         for t in t_fine])
         ratio = lhs / rhs
         sup_f, (x0, y0, t0) = _ratio_sup(ratio, xs, ys, t_fine)
@@ -219,11 +229,11 @@ def green_bound_reports(
         ridge_sigma = abs(
             min(abs(x0 - y0 - params.c * t0), abs(x0 - y0 + params.c * t0),
                 abs(x0 + y0 - params.c * t0))
-        ) / math.sqrt((2.0 * params.nu + env.eps) * t0)
+        ) / math.sqrt((2.0 * params.nu + ENVELOPE_EPS) * t0)
         return _refinement_report(
             f"green_bound_alpha{alpha}",
             {"params": dataclasses.asdict(params), "alpha": alpha,
-             "envelope": dataclasses.asdict(env)},
+             "envelope": {"bigC": ENVELOPE_TAIL_C, "eps": ENVELOPE_EPS}},
             [sizes, {k: 2 * n - 1 for k, n in sizes.items()}],
             sup_c, sup_f, rows, out_dir,
             details={

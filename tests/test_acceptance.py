@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from hsgreen.core import BoundEnvelope, Grid1D, ModelParams
+from hsgreen.core import Grid1D, ModelParams
 from hsgreen import kernels as K
 from hsgreen import solver as so
 from hsgreen import transforms as tr
@@ -234,7 +234,6 @@ def test_criterion_4_degenerate_closed_forms():
 
 def test_criterion_5_three_oracle_agreement(columns):
     y0 = columns.y0
-    env = BoundEnvelope(eps=1.0, bigC=10.0)
 
     # pairwise agreement of the two numerical oracles at smooth interior
     # points: <= 1% relative to the per-time field scale
@@ -261,7 +260,7 @@ def test_criterion_5_three_oracle_agreement(columns):
             lap = tr.invert_laplace_green(xs, np.full_like(xs, y0), t, P)
             lead = K.green_leading(xs, y0, t, P).smooth
             ratio = np.abs(lap - lead).max(axis=(1, 2)) / vf.pointwise_envelope(
-                xs, y0, t, P, env, alpha=0
+                xs, y0, t, P, eps=1.0
             )
             sup = max(sup, float(ratio.max()))
         sups.append(sup)

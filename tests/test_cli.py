@@ -1,3 +1,4 @@
+import copy
 import importlib
 import json
 import math
@@ -55,6 +56,13 @@ REMOVED_KEYS = {
     "solver.cfl_hyp": 0.45,
     "solver.cfl_par": 0.45,
     "solver.pressure_gamma": 2.0,
+    "verify.x_max": 25.0,
+    "verify.n_x": 11,
+    "verify.t_min": 1.0,
+    "verify.t_max": 20.0,
+    "verify.n_t": 6,
+    "verify.lemma41.x_max": 100.0,
+    "verify.lemma41.n": 21,
 }
 
 # every leaf of the resolved default config, sorted by key path
@@ -67,15 +75,13 @@ DEFAULT_LEAVES = [
     ("solver.n_snapshots", 11), ("solver.nx", 4000),
     ("solver.sponge_strength", 1.0), ("solver.t_end", 50.0),
     ("transforms.tol", 1e-8),
-    ("verify.lemma41.n", 21), ("verify.lemma41.x_max", 100.0), ("verify.n_t", 6),
-    ("verify.n_x", 11), ("verify.t_max", 20.0), ("verify.t_min", 1.0), ("verify.x_max", 25.0),
 ]
 
 # configs whose values have the wrong kind, with the key path the error names
 BAD_KINDS = {
     "string-for-float": ({"model": {"c": "fast"}}, "model.c"),
     "null-section": ({"model": None}, "model"),
-    "string-for-int": ({"verify": {"n_x": "ten"}}, "verify.n_x"),
+    "string-for-int": ({"solver": {"nx": "ten"}}, "solver.nx"),
     "list-at-top": ([1, 2], "the config"),
     "fractional-int": ({"solver": {"nx": 600.7}}, "solver.nx"),
     "bool-for-int": ({"solver": {"n_snapshots": True}}, "solver.n_snapshots"),
@@ -83,8 +89,8 @@ BAD_KINDS = {
                   "solver.initial.components[0]"),
     "huge-integer-for-float": ({"model": {"c": 10**400}}, "model.c"),
     # counts that no array can hold; the grid is refused before it is allocated
-    "huge-integer-for-int": ({"verify": {"n_x": 10**400}}, "verify.n_x"),
-    "count-beyond-array": ({"verify": {"n_x": 2**62}}, "verify.n_x"),
+    "huge-integer-for-int": ({"solver": {"nx": 10**400}}, "solver.nx"),
+    "count-beyond-array": ({"solver": {"n_snapshots": 2**62}}, "solver.n_snapshots"),
     "float-count-beyond-array": ({"solver": {"nx": 1e300}}, "solver.nx"),
 }
 
@@ -95,6 +101,14 @@ def small_wave_lemmas(monkeypatch):
     check = vf.lemma_wave_interaction_check
     monkeypatch.setattr(vf, "lemma_wave_interaction_check",
                         lambda *a, **kw: check(*a, t_values=(4.0,), n_x=5, **kw))
+
+
+def readme_key_paths():
+    """The config key paths in the README's code spans and blocks, in order."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    spans = re.findall(r"```.*?```|`[^`]+`", readme, flags=re.S)
+    return [path for span in spans for path in re.findall(
+        r"(?<![\w.])((?:model|solver|transforms|verify)\.[\w.]*\w)", span)]
 
 
 def leaves(tree, path=""):
@@ -124,7 +138,7 @@ class TestConfig:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["command"] == "stability-map"
         assert manifest["config"]["model"]["c"] == 1.0
-        assert "verify" in manifest["config"]
+        assert sorted(manifest["config"]) == ["model", "solver", "transforms"]
 
     def test_default_leaves_pinned(self):
         got = sorted(leaves(cli.RunConfig({}).raw))
@@ -135,16 +149,18 @@ class TestConfig:
         # every config key path inside a code span or block of the README,
         # such as `[0, solver.L]`, names a key or a section of the default
         # config; a dotted name after `hsgreen.` is code, not a key path
-        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-        spans = re.findall(r"```.*?```|`[^`]+`", readme, flags=re.S)
-        paths = [path for span in spans for path in re.findall(
-            r"(?<![\w.])((?:model|solver|transforms|verify)\.[\w.]*\w)", span)]
-        assert "verify.lemma41.n" in paths and "solver.L" in paths
+        paths = readme_key_paths()
+        assert "solver.initial.r" in paths and "solver.L" in paths
         for path in paths:
             node = cli.DEFAULT_CONFIG
             for part in path.split("."):
                 assert isinstance(node, dict) and part in node, path
                 node = node[part]
+
+    def test_readme_names_every_config_key(self):
+        # every leaf of the default config is named in a README code span
+        named = set(readme_key_paths())
+        assert [path for path, _ in leaves(cli.DEFAULT_CONFIG) if path not in named] == []
 
     def test_readme_verify_targets_exist(self):
         # every `--which NAME` in the README, inline or in a code block, is a
@@ -171,7 +187,7 @@ class TestConfig:
                         "--out", str(tmp_path / "o")]) == cli.EXIT_CONFIG
         assert key_path in capsys.readouterr().err
 
-    @pytest.mark.parametrize("key", ["verify.n_x", "model.c"])
+    @pytest.mark.parametrize("key", ["solver.nx", "model.c"])
     def test_integer_beyond_int_digits_is_config_error(self, tmp_path, capsys, key):
         # more digits than int() converts (4,300 by default): json.load would raise
         # ValueError on it, so the loader keeps its digits and the key check names it
@@ -213,21 +229,46 @@ class TestConfig:
 
     @pytest.mark.parametrize("text, which", [
         ('{"model": {"c": 1e400}}', "pointwise"),
-        ('{"verify": {"lemma41": {"n": 0}}}', "lemma41"),
-        ('{"verify": {"lemma41": {"n": -1}}}', "lemma41"),
-        ('{"verify": {"n_t": -1}}', "pointwise"),
-        ('{"verify": {"n_x": -3}}', "pointwise"),
         ('{"solver": {"initial": {"kind": "gaussian", "r": 0.5}}}', "lemma41"),
-    ], ids=["infinite-c", "empty-lemma-grid", "negative-lemma-grid", "negative-n_t",
-            "negative-n_x", "lemma-r-half"])
+    ], ids=["infinite-c", "lemma-r-half"])
     def test_out_of_range_value_is_config_error(self, tmp_path, text, which):
-        # json reads 1e400 as inf; n = 0 leaves the lemma grid empty, a
-        # negative count is no grid at all, and lemma 4.1 takes r from the
-        # initial data, whose Gaussian kind does not check it
+        # json reads 1e400 as inf, and lemma 4.1 takes r from the initial
+        # data, whose Gaussian kind does not check it
         cfgp = tmp_path / "cfg.json"
         cfgp.write_text(text)
         assert run_cli(["verify", "--config", str(cfgp), "--out", str(tmp_path / "v"),
                         "--which", which]) == cli.EXIT_CONFIG
+
+    @pytest.mark.parametrize("key, value, named", [
+        ("solver.sponge_strength", "Infinity", "'solver.sponge_strength' must be finite"),
+        ("solver.sponge_strength", "NaN", "'solver.sponge_strength' must be finite"),
+        ("solver.L", "Infinity", "'solver.L' must be finite"),
+        ("solver.t_end", "Infinity", "'solver.t_end' must be finite"),
+        ("solver.initial.amplitude", "NaN", "'solver.initial.amplitude' must be finite"),
+        ("solver.initial.center", "1e400", "'solver.initial.center' must be finite"),
+        ("solver.sponge_strength", "-5", "sponge_strength must be >= 0"),
+        ("solver.initial.width", "0", "width > 0"),
+        ("solver.initial.width", "-1", "width > 0"),
+    ], ids=["inf-sponge", "nan-sponge", "inf-L", "inf-t_end", "nan-amplitude",
+            "overflow-center", "negative-sponge", "zero-width", "negative-width"])
+    def test_non_finite_or_out_of_range_number_is_config_error(
+            self, tmp_path, capsys, key, value, named):
+        # JSON's NaN and Infinity, and 1e400, which json reads as inf, are
+        # refused for every float key; a negative sponge or a Gaussian of no
+        # width is refused by the section that owns it
+        payload = copy.deepcopy(SMALL_SOLVER)
+        *path, leaf = key.split(".")
+        section = payload
+        for part in path:
+            section = section[part]
+        section[leaf] = "VALUE"
+        cfgp = tmp_path / "cfg.json"
+        cfgp.write_text(json.dumps(payload).replace('"VALUE"', value))
+        out = tmp_path / "s"
+        assert run_cli(["solve", "--config", str(cfgp), "--out", str(out),
+                        "--kind", "linear"]) == cli.EXIT_CONFIG
+        assert named in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestStabilityMap:
@@ -258,6 +299,15 @@ class TestStabilityMap:
         assert run_cli(["stability-map", "--out", str(tmp_path / "map"),
                         f"--a1-grid={spec}"]) == cli.EXIT_CONFIG
         assert f"1 <= n <= {cli._MAX_COUNT}, got {spec!r}" in capsys.readouterr().err
+
+    def test_unallocatable_grid_is_config_error(self, tmp_path, capsys):
+        # within the count bound, but 10^15 nodes need 7.11 PiB: a config
+        # error, not a traceback with the verified-fail exit code
+        out = tmp_path / "map"
+        assert run_cli(["stability-map", "--out", str(out),
+                        "--a1-grid", "0:1:1000000000000000"]) == cli.EXIT_CONFIG
+        assert "7.11 PiB" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestGreenEval:
@@ -526,29 +576,35 @@ class TestVerifyCommand:
         # one shared inversion per time level writes what two separate reports write
         out, ref = tmp_path / "v", tmp_path / "ref"
         assert run_cli(["verify", "--out", str(out), "--which", "pointwise"]) == cli.EXIT_PASS
-        v = cli.DEFAULT_CONFIG["verify"]
-        grids = (np.linspace(0.0, v["x_max"], v["n_x"]),
-                 np.linspace(0.13, v["x_max"] - 0.1, v["n_x"]),
-                 np.linspace(v["t_min"], v["t_max"], v["n_t"]))
         for alpha in (0, 1):
             name = f"green_bound_alpha{alpha}"
-            rep = vf.green_bound_report(cli.RunConfig({}).model, *grids, alpha=alpha,
-                                        out_dir=str(ref))
+            rep = vf.green_bound_report(cli.RunConfig({}).model, *cli.POINTWISE_GRIDS,
+                                        alpha=alpha, out_dir=str(ref))
             rep.to_json(str(ref / f"{name}.json"))
             assert (out / f"{name}.csv").read_bytes() == (ref / f"{name}.csv").read_bytes()
             got, want = (json.loads((d / f"{name}.json").read_text()) for d in (out, ref))
             assert got.pop("artifacts") != want.pop("artifacts")
             assert got == want
 
-    def test_pointwise_single_x_point(self, tmp_path):
+    def test_lemma41_report_matches_direct_call(self, tmp_path):
+        # the target is lemma 4.1 at d0 = 2 nu, E = 3 nu and the data's r on LEMMA41_NODES
+        out, ref = tmp_path / "v", tmp_path / "ref"
+        assert run_cli(["verify", "--out", str(out), "--which", "lemma41"]) == cli.EXIT_PASS
+        cfg = cli.RunConfig({})
+        nu, nodes = cfg.model.nu, cli.LEMMA41_NODES
+        rep = vf.lemma_initial_data_check(2.0 * nu, cfg.initial.r, 3.0 * nu, nodes, nodes,
+                                          out_dir=str(ref))
+        rep.to_json(str(ref / "lemma_initial_data.json"))
+        for name in ("lemma_initial_data.csv", "lemma_initial_data.json"):
+            got, want = ((d / name).read_text() for d in (out, ref))
+            assert got.replace(str(out), str(ref)) == want
+
+    def test_pointwise_single_x_point(self):
         # x = 0 alone: the alpha = 1 check needs no stencil room at the wall
-        cfgp = write_config(tmp_path, {"verify": {"n_x": 1}})
-        out = tmp_path / "v"
-        code = run_cli(["verify", "--config", cfgp, "--out", str(out),
-                        "--which", "pointwise"])
-        assert code == cli.EXIT_PASS
-        rep = json.loads((out / "green_bound_alpha1.json").read_text())
-        assert rep["sup_ratio"] > 0.0
+        reps = vf.green_bound_reports(cli.RunConfig({}).model, [0.0], [0.13],
+                                      cli.POINTWISE_GRIDS[2])
+        assert [r.status for r in reps] == ["pass", "pass"]
+        assert reps[1].sup_ratio > 0.0
 
     def test_instability_indefinite_implicit_matrix(self, tmp_path, capsys):
         # a2/a1 = 50 on a user-set grid (L = 40, nx = 800): I - hJ is indefinite

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from hsgreen.core import (
     BoundaryClass,
-    BoundEnvelope,
     Grid1D,
     KernelValue,
     ModelParams,
@@ -139,7 +138,3 @@ class TestContainers:
         traj.append(FieldState(t=0.0, rho=1 + z, m=z))
         with pytest.raises(ParameterError):
             traj.append(FieldState(t=0.0, rho=1 + z, m=z))
-
-    def test_bound_envelope_validation(self):
-        with pytest.raises(ParameterError):
-            BoundEnvelope(bigC=-1.0)

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hsgreen.core import BoundEnvelope, Grid1D, ModelParams
+from hsgreen.core import Grid1D, ModelParams
 from hsgreen.errors import ParameterError, UsageError
 from hsgreen import solver as so
 from hsgreen import transforms as tr
@@ -29,11 +29,15 @@ def nonlinear_traj():
 
 class TestPointwiseEnvelope:
     def test_three_ridges_present(self):
-        env = BoundEnvelope()
         t = 10.0
-        base = vf.pointwise_envelope(24.0, 1.0, t, P, env)  # off every ridge
-        on_ridge = vf.pointwise_envelope(1.0 + P.c * t, 1.0, t, P, env)
+        base = vf.pointwise_envelope(24.0, 1.0, t, P)  # off every ridge
+        on_ridge = vf.pointwise_envelope(1.0 + P.c * t, 1.0, t, P)
         assert on_ridge > 5.0 * base
+
+    def test_eps_validation(self):
+        for eps in (0.0, -1.0):
+            with pytest.raises(ParameterError, match="eps > 0"):
+                vf.pointwise_envelope(24.0, 1.0, 10.0, P, eps=eps)
 
     def test_green_bound_report_passes_and_locates_ridge(self):
         rep = vf.green_bound_report(
@@ -80,7 +84,7 @@ class TestPointwiseEnvelope:
         X, Y = np.meshgrid(xg, yg, indexing="ij")
         sup = max(
             float((np.abs(tr.invert_laplace_green(X.ravel(), Y.ravel(), t, P)).max(axis=(-2, -1))
-                   / vf.pointwise_envelope(X.ravel(), Y.ravel(), t, P, BoundEnvelope())).max())
+                   / vf.pointwise_envelope(X.ravel(), Y.ravel(), t, P)).max())
             for t in tg
         )
         assert rep.grid_levels[0]["sup"] == sup
