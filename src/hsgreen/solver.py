@@ -105,6 +105,8 @@ class InitialData:
             raise ParameterError(f"need width > 0, got width={self.width}")
         if not set(self.components) <= {"rho", "m"}:
             raise ParameterError(f"components must be within {{'rho','m'}}, got {self.components}")
+        if not self.components:
+            raise ParameterError("components must name at least one of 'rho', 'm'")
 
 
 def _profile(spec: InitialData, x: np.ndarray) -> np.ndarray:
@@ -123,8 +125,12 @@ def make_initial_data(spec: InitialData, grid: Grid1D, params: ModelParams) -> F
     When the momentum carries a profile, its first three nodes are blended so
     the one-sided relation ``core.wall_relation`` holds to rounding, with
     m(0) = 0 exactly for Dirichlet; ``_project_boundary_compatible`` refuses
-    the grid dx = 2 a1/(3 a2), where no blend can meet it.
+    the grid dx = 2 a1/(3 a2), where no blend can meet it.  A Gaussian
+    center outside [0, L] is refused.
     """
+    if spec.kind == "gaussian" and not (0.0 <= spec.center <= grid.L):
+        raise ParameterError(
+            f"the Gaussian center={spec.center:g} lies outside the grid [0, L={grid.L:g}]")
     x = grid.x
     prof = _profile(spec, x)
     rho = 1.0 + (prof if "rho" in spec.components else 0.0) * np.ones_like(x)

@@ -20,18 +20,35 @@ Inverse Fourier strategy
 The Fourier symbol of the fundamental solution does not vanish at large
 wavenumber: its slow mode tends to exp(-t) with algebraic 1/xi corrections, so
 the raw integrand is not quadrature-friendly.  We subtract a large-wavenumber
-model S(xi, t) built from Lorentzian profiles whose inverse transforms are
-explicit decaying exponentials:
+model S(xi, t) built from Lorentzian profiles L_k = 1/(k^2 + xi^2), whose
+inverse transforms are explicit decaying exponentials (q = e^{-t}):
 
-    S11 = q (1 + a11 L1),          a11 = 1 - t
-    S22 = -q L1
-    S12 = S21 = -i q (A xi L1 + B xi L2)
-    L1 = 1/(1 + xi^2), L2 = 1/(4 + xi^2), q = e^{-t}, A = 2 - t/3, B = 1 - A.
+    S11 = q (1 + a1 L1 + a2 L2),   a2 = -(t^2/2 - 4 t + 4)/3, a1 = 1 - t - a2
+    S22 = q (b1 L1 + b2 L2),       b2 = (4 - t)/3,            b1 = -1 - b2
+    S12 = S21 = -i q xi (A L1 + B L2 + C L3),
+    A = (t^2 - 34 t + 136)/48, B = -(t^2 - 28 t + 70)/30, C = (t^2 - 18 t + 40)/80.
 
-A and B match both the 1/xi and 1/xi^3 coefficients of the odd entries, so
-the remaining integrand decays like xi^{-4} (even entries) and xi^{-5} (odd
-entries); the subtracted part is added back in closed form.  The constant
-piece of S11 is the persistent delta, reported separately.
+The weights match the slow mode's series in 1/xi through xi^{-4} (even
+entries) and xi^{-5} (odd entries),
+
+    F11/q = 1 + (1 - t) xi^-2 + (t^2/2 - 3 t + 3) xi^-4 + ...
+    F22/q = -xi^-2 + (t - 3) xi^-4 + ...
+    Im F12/q = -xi^-1 + (t - 2) xi^-3 + (-t^2/2 + 4 t - 6) xi^-5 + ...,
+
+so the remaining integrand decays like xi^{-6} (even entries) and xi^{-7}
+(odd entries); the subtracted part is added back in closed form, L_k ->
+e^{-k|x|}/(2k) and -i xi L_k -> sgn(x) e^{-k|x|}/2.  The constant piece of
+S11 is the persistent delta, reported separately.  Beyond xi_max every entry
+of the residual is at most c_res xi^{-6}, c_res = 2 q (t^3/6 + 5 t^2 + 29 t
++ 29), so the dropped tail is at most c_res/(5 pi xi_max^5), and
+
+    xi_max = (4 c_res / (5 pi tol))^{1/5}
+
+keeps it below tol/4 (floored at 1.2 xi_core + 5 and 10).  The bound is
+checked in 60-digit arithmetic over t' in [0.01, 200]; float64 cannot check
+it, because the cancellation in mu + D pollutes F beyond xi ~ 10^3.  The
+coarse/fine self-check shares xi_max, so it cannot see the truncation: its
+DEBUG line also logs xi_max and the bound.
 
 The residual is summed on Gauss-Legendre panels in two segments, a dense
 core and a coarser tail, each of uniform half-width h.  Every node is then
@@ -60,7 +77,7 @@ M(xi) = (gamma + i xi)/(gamma - i xi) applied to its symbol.  The mirror
 oracle reuses the panels and the subtraction above: M times the residual is
 inverted by a cos and a sin sum per entry (M breaks the parity), and the
 model term maps in closed form, e^{-beta w} -> (gamma - beta)/(gamma + beta)
-e^{-beta w} for w > 0 and beta in {1, 2}.  M varies on the scale gamma, so
+e^{-beta w} for w > 0 and beta in {1, 2, 3}.  M varies on the scale gamma, so
 the mirror caps the core panel width at gamma; the whole-line oracle (M = 1)
 keeps its grid.
 
@@ -184,13 +201,11 @@ def _xi_grid(
     Returns the core and tail segments as (panel midpoints, half-width): the
     panels of a segment are uniform, so its nodes are mid + half * g_j for
     the _N_XI Gauss-Legendre points g_j."""
-    q = math.exp(-t)
     # Core: beyond xi_core the Gaussian-decaying modes are < 1e-18.
     xi_core = math.sqrt(83.0 / t) + 2.0
-    # Residual after subtraction decays like C_res / xi^4; pick xi_max so the
-    # tail integral is below tol/4 (C_res padded).
-    c_res = q * (2.0 + 0.5 * t**2 + 1.0) + 1e-30
-    xi_max = (4.0 * c_res / (3.0 * math.pi * cfg.tol)) ** (1.0 / 3.0)
+    # Beyond xi_max the residual is below c_res / xi^6, so the dropped tail,
+    # (1/pi) int c_res xi^-6 = c_res / (5 pi xi_max^5), is at most tol/4.
+    xi_max = (4.0 * _residual_bound(t) / (5.0 * math.pi * cfg.tol)) ** 0.2
     xi_max = max(xi_max, 1.2 * xi_core + 5.0, 10.0)
     xi_core = min(xi_core, xi_max * 0.5)
     osc = x_absmax + t + 1.0
@@ -204,44 +219,61 @@ def _xi_grid(
     return segments
 
 
-def _subtraction_coefficients(t: float):
-    A = 2.0 - t / 3.0
-    return math.exp(-t), 1.0 - t, A, 1.0 - A
+def _residual_bound(t: float) -> float:
+    """c_res: beyond xi_max every entry of the residual is at most c_res
+    xi^-6: twice q (t^3/6 + 5 t^2 + 29 t + 29), which bounds the (1,1)
+    entry's xi^-6 coefficient and the smaller ones of the other entries; the
+    factor 2 covers the higher orders (module docstring)."""
+    return 2.0 * math.exp(-t) * (t**3 / 6.0 + 5.0 * t**2 + 29.0 * t + 29.0)
+
+
+_LORENTZ_K = np.array([1.0, 2.0, 3.0])  # L_k = 1/(k^2 + xi^2)
+
+
+def _subtraction_coefficients(t: float) -> tuple[float, np.ndarray]:
+    """q = e^{-t} and the (3, 3) weights of L_1, L_2, L_3 in the model's rows
+    S11/q - 1, S22/q and i S12/(q xi) (module docstring)."""
+    a2 = -(0.5 * t**2 - 4.0 * t + 4.0) / 3.0
+    b2 = (4.0 - t) / 3.0
+    weights = np.array([
+        [1.0 - t - a2, a2, 0.0],
+        [-1.0 - b2, b2, 0.0],
+        [(t**2 - 34.0 * t + 136.0) / 48.0, -(t**2 - 28.0 * t + 70.0) / 30.0,
+         (t**2 - 18.0 * t + 40.0) / 80.0],
+    ])
+    return math.exp(-t), weights
 
 
 def _smooth_residual(xi: np.ndarray, t: float, gamma: float | None = None) -> np.ndarray:
     """M(xi) times the symbol minus its Lorentzian model, shape (xi.size, 4)."""
     F = fourier_fundamental(xi, t, ModelParams(c=1.0, nu=1.0))
-    q, a11, A, B = _subtraction_coefficients(t)
-    l1 = 1.0 / (1.0 + xi**2)
-    l2 = 1.0 / (4.0 + xi**2)
-    odd_model = -q * (A * xi * l1 + B * xi * l2)
+    q, weights = _subtraction_coefficients(t)
+    m11, m22, m_odd = q * (weights @ (1.0 / (_LORENTZ_K[:, None] ** 2 + xi**2)))
     # Residual after the Lorentzian subtraction: real even diagonal entries,
     # imaginary odd off-diagonal ones.
     res = np.empty((xi.size, 2, 2), dtype=complex)
-    res[:, 0, 0] = F[:, 0, 0].real - q * (1.0 + a11 * l1)
-    res[:, 1, 1] = F[:, 1, 1].real + q * l1
-    res[:, 0, 1] = 1j * (F[:, 0, 1].imag - odd_model)
-    res[:, 1, 0] = 1j * (F[:, 1, 0].imag - odd_model)
+    res[:, 0, 0] = F[:, 0, 0].real - q - m11
+    res[:, 1, 1] = F[:, 1, 1].real - m22
+    res[:, 0, 1] = 1j * (F[:, 0, 1].imag + xi * m_odd)
+    res[:, 1, 0] = 1j * (F[:, 1, 0].imag + xi * m_odd)
     if gamma is not None:
         res *= ((gamma + 1j * xi) / (gamma - 1j * xi))[:, None, None]
     return res.reshape(-1, 4)
 
 
 def _model_terms(x: np.ndarray, t: float, gamma: float | None = None) -> np.ndarray:
-    """Closed-form transform of the subtracted model (minus its delta): sums
-    of e^{-beta|x|} and sgn(x) e^{-beta|x|}, beta in {1, 2}.  For x > 0 the
-    multiplier maps e^{-beta x} to (gamma - beta)/(gamma + beta) e^{-beta x}."""
-    q, a11, A, B = _subtraction_coefficients(t)
-    sg, k1, k2 = np.sign(x), 1.0, 1.0
+    """Closed-form transform of the subtracted model (minus its delta): L_k
+    maps to e^{-k|x|}/(2k) and -i xi L_k to sgn(x) e^{-k|x|}/2, k in {1, 2, 3}.
+    For x > 0 the multiplier maps e^{-k x} to (gamma - k)/(gamma + k) e^{-k x}."""
+    q, weights = _subtraction_coefficients(t)
+    sg, gain = np.sign(x), 1.0
     if gamma is not None:
-        sg, k1, k2 = 1.0, (gamma - 1.0) / (gamma + 1.0), (gamma - 2.0) / (gamma + 2.0)
-    e1 = k1 * np.exp(-np.abs(x))
-    e2 = k2 * np.exp(-2.0 * np.abs(x))
+        sg, gain = 1.0, (gamma - _LORENTZ_K) / (gamma + _LORENTZ_K)
+    e = (0.5 * q * gain) * np.exp(-_LORENTZ_K * np.abs(x)[..., None])
     out = np.empty(x.shape + (2, 2))
-    out[..., 0, 0] = q * a11 * e1 / 2.0
-    out[..., 1, 1] = -q * e1 / 2.0
-    out[..., 0, 1] = out[..., 1, 0] = (q / 2.0) * sg * (A * e1 + B * e2)
+    out[..., 0, 0] = e @ (weights[0] / _LORENTZ_K)
+    out[..., 1, 1] = e @ (weights[1] / _LORENTZ_K)
+    out[..., 0, 1] = out[..., 1, 0] = sg * (e @ weights[2])
     return out
 
 
@@ -313,11 +345,17 @@ def _fourier_smooth_with_error(
     fine = _fourier_smooth_grid(x, t, cfg, 2, gamma)
     err = float(np.abs(fine - coarse).max())
     if logger.isEnabledFor(logging.DEBUG):
+        # Both levels share xi_max, so the diff cannot see the truncation:
+        # the line also gives its bound c_res / (5 pi xi_max^5).
         x_absmax = float(np.abs(x).max())
-        nodes = [_N_XI * sum(m.size for m, _ in _xi_grid(t, x_absmax, cfg, k, gamma))
-                 for k in (1, 2)]
+        grids = [_xi_grid(t, x_absmax, cfg, k, gamma) for k in (1, 2)]
+        nodes = [_N_XI * sum(m.size for m, _ in grid) for grid in grids]
+        tail_mid, tail_half = grids[0][-1]
+        xi_max = float(tail_mid[-1] + tail_half)
+        trunc = _residual_bound(t) / (5.0 * math.pi * xi_max**5)
         logger.debug("fourier self-check: points=%d nodes=%d/%d (coarse/fine) t'=%.6g "
-                     "gamma'=%s diff=%.3g", np.size(x), *nodes, t, gamma, err)
+                     "gamma'=%s diff=%.3g xi_max=%.6g trunc=%.3g",
+                     np.size(x), *nodes, t, gamma, err, xi_max, trunc)
     return fine, err
 
 

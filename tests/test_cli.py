@@ -270,6 +270,20 @@ class TestConfig:
         assert named in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("initial, named", [
+        ({"center": 1000.0}, "center=1000 lies outside the grid [0, L=60]"),
+        ({"components": []}, "components must name at least one"),
+    ], ids=["center-off-grid", "no-components"])
+    def test_data_off_the_grid_is_config_error(self, tmp_path, capsys, initial, named):
+        # data that cannot reach the grid would solve to all-zero snapshots
+        payload = copy.deepcopy(SMALL_SOLVER)
+        payload["solver"]["initial"].update(initial)
+        out = tmp_path / "s"
+        assert run_cli(["solve", "--config", write_config(tmp_path, payload), "--out", str(out),
+                        "--kind", "linear"]) == cli.EXIT_CONFIG
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestStabilityMap:
     def test_classes_and_poles(self, tmp_path):

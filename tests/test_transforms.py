@@ -1,8 +1,10 @@
 import logging
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from hsgreen.core import ModelParams
 from hsgreen.errors import AccuracyError, ConfigurationError, ParameterError, UsageError
@@ -149,15 +151,97 @@ class TestPhaseFactorization:
             assert np.array_equal(np.sort(p.ravel()), np.arange(p.size))
 
     def test_self_check_logged_at_debug(self, caplog):
+        cfg = tr.QuadratureConfig()
         with caplog.at_level(logging.DEBUG, logger="hsgreen.transforms"):
-            _, err = tr._fourier_smooth_with_error(np.array([1.0, 6.0]), 2.0,
-                                                   tr.QuadratureConfig())
+            _, err = tr._fourier_smooth_with_error(np.array([1.0, 6.0]), 2.0, cfg)
         (record,) = caplog.records
         msg = record.getMessage()
         assert record.levelno == logging.DEBUG
         assert "points=2 " in msg and "t'=2 " in msg and f"diff={err:.3g}" in msg
         coarse, fine = msg.split("nodes=")[1].split()[0].split("/")
         assert 0 < int(coarse) < int(fine)
+        # the truncation the coarse/fine diff cannot see: c_res / (5 pi xi_max^5)
+        xi_max = float(msg.split("xi_max=")[1].split()[0])
+        assert xi_max == pytest.approx(xi_cut(2.0, cfg), rel=1e-5)
+        trunc = float(msg.split("trunc=")[1].split()[0])
+        assert trunc == pytest.approx(tr._residual_bound(2.0) / (5 * math.pi * xi_max**5),
+                                      rel=1e-2)
+        assert trunc <= cfg.tol / 4
+
+
+def xi_cut(t, cfg):
+    """The oracle's xi_max: the upper edge of the tail segment."""
+    mid, half = tr._xi_grid(t, 0.0, cfg)[-1]
+    return mid[-1] + half
+
+
+def exact_residual(xi, t):
+    """xi^6 |r| of the unit-model symbol minus the oracle's Lorentzian model
+    (its weights evaluated at 60 digits too), largest over the three entries,
+    at xi > 2 in 60-digit arithmetic: in float64, mu + D and the rounding of
+    q and the weights alone exceed c_res xi^-6 well before xi = 10^3."""
+    with mpmath.workdps(60):
+        xi, t = mpmath.mpf(xi), mpmath.mpf(t)
+        weights = tr._subtraction_coefficients(t)[1]
+        q = mpmath.exp(-t)
+        mu = -xi**2 / 2
+        d = mpmath.sqrt(mu**2 - xi**2)
+        cosh = mpmath.exp(mu * t) * mpmath.cosh(d * t)
+        sinhc = mpmath.exp(mu * t) * mpmath.sinh(d * t) / d
+        lk = [1 / (mpmath.mpf(k) ** 2 + xi**2) for k in tr._LORENTZ_K]
+        m11, m22, m12 = (q * mpmath.fsum(w * l for w, l in zip(row, lk)) for row in weights)
+        r = (cosh - mu * sinhc - q - m11, cosh + mu * sinhc - m22, -xi * sinhc + xi * m12)
+        return float(xi**6 * max(abs(v) for v in r))
+
+
+class TestLorentzianModel:
+    # the subtracted model leaves |r| <= c_res xi^-6 beyond xi_max, and its
+    # closed forms are its inverse transform
+
+    def test_residual_bound_in_high_precision(self):
+        # xi^6 |r| tends to its xi^-6 coefficient, at most c_res / 2, so three
+        # decades above xi_max hold its sup over the dropped tail
+        cfg = tr.QuadratureConfig()
+        for t in np.geomspace(0.01, 200.0, 10):
+            c_res, xi_max = tr._residual_bound(t), xi_cut(t, cfg)
+            worst = max(exact_residual(xi, t) for xi in np.geomspace(xi_max, 1e3 * xi_max, 12))
+            assert worst <= c_res, (t, worst, c_res)
+            assert worst / (5.0 * math.pi * xi_max**5) <= cfg.tol / 4, t
+
+    @staticmethod
+    def direct_inverse(x, t, gamma):
+        """(1/pi) int_0^inf Re(M S e^{i xi x}) dxi of the Lorentzian model S
+        (minus its delta) by scipy's Fourier-weighted quadrature."""
+        q, weights = tr._subtraction_coefficients(t)
+
+        def symbol(xi, row):
+            lor = q * (weights[row] @ (1.0 / (tr._LORENTZ_K**2 + xi**2)))
+            mult = 1.0 if gamma is None else (gamma + 1j * xi) / (gamma - 1j * xi)
+            return mult * (lor if row < 2 else -1j * xi * lor)
+
+        out = np.empty((2, 2))
+        for (i, j), row in (((0, 0), 0), ((1, 1), 1), ((0, 1), 2)):
+            cos = quad(lambda xi: symbol(xi, row).real, 0, np.inf, weight="cos", wvar=abs(x),
+                       epsabs=1e-12)
+            sin = quad(lambda xi: symbol(xi, row).imag, 0, np.inf, weight="sin", wvar=abs(x),
+                       epsabs=1e-12)
+            out[i, j] = (cos[0] - math.copysign(1.0, x) * sin[0]) / math.pi
+        out[1, 0] = out[0, 1]
+        return out
+
+    @pytest.mark.parametrize("gamma", [None, 0.3, 1.0, 3.0],
+                             ids=["whole_line", "mirror-0.3", "mirror-1", "mirror-3"])
+    def test_closed_forms_match_direct_inverse(self, gamma):
+        t = 1.3  # at t' = 2 the S11 and S22 weights coincide
+        xs = np.array([0.4, 1.7, 4.0] if gamma else [-1.7, 0.4, 4.0])
+        got = tr._model_terms(xs, t, gamma)
+        ref = np.array([self.direct_inverse(x, t, gamma) for x in xs])
+        assert np.abs(got - ref).max() <= 1e-11
+
+    def test_coarse_panel_count(self):
+        # the xi^-6 tail ends near xi = 60 at t' = 2; the xi^-4 one ran to 307
+        # and held 1,430 of 1,474 panels
+        assert sum(mid.size for mid, _ in tr._xi_grid(2.0, 23.0, tr.QuadratureConfig())) <= 300
 
 
 class TestInvertLaplace:
