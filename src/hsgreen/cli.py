@@ -17,13 +17,14 @@ error, 4 inconclusive, 5 divergence.
 ``verify`` reads no config section of its own: the pointwise window (x in [0, 25],
 y in [0.13, 24.9], t in [1, 20]) and the lemma 4.1 nodes are the constants
 POINTWISE_GRIDS and LEMMA41_NODES, and the harnesses take the rest from ``model``,
-``solver`` and ``transforms``.
+``transforms`` and the amplitude and r of ``solver.initial``.
 ``verify --which instability`` starts from the exact unstable mode e^{-(a2/a1) x}, on a
 grid and run derived from a2/a1 and the pole s*, not from ``solver``.  A stable model
 runs (a1, a2) = (1, 1), and the report's ``details.substituted_for`` names its pair.
-``verify --which decay`` makes one nonlinear run on ``solver`` and judges its decay
-rates and its ansatz norm M(T) in one report, ``decay.json``, with the tables
-``decay_norms.csv`` and ``ansatz_M.csv``.
+``verify --which decay`` runs ``model.unit_model`` on DECAY_SOLVER and DECAY_TIMES from
+the algebraic data of ``solver.initial``'s amplitude and r, and judges its decay rates
+and ansatz norm M(T) in ``decay.json``, ``decay_norms.csv`` and ``ansatz_M.csv``.  It
+refuses a Neumann wall, which holds the wall density at its initial value.
 """
 
 from __future__ import annotations
@@ -269,18 +270,25 @@ def _verify_instability(cfg: RunConfig, out_dir: str):
     return [rep]
 
 
+# Criterion 8's grid, horizon and output times, in the unit model's units.
+DECAY_SOLVER = SolverConfig(grid=Grid1D(L=400.0, nx=4000), t_end=50.0)
+DECAY_TIMES = np.unique(np.concatenate([np.linspace(0.0, 5.0, 6), np.geomspace(5.0, 50.0, 25)]))
+
+
 def _verify_decay(cfg: RunConfig, out_dir: str):
-    if cfg.model.boundary_class is BoundaryClass.MIXED_UNSTABLE:
+    bc = cfg.model.boundary_class
+    if bc is BoundaryClass.MIXED_UNSTABLE:
         raise UsageError("decay verification needs a stable boundary class")
-    t_end = cfg.solver.t_end
-    t_knee = min(5.0, t_end / 2.0)
-    traj = solve_nonlinear(
-        make_initial_data(cfg.initial, cfg.grid, cfg.model), cfg.model, cfg.solver,
-        output_times=np.unique(np.concatenate([
-            np.linspace(0.0, t_knee, 6), np.geomspace(t_knee, t_end, 25),
-        ])),
-    )
-    return [vf.decay_report(traj, cfg.model, out_dir=out_dir)]
+    if bc is BoundaryClass.NEUMANN:
+        raise UsageError(
+            "decay verification refuses a Neumann wall: a2 = 0 gives m_x(0) = 0, so "
+            "rho_t(0) = 0 and the wall density stays at rho(0) - 1 = "
+            f"{cfg.initial.amplitude:g}; the run would measure a state the wall drives")
+    data = InitialData(amplitude=cfg.initial.amplitude, r=cfg.initial.r)
+    unit = cfg.model.unit_model
+    traj = solve_nonlinear(make_initial_data(data, DECAY_SOLVER.grid, unit), unit,
+                           DECAY_SOLVER, output_times=DECAY_TIMES)
+    return [vf.decay_report(traj, unit, out_dir=out_dir)]
 
 
 # The lemma 4.1 nodes, both the x and the t nodes of its check.

@@ -83,6 +83,11 @@ class ModelParams:
             raise ParameterError("gamma = -a2/a1 is undefined for a1 = 0 (Dirichlet)")
         return -self.a2 / self.a1
 
+    @property
+    def unit_model(self) -> "ModelParams":
+        """This model in units of nu/c and nu/c^2: c = nu = 1 and gamma' = gamma nu/c."""
+        return ModelParams(c=1.0, nu=1.0, a1=self.a1, a2=self.a2 * (self.nu / self.c))
+
 
 def check_positive(name: str, v: float) -> None:
     """Refuses a scalar ``v`` that is not finite and > 0, naming it."""

@@ -37,6 +37,10 @@ The wall check is the one-sided relation ``core.wall_relation``: the
 initial momentum is projected onto it, and ``Trajectory.boundary_residual``
 is its size on every snapshot.  The ghost enforces the centered relation,
 so that residual is O(dx^2) only where the wall closure is right.
+
+The sponge's rate rises to ``sponge_strength`` c^2/nu, so every rate scales as c^2/nu:
+a run mapped from ``ModelParams.unit_model`` by x = (nu/c) x', t = (nu/c^2) t',
+m = c m' takes the same steps, and equals it bitwise when c and nu are powers of 2.
 """
 
 from __future__ import annotations
@@ -175,10 +179,10 @@ def _grad(f: np.ndarray, dx: float) -> np.ndarray:
     return g
 
 
-def _sponge_profile(grid: Grid1D, cfg: SolverConfig) -> np.ndarray:
+def _sponge_profile(grid: Grid1D, cfg: SolverConfig, params: ModelParams) -> np.ndarray:
     xs = grid.L * (1.0 - _SPONGE_FRACTION)
     ramp = np.clip((grid.x - xs) / (grid.L - xs), 0.0, None)
-    return cfg.sponge_strength * ramp**2
+    return cfg.sponge_strength * params.c**2 / params.nu * ramp**2
 
 
 def _pressure(rho: np.ndarray, params: ModelParams) -> np.ndarray:
@@ -264,7 +268,7 @@ class _Rhs:
         d4 = _stencil_matrix(
             n, (np.arange(2, n - 2), {-2: k4, -1: -4.0 * k4, 0: 6.0 * k4, 1: -4.0 * k4, 2: k4})
         )
-        sigma = _sponge_profile(cfg.grid, cfg)
+        sigma = _sponge_profile(cfg.grid, cfg, params)
         on = np.flatnonzero(sigma)
         sponge = _stencil_matrix(n, (on, {0: sigma[on]}))
         acoustic = None if nonlinear else -(c**2) * self.d1_m
@@ -384,7 +388,7 @@ def _stable_dt(params: ModelParams, cfg: SolverConfig, nu_explicit: float) -> tu
     The implicit nu m_xx sets no limit.  The explicit part gives three:
 
     * acoustic: _CFL dx / c;
-    * dissipation: 2 / rate with rate = 16 _KAPPA4 c/dx + c/dx + sponge.
+    * dissipation: 2 / rate with rate = 16 _KAPPA4 c/dx + c/dx + sponge_strength c^2/nu.
       The ARS explicit stability polynomial 1 + z + z^2/2 holds the real
       interval [-2, 0].  The most negative real eigenvalue, at the odd-even
       mode where the central gradients vanish, is -(16 _KAPPA4 c/dx +
@@ -398,7 +402,7 @@ def _stable_dt(params: ModelParams, cfg: SolverConfig, nu_explicit: float) -> tu
     """
     dx = cfg.grid.dx
     c = params.c
-    rate = 16.0 * _KAPPA4 * c / dx + c / dx + cfg.sponge_strength
+    rate = 16.0 * _KAPPA4 * c / dx + c / dx + cfg.sponge_strength * c**2 / params.nu
     limits = {
         "acoustic": _CFL * dx / c,
         "dissipation": 2.0 / rate,

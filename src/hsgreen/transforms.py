@@ -48,7 +48,9 @@ keeps it below tol/4 (floored at 1.2 xi_core + 5 and 10).  The bound is
 checked in 60-digit arithmetic over t' in [0.01, 200]; float64 cannot check
 it, because the cancellation in mu + D pollutes F beyond xi ~ 10^3.  The
 coarse/fine self-check shares xi_max, so it cannot see the truncation: its
-DEBUG line also logs xi_max and the bound.
+DEBUG line also logs xi_max and the bound.  The core panels are
+5/(|x|max + t + 1) wide, so the grid grows like t; past t' = _FOURIER_T_MAX
+both Fourier oracles raise ParameterError before they build it.
 
 The residual is summed on Gauss-Legendre panels in two segments, a dense
 core and a coarser tail, each of uniform half-width h.  Every node is then
@@ -120,6 +122,9 @@ from .spectral import find_boundary_pole, fourier_fundamental, laplace_green, re
 
 logger = logging.getLogger(__name__)
 _N_XI = 10  # Gauss-Legendre nodes per Fourier panel
+# The largest t' the Fourier oracles take: there the fine grid holds 8e5 nodes, and
+# two points take 0.2 s and 190 MB.
+_FOURIER_T_MAX = 1e5
 _TALBOT_DEGREE = 32  # its self-check probes degree + 8
 
 
@@ -162,8 +167,7 @@ def _unit_frame(t: float, params: ModelParams):
     scale.  Refuses a t that is not finite and > 0."""
     check_positive("t", t)
     c, L = params.c, params.nu / params.c
-    unit = ModelParams(c=1.0, nu=1.0, a1=params.a1, a2=params.a2 * L)
-    return L, t * c / L, unit, np.array([[1.0, 1.0 / c], [c, 1.0]]) / L
+    return L, t * c / L, params.unit_model, np.array([[1.0, 1.0 / c], [c, 1.0]]) / L
 
 
 @functools.lru_cache(maxsize=16)
@@ -341,6 +345,9 @@ def _fourier_smooth_grid(
 def _fourier_smooth_with_error(
     x: np.ndarray, t: float, cfg: QuadratureConfig, gamma: float | None = None,
 ) -> tuple[np.ndarray, float]:
+    if not t <= _FOURIER_T_MAX:
+        raise ParameterError(f"the Fourier oracles need t' = c^2 t/nu <= {_FOURIER_T_MAX:g}, "
+                             f"got t'={t:g}: their grid grows like t'")
     coarse = _fourier_smooth_grid(x, t, cfg, 1, gamma)
     fine = _fourier_smooth_grid(x, t, cfg, 2, gamma)
     err = float(np.abs(fine - coarse).max())
@@ -366,7 +373,8 @@ def invert_fourier_fundamental(
 
     Accepts scalar or array x; the smooth part has shape x.shape + (2, 2).
     The persistent delta exp(-c^2 t/nu) delta(x) diag(1, 0) is returned in the
-    delta list.  Raises AccuracyError when the self-estimate misses cfg.tol.
+    delta list.  Raises AccuracyError when the self-estimate misses cfg.tol, and
+    ParameterError past t' = c^2 t/nu = _FOURIER_T_MAX.
     """
     L, t1, _, scale = _unit_frame(t, params)
     smooth, err = _fourier_smooth_with_error(_points("x", x) / L, t1, cfg)

@@ -547,21 +547,9 @@ class TestExitCodes:
                         "--which", "pointwise"])
         assert code == cli.EXIT_INCONCLUSIVE
 
-    def test_inconclusive_exit_code(self, tmp_path):
-        # decay window shorter than a decade -> inconclusive -> exit 4
-        cfg = {
-            "solver": {"L": 80.0, "nx": 800, "t_end": 12.0,
-                       "initial": {"kind": "algebraic", "amplitude": 0.005, "r": 1.0}},
-        }
-        cfgp = write_config(tmp_path, cfg)
-        code = run_cli(["verify", "--config", cfgp, "--out", str(tmp_path / "v"),
-                        "--which", "decay"])
-        assert code == cli.EXIT_INCONCLUSIVE
-
     def test_zero_data_decay_inconclusive(self, tmp_path):
         # no decay to fit: inconclusive before any log of a zero norm is taken
-        cfgp = write_config(tmp_path, {"solver": {"L": 60.0, "nx": 300, "t_end": 50.0,
-                                                  "initial": {"amplitude": 0.0}}})
+        cfgp = write_config(tmp_path, {"solver": {"initial": {"amplitude": 0.0}}})
         out = tmp_path / "v"
         code = run_cli(["verify", "--config", cfgp, "--out", str(out), "--which", "decay"])
         assert code == cli.EXIT_INCONCLUSIVE
@@ -654,7 +642,6 @@ class TestVerifyCommand:
     def test_norm_tables_name_their_columns(self, tmp_path):
         # the norm series are not sup-ratio tables and carry their own headers
         cfgp = write_config(tmp_path, {"solver": {
-            "L": 60.0, "nx": 300, "t_end": 50.0,
             "initial": {"kind": "algebraic", "amplitude": 0.005, "r": 1.0},
         }})
         out = tmp_path / "v"
@@ -666,6 +653,47 @@ class TestVerifyCommand:
         assert headers == {"instability_norms.csv": "t,max_abs_m,fit",
                            "decay_norms.csv": "t,L2,L4,Linf",
                            "ansatz_M.csv": "t,M"}
+
+    @pytest.mark.parametrize("config", [
+        {"model": {"c": 2.0, "nu": 0.5, "a1": -1.0, "a2": 4.0}},
+        {"solver": {"L": 100.0, "nx": 500, "t_end": 3.0, "sponge_strength": 5.0,
+                    "initial": {"kind": "gaussian", "center": 7.0, "width": 2.0}}},
+    ], ids=["same-gamma-prime", "solver-keys"])
+    def test_decay_runs_the_unit_model(self, tmp_path, config):
+        # the run depends on the class, gamma' = gamma nu/c and the data's amplitude
+        # and r alone: the solver's grid, horizon, sponge and data shape do not enter
+        out, ref = tmp_path / "v", tmp_path / "ref"
+        cfgp = write_config(tmp_path, config)
+        assert run_cli(["verify", "--config", cfgp, "--out", str(out),
+                        "--which", "decay"]) == cli.EXIT_PASS
+        assert run_cli(["verify", "--out", str(ref), "--which", "decay"]) == cli.EXIT_PASS
+        for name in ("decay_norms.csv", "ansatz_M.csv"):
+            assert (out / name).read_bytes() == (ref / name).read_bytes()
+        got, want = (json.loads((d / "decay.json").read_text()) for d in (out, ref))
+        assert got.pop("artifacts") != want.pop("artifacts")
+        assert got == want
+
+    def test_decay_short_viscous_scales_pass(self, tmp_path):
+        # (c, nu) = (0.5, 2) runs the unit model at gamma' = 4, whose fit window
+        # t' in [5, 50] reaches the asymptotic rates
+        cfgp = write_config(tmp_path, {"model": {"c": 0.5, "nu": 2.0, "a1": -1.0, "a2": 1.0}})
+        out = tmp_path / "v"
+        assert run_cli(["verify", "--config", cfgp, "--out", str(out),
+                        "--which", "decay"]) == cli.EXIT_PASS
+        rep = json.loads((out / "decay.json").read_text())
+        assert rep["parameters"]["params"] == {"c": 1.0, "nu": 1.0, "a1": -1.0, "a2": 4.0}
+
+    def test_decay_refuses_neumann_wall(self, tmp_path, capsys):
+        # a2 = 0 gives m_x(0) = 0 and so rho_t(0) = 0: the wall density stays at its
+        # initial value and the run would measure a state the wall drives
+        cfgp = write_config(tmp_path, {"model": {"a1": 1.0, "a2": 0.0},
+                                       "solver": {"initial": {"amplitude": 0.02}}})
+        out = tmp_path / "v"
+        assert run_cli(["verify", "--config", cfgp, "--out", str(out),
+                        "--which", "decay"]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "Neumann wall" in err and "rho(0) - 1 = 0.02" in err
+        assert not (out / "decay.json").exists()
 
     def test_wave_reports_named_by_alpha(self, tmp_path, small_wave_lemmas):
         # alpha = 2 and 3 of each wave lemma write their own report files
@@ -697,10 +725,7 @@ class TestVerifyCommand:
     def test_finished_reports_survive_later_divergence(self, tmp_path):
         # the decay run diverges after pointwise and instability have passed:
         # their reports are on disk and the manifest lists them
-        cfgp = write_config(tmp_path, {"solver": {
-            "L": 20.0, "nx": 200, "t_end": 5.0,
-            "initial": {"kind": "gaussian", "amplitude": 2.0, "center": 10.0, "width": 0.5},
-        }})
+        cfgp = write_config(tmp_path, {"solver": {"initial": {"amplitude": 2.0}}})
         out = tmp_path / "v"
         code = run_cli(["verify", "--config", cfgp, "--out", str(out), "--which", "all"])
         assert code == cli.EXIT_DIVERGENCE

@@ -25,8 +25,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hsgreen import kernels as K
+from hsgreen import solver as so
 from hsgreen import transforms as tr
-from hsgreen.core import ModelParams
+from hsgreen.core import FieldState, Grid1D, ModelParams
 from hsgreen.errors import AccuracyError
 
 SPEEDS = st.floats(0.3, 3.0)
@@ -180,3 +181,31 @@ class TestCovariantVerdicts:
         ref = tr.invert_laplace_green_dx(x1, y1, 0.5, unit)
         assert np.abs(got).max() > 40.0
         assert np.abs(got / (scale / L) - ref).max() <= 1e-8
+
+
+class TestSolverCovariance:
+    def test_mapped_run_is_the_unit_run(self):
+        # (c, nu) = (2, 0.5): L = 1/4 and T = 1/8 are powers of 2, so every scale
+        # factor is exact and the run on the mapped grid, data and times is the
+        # unit-model run, bitwise, with m = c m'.  The waves enter the sponge
+        # (x' >= 36) within the run, so its rate must scale with c^2/nu too.
+        phys = ModelParams(c=2.0, nu=0.5, a1=-1.0, a2=4.0)
+        unit = phys.unit_model
+        L, T = phys.nu / phys.c, phys.nu / phys.c**2
+        spec = so.InitialData(kind="gaussian", amplitude=0.5, center=10.0, width=2.0,
+                              components=("rho", "m"))
+        grid = Grid1D(L=40.0, nx=200)
+        init = so.make_initial_data(spec, grid, unit)
+        times = np.linspace(0.0, 32.0, 5)
+        ref = so.solve_nonlinear(init, unit, so.SolverConfig(grid=grid, t_end=32.0),
+                                 output_times=times)
+        got = so.solve_nonlinear(
+            FieldState(t=0.0, rho=init.rho, m=phys.c * init.m), phys,
+            so.SolverConfig(grid=Grid1D(L=40.0 * L, nx=200), t_end=32.0 * T),
+            output_times=times * T)
+        assert got.stats["steps"] == ref.stats["steps"]
+        for mapped, st in zip(got.states, ref.states):
+            assert np.array_equal(mapped.rho, st.rho)
+            assert np.array_equal(mapped.m, phys.c * st.m)
+        sponge = grid.x >= 36.0
+        assert np.abs(ref.states[-1].rho[sponge] - 1.0).max() > 1e-3

@@ -240,7 +240,7 @@ def _stencil_rhs(params, cfg, nonlinear, u, m):
     d4 = np.zeros_like(u)
     d4[2:-2] = u[:-4] - 4.0 * u[1:-3] + 6.0 * u[2:-2] - 4.0 * u[3:-1] + u[4:]
     xs = L * (1.0 - so._SPONGE_FRACTION)
-    sigma = cfg.sponge_strength * np.clip((x - xs) / (L - xs), 0.0, None) ** 2
+    sigma = cfg.sponge_strength * c**2 / nu * np.clip((x - xs) / (L - xs), 0.0, None) ** 2
 
     dudt = -grad(m) - so._KAPPA4 * c / dx * d4 - sigma * u
     if nonlinear:

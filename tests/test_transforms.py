@@ -1,5 +1,6 @@
 import logging
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -427,6 +428,19 @@ class TestOraclePoints:
         }[oracle]
         with pytest.raises(ParameterError, match=f"t={bad}"):
             run(bad)
+
+    @pytest.mark.parametrize("params, t, named", [
+        (P, 1e50, "t'=1e+50"), (P, 1e120, "t'=1e+120"),
+        (ModelParams(c=3.0, nu=0.05), 3e3, "t'=540000"),
+    ], ids=["1e50", "1e120", "scaled"])
+    @pytest.mark.parametrize("oracle", ["fourier", "mirror"])
+    def test_huge_time_rejected_before_the_grid(self, monkeypatch, oracle, params, t, named):
+        # the core panels are 5/(|x|max + t' + 1) wide; at t' = 1e50 the grid would
+        # exceed any array, and t'^3 overflows the residual bound from t' = 1e103
+        run = {"fourier": tr.invert_fourier_fundamental, "mirror": tr.mirror_by_quadrature}
+        monkeypatch.setattr(tr, "_xi_grid", None)
+        with pytest.raises(ParameterError, match=re.escape(named)):
+            run[oracle]([1.0, 3.0], t, params)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
     @pytest.mark.parametrize("coord", ["x", "y"])

@@ -196,7 +196,7 @@ class TestDecayReports:
 
     def test_window_leaves_out_the_sponge(self):
         grid = Grid1D(L=200.0, nx=2000)
-        sigma = so._sponge_profile(grid, so.SolverConfig(grid=grid, t_end=1.0))
+        sigma = so._sponge_profile(grid, so.SolverConfig(grid=grid, t_end=1.0), P)
         keep = vf._window_mask(grid)
         assert keep.sum() > 0.8 * grid.x.size
         assert not np.any(sigma[keep])
