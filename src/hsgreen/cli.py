@@ -14,6 +14,12 @@ manifest echoing the fully resolved configuration, so runs are reproducible
 byte for byte.  Exit codes: 0 pass, 1 verified fail, 2 config error, 3 accuracy
 error, 4 inconclusive, 5 divergence.
 
+This module writes every file a run leaves.  The solvers return trajectories
+and the harnesses return reports that hold their tables
+(``VerificationReport.tables``); ``verify`` writes each report's tables and
+then its JSON as soon as its target returns.  ``solve`` writes one CSV per
+snapshot and one ``manifest.json``, also when the run diverges.
+
 ``verify`` reads no config section of its own: the pointwise window (x in [0, 25],
 y in [0.13, 24.9], t in [1, 20]) and the lemma 4.1 nodes are the constants
 POINTWISE_GRIDS and LEMMA41_NODES, and the harnesses take the rest from ``model``,
@@ -50,7 +56,6 @@ from .solver import (
     pulse_width,
     solve_linear,
     solve_nonlinear,
-    write_trajectory,
 )
 from .spectral import find_boundary_pole, refuse_unstable
 from .transforms import QuadratureConfig, invert_laplace_green
@@ -166,12 +171,15 @@ class RunConfig:
             return cls(json.load(fh, parse_int=_json_int))
 
     def write_manifest(self, out_dir: str, command: str, extra: dict):
-        os.makedirs(out_dir, exist_ok=True)
-        manifest = {"command": command, "config": self.raw, **extra}
-        path = os.path.join(out_dir, "manifest.json")
-        with open(path, "w") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
-        return path
+        return _write_json(os.path.join(out_dir, "manifest.json"),
+                           {"command": command, "config": self.raw, **extra}, sort_keys=True)
+
+
+def _write_json(path: str, record: dict, **dump_kw) -> str:
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    with open(path, "w") as fh:
+        json.dump(record, fh, indent=2, **dump_kw)
+    return path
 
 
 def _parse_grid_spec(spec: str) -> np.ndarray:
@@ -237,17 +245,24 @@ def cmd_solve(cfg: RunConfig, args) -> int:
     init = make_initial_data(cfg.initial, cfg.grid, params)
     solver_fn = solve_nonlinear if args.kind == "nonlinear" else solve_linear
     try:
-        traj = solver_fn(init, params, cfg.solver)
+        traj, prefix, diverged = solver_fn(init, params, cfg.solver), args.kind, None
     except DivergenceError as exc:
-        if exc.partial is not None:
-            paths = write_trajectory(exc.partial, args.out, f"{args.kind}_partial", cfg.solver)
-            print(f"divergence: {exc}; last good snapshot: {paths[-2]}", file=sys.stderr)
-        else:
-            print(f"divergence: {exc}", file=sys.stderr)
+        if exc.partial is None:
+            raise
+        traj, prefix, diverged = exc.partial, f"{args.kind}_partial", exc
+    names = [f"{prefix}_{k:04d}.csv" for k in range(len(traj.states))]
+    for name, st in zip(names, traj.states):
+        write_csv(os.path.join(args.out, name), ("x", "rho", "m"), zip(traj.grid.x, st.rho, st.m))
+    extra = {"kind": args.kind, "times": [st.t for st in traj.states],
+             "boundary_residual": traj.boundary_residual, "snapshots": names}
+    if diverged is not None:
+        extra["diverged_at"] = diverged.t
+    cfg.write_manifest(args.out, "solve", extra)
+    if diverged is not None:
+        print(f"divergence: {diverged}; last good snapshot: "
+              f"{os.path.join(args.out, names[-1])}", file=sys.stderr)
         return EXIT_DIVERGENCE
-    paths = write_trajectory(traj, args.out, args.kind, cfg.solver)
-    cfg.write_manifest(args.out, "solve", {"kind": args.kind, "snapshots": len(traj.states)})
-    print(f"wrote {len(paths) - 1} snapshots + manifest to {args.out}")
+    print(f"wrote {len(names)} snapshots + manifest to {args.out}")
     return EXIT_PASS
 
 
@@ -256,16 +271,15 @@ POINTWISE_GRIDS = (np.linspace(0.0, 25.0, 11), np.linspace(0.13, 24.9, 11),
                    np.linspace(1.0, 20.0, 6))
 
 
-def _verify_pointwise(cfg: RunConfig, out_dir: str):
-    return vf.green_bound_reports(cfg.model, *POINTWISE_GRIDS, (0, 1), cfg=cfg.quadrature,
-                                  out_dir=out_dir)
+def _verify_pointwise(cfg: RunConfig):
+    return vf.green_bound_reports(cfg.model, *POINTWISE_GRIDS, (0, 1), cfg=cfg.quadrature)
 
 
-def _verify_instability(cfg: RunConfig, out_dir: str):
+def _verify_instability(cfg: RunConfig):
     model = cfg.model
     if model.boundary_class is BoundaryClass.MIXED_UNSTABLE:
-        return [vf.instability_report(model, out_dir=out_dir)]
-    rep = vf.instability_report(dataclasses.replace(model, a1=1.0, a2=1.0), out_dir=out_dir)
+        return [vf.instability_report(model)]
+    rep = vf.instability_report(dataclasses.replace(model, a1=1.0, a2=1.0))
     rep.details["substituted_for"] = {"a1": model.a1, "a2": model.a2}
     return [rep]
 
@@ -275,11 +289,9 @@ DECAY_SOLVER = SolverConfig(grid=Grid1D(L=400.0, nx=4000), t_end=50.0)
 DECAY_TIMES = np.unique(np.concatenate([np.linspace(0.0, 5.0, 6), np.geomspace(5.0, 50.0, 25)]))
 
 
-def _verify_decay(cfg: RunConfig, out_dir: str):
-    bc = cfg.model.boundary_class
-    if bc is BoundaryClass.MIXED_UNSTABLE:
-        raise UsageError("decay verification needs a stable boundary class")
-    if bc is BoundaryClass.NEUMANN:
+def _verify_decay(cfg: RunConfig):
+    # solve_nonlinear refuses the unstable class, naming its pole, before any step
+    if cfg.model.boundary_class is BoundaryClass.NEUMANN:
         raise UsageError(
             "decay verification refuses a Neumann wall: a2 = 0 gives m_x(0) = 0, so "
             "rho_t(0) = 0 and the wall density stays at rho(0) - 1 = "
@@ -288,25 +300,24 @@ def _verify_decay(cfg: RunConfig, out_dir: str):
     unit = cfg.model.unit_model
     traj = solve_nonlinear(make_initial_data(data, DECAY_SOLVER.grid, unit), unit,
                            DECAY_SOLVER, output_times=DECAY_TIMES)
-    return [vf.decay_report(traj, unit, out_dir=out_dir)]
+    return [vf.decay_report(traj, unit)]
 
 
 # The lemma 4.1 nodes, both the x and the t nodes of its check.
 LEMMA41_NODES = np.linspace(0.0, 100.0, 21)
 
 
-def _verify_lemma41(cfg: RunConfig, out_dir: str):
+def _verify_lemma41(cfg: RunConfig):
     # The lemma convolves the heat kernel of width d0 = 2 nu with the algebraic data
     # (1 + y^2)^{-r}; any E > d0 meets its hypothesis, and 1.5 d0 is 3 at nu = 1.
     d0 = 2.0 * cfg.model.nu
     return [vf.lemma_initial_data_check(d0, cfg.initial.r, 1.5 * d0, LEMMA41_NODES,
-                                        LEMMA41_NODES, out_dir=out_dir)]
+                                        LEMMA41_NODES)]
 
 
-def _verify_wave_interaction(cfg: RunConfig, out_dir: str, kind: str, *speeds: float):
+def _verify_wave_interaction(cfg: RunConfig, kind: str, *speeds: float):
     return [
-        vf.lemma_wave_interaction_check(kind, alpha, 0.5, 2.0 * cfg.model.nu, *speeds,
-                                        out_dir=out_dir)
+        vf.lemma_wave_interaction_check(kind, alpha, 0.5, 2.0 * cfg.model.nu, *speeds)
         for alpha in (2.0, 3.0)
     ]
 
@@ -317,11 +328,22 @@ VERIFY_TARGETS = {
     "instability": _verify_instability,
     "decay": _verify_decay,
     "lemma41": _verify_lemma41,
-    "lemma42": lambda cfg, out_dir: _verify_wave_interaction(
-        cfg, out_dir, "same-speed", cfg.model.c),
-    "lemma43": lambda cfg, out_dir: _verify_wave_interaction(
-        cfg, out_dir, "cross-speed", cfg.model.c, -cfg.model.c),
+    "lemma42": lambda cfg: _verify_wave_interaction(cfg, "same-speed", cfg.model.c),
+    "lemma43": lambda cfg: _verify_wave_interaction(
+        cfg, "cross-speed", cfg.model.c, -cfg.model.c),
 }
+
+
+def _write_report(rep: vf.VerificationReport, out_dir: str) -> None:
+    """Write the report's tables, then ``<name>.json``, whose ``artifacts``
+    list the tables; the JSON path is appended to ``artifacts`` last."""
+    for name, (header, rows) in rep.tables.items():
+        rep.artifacts.append(write_csv(os.path.join(out_dir, name), header, rows))
+    # asdict deep-copies every value, so the tables are left out before it runs
+    record = dataclasses.asdict(dataclasses.replace(rep, tables={}))
+    del record["tables"]
+    rep.artifacts.append(_write_json(os.path.join(out_dir, f"{rep.name}.json"), record,
+                                     default=float))
 
 
 def cmd_verify(cfg: RunConfig, args) -> int:
@@ -330,8 +352,8 @@ def cmd_verify(cfg: RunConfig, args) -> int:
     # Write each report as its target finishes, so a later target that raises keeps them.
     try:
         for name in names:
-            for rep in VERIFY_TARGETS[name](cfg, args.out):
-                rep.artifacts.append(rep.to_json(os.path.join(args.out, f"{rep.name}.json")))
+            for rep in VERIFY_TARGETS[name](cfg):
+                _write_report(rep, args.out)
                 line = f"{rep.name}: {rep.status}"
                 if rep.sup_ratio is not None:
                     line += f" (sup ratio {rep.sup_ratio:.4g})"

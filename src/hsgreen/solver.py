@@ -41,20 +41,21 @@ so that residual is O(dx^2) only where the wall closure is right.
 The sponge's rate rises to ``sponge_strength`` c^2/nu, so every rate scales as c^2/nu:
 a run mapped from ``ModelParams.unit_model`` by x = (nu/c) x', t = (nu/c^2) t',
 m = c m' takes the same steps, and equals it bitwise when c and nu are powers of 2.
+
+The solvers write no file: a run returns its ``Trajectory``, and ``hsgreen
+solve`` writes the snapshots.
 """
 
 from __future__ import annotations
 
-import json
 import math
-import os
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (BoundaryClass, FieldState, Grid1D, ModelParams, Trajectory,
-                   wall_relation, write_csv)
+from .core import BoundaryClass, FieldState, Grid1D, ModelParams, Trajectory, wall_relation
 from .errors import ConfigurationError, DivergenceError, ParameterError
+from .spectral import find_boundary_pole
 
 _KAPPA4 = 0.25
 _SPONGE_FRACTION = 0.1
@@ -501,7 +502,10 @@ def solve_nonlinear(
 ) -> Trajectory:
     """Evolve the full system in conservation form, monitoring positivity."""
     if params.boundary_class is BoundaryClass.MIXED_UNSTABLE:
-        raise ConfigurationError("nonlinear runs require a stable boundary class")
+        raise ConfigurationError(
+            "nonlinear runs require a stable boundary class: for a1*a2 > 0 the reflection "
+            f"coefficient has a right-half-plane pole at s* = {find_boundary_pole(params):.6g}"
+        )
     if np.min(init.rho) <= 0.0:
         raise ParameterError("nonlinear runs need a positive initial density")
     return _integrate(init, params, cfg, nonlinear=True, output_times=output_times)
@@ -597,32 +601,3 @@ def green_column(
         runs[comp] = solve_linear(init, params, cfg, output_times=output_times)
     return GreenColumns(y0=y0, width=width, rho_pulse=runs["rho"], m_pulse=runs["m"])
 
-
-# ---------------------------------------------------------------------------
-# Trajectory output
-# ---------------------------------------------------------------------------
-
-
-def write_trajectory(traj: Trajectory, out_dir: str, prefix: str, cfg: SolverConfig) -> list[str]:
-    """Write one CSV per snapshot (x, rho, m; 17 significant digits) plus a
-    JSON manifest echoing params, config, and each snapshot's boundary
-    residual."""
-    os.makedirs(out_dir, exist_ok=True)
-    paths = [
-        write_csv(os.path.join(out_dir, f"{prefix}_{k:04d}.csv"), ("x", "rho", "m"),
-                  zip(traj.grid.x, st.rho, st.m))
-        for k, st in enumerate(traj.states)
-    ]
-    manifest = {
-        "params": asdict(traj.params),
-        "grid": {"L": traj.grid.L, "nx": traj.grid.nx},
-        "times": [st.t for st in traj.states],
-        "boundary_residual": traj.boundary_residual,
-        "snapshots": [os.path.basename(pth) for pth in paths],
-        "solver": asdict(cfg),
-    }
-    mpath = os.path.join(out_dir, f"{prefix}_manifest.json")
-    with open(mpath, "w") as fh:
-        json.dump(manifest, fh, indent=2)
-    paths.append(mpath)
-    return paths

@@ -196,25 +196,19 @@ def reflection_coefficient(s, params: ModelParams):
 def find_boundary_pole(params: ModelParams) -> float | None:
     """Positive real pole s* of the reflection coefficient, if any.
 
-    Solves the quadratic s^2 = (a2/a1)^2 (nu s + c^2) obtained by squaring
-    lambda(s) = a2/a1, then keeps only roots that actually satisfy
-    a2 - a1 lambda(s) = 0 (the squaring step introduces a spurious root for
-    every stable sign combination).  Returns None for Dirichlet, Neumann and
-    the stable mixed class.
+    The pole solves lambda(s) = kappa, kappa = a2/a1, and lambda > 0 on the
+    positive real axis, so there is one exactly when kappa > 0 (the unstable
+    mixed class): the positive root of s^2 = kappa^2 (nu s + c^2),
+
+        s* = (kappa^2 nu + sqrt(kappa^4 nu^2 + 4 kappa^2 c^2)) / 2.
+
+    Returns None for Dirichlet, Neumann and the stable mixed class.
     """
-    if params.a1 == 0.0 or params.a2 == 0.0:
+    if params.boundary_class is not BoundaryClass.MIXED_UNSTABLE:
         return None
     kappa = params.a2 / params.a1
     nu, c = params.nu, params.c
-    disc = math.sqrt(kappa**4 * nu**2 + 4.0 * kappa**2 * c**2)
-    roots = [0.5 * (kappa**2 * nu + disc), 0.5 * (kappa**2 * nu - disc)]
-    for r in roots:
-        if r <= 0.0:
-            continue
-        residual = abs(params.a2 - params.a1 * lambda_of_s(complex(r), params))
-        if residual <= 1e-12 * (abs(params.a2) + abs(params.a1) + 1.0):
-            return r
-    return None
+    return 0.5 * (kappa**2 * nu + math.sqrt(kappa**4 * nu**2 + 4.0 * kappa**2 * c**2))
 
 
 def refuse_unstable(params: ModelParams) -> None:

@@ -49,7 +49,8 @@ checked in 60-digit arithmetic over t' in [0.01, 200]; float64 cannot check
 it, because the cancellation in mu + D pollutes F beyond xi ~ 10^3.  The
 coarse/fine self-check shares xi_max, so it cannot see the truncation: its
 DEBUG line also logs xi_max and the bound.  The core panels are
-5/(|x|max + t + 1) wide, so the grid grows like t; past t' = _FOURIER_T_MAX
+5/(|x|max + t + 1) wide and the tail panels 5/(|x|max + 1), so the grid grows
+like t and like |x|max; past t' = _FOURIER_T_MAX or |x'|max = _FOURIER_X_MAX
 both Fourier oracles raise ParameterError before they build it.
 
 The residual is summed on Gauss-Legendre panels in two segments, a dense
@@ -125,6 +126,10 @@ _N_XI = 10  # Gauss-Legendre nodes per Fourier panel
 # The largest t' the Fourier oracles take: there the fine grid holds 8e5 nodes, and
 # two points take 0.2 s and 190 MB.
 _FOURIER_T_MAX = 1e5
+# The largest |x'| = |x| c/nu they take, above the 480 the test suite reaches and the
+# 3,000 of x = 50 at (c, nu) = (3, 0.05): there the fine grid holds 4.7e6 nodes at
+# t' = 0.01 (0.8 s and 0.9 GB for two points) and 2.6e6 at t' = 1 (0.3 s, 0.5 GB).
+_FOURIER_X_MAX = 1e4
 _TALBOT_DEGREE = 32  # its self-check probes degree + 8
 
 
@@ -348,13 +353,16 @@ def _fourier_smooth_with_error(
     if not t <= _FOURIER_T_MAX:
         raise ParameterError(f"the Fourier oracles need t' = c^2 t/nu <= {_FOURIER_T_MAX:g}, "
                              f"got t'={t:g}: their grid grows like t'")
+    x_absmax = float(np.abs(x).max())
+    if not x_absmax <= _FOURIER_X_MAX:
+        raise ParameterError(f"the Fourier oracles need |x'| = |x| c/nu <= {_FOURIER_X_MAX:g}, "
+                             f"got |x'|max={x_absmax:g}: their grid grows like |x'|")
     coarse = _fourier_smooth_grid(x, t, cfg, 1, gamma)
     fine = _fourier_smooth_grid(x, t, cfg, 2, gamma)
     err = float(np.abs(fine - coarse).max())
     if logger.isEnabledFor(logging.DEBUG):
         # Both levels share xi_max, so the diff cannot see the truncation:
         # the line also gives its bound c_res / (5 pi xi_max^5).
-        x_absmax = float(np.abs(x).max())
         grids = [_xi_grid(t, x_absmax, cfg, k, gamma) for k in (1, 2)]
         nodes = [_N_XI * sum(m.size for m, _ in grid) for grid in grids]
         tail_mid, tail_half = grids[0][-1]
@@ -374,7 +382,8 @@ def invert_fourier_fundamental(
     Accepts scalar or array x; the smooth part has shape x.shape + (2, 2).
     The persistent delta exp(-c^2 t/nu) delta(x) diag(1, 0) is returned in the
     delta list.  Raises AccuracyError when the self-estimate misses cfg.tol, and
-    ParameterError past t' = c^2 t/nu = _FOURIER_T_MAX.
+    ParameterError past t' = c^2 t/nu = _FOURIER_T_MAX or |x'| = |x| c/nu =
+    _FOURIER_X_MAX.
     """
     L, t1, _, scale = _unit_frame(t, params)
     smooth, err = _fourier_smooth_with_error(_points("x", x) / L, t1, cfg)

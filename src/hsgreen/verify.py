@@ -5,14 +5,16 @@ Every harness turns an asymptotic claim into a falsifiable numeric check:
 at most 10% under one grid refinement"; "decay rate" becomes "a log-log fit
 lands within a stated window".  Reports carry every number the pass/fail
 verdict is computed from, so a report is reproducible from its manifest.
+
+The harnesses only compute: each report holds its tables in
+``VerificationReport.tables``, a map from CSV name to (header, rows), and
+``hsgreen verify`` writes them and the report's JSON.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,7 +28,6 @@ from .core import (
     a0_profile,
     psi_envelope,
     theta_envelope,
-    write_csv,
 )
 from .errors import AccuracyError, ParameterError, UsageError
 from .solver import _SPONGE_FRACTION, SolverConfig, solve_linear
@@ -52,16 +53,11 @@ class VerificationReport:
     tolerances: dict = field(default_factory=dict)
     details: dict = field(default_factory=dict)
     artifacts: list = field(default_factory=list)
+    tables: dict = field(default_factory=dict)  # CSV name -> (header, rows)
 
     @property
     def passed(self) -> bool:
         return self.status == "pass"
-
-    def to_json(self, path: str) -> str:
-        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-        with open(path, "w") as fh:
-            json.dump(dataclasses.asdict(self), fh, indent=2, default=float)
-        return path
 
 
 _RATIO_HEADER = ("x", "y_or_s", "t", "lhs", "rhs", "ratio")
@@ -69,14 +65,14 @@ _RATIO_HEADER = ("x", "y_or_s", "t", "lhs", "rhs", "ratio")
 
 def _refinement_report(
     name: str, parameters: dict, levels: list, sup_c: float, sup_f: float, rows: list,
-    out_dir: str | None, details: dict, extra_ok: bool = True, tolerances: dict | None = None,
+    details: dict, extra_ok: bool = True, tolerances: dict | None = None,
 ) -> VerificationReport:
     """Verdict on a sup ratio over a grid and its one 2x refinement: pass when the
     fine sup is finite, moves by at most STABILITY_RTOL from the coarse one and
     ``extra_ok`` holds.  ``levels`` describe the two grids; the coarse ``rows`` are
-    written to ``<name>.csv`` when ``out_dir`` is given."""
+    the table ``<name>.csv``."""
     stable = abs(sup_f - sup_c) <= STABILITY_RTOL * abs(sup_c)
-    report = VerificationReport(
+    return VerificationReport(
         name=name,
         parameters=parameters,
         status="pass" if (np.isfinite(sup_f) and stable and extra_ok) else "fail",
@@ -84,12 +80,8 @@ def _refinement_report(
         grid_levels=[{**levels[0], "sup": sup_c}, {**levels[1], "sup": sup_f}],
         tolerances={"stability_rtol": STABILITY_RTOL, **(tolerances or {})},
         details=details,
+        tables={f"{name}.csv": (_RATIO_HEADER, rows)},
     )
-    if out_dir:
-        report.artifacts.append(
-            write_csv(os.path.join(out_dir, f"{name}.csv"), _RATIO_HEADER, rows)
-        )
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -149,11 +141,10 @@ def green_bound_report(
     t_grid,
     alpha: int = 0,
     cfg: QuadratureConfig = DEFAULT_QUADRATURE,
-    out_dir: str | None = None,
 ) -> VerificationReport:
     """Sup of |smooth Green's function| (or its x-derivative) over the
     three-ridge envelope; the single-alpha case of :func:`green_bound_reports`."""
-    (report,) = green_bound_reports(params, x_grid, y_grid, t_grid, (alpha,), cfg, out_dir)
+    (report,) = green_bound_reports(params, x_grid, y_grid, t_grid, (alpha,), cfg)
     return report
 
 
@@ -164,7 +155,6 @@ def green_bound_reports(
     t_grid,
     alphas=(0, 1),
     cfg: QuadratureConfig = DEFAULT_QUADRATURE,
-    out_dir: str | None = None,
 ) -> list[VerificationReport]:
     """One report per alpha in ``alphas``: the sup of |smooth Green's function|
     (alpha = 0) or of its x-derivative (alpha = 1) over the three-ridge
@@ -235,7 +225,7 @@ def green_bound_reports(
             {"params": dataclasses.asdict(params), "alpha": alpha,
              "envelope": {"bigC": ENVELOPE_TAIL_C, "eps": ENVELOPE_EPS}},
             [sizes, {k: 2 * n - 1 for k, n in sizes.items()}],
-            sup_c, sup_f, rows, out_dir,
+            sup_c, sup_f, rows,
             details={
                 "sup_location": {"x": x0, "y": y0, "t": t0},
                 "ridge_distance_sigmas": ridge_sigma,
@@ -262,7 +252,7 @@ def green_bound_reports(
 # ---------------------------------------------------------------------------
 
 
-def instability_report(params: ModelParams, out_dir: str | None = None) -> VerificationReport:
+def instability_report(params: ModelParams) -> VerificationReport:
     """Fitted growth rate of log max|m| from the exact unstable mode against the
     reflection-coefficient pole s*; pass when they agree within 5%.
 
@@ -284,7 +274,8 @@ def instability_report(params: ModelParams, out_dir: str | None = None) -> Verif
     slope, intercept = np.polyfit(traj.times, np.log(norms), 1)
     rel_err = abs(slope - pole) / pole
     segment = traj.stats["segments"][0]
-    report = VerificationReport(
+    rows = [(t, n, math.exp(intercept + slope * t)) for t, n in zip(traj.times, norms)]
+    return VerificationReport(
         name="instability",
         parameters={"params": dataclasses.asdict(params), "L": cfg.grid.L, "nx": cfg.grid.nx,
                     "t_end": cfg.t_end},
@@ -295,13 +286,8 @@ def instability_report(params: ModelParams, out_dir: str | None = None) -> Verif
         details={"dt": segment["dt"], "steps": traj.stats["steps"],
                  # one step per segment: the snapshot spacing, not a stability limit, set dt
                  "dt_limit": segment["limit"] if segment["steps"] > 1 else "snapshot-spacing"},
+        tables={"instability_norms.csv": (("t", "max_abs_m", "fit"), rows)},
     )
-    if out_dir:
-        rows = [(t, n, math.exp(intercept + slope * t)) for t, n in zip(traj.times, norms)]
-        report.artifacts.append(write_csv(
-            os.path.join(out_dir, "instability_norms.csv"), ("t", "max_abs_m", "fit"), rows
-        ))
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -326,9 +312,7 @@ def _final_quarter_growth(series: np.ndarray) -> float:
     return float((series[-1] - base) / base) if base else 0.0
 
 
-def decay_report(
-    traj: Trajectory, params: ModelParams, out_dir: str | None = None
-) -> VerificationReport:
+def decay_report(traj: Trajectory, params: ModelParams) -> VerificationReport:
     """Log-log decay-rate fits of the perturbation norms, and the ansatz bound.
 
     Pass requires each fitted slope of ||(rho-1, m)(., t)||_p, p in DECAY_P, over
@@ -344,8 +328,8 @@ def decay_report(
     region is left out of every norm.  The derivative weighted norm (extra
     (1+t)^(-1/4)) is reported.  A fit window shorter than a decade, or a norm
     that is 0 at a fitted time, makes the report inconclusive; every report
-    carries M_final and M_growth.  With ``out_dir`` the norms are written to
-    ``decay_norms.csv`` and M(T) to ``ansatz_M.csv``.
+    carries M_final and M_growth.  Its tables are the norms, ``decay_norms.csv``,
+    and M(T), ``ansatz_M.csv``.
     """
     keep = _window_mask(traj.grid)
     x, xk = traj.grid.x, traj.grid.x[keep]
@@ -381,6 +365,8 @@ def decay_report(
         },
         status="inconclusive",
         tolerances={"slope_window": 0.1, "plateau_growth": 0.05},
+        tables={"decay_norms.csv": (("t", *keys), np.column_stack([times, norms])),
+                "ansatz_M.csv": (("t", "M"), list(zip(times, m_series)))},
     )
     m_details = {"M_final": float(m_series[-1]), "M_growth": _final_quarter_growth(m_series)}
     if ts.size < 4 or ts[-1] / max(ts[0], 1e-12) < 10.0:
@@ -409,13 +395,6 @@ def decay_report(
             **m_details,
             "slopes_monotone_in_p": all(s1 > s2 for s1, s2 in zip(slopes, slopes[1:])),
         }
-    if out_dir:
-        report.artifacts += [
-            write_csv(os.path.join(out_dir, "decay_norms.csv"), ("t", *keys),
-                      np.column_stack([times, norms])),
-            write_csv(os.path.join(out_dir, "ansatz_M.csv"), ("t", "M"),
-                      zip(times, m_series)),
-        ]
     return report
 
 
@@ -447,7 +426,6 @@ def lemma_initial_data_check(
     e_const: float,
     x_grid,
     t_grid,
-    out_dir: str | None = None,
 ) -> VerificationReport:
     """Gaussian-vs-algebraic convolution bound checker.
 
@@ -493,7 +471,7 @@ def lemma_initial_data_check(
     ]
     return _refinement_report(
         "lemma_initial_data", {"d0": d0, "r": r, "E": e_const},
-        [{"refine": 1}, {"refine": 2}], sup_c, sup_f, rows, out_dir,
+        [{"refine": 1}, {"refine": 2}], sup_c, sup_f, rows,
         details={"core_sup_scaled": float(max(core)) if core else None},
     )
 
@@ -603,7 +581,6 @@ def lemma_wave_interaction_check(
     lam_prime: float | None = None,
     t_values=(4.0, 16.0, 48.0),
     n_x: int = 41,
-    out_dir: str | None = None,
 ) -> VerificationReport:
     """Space-time wave-interaction convolution against the lemma envelopes.
 
@@ -659,6 +636,6 @@ def lemma_wave_interaction_check(
             "nu": nu, "lam": lam, "lam_prime": lam_prime, "eps": eps, "K": K,
             "t_values": list(t_values),
         },
-        [{"refine": 1}, {"refine": 2}], sup_c, sup_f, rows, out_dir,
+        [{"refine": 1}, {"refine": 2}], sup_c, sup_f, rows,
         details={"log_branches": branches, **(extras or {})},
     )

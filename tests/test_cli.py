@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import importlib
 import json
 import math
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 from hsgreen import cli
+from hsgreen.core import write_csv
 from hsgreen import solver as so
 from hsgreen import verify as vf
 
@@ -93,6 +95,27 @@ BAD_KINDS = {
     "count-beyond-array": ({"solver": {"n_snapshots": 2**62}}, "solver.n_snapshots"),
     "float-count-beyond-array": ({"solver": {"nx": 1e300}}, "solver.nx"),
 }
+
+
+# a nonlinear run whose density leaves [1/2, 3/2] at t = 1
+DIVERGING_SOLVER = {
+    "solver": {
+        "L": 20.0, "nx": 200, "t_end": 5.0, "n_snapshots": 6,
+        "initial": {"kind": "gaussian", "amplitude": 2.0, "center": 10.0, "width": 0.5},
+    }
+}
+
+
+def assert_written_as_report(rep, out, ref):
+    """The CLI wrote ``rep`` to ``out``: each table byte for byte as ``core.write_csv``
+    writes it to ``ref``, and a JSON holding every other field, listing the tables."""
+    names = list(rep.tables)
+    for name in names:
+        write_csv(str(ref / name), *rep.tables[name])
+        assert (out / name).read_bytes() == (ref / name).read_bytes()
+    record = {f.name: getattr(rep, f.name) for f in dataclasses.fields(rep) if f.name != "tables"}
+    record["artifacts"] = [str(out / name) for name in names]
+    assert (out / f"{rep.name}.json").read_text() == json.dumps(record, indent=2, default=float)
 
 
 @pytest.fixture
@@ -485,18 +508,52 @@ class TestSolve:
                         "--kind", "linear"]) == code
 
     def test_divergence_exit_code(self, tmp_path):
-        bad = {
-            "solver": {
-                "L": 20.0, "nx": 200, "t_end": 5.0, "n_snapshots": 6,
-                "initial": {"kind": "gaussian", "amplitude": 2.0, "center": 10.0,
-                            "width": 0.5},
-            }
-        }
-        cfgp = write_config(tmp_path, bad)
+        cfgp = write_config(tmp_path, DIVERGING_SOLVER)
         code = run_cli(["solve", "--config", cfgp, "--out", str(tmp_path / "o"),
                         "--kind", "nonlinear"])
         assert code == cli.EXIT_DIVERGENCE
-        assert (tmp_path / "o" / "nonlinear_partial_manifest.json").exists()
+        assert (tmp_path / "o" / "manifest.json").exists()
+
+    def test_divergence_writes_manifest(self, tmp_path, capsys):
+        # the partial run gets the one manifest a finished run gets, plus diverged_at
+        cfgp, out = write_config(tmp_path, DIVERGING_SOLVER), tmp_path / "o"
+        code = run_cli(["solve", "--config", cfgp, "--out", str(out), "--kind", "nonlinear"])
+        assert code == cli.EXIT_DIVERGENCE
+        assert sorted(p.name for p in out.glob("*.json")) == ["manifest.json"]
+        manifest = json.loads((out / "manifest.json").read_text())
+        names = sorted(p.name for p in out.glob("*.csv"))
+        assert names and all(n.startswith("nonlinear_partial_") for n in names)
+        assert manifest["snapshots"] == names
+        assert manifest["times"][-1] < manifest["diverged_at"] <= 5.0
+        assert len(manifest["times"]) == len(manifest["boundary_residual"]) == len(names)
+        assert manifest["kind"] == "nonlinear"
+        assert f"last good snapshot: {out / names[-1]}" in capsys.readouterr().err
+
+    def test_manifest_lists_snapshots(self, tmp_path):
+        # one JSON file: the config echo with every snapshot's time, name and wall residual
+        cfgp = write_config(tmp_path, {"solver": {
+            "L": 10.0, "nx": 50, "t_end": 0.5, "n_snapshots": 3,
+            "initial": {"kind": "gaussian", "amplitude": 0.01, "center": 5.0}}})
+        out = tmp_path / "o"
+        assert run_cli(["solve", "--config", cfgp, "--out", str(out),
+                        "--kind", "linear"]) == cli.EXIT_PASS
+        assert sorted(p.name for p in out.glob("*.json")) == ["manifest.json"]
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"]["model"]["c"] == 1.0
+        assert manifest["times"] == [0.0, 0.25, 0.5]
+        assert len(manifest["boundary_residual"]) == 3
+        assert manifest["snapshots"] == [f"linear_{k:04d}.csv" for k in range(3)]
+        for name in manifest["snapshots"]:
+            assert (out / name).read_text().splitlines()[0] == "x,rho,m"
+        assert "diverged_at" not in manifest
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--kind", "nonlinear"], ["verify", "--which", "decay"],
+    ], ids=["solve", "verify-decay"])
+    def test_unstable_class_refused_naming_pole(self, tmp_path, capsys, argv):
+        cfgp = write_config(tmp_path, {"model": {"a1": 1.0, "a2": 1.0}})
+        assert run_cli(argv + ["--config", cfgp, "--out", str(tmp_path / "o")]) == cli.EXIT_CONFIG
+        assert "s* = 1.618" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
         ["solve", "--kind", "linear", "--plot-data"],
@@ -576,30 +633,22 @@ class TestVerifyCommand:
 
     def test_pointwise_reports_match_single_alpha_calls(self, tmp_path):
         # one shared inversion per time level writes what two separate reports write
-        out, ref = tmp_path / "v", tmp_path / "ref"
+        out = tmp_path / "v"
         assert run_cli(["verify", "--out", str(out), "--which", "pointwise"]) == cli.EXIT_PASS
         for alpha in (0, 1):
-            name = f"green_bound_alpha{alpha}"
             rep = vf.green_bound_report(cli.RunConfig({}).model, *cli.POINTWISE_GRIDS,
-                                        alpha=alpha, out_dir=str(ref))
-            rep.to_json(str(ref / f"{name}.json"))
-            assert (out / f"{name}.csv").read_bytes() == (ref / f"{name}.csv").read_bytes()
-            got, want = (json.loads((d / f"{name}.json").read_text()) for d in (out, ref))
-            assert got.pop("artifacts") != want.pop("artifacts")
-            assert got == want
+                                        alpha=alpha)
+            assert_written_as_report(rep, out, tmp_path / "ref")
 
     def test_lemma41_report_matches_direct_call(self, tmp_path):
         # the target is lemma 4.1 at d0 = 2 nu, E = 3 nu and the data's r on LEMMA41_NODES
-        out, ref = tmp_path / "v", tmp_path / "ref"
+        out = tmp_path / "v"
         assert run_cli(["verify", "--out", str(out), "--which", "lemma41"]) == cli.EXIT_PASS
         cfg = cli.RunConfig({})
         nu, nodes = cfg.model.nu, cli.LEMMA41_NODES
-        rep = vf.lemma_initial_data_check(2.0 * nu, cfg.initial.r, 3.0 * nu, nodes, nodes,
-                                          out_dir=str(ref))
-        rep.to_json(str(ref / "lemma_initial_data.json"))
-        for name in ("lemma_initial_data.csv", "lemma_initial_data.json"):
-            got, want = ((d / name).read_text() for d in (out, ref))
-            assert got.replace(str(out), str(ref)) == want
+        rep = vf.lemma_initial_data_check(2.0 * nu, cfg.initial.r, 3.0 * nu, nodes, nodes)
+        assert list(rep.tables) == ["lemma_initial_data.csv"]
+        assert_written_as_report(rep, out, tmp_path / "ref")
 
     def test_pointwise_single_x_point(self):
         # x = 0 alone: the alpha = 1 check needs no stencil room at the wall

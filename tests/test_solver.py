@@ -1,5 +1,4 @@
 import math
-from pathlib import Path
 import os
 import subprocess
 import sys
@@ -689,26 +688,6 @@ class TestGreenColumn:
         ref = np.stack([narrow_columns.matrix_at(x, t) for x in xs])
         assert got.shape == ref.shape
         assert np.abs(got - ref).max() <= 1e-15 * np.abs(ref).max()
-
-
-class TestTrajectoryOutput:
-    def test_write_and_manifest(self, tmp_path):
-        grid = Grid1D(L=10.0, nx=50)
-        cfg = so.SolverConfig(grid=grid, t_end=0.5, n_snapshots=3)
-        init = so.make_initial_data(
-            so.InitialData(kind="gaussian", amplitude=0.01, center=5.0), grid, P
-        )
-        traj = so.solve_linear(init, P, cfg)
-        paths = so.write_trajectory(traj, str(tmp_path), "run", cfg)
-        assert len(paths) == 4  # 3 snapshots + manifest
-        header = Path(paths[0]).read_text().splitlines()[0]
-        assert header == "x,rho,m"
-        import json
-
-        manifest = json.loads(Path(paths[-1]).read_text())
-        assert manifest["params"]["c"] == 1.0
-        assert len(manifest["times"]) == 3
-        assert "boundary_residual" in manifest
 
 
 class TestImportBoundary:

@@ -429,18 +429,22 @@ class TestOraclePoints:
         with pytest.raises(ParameterError, match=f"t={bad}"):
             run(bad)
 
-    @pytest.mark.parametrize("params, t, named", [
-        (P, 1e50, "t'=1e+50"), (P, 1e120, "t'=1e+120"),
-        (ModelParams(c=3.0, nu=0.05), 3e3, "t'=540000"),
-    ], ids=["1e50", "1e120", "scaled"])
-    @pytest.mark.parametrize("oracle", ["fourier", "mirror"])
-    def test_huge_time_rejected_before_the_grid(self, monkeypatch, oracle, params, t, named):
-        # the core panels are 5/(|x|max + t' + 1) wide; at t' = 1e50 the grid would
-        # exceed any array, and t'^3 overflows the residual bound from t' = 1e103
-        run = {"fourier": tr.invert_fourier_fundamental, "mirror": tr.mirror_by_quadrature}
+    @pytest.mark.parametrize("params, x, t, named", [
+        (P, [1.0, 3.0], 1e50, "t'=1e+50"), (P, [1.0, 3.0], 1e120, "t'=1e+120"),
+        (ModelParams(c=3.0, nu=0.05), [1.0, 3.0], 3e3, "t'=540000"),
+        (P, [1.0, 1e50], 1.0, "|x'|max=1e+50"), (P, [1e300], 1.0, "|x'|max=1e+300"),
+        (ModelParams(c=3.0, nu=0.05), [1.0, 200.0], 1.0, "|x'|max=12000"),
+    ], ids=["1e50", "1e120", "scaled", "x1e50", "x1e300", "x-scaled"])
+    @pytest.mark.parametrize("oracle", ["fourier", "mirror", "green"])
+    def test_huge_time_rejected_before_the_grid(self, monkeypatch, oracle, params, x, t, named):
+        # the core panels are 5/(|x|max + t' + 1) wide and the tail panels 5/(|x|max + 1);
+        # at t' or |x'| = 1e50 the grid would exceed any array, and t'^3 overflows the
+        # residual bound from t' = 1e103
+        run = {"fourier": tr.invert_fourier_fundamental, "mirror": tr.mirror_by_quadrature,
+               "green": lambda x, t, p: tr.fourier_green(x, np.zeros(len(x)), t, p)}
         monkeypatch.setattr(tr, "_xi_grid", None)
         with pytest.raises(ParameterError, match=re.escape(named)):
-            run[oracle]([1.0, 3.0], t, params)
+            run[oracle](x, t, params)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
     @pytest.mark.parametrize("coord", ["x", "y"])

@@ -1,4 +1,6 @@
+import builtins
 import dataclasses
+import io
 import json
 import math
 from pathlib import Path
@@ -6,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hsgreen.core import Grid1D, ModelParams
+from hsgreen.core import Grid1D, ModelParams, write_csv
 from hsgreen.errors import ParameterError, UsageError
 from hsgreen import solver as so
 from hsgreen import transforms as tr
@@ -67,14 +69,17 @@ class TestPointwiseEnvelope:
     def test_report_serializes(self, tmp_path):
         rep = vf.green_bound_report(
             P, np.linspace(1.0, 10.0, 4), np.linspace(1.3, 9.7, 4),
-            np.linspace(2.0, 6.0, 2), alpha=0, out_dir=str(tmp_path),
+            np.linspace(2.0, 6.0, 2), alpha=0,
         )
-        path = rep.to_json(str(tmp_path / "rep.json"))
-        data = json.loads(Path(path).read_text())
+        data = json.loads(json.dumps(
+            dataclasses.asdict(dataclasses.replace(rep, tables={})), default=float))
         assert data["name"] == "green_bound_alpha0"
         assert data["status"] in ("pass", "fail", "inconclusive")
-        csv = Path(rep.artifacts[0]).read_text().splitlines()[0]
-        assert csv == "x,y_or_s,t,lhs,rhs,ratio"
+        assert list(rep.tables) == ["green_bound_alpha0.csv"]
+        path = write_csv(str(tmp_path / "rep.csv"), *rep.tables["green_bound_alpha0.csv"])
+        lines = Path(path).read_text().splitlines()
+        assert lines[0] == "x,y_or_s,t,lhs,rhs,ratio"
+        assert len(lines) == 1 + 4 * 4 * 2
 
     def test_coarse_sup_is_the_given_grid_alone(self):
         # the report inverts the refined grid once; its coarse sup must be the
@@ -321,3 +326,39 @@ class TestLemmaWaveInteraction:
             "same-speed", 2.0, 1.5, 2.0, 1.0, t_values=(4.0,), n_x=15
         )
         assert rep.details["log_branches"]["theta_log"] is True
+
+
+class TestNoFileOutput:
+    def test_harnesses_and_solvers_open_no_file(self, monkeypatch):
+        # the CLI writes every file: a harness or solver that opens one fails here.
+        # The solvers import scipy on first use, and that import reads package files.
+        import scipy.linalg.lapack  # noqa: F401
+        import scipy.sparse  # noqa: F401
+
+        def refuse(file, *args, **kwargs):
+            raise AssertionError(f"the library opened {file!r}")
+
+        monkeypatch.setattr(builtins, "open", refuse)
+        monkeypatch.setattr(io, "open", refuse)
+        grid = Grid1D(L=20.0, nx=200)
+        cfg = so.SolverConfig(grid=grid, t_end=1.0, n_snapshots=3)
+        init = so.make_initial_data(
+            so.InitialData(kind="gaussian", amplitude=0.01, center=10.0), grid, P)
+        so.solve_linear(init, P, cfg)
+        so.green_column(10.0, P, cfg)
+        short = so.solve_nonlinear(init, P, cfg)
+        wave = {"t_values": (4.0,), "n_x": 5}
+        reports = [
+            *vf.green_bound_reports(P, [1.0, 10.0], [1.3, 9.7], [2.0, 6.0]),
+            vf.instability_report(ModelParams(a1=1.0, a2=1.0)),
+            vf.decay_report(short, P),
+            vf.lemma_initial_data_check(2.0, 1.0, 3.0, [0.0, 5.0], [0.0, 5.0]),
+            vf.lemma_wave_interaction_check("same-speed", 2.0, 0.5, 2.0, 1.0, **wave),
+            vf.lemma_wave_interaction_check("cross-speed", 2.0, 0.5, 2.0, 1.0, -1.0, **wave),
+        ]
+        assert [list(rep.tables) for rep in reports] == [
+            ["green_bound_alpha0.csv"], ["green_bound_alpha1.csv"], ["instability_norms.csv"],
+            ["decay_norms.csv", "ansatz_M.csv"], ["lemma_initial_data.csv"],
+            ["lemma_wave_same_speed_alpha2.csv"], ["lemma_wave_cross_speed_alpha2.csv"],
+        ]
+        assert not any(rep.artifacts for rep in reports)
