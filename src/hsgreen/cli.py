@@ -290,7 +290,8 @@ DECAY_TIMES = np.unique(np.concatenate([np.linspace(0.0, 5.0, 6), np.geomspace(5
 
 
 def _verify_decay(cfg: RunConfig):
-    # solve_nonlinear refuses the unstable class, naming its pole, before any step
+    # the configured model's pole s*, not the unit model's s* nu/c^2
+    refuse_unstable(cfg.model)
     if cfg.model.boundary_class is BoundaryClass.NEUMANN:
         raise UsageError(
             "decay verification refuses a Neumann wall: a2 = 0 gives m_x(0) = 0, so "

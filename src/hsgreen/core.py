@@ -43,7 +43,7 @@ def classify_boundary(a1: float, a2: float) -> BoundaryClass:
         return BoundaryClass.DIRICHLET
     if a2 == 0.0:
         return BoundaryClass.NEUMANN
-    if a1 * a2 < 0.0:
+    if (a1 < 0.0) != (a2 < 0.0):  # the signs: the product a1*a2 can underflow to 0
         return BoundaryClass.MIXED_STABLE
     return BoundaryClass.MIXED_UNSTABLE
 
@@ -185,8 +185,9 @@ class Trajectory:
     params: ModelParams
     states: list[FieldState] = field(default_factory=list)
     # Solver work counters: steps, explicit RHS evaluations, implicit solves,
-    # factorizations, each snapshot segment's dt with the limit that set it,
-    # and for nonlinear runs the minimum density.  Not written to manifests.
+    # sparse products, the nnz of the two stage operators, factorizations,
+    # each snapshot segment's dt with the limit that set it, and for nonlinear
+    # runs the minimum density.  Not written to manifests.
     stats: dict = field(default_factory=dict)
 
     def append(self, state: FieldState) -> None:

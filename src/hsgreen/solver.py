@@ -25,13 +25,17 @@ the acoustic CFL, the dissipation limit 2/rate and, in the nonlinear
 system, _CFL dx^2 over the remainder's viscosity, measured on the
 segment's starting density (see ``_stable_dt``).
 
-The linear operators are assembled once per run as sparse matrices on the
-stacked state z = (u, m) (``_Rhs``), so an explicit stage is one matrix-
-vector product, plus the flux terms in the nonlinear system.  The implicit
-matrix I - h J, J = nu D2 with its boundary rows, is tridiagonal, depends
-on the step size only and is made symmetric by an exact row scaling; LAPACK
-factors it once per step size as L D L^T and solves in place
-(``_ImplicitSolve``), and a Dirichlet row returns m(0) = 0 exactly.
+The stencils are assembled once per run, straight into two CSR stage
+operators (``_Rhs``): E, the explicit part, acting on the stacked state
+z = (u, m) in the linear system and on the work vector (u, m, flux, w) in
+the nonlinear one, and F = E + _K (0, J), which also carries the final
+stage's implicit term.  So a step makes two sparse products, one per stage;
+under a Robin wall the nonlinear system adds one scalar to each, the viscous
+remainder's wall row.  The implicit matrix I - h J, J = nu D2 with its
+boundary rows, is tridiagonal, depends on the step size only and is made
+symmetric by an exact row scaling; LAPACK factors it once per step size as
+L D L^T and solves in place (``_ImplicitSolve``), and a Dirichlet row
+returns m(0) = 0 exactly.
 
 The wall check is the one-sided relation ``core.wall_relation``: the
 initial momentum is projected onto it, and ``Trajectory.boundary_residual``
@@ -196,30 +200,42 @@ def _robin_ghost(m: np.ndarray, dx: float, params: ModelParams) -> float:
     return m[1] + 2.0 * dx * (params.a2 / params.a1) * m[0]
 
 
-def _stencil_matrix(n: int, *blocks):
-    """n x n CSR matrix from ``(rows, {offset: weight})`` blocks: each row i
-    of ``rows`` gets ``weight`` in column i + offset.  A weight is a number
-    or an array over ``rows``."""
+def _band(n: int, weights) -> tuple[np.ndarray, np.ndarray]:
+    """Slot table of the stencil ``weights`` at offsets -(K//2)..K//2 in each of
+    n rows: its offsets, shape (K,), and its weights, shape (n, K), to be edited
+    row by row."""
+    k = len(weights)
+    return np.arange(k, dtype=np.int32) - k // 2, np.tile(np.asarray(weights, dtype=float), (n, 1))
+
+
+def _csr(n: int, n_cols: int, *row_blocks):
+    """CSR matrix assembled straight from slot tables, one block of n rows after
+    another.  A block is a list of ``(col0, (offsets, weights))``: row i of the
+    block holds weights[i, j] in column col0 + i + offsets[i, j] (offsets of
+    shape (K,) or (n, K)).  Listed in increasing column order, the slots leave
+    each row's columns sorted.  Zero weights are not stored."""
     from scipy import sparse
 
-    rows, cols, vals = [], [], []
-    for idx, stencil in blocks:
-        idx = np.atleast_1d(idx)
-        for offset, weight in stencil.items():
-            rows.append(idx)
-            cols.append(idx + offset)
-            vals.append(np.broadcast_to(weight, idx.shape))
-    return sparse.csr_array(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
-    )
+    rows = np.arange(n, dtype=np.int32)[:, None]
+    data, indices, counts = [], [], []
+    for block in row_blocks:
+        weights = np.hstack([w for _, (_, w) in block])
+        keep = weights != 0.0
+        data.append(weights[keep])
+        indices.append(np.hstack([col0 + rows + off for col0, (off, _) in block])[keep])
+        counts.append(np.count_nonzero(keep, axis=1))
+    indptr = np.zeros(n * len(row_blocks) + 1, dtype=np.int32)
+    np.cumsum(np.concatenate(counts), out=indptr[1:])
+    return sparse.csr_array((np.concatenate(data), np.concatenate(indices), indptr),
+                            shape=(n * len(row_blocks), n_cols))
 
 
 class _Rhs:
     """Semi-discrete right-hand side of the linear or nonlinear system on the
     stacked state z = (u, m), u = rho - 1, each half of length n.
 
-    It is the sum ``explicit(z) + (0, implicit(m))``.  The linear operators
-    are assembled once, as CSR matrices:
+    It is the sum ``explicit(z) + (0, implicit(m))``.  The stencils, each a
+    slot table over the n rows:
 
     * D1, the gradient: central rows, one-sided rows at both ends;
     * D2, the second difference: the mirror ghost f[n] = f[n-2] in the far
@@ -227,19 +243,28 @@ class _Rhs:
     * J = nu D2 plus the wall row of the Robin ghost (0 under the Dirichlet
       pin).  ``implicit(m) = J @ m`` is the viscous term nu m_xx, which the
       IMEX step solves for;
-    * A, the linear explicit part,
-      ``[[-_KAPPA4 c/dx D4 - S, -D1], [-c^2 D1, -S]]`` with D4 the fourth
-      difference and S the sponge.  The nonlinear system has 0 in place of
-      -c^2 D1, and under the Dirichlet pin the m wall row of A is 0.
+    * D4, the fourth difference, with the coefficient _KAPPA4 c/dx, and S,
+      the sponge.
 
-    ``explicit(z) = A @ z``.  The nonlinear system adds the flux gradient
-    -D1 (m^2/rho + p(rho)) and the viscous remainder nu D2 w, w = m/rho - m,
-    with its Robin-ghost wall row; the implicit part does not take it.
+    They are assembled once per run, straight into two CSR stage operators
+    and J.  The explicit operator E acts on the work vector (u, m, flux, w)
+    of the nonlinear system, flux = m^2/rho + p(rho) and w = m/rho - m:
+
+        E = [[-D4 - S, -D1,   0,    0 ],
+             [   0,    -S,  -D1, nu D2]]
+
+    so ``explicit(z) = E @ (z, flux, w)`` is the flux gradient and the
+    viscous remainder nu (m/rho - m)_xx with the linear part in one product.
+    The remainder's wall row reads its Robin ghost and is the one scalar
+    added after it.  In the linear system E acts on z itself and has
+    -c^2 D1 in place of the flux and remainder columns.  Under the Dirichlet
+    pin the m wall row of E is 0.  The final operator F = E + _K (0, J) is
+    E with _K J added to its m-m block, so ``final(z)`` folds the last
+    stage's implicit term into its explicit product (see ``_imex_step``).
+    ``products`` counts the stage products made.
     """
 
     def __init__(self, params: ModelParams, cfg: SolverConfig, nonlinear: bool):
-        from scipy import sparse
-
         self.params = params
         self.cfg = cfg
         self.nonlinear = nonlinear
@@ -247,56 +272,82 @@ class _Rhs:
         n, dx = cfg.grid.n_nodes, cfg.grid.dx
         c, nu = params.c, params.nu
         self.n = n
-        inner = np.arange(1, n - 1)
 
         g = 0.5 / dx
-        d1_rows = [(inner, {-1: -g, 1: g}), (n - 1, {-2: g, -1: -4.0 * g, 0: 3.0 * g})]
-        d1 = _stencil_matrix(n, (0, {0: -3.0 * g, 1: 4.0 * g, 2: -g}), *d1_rows)
-        # the m rows: the Dirichlet pin holds m(0), so their wall row is 0
-        self.d1_m = _stencil_matrix(n, *d1_rows) if self.dirichlet else d1
+        d1_off, nd1 = _band(n, [g, 0.0, -g])  # -D1
+        d1_off = np.tile(d1_off, (n, 1))
+        d1_off[0], nd1[0] = (0, 1, 2), (3.0 * g, -4.0 * g, g)
+        d1_off[-1], nd1[-1] = (-2, -1, 0), (-g, 4.0 * g, -3.0 * g)
+        nd1_m = nd1
+        if self.dirichlet:  # the pin holds m(0), so the m wall row is 0
+            nd1_m = nd1.copy()
+            nd1_m[0] = 0.0
 
         r = nu / dx**2
-        d2_rows = [(inner, {-1: r, 0: -2.0 * r, 1: r}), (n - 1, {-1: 2.0 * r, 0: -2.0 * r})]
-        self.nu_d2 = _stencil_matrix(n, *d2_rows)
-        if self.dirichlet:
-            self.J = self.nu_d2
-        else:
+        d2_off, nu_d2 = _band(n, [r, -2.0 * r, r])
+        nu_d2[0] = 0.0
+        nu_d2[-1] = (2.0 * r, -2.0 * r, 0.0)
+        j = nu_d2.copy()
+        if not self.dirichlet:
             # (ghost - 2 m[0] + m[1])/dx^2 with the ghost's coefficients on m[0], m[1]
             g0, g1 = (_robin_ghost(e, dx, params) for e in np.eye(2))
-            self.J = _stencil_matrix(n, (0, {0: r * (g0 - 2.0), 1: r * (g1 + 1.0)}), *d2_rows)
+            j[0, 1:] = r * (g0 - 2.0), r * (g1 + 1.0)
+        self.J = _csr(n, n, [(0, (d2_off, j))])
 
         k4 = _KAPPA4 * c / dx
-        d4 = _stencil_matrix(
-            n, (np.arange(2, n - 2), {-2: k4, -1: -4.0 * k4, 0: 6.0 * k4, 1: -4.0 * k4, 2: k4})
-        )
+        d4_off, uu = _band(n, [-k4, 4.0 * k4, -6.0 * k4, 4.0 * k4, -k4])  # -D4
+        uu[[0, 1, -2, -1]] = 0.0
         sigma = _sponge_profile(cfg.grid, cfg, params)
-        on = np.flatnonzero(sigma)
-        sponge = _stencil_matrix(n, (on, {0: sigma[on]}))
-        acoustic = None if nonlinear else -(c**2) * self.d1_m
-        self.A = sparse.block_array([[-d4 - sponge, -d1], [acoustic, -sponge]], format="csr")
+        uu[:, 2] -= sigma
+        u_rows = [(0, (d4_off, uu)), (n, (d1_off, nd1))]
+        mm_e = (np.zeros(1, dtype=np.int32), -sigma[:, None])
+        j *= _K  # the m-m block of F, _K J - S
+        j[:, 1] -= sigma
+        mm_f = (d2_off, j)
+        if nonlinear:
+            tail = [(2 * n, (d1_off, nd1_m)), (3 * n, (d2_off, nu_d2))]
+            self.E = _csr(n, 4 * n, u_rows, [(n, mm_e), *tail])
+            self.F = _csr(n, 4 * n, u_rows, [(n, mm_f), *tail])
+            self._work = np.zeros(4 * n)
+            self._rho = np.empty(n)
+        else:
+            acoustic = (0, (d1_off, c**2 * nd1_m))
+            self.E = _csr(n, 2 * n, u_rows, [acoustic, (n, mm_e)])
+            self.F = _csr(n, 2 * n, u_rows, [acoustic, (n, mm_f)])
+        self.products = 0
+
+    def _stage(self, op, z: np.ndarray) -> np.ndarray:
+        """op @ z (linear), or op @ (z, flux, w) plus the remainder's wall row."""
+        self.products += 1
+        if not self.nonlinear:
+            return op @ z
+        p, n, dx = self.params, self.n, self.cfg.grid.dx
+        work, rho = self._work, self._rho
+        work[:2 * n] = z
+        _, m, flux, w = work.reshape(4, n)
+        np.add(work[:n], 1.0, out=rho)
+        np.divide(m, rho, out=w)  # v = m/rho
+        np.multiply(m, w, out=flux)
+        flux += _pressure(rho, p)
+        w -= m  # nu w_xx is the viscous remainder nu (m/rho - m)_xx
+        dzdt = op @ work
+        if not self.dirichlet:  # the remainder's Robin-ghost wall row
+            ghost_m = _robin_ghost(m, dx, p)
+            ghost_rho = 3.0 * rho[0] - 3.0 * rho[1] + rho[2]
+            dzdt[n] += p.nu * (ghost_m / ghost_rho - ghost_m - 2.0 * w[0] + w[1]) / dx**2
+        return dzdt
 
     def implicit(self, m: np.ndarray) -> np.ndarray:
         """nu m_xx with its boundary rows: J @ m."""
         return self.J @ m
 
     def explicit(self, z: np.ndarray) -> np.ndarray:
-        dzdt = self.A @ z
-        if self.nonlinear:
-            p = self.params
-            n, dx = self.n, self.cfg.grid.dx
-            m = z[n:]
-            rho = 1.0 + z[:n]
-            v = m / rho
-            w = v - m  # nu w_xx is the viscous remainder nu (m/rho - m)_xx
-            flux = m * v + _pressure(rho, p)
-            dmdt = dzdt[n:]
-            dmdt -= self.d1_m @ flux
-            dmdt += self.nu_d2 @ w
-            if not self.dirichlet:  # the remainder's Robin-ghost wall row
-                ghost_m = _robin_ghost(m, dx, p)
-                ghost_rho = 3.0 * rho[0] - 3.0 * rho[1] + rho[2]
-                dmdt[0] += p.nu * (ghost_m / ghost_rho - ghost_m - 2.0 * w[0] + w[1]) / dx**2
-        return dzdt
+        """The explicit part: one product with E."""
+        return self._stage(self.E, z)
+
+    def final(self, z: np.ndarray) -> np.ndarray:
+        """explicit(z) + _K (0, implicit(m)): one product with F."""
+        return self._stage(self.F, z)
 
     def __call__(self, z: np.ndarray) -> np.ndarray:
         dzdt = self.explicit(z)
@@ -362,23 +413,28 @@ class _ImplicitSolve:
 # ARS(2,2,2): Ascher, Ruuth & Spiteri, Appl. Numer. Math. 25 (1997).
 _GAMMA = 1.0 - 1.0 / math.sqrt(2.0)
 _DELTA = 1.0 - 1.0 / (2.0 * _GAMMA)
+# the final stage's implicit weight over its explicit one, sqrt(2) - 1
+_K = (1.0 - _GAMMA) / (1.0 - _DELTA)
 
 
 def _imex_step(rhs: _Rhs, solve: _ImplicitSolve, z: np.ndarray, dt: float) -> np.ndarray:
     """One ARS(2,2,2) step of the stacked state z = (u, m); ``solve``
-    inverts I - _GAMMA dt J in place on the m half."""
+    inverts I - _GAMMA dt J in place on the m half.
+
+    The final stage z + DELTA dt f1 + (1 - DELTA) dt f2 + (1 - GAMMA) dt (0, J m2)
+    takes f2 and the implicit term from one product, ``rhs.final(z2)`` =
+    f2 + _K (0, J m2), so a step makes two sparse products."""
     n = rhs.n
     f1 = rhs.explicit(z)
     z2 = (_GAMMA * dt) * f1
     z2 += z
     solve(z2[n:])
-    f2 = rhs.explicit(z2)
+    f2 = rhs.final(z2)
     # z + DELTA dt f1 + (1 - DELTA) dt f2, summed in that order, in f1's storage
     f1 *= _DELTA * dt
     f1 += z
     f2 *= (1.0 - _DELTA) * dt
     f1 += f2
-    f1[n:] += ((1.0 - _GAMMA) * dt) * rhs.implicit(z2[n:])
     solve(f1[n:])
     return f1
 
@@ -483,9 +539,11 @@ def _integrate(
                 "density left [1/2, 3/2]; reduce the initial amplitude or dx", t_next, traj
             )
         traj.append(FieldState(t=t_next, rho=1.0 + u, m=z[n:].copy()))
-    # each step evaluates the explicit part twice and solves twice
+    # each step evaluates the explicit part twice, in one product per stage, and solves twice
     stats["explicit_rhs_evals"] = 2 * stats["steps"]
     stats["implicit_solves"] = 2 * stats["steps"]
+    stats["sparse_products"] = rhs.products
+    stats["stage_nnz"] = {"explicit": rhs.E.nnz, "final": rhs.F.nnz}
     return traj
 
 

@@ -551,9 +551,12 @@ class TestSolve:
         ["solve", "--kind", "nonlinear"], ["verify", "--which", "decay"],
     ], ids=["solve", "verify-decay"])
     def test_unstable_class_refused_naming_pole(self, tmp_path, capsys, argv):
-        cfgp = write_config(tmp_path, {"model": {"a1": 1.0, "a2": 1.0}})
-        assert run_cli(argv + ["--config", cfgp, "--out", str(tmp_path / "o")]) == cli.EXIT_CONFIG
-        assert "s* = 1.618" in capsys.readouterr().err
+        # the configured model's pole, also where the decay run maps to the unit model
+        for c, pole in [(1.0, "1.61803"), (2.0, "2.56155")]:
+            cfgp = write_config(tmp_path, {"model": {"c": c, "nu": 1.0, "a1": 1.0, "a2": 1.0}})
+            code = run_cli(argv + ["--config", cfgp, "--out", str(tmp_path / "o")])
+            assert code == cli.EXIT_CONFIG
+            assert f"s* = {pole}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
         ["solve", "--kind", "linear", "--plot-data"],

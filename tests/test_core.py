@@ -17,7 +17,8 @@ from hsgreen.core import (
     theta_envelope,
 )
 from hsgreen.core import FieldState
-from hsgreen.errors import ParameterError
+from hsgreen.errors import ParameterError, UsageError
+from hsgreen.spectral import find_boundary_pole, refuse_unstable
 
 finite_coeff = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 
@@ -59,11 +60,32 @@ class TestBoundaryClassification:
             expected = BoundaryClass.DIRICHLET
         elif a2 == 0.0:
             expected = BoundaryClass.NEUMANN
-        elif a1 * a2 < 0.0:
+        elif (a1 < 0.0) != (a2 < 0.0):
             expected = BoundaryClass.MIXED_STABLE
         else:
             expected = BoundaryClass.MIXED_UNSTABLE
         assert cls is expected
+
+    @pytest.mark.parametrize("a1, a2, expected", [
+        (1e-200, -1e-200, BoundaryClass.MIXED_STABLE),
+        (-1e-200, 1e-200, BoundaryClass.MIXED_STABLE),
+        (1e-200, 1e-200, BoundaryClass.MIXED_UNSTABLE),
+        (5e-324, -5e-324, BoundaryClass.MIXED_STABLE),
+        (-5e-324, -5e-324, BoundaryClass.MIXED_UNSTABLE),
+    ], ids=["tiny-stable", "tiny-stable-flipped", "tiny-unstable",
+            "subnormal-stable", "subnormal-unstable"])
+    def test_tiny_coefficients_classed_by_sign(self, a1, a2, expected):
+        # a1*a2 underflows to 0 here; gamma = -a2/a1 = -1 or 1 does not
+        params = ModelParams(a1=a1, a2=a2)
+        assert params.boundary_class is expected
+        if expected is BoundaryClass.MIXED_STABLE:
+            assert params.gamma == 1.0
+            assert find_boundary_pole(params) is None
+            refuse_unstable(params)
+        else:
+            assert params.gamma == -1.0
+            with pytest.raises(UsageError, match=r"s\* = 1\.61803"):
+                refuse_unstable(params)
 
 
 class TestEnvelopes:

@@ -123,17 +123,11 @@ class TestLinearSolver:
         assert max(traj.boundary_residual) <= 1e-6 * m_max
 
     def test_boundary_residual_sees_a_wrong_wall_row(self, monkeypatch):
-        # the Neumann closure in the implicit operator's wall row, with the
-        # Robin ghost left elsewhere: the one-sided residual of criterion 10's
-        # run must exceed the criterion's tolerance
-        init_rhs = so._Rhs.__init__
-
-        def neumann_wall_row(rhs, params, cfg, nonlinear):
-            init_rhs(rhs, params, cfg, nonlinear)
-            r = params.nu / cfg.grid.dx**2
-            rhs.J[0, 0], rhs.J[0, 1] = -2.0 * r, 2.0 * r
-
-        monkeypatch.setattr(so._Rhs, "__init__", neumann_wall_row)
+        # the Neumann ghost m[-1] = m[1] in the viscous wall row, which J and
+        # the final stage operator both take, while the initial data and the
+        # check keep the Robin relation: the one-sided residual of criterion
+        # 10's run must exceed the criterion's tolerance
+        monkeypatch.setattr(so, "_robin_ghost", lambda m, dx, params: m[1])
         grid = Grid1D(L=40.0, nx=800)
         init = so.make_initial_data(
             so.InitialData(kind="gaussian", amplitude=0.5, center=15.0, width=1.0,
@@ -326,6 +320,87 @@ class TestStepMatrix:
             got = so._imex_step(rhs, so._ImplicitSolve(rhs, so._GAMMA * h), z, h)
             diffs.append(np.abs(got - _rk4_step(rhs, z, h)).max())
         assert math.log2(diffs[0] / diffs[1]) >= 2.8
+
+
+def _unfused_stepper(params, cfg, nonlinear, dt):
+    """One ARS(2,2,2) step of size dt written from the stencils, unfused: two
+    explicit evaluations, the final stage's implicit term as a product of its
+    own, and dense solves of I - GAMMA dt J."""
+    n = cfg.grid.n_nodes
+
+    def explicit(z):
+        du, dm, _ = _stencil_rhs(params, cfg, nonlinear, z[:n], z[n:])
+        return np.concatenate([du, dm])
+
+    zero = np.zeros(n)
+    J = np.column_stack([_stencil_rhs(params, cfg, False, zero, e)[2] for e in np.eye(n)])
+    inv = np.linalg.inv(np.eye(n) - so._GAMMA * dt * J)
+
+    def step(z):
+        f1 = explicit(z)
+        z2 = z + so._GAMMA * dt * f1
+        z2[n:] = inv @ z2[n:]
+        out = z + so._DELTA * dt * f1 + (1.0 - so._DELTA) * dt * explicit(z2)
+        out[n:] += (1.0 - so._GAMMA) * dt * (J @ z2[n:])
+        out[n:] = inv @ out[n:]
+        return out
+
+    return step
+
+
+class TestStageFold:
+    # the final stage's implicit term folded into F = E + K (0, J) against the
+    # unfused step, over the boundary classes, both systems and both grids
+    @pytest.mark.parametrize("params", STEP_CASES, ids=STEP_IDS)
+    @pytest.mark.parametrize("nonlinear", [False, True], ids=["linear", "nonlinear"])
+    @pytest.mark.parametrize("sponge_strength", [0.0, 1.0])
+    @pytest.mark.parametrize("nx", [60, 600])
+    def test_matches_unfused_step(self, params, nonlinear, sponge_strength, nx):
+        cfg = small_cfg(L=10.0, nx=nx, sponge_strength=sponge_strength)
+        n = cfg.grid.n_nodes
+        rhs = so._Rhs(params, cfg, nonlinear)
+        z = 0.1 * np.random.default_rng(2).standard_normal(2 * n)
+        if rhs.dirichlet:
+            z[n] = 0.0
+        dt, _ = so._stable_dt(params, cfg, rhs.explicit_viscosity(z[:n]))
+        solve = so._ImplicitSolve(rhs, so._GAMMA * dt)
+        unfused = _unfused_stepper(params, cfg, nonlinear, dt)
+        got = ref = z
+        for _ in range(10):
+            got = so._imex_step(rhs, solve, got, dt)
+            ref = unfused(ref)
+            assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+        assert rhs.products == 20
+
+    @pytest.mark.parametrize("nonlinear", [False, True], ids=["linear", "nonlinear"])
+    def test_two_sparse_products_per_step(self, monkeypatch, nonlinear):
+        from scipy import sparse
+
+        shapes = []
+        matmul = sparse.csr_array.__matmul__
+
+        def counted(op, other):
+            shapes.append(op.shape)
+            return matmul(op, other)
+
+        monkeypatch.setattr(sparse.csr_array, "__matmul__", counted)
+        cfg = small_cfg(L=20.0, nx=200, t_end=1.0, n_snapshots=3)
+        init = so.make_initial_data(
+            so.InitialData(kind="gaussian", amplitude=0.1, center=10.0), cfg.grid, P)
+        solve = so.solve_nonlinear if nonlinear else so.solve_linear
+        stats = solve(init, P, cfg).stats
+        n = cfg.grid.n_nodes
+        # every product is a stage operator's, on (u, m, flux, w) or on (u, m)
+        assert set(shapes) == {(2 * n, (4 if nonlinear else 2) * n)}
+        assert len(shapes) == stats["sparse_products"] == 2 * stats["steps"]
+
+        rhs = so._Rhs(P, cfg, nonlinear)
+        assert stats["stage_nnz"] == {"explicit": rhs.E.nnz, "final": rhs.F.nnz}
+        for op in (rhs.E, rhs.F):  # no stored zeros
+            assert np.count_nonzero(op.data) == op.nnz
+        # F holds E's entries and J's, which share the sponge's diagonal
+        sponge = np.count_nonzero(so._sponge_profile(cfg.grid, cfg, P))
+        assert rhs.F.nnz - rhs.E.nnz == rhs.J.nnz - sponge
 
 
 class TestImexStep:
