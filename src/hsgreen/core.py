@@ -211,12 +211,11 @@ def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> str
     significant digits (they read back bit-exact), strings as they are and
     None as an empty cell."""
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    lines = [",".join(header)] + [",".join(
+        "" if v is None else v if isinstance(v, str) else f"{float(v):.17g}" for v in row
+    ) for row in rows]
     with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(
-                "" if v is None else v if isinstance(v, str) else f"{v:.17g}" for v in row
-            ) + "\n")
+        fh.write("\n".join(lines) + "\n")
     return path
 
 

@@ -19,10 +19,16 @@ Projection pairing: the right-moving Gaussian (ridge x = +ct) carries
 P+ = (I + A/c)/2 and the left-moving one carries P- = (I - A/c)/2.  This is
 the pairing forced by the Fourier-space solution (the right-moving wave has
 m = +c rho) and is cross-checked against the inversion oracles in the tests.
+
+Assembly: each leading kernel is one coefficient array times a cached basis of
+rows P+, P-, P+ D, P- D (D = diag(1, -1)): the heat kernels on the ridges
+x - y -+ ct and x + y -+ ct, the latter in the mixed class as 2 gamma E(x + y)
+minus themselves, E reusing them as its Gaussian factor.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -67,16 +73,20 @@ def e_function(x, t: float, lam: float, d0: float, gamma: float):
     for name, v in (("t", t), ("d0", d0), ("gamma", gamma)):
         check_positive(name, v)
     u = x - lam * t
+    val = _e_moment(u, np.exp(-(u * u) / (d0 * t)), t, d0, gamma)
+    return val if val.ndim else float(val)
+
+
+def _e_moment(u: np.ndarray, gauss: np.ndarray, t: float, d0: float, gamma: float) -> np.ndarray:
+    """E at drift offsets u = x - lam t, given their Gaussians exp(-u^2/(d0 t))."""
     root = math.sqrt(d0 * t)
     w = (u + 0.5 * gamma * d0 * t) / root
     pref = 0.5 * math.sqrt(math.pi) * root
-    gauss = np.exp(-(u * u) / (d0 * t))
     left = w <= -1.0
     # One erfcx per point: erfcx(w) on the right, erfcx(-w) on the left.
     scaled = erfcx(np.where(left, -w, w)) * gauss
     exponent = np.where(left, gamma * u + 0.25 * gamma**2 * d0 * t, -1.0)
-    val = pref * np.where(left, 2.0 * np.exp(exponent) - scaled, scaled)
-    return val if val.ndim else float(val)
+    return pref * np.where(left, 2.0 * np.exp(exponent) - scaled, scaled)
 
 
 def e_function_dx(x, t: float, lam: float, d0: float, gamma: float):
@@ -86,36 +96,25 @@ def e_function_dx(x, t: float, lam: float, d0: float, gamma: float):
     return gamma * e_function(x, t, lam, d0, gamma) - np.exp(-(u * u) / (d0 * t))
 
 
-def e_bound_check(x, t: float, lam: float, d0: float, gamma: float,
-                  eps: float, bigC: float, k: int = 0):
-    """Ratio of |d^k E / dx^k| to its two-term decay envelope
-
-        t^(-k/2) exp(-(x - lam t)^2 / ((d0 + eps) t)) + exp(-(|x| + t)/bigC)
-
-    for k in {0, 1}.  No harness calls it; the kernel tests check that its sup
-    over a refining grid is finite and moves by at most 10%.
-    """
-    if not (eps > 0.0 and bigC > 0.0):
-        raise ParameterError("need eps > 0 and bigC > 0")
-    if k not in (0, 1):
-        raise ParameterError(f"derivative order k must be 0 or 1, got {k}")
-    fn = e_function if k == 0 else e_function_dx
-    num = np.abs(fn(x, t, lam, d0, gamma))
-    u = np.asarray(x, dtype=float) - lam * t
-    env = t ** (-k / 2.0) * np.exp(-(u * u) / ((d0 + eps) * t))
-    env += np.exp(-(np.abs(x) + t) / bigC)
-    return num / env
-
-
 def acoustic_projection(sign: int, params: ModelParams) -> Matrix2:
-    """Eigenprojection (I + sign * A/c)/2 of the flux matrix A = [[0,1],[c^2,0]].
+    """Read-only eigenprojection (I + sign * A/c)/2 of the flux matrix A = [[0,1],[c^2,0]].
 
     A P_sign = sign * c * P_sign; the two projections are complementary.
     """
     if sign not in (+1, -1):
         raise ParameterError(f"sign must be +1 or -1, got {sign}")
-    c = params.c
-    return np.array([[0.5, sign * 0.5 / c], [sign * 0.5 * c, 0.5]])
+    return _leading_basis(params.c)[(1 - sign) // 2].reshape(2, 2)
+
+
+@functools.lru_cache(maxsize=32)
+def _leading_basis(c: float) -> np.ndarray:
+    """Rows P+, P-, P+ D and P- D, each 2x2 flattened, D = diag(1, -1): every
+    leading kernel is its coefficients on these rows.  Read-only, one per c."""
+    h, hc = 0.5 / c, 0.5 * c
+    basis = np.array([[0.5, h, hc, 0.5], [0.5, -h, -hc, 0.5],
+                      [0.5, -h, hc, -0.5], [0.5, h, -hc, -0.5]])
+    basis.flags.writeable = False
+    return basis
 
 
 def singular_weight(t: float, params: ModelParams) -> float:
@@ -123,14 +122,23 @@ def singular_weight(t: float, params: ModelParams) -> float:
     return math.exp(-params.c**2 * t / params.nu)
 
 
-def _leading_smooth(x: np.ndarray, t: float, params: ModelParams) -> np.ndarray:
-    """The two drifting heat kernels at checked points x; shape x.shape + (2, 2)."""
-    c, nu = params.c, params.nu
-    pref = 1.0 / math.sqrt(2.0 * math.pi * nu * t)
-    gp = pref * np.exp(-((x - c * t) ** 2) / (2.0 * nu * t))  # right-moving
-    gm = pref * np.exp(-((x + c * t) ** 2) / (2.0 * nu * t))  # left-moving
-    return (np.multiply.outer(gp, acoustic_projection(+1, params))
-            + np.multiply.outer(gm, acoustic_projection(-1, params)))
+def _ridges(p: np.ndarray, t: float, params: ModelParams):
+    """Offsets u = p -+ ct from the right- and left-moving ridges, shape p.shape + (2,),
+    and their Gaussians exp(-u^2/(2 nu t)), which are also E's at lam = +-c, d0 = 2 nu."""
+    ct = params.c * t
+    u = p[..., None] + np.array([-ct, ct])
+    return u, np.exp(-(u * u) / (2.0 * params.nu * t))
+
+
+def _reflected(u: np.ndarray, gauss: np.ndarray, t: float, params: ModelParams) -> np.ndarray:
+    """Mirror coefficients 2 gamma E(w, t; +-c, 2 nu) - G+-(w) of P+- D, from w's ridges."""
+    return 2.0 * params.gamma * _e_moment(u, gauss, t, 2.0 * params.nu, params.gamma) - gauss
+
+
+def _assemble(coef: np.ndarray, t: float, params: ModelParams, rows: slice) -> np.ndarray:
+    """Coefficients (..., k) on basis ``rows`` times 1/sqrt(2 pi nu t), shape (..., 2, 2)."""
+    smooth = coef / math.sqrt(2.0 * math.pi * params.nu * t) @ _leading_basis(params.c)[rows]
+    return smooth.reshape(coef.shape[:-1] + (2, 2))
 
 
 def fundamental_leading(x, t: float, params: ModelParams) -> KernelValue:
@@ -139,7 +147,8 @@ def fundamental_leading(x, t: float, params: ModelParams) -> KernelValue:
     x = check_points("x", x)
     check_positive("t", t)
     delta = singular_weight(t, params) * np.diag([1.0, 0.0])
-    return KernelValue(smooth=_leading_smooth(x, t, params), deltas=[(0.0, delta)])
+    smooth = _assemble(_ridges(x, t, params)[1], t, params, slice(0, 2))
+    return KernelValue(smooth=smooth, deltas=[(0.0, delta)])
 
 
 def mirror_leading(w, t: float, params: ModelParams) -> Matrix2:
@@ -151,19 +160,11 @@ def mirror_leading(w, t: float, params: ModelParams) -> Matrix2:
     diag(1,-1); same 1/sqrt(2 pi nu t) normalization as the direct part.
     """
     if params.boundary_class is not BoundaryClass.MIXED_STABLE:
-        raise UsageError(
-            "mirror_leading is defined for the stable mixed class only; "
-            "Dirichlet/Neumann use the degenerate +-G(x+y) diag(1,-1) forms"
-        )
+        raise UsageError("mirror_leading is defined for the stable mixed class only; "
+                         "Dirichlet/Neumann use the degenerate +-G(x+y) diag(1,-1) forms")
     w = check_points("w", w, 0.0)
     check_positive("t", t)
-    c, nu, gamma = params.c, params.nu, params.gamma
-    pref = 1.0 / math.sqrt(2.0 * math.pi * nu * t)
-    reflected = 2.0 * gamma * pref * (
-        np.multiply.outer(e_function(w, t, c, 2.0 * nu, gamma), acoustic_projection(+1, params))
-        + np.multiply.outer(e_function(w, t, -c, 2.0 * nu, gamma), acoustic_projection(-1, params))
-    )
-    return (-_leading_smooth(w, t, params) + reflected) * np.array([1.0, -1.0])
+    return _assemble(_reflected(*_ridges(w, t, params), t, params), t, params, slice(2, 4))
 
 
 def green_leading(x, y: float, t: float, params: ModelParams) -> KernelValue:
@@ -182,11 +183,11 @@ def green_leading(x, y: float, t: float, params: ModelParams) -> KernelValue:
         raise ParameterError(f"green_leading takes one source y, got y of shape {y.shape}")
     check_positive("t", t)
     refuse_unstable(params)
+    u, coef = _ridges(x[..., None] + np.array([-y, y]), t, params)  # P+-: x - y; P+- D: x + y
     if params.boundary_class is BoundaryClass.MIXED_STABLE:
-        boundary = mirror_leading(x + y, t, params)
-    else:  # the image kernel, + for Dirichlet and - for Neumann
-        sign = 1.0 if params.boundary_class is BoundaryClass.DIRICHLET else -1.0
-        boundary = sign * _leading_smooth(x + y, t, params) * np.array([1.0, -1.0])
-    smooth = _leading_smooth(x - y, t, params) + boundary
+        coef[..., 1, :] = _reflected(u[..., 1, :], coef[..., 1, :], t, params)
+    elif params.boundary_class is BoundaryClass.NEUMANN:  # the image kernel, - for Neumann
+        coef[..., 1, :] *= -1.0
+    smooth = _assemble(coef.reshape(x.shape + (4,)), t, params, slice(None))
     delta = singular_weight(t, params) * np.diag([1.0, 0.0])
     return KernelValue(smooth=smooth, deltas=[(float(y), delta)])

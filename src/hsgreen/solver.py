@@ -517,33 +517,33 @@ def _integrate(
         stats["min_density"] = float(np.min(init.rho))
 
     solve = None
-    for t, t_next in zip(times[:-1], times[1:]):
-        dt_max, limit = _stable_dt(params, cfg, rhs.explicit_viscosity(z[:n]))
-        n_steps = max(1, int(math.ceil((t_next - t) / dt_max)))
-        dt = (t_next - t) / n_steps
-        if solve is None or solve.h != _GAMMA * dt:
-            solve = None  # release the old factors before building the next
-            solve = _ImplicitSolve(rhs, _GAMMA * dt)
-            stats["factorizations"] += 1
-        for _ in range(n_steps):
-            z = _imex_step(rhs, solve, z, dt)
-            if nonlinear:
-                stats["min_density"] = min(stats["min_density"], 1.0 + float(np.min(z[:n])))
-        stats["steps"] += n_steps
-        stats["segments"].append({"dt": float(dt), "steps": n_steps, "limit": limit})
-        if not np.all(np.isfinite(z)):
-            raise DivergenceError("solution lost finiteness", t_next, traj)
-        u = z[:n]
-        if nonlinear and (np.min(u) <= -0.5 or np.max(u) >= 0.5):
-            raise DivergenceError(
-                "density left [1/2, 3/2]; reduce the initial amplitude or dx", t_next, traj
-            )
-        traj.append(FieldState(t=t_next, rho=1.0 + u, m=z[n:].copy()))
-    # each step evaluates the explicit part twice, in one product per stage, and solves twice
-    stats["explicit_rhs_evals"] = 2 * stats["steps"]
-    stats["implicit_solves"] = 2 * stats["steps"]
-    stats["sparse_products"] = rhs.products
-    stats["stage_nnz"] = {"explicit": rhs.E.nnz, "final": rhs.F.nnz}
+    try:
+        for t, t_next in zip(times[:-1], times[1:]):
+            dt_max, limit = _stable_dt(params, cfg, rhs.explicit_viscosity(z[:n]))
+            n_steps = max(1, int(math.ceil((t_next - t) / dt_max)))
+            dt = (t_next - t) / n_steps
+            if solve is None or solve.h != _GAMMA * dt:
+                solve = None  # release the old factors before building the next
+                solve = _ImplicitSolve(rhs, _GAMMA * dt)
+                stats["factorizations"] += 1
+            for _ in range(n_steps):
+                z = _imex_step(rhs, solve, z, dt)
+                if nonlinear:
+                    stats["min_density"] = min(stats["min_density"], 1.0 + float(np.min(z[:n])))
+            stats["steps"] += n_steps
+            stats["segments"].append({"dt": float(dt), "steps": n_steps, "limit": limit})
+            if not np.all(np.isfinite(z)):
+                raise DivergenceError("solution lost finiteness", t_next, traj)
+            u = z[:n]
+            if nonlinear and (np.min(u) <= -0.5 or np.max(u) >= 0.5):
+                raise DivergenceError(
+                    "density left [1/2, 3/2]; reduce the initial amplitude or dx", t_next, traj
+                )
+            traj.append(FieldState(t=t_next, rho=1.0 + u, m=z[n:].copy()))
+    finally:  # also on divergence; per step: 2 explicit evaluations (1 product each), 2 solves
+        stats.update(explicit_rhs_evals=2 * stats["steps"], implicit_solves=2 * stats["steps"],
+                     sparse_products=rhs.products,
+                     stage_nnz={"explicit": rhs.E.nnz, "final": rhs.F.nnz})
     return traj
 
 

@@ -15,6 +15,7 @@ from hsgreen.core import (
     classify_boundary,
     psi_envelope,
     theta_envelope,
+    write_csv,
 )
 from hsgreen.core import FieldState
 from hsgreen.errors import ParameterError, UsageError
@@ -160,3 +161,31 @@ class TestContainers:
         traj.append(FieldState(t=0.0, rho=1 + z, m=z))
         with pytest.raises(ParameterError):
             traj.append(FieldState(t=0.0, rho=1 + z, m=z))
+
+
+def old_write_csv(path, header, rows):
+    """The per-row writer that ``write_csv`` replaced."""
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(
+                "" if v is None else v if isinstance(v, str) else f"{v:.17g}" for v in row
+            ) + "\n")
+
+
+class TestWriteCsv:
+    def test_bytes_match_per_row_writer(self, tmp_path):
+        header = ["name", "value", "count", "flag"]
+        rows = [
+            ["a", 0.1, 3, True],
+            [None, np.float64(1.0) / 3.0, -7, False],
+            ["neg-zero", -0.0, 0, None],
+            ["inf", math.inf, 2**60, np.float64(-math.inf)],
+            ["nan", math.nan, np.float64(math.nan), np.float64(5e-324)],
+            ["", np.float64(123456789.123456789), 1e300, -1e-300],
+        ]
+        for table in (rows, []):
+            new = write_csv(str(tmp_path / "sub" / "new.csv"), header, iter(table))
+            old_write_csv(str(tmp_path / "old.csv"), header, table)
+            assert new == str(tmp_path / "sub" / "new.csv")
+            assert (tmp_path / "sub" / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()

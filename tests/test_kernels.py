@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from hsgreen.core import ModelParams
+from hsgreen.core import BoundaryClass, ModelParams
 from hsgreen.errors import ParameterError, UsageError
 from hsgreen import kernels as K
 from hsgreen import transforms as tr
@@ -134,43 +134,6 @@ class TestEFunction:
                 fd = (vals[0] - 8 * vals[1] + 8 * vals[2] - vals[3]) / (12 * h)
                 resids.append(abs(fd - exact))
             assert resids[1] <= resids[0] / 8.0 + 1e-14  # ~4th order
-
-
-class TestEBoundCheck:
-    def test_ratio_finite_and_stable_under_refinement(self):
-        sup = {}
-        for n in (60, 120):
-            xs = np.linspace(-50.0, 50.0, n)
-            ts = np.geomspace(0.5, 50.0, n // 2)
-            sup[n] = max(
-                K.e_bound_check(xs, float(t), 1.0, 2.0, 1.0, eps=0.1, bigC=10.0).max()
-                for t in ts
-            )
-        assert np.isfinite(sup[120])
-        assert abs(sup[120] - sup[60]) <= 0.1 * sup[60]
-
-    def test_deep_left_region_uses_exponential_tail(self):
-        # Far left of the drift ray the Gaussian envelope term is negligible
-        # and the exp(-(|x|+t)/C) term carries the bound.
-        x, t, lam, d0 = -40.0, 4.0, 1.0, 2.0
-        u = x - lam * t
-        gauss = math.exp(-u * u / ((d0 + 0.1) * t))
-        tail = math.exp(-(abs(x) + t) / 10.0)
-        assert tail > gauss
-        assert np.isfinite(K.e_bound_check(x, t, lam, d0, 1.0, eps=0.1, bigC=10.0))
-
-    def test_moving_frame_core_uses_gaussian(self):
-        t = 9.0
-        x, lam, d0 = 1.0 * t + math.sqrt(t) / 2, 1.0, 2.0
-        u = x - lam * t
-        gauss = math.exp(-u * u / ((d0 + 0.1) * t))
-        tail = math.exp(-(abs(x) + t) / 10.0)
-        assert gauss > tail
-        assert np.isfinite(K.e_bound_check(x, t, lam, d0, 1.0, eps=0.1, bigC=10.0))
-
-    def test_derivative_order_validated(self):
-        with pytest.raises(ParameterError):
-            K.e_bound_check(0.0, 1.0, 1.0, 2.0, 1.0, eps=0.1, bigC=10.0, k=2)
 
 
 class TestProjections:
@@ -307,6 +270,102 @@ class TestGreenLeading:
             direct = K.fundamental_leading(x - y, t, pp).smooth
             image = K.fundamental_leading(x + y, t, pp).smooth * np.array([1.0, -1.0])
             assert np.abs(kv.smooth - (direct + sign * image)).max() <= 1e-15
+
+
+def projections(c):
+    return (np.array([[0.5, 0.5 / c], [0.5 * c, 0.5]]),
+            np.array([[0.5, -0.5 / c], [-0.5 * c, 0.5]]))
+
+
+def outer_smooth(x, t, params):
+    """The two drifting heat kernels as outer products with P+ and P-."""
+    c, nu = params.c, params.nu
+    pref = 1.0 / math.sqrt(2.0 * math.pi * nu * t)
+    pp, pm = projections(c)
+    gp = pref * np.exp(-((x - c * t) ** 2) / (2.0 * nu * t))
+    gm = pref * np.exp(-((x + c * t) ** 2) / (2.0 * nu * t))
+    return np.multiply.outer(gp, pp) + np.multiply.outer(gm, pm)
+
+
+def outer_mirror(w, t, params):
+    """The negated image kernel plus the reflected moments, times diag(1, -1)."""
+    c, nu, gamma = params.c, params.nu, params.gamma
+    e_plus = K.e_function(w, t, c, 2.0 * nu, gamma)
+    e_minus = K.e_function(w, t, -c, 2.0 * nu, gamma)
+    pref = 1.0 / math.sqrt(2.0 * math.pi * nu * t)
+    pp, pm = projections(c)
+    reflected = 2.0 * gamma * pref * (np.multiply.outer(e_plus, pp) + np.multiply.outer(e_minus, pm))
+    return (-outer_smooth(w, t, params) + reflected) * np.array([1.0, -1.0])
+
+
+def outer_green(x, y, t, params):
+    """The leading half-line Green's function assembled from outer products."""
+    x = np.asarray(x, dtype=float)
+    if params.boundary_class is BoundaryClass.MIXED_STABLE:
+        boundary = outer_mirror(x + y, t, params)
+    else:
+        sign = 1.0 if params.boundary_class is BoundaryClass.DIRICHLET else -1.0
+        boundary = sign * outer_smooth(x + y, t, params) * np.array([1.0, -1.0])
+    return outer_smooth(x - y, t, params) + boundary
+
+
+def assert_close_to_sup(got, ref):
+    assert got.shape == ref.shape
+    assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+class TestAssembly:
+    """The coefficient-times-basis assembly equals the outer-product one."""
+
+    CLASSES = [ModelParams(a1=0.0, a2=1.0), ModelParams(a1=1.0, a2=0.0),
+               ModelParams(a1=-1.0, a2=1.0), ModelParams(c=1.7, nu=0.3, a1=-1.3, a2=2.9)]
+    XS = np.concatenate([np.linspace(0.0, 3.0, 13), np.linspace(3.5, 40.0, 24)])
+
+    def e_switch_sides(self, w, t, params):
+        # E's argument at lam = +c, d0 = 2 nu; it switches form at -1
+        d0 = 2.0 * params.nu
+        arg = (w - params.c * t + 0.5 * params.gamma * d0 * t) / math.sqrt(d0 * t)
+        return (arg <= -1.0).any(), (arg > -1.0).any()
+
+    @pytest.mark.parametrize("params", CLASSES, ids=["dirichlet", "neumann", "mixed", "scaled"])
+    @pytest.mark.parametrize("t", [0.3, 2.0, 12.0, 40.0])
+    def test_green_leading(self, params, t):
+        for y in (0.0, 1.5, 9.0):
+            assert_close_to_sup(K.green_leading(self.XS, y, t, params).smooth,
+                                outer_green(self.XS, y, t, params))
+            for x in (0.0, 2.0, 11.0):
+                assert_close_to_sup(K.green_leading(x, y, t, params).smooth,
+                                    outer_green(x, y, t, params))
+
+    @pytest.mark.parametrize("params", CLASSES, ids=["dirichlet", "neumann", "mixed", "scaled"])
+    @pytest.mark.parametrize("t", [0.3, 2.0, 12.0, 40.0])
+    def test_fundamental_leading(self, params, t):
+        xs = self.XS - 20.0
+        assert_close_to_sup(K.fundamental_leading(xs, t, params).smooth,
+                            outer_smooth(xs, t, params))
+        for x in (-3.0, 0.0, 5.0):
+            assert_close_to_sup(K.fundamental_leading(x, t, params).smooth,
+                                outer_smooth(x, t, params))
+
+    @pytest.mark.parametrize("params", CLASSES[2:], ids=["mixed", "scaled"])
+    @pytest.mark.parametrize("t", [0.3, 2.0, 12.0, 40.0])
+    def test_mirror_leading(self, params, t):
+        assert_close_to_sup(K.mirror_leading(self.XS, t, params),
+                            outer_mirror(self.XS, t, params))
+        for w in (0.0, 4.0, 30.0):
+            assert_close_to_sup(K.mirror_leading(w, t, params), outer_mirror(w, t, params))
+
+    def test_both_sides_of_the_e_switch_covered(self):
+        left, right = self.e_switch_sides(self.XS, 12.0, self.CLASSES[3])
+        assert left and right
+
+    def test_basis_read_only_and_shared(self):
+        basis = K._leading_basis(1.7)
+        assert basis is K._leading_basis(1.7)
+        assert not basis.flags.writeable
+        with pytest.raises(ValueError):
+            basis[0, 0] = 1.0
+        assert K.acoustic_projection(-1, ModelParams(c=1.7)).base is basis
 
 
 # Dirichlet, Neumann, stable mixed (the default) and the scaled set

@@ -625,6 +625,21 @@ class TestNonlinearSolver:
         with pytest.raises(DivergenceError):
             so.solve_nonlinear(init, P, cfg)
 
+    def test_divergence_keeps_work_counters(self):
+        grid = Grid1D(L=20.0, nx=200)
+        cfg = so.SolverConfig(grid=grid, t_end=5.0)
+        init = so.make_initial_data(
+            so.InitialData(kind="gaussian", amplitude=2.0, center=10.0, width=0.5),
+            grid, P,
+        )
+        with pytest.raises(DivergenceError) as info:
+            so.solve_nonlinear(init, P, cfg)
+        stats = info.value.partial.stats
+        assert stats["steps"] > 0
+        assert stats["explicit_rhs_evals"] == stats["implicit_solves"] == 2 * stats["steps"]
+        assert stats["sparse_products"] == 2 * stats["steps"]
+        assert set(stats["stage_nnz"]) == {"explicit", "final"}
+
     def test_nonpositive_initial_density_refused(self):
         grid = Grid1D(L=10.0, nx=100)
         rho = np.ones(grid.n_nodes)
