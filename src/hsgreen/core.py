@@ -112,6 +112,11 @@ def check_points(name: str, v, lo: float = -math.inf) -> np.ndarray:
 # signature readability only.
 Matrix2 = np.ndarray
 
+# The slot of the persistent delta exp(-c^2 t/nu) delta(x): the (1,1) entry.
+# Read-only and shared; a weight times it is a fresh array.
+DELTA_SLOT = np.diag([1.0, 0.0])
+DELTA_SLOT.flags.writeable = False
+
 
 @dataclass
 class KernelValue:

@@ -33,7 +33,9 @@ import math
 
 import numpy as np
 
-from .core import BoundaryClass, KernelValue, Matrix2, ModelParams, check_points, check_positive
+from .core import (
+    DELTA_SLOT, BoundaryClass, KernelValue, Matrix2, ModelParams, check_points, check_positive,
+)
 from .errors import ParameterError, UsageError
 from .spectral import refuse_unstable
 
@@ -146,7 +148,7 @@ def fundamental_leading(x, t: float, params: ModelParams) -> KernelValue:
     smooth part of shape x.shape + (2, 2), delta at offset 0."""
     x = check_points("x", x)
     check_positive("t", t)
-    delta = singular_weight(t, params) * np.diag([1.0, 0.0])
+    delta = singular_weight(t, params) * DELTA_SLOT
     smooth = _assemble(_ridges(x, t, params)[1], t, params, slice(0, 2))
     return KernelValue(smooth=smooth, deltas=[(0.0, delta)])
 
@@ -189,5 +191,5 @@ def green_leading(x, y: float, t: float, params: ModelParams) -> KernelValue:
     elif params.boundary_class is BoundaryClass.NEUMANN:  # the image kernel, - for Neumann
         coef[..., 1, :] *= -1.0
     smooth = _assemble(coef.reshape(x.shape + (4,)), t, params, slice(None))
-    delta = singular_weight(t, params) * np.diag([1.0, 0.0])
+    delta = singular_weight(t, params) * DELTA_SLOT
     return KernelValue(smooth=smooth, deltas=[(float(y), delta)])

@@ -48,19 +48,32 @@ keeps it below tol/4 (floored at 1.2 xi_core + 5 and 10).  The bound is
 checked in 60-digit arithmetic over t' in [0.01, 200]; float64 cannot check
 it, because the cancellation in mu + D pollutes F beyond xi ~ 10^3.  The
 coarse/fine self-check shares xi_max, so it cannot see the truncation: its
-DEBUG line also logs xi_max and the bound.  The core panels are
-5/(|x|max + t + 1) wide and the tail panels 5/(|x|max + 1), so the grid grows
-like t and like |x|max; past t' = _FOURIER_T_MAX or |x'|max = _FOURIER_X_MAX
-both Fourier oracles raise ParameterError before they build it.
+DEBUG line also logs xi_max and the bound, with the panels per segment and
+the largest Filon frequency |x| h.
 
-The residual is summed on Gauss-Legendre panels in two segments, a dense
-core and a coarser tail, each of uniform half-width h.  Every node is then
-m_p + h g_j (panel midpoint m_p, Gauss point g_j), so the phase sum factors
-exactly:
+The residual is summed on panels in two segments, a dense core and a
+coarser tail, each of uniform half-width h.  Each panel [m_p - h, m_p + h]
+is a Filon-Gauss rule (Iserles & Norsett 2005): the residual is interpolated
+at the _N_XI Gauss points m_p + h g_j and the phase is integrated exactly,
 
-    sum_{p,j} r_pj e^{i x (m_p + h g_j)} = sum_j e^{i x h g_j} sum_p e^{i x m_p} r_pj,
+    int r(xi) e^{i x xi} dxi ~= h e^{i x m_p} sum_j r_pj M_j(x h),
+    M_j(omega) = int_{-1}^{1} l_j(u) e^{i omega u} du,
 
-one matrix product and one contraction over the _N_XI node phases.  The
+with l_j the Lagrange basis on the Gauss points (``_filon_moments``;
+M_j(0) = w_j, so x = 0 is the Gauss rule).  The panels therefore resolve
+the residual, not e^{i x xi}, and no width depends on x.  The residual's
+modes oscillate like e^{+-i xi t}: the core panels are C/(t + 1) wide, C =
+1.5 + 4.5 t/(t + 128) radians of that phase, capped at 0.4 by the model's
+poles at xi = +-i, and the tail panels 5.  A 10-point Filon rule is exact
+for degree 9 in r where Gauss is for degree 19, hence the narrower core.
+The grid grows like t only; past t' = _FOURIER_T_MAX both Fourier oracles
+raise ParameterError before they build it.
+
+A segment's phase sum factors exactly:
+
+    sum_{p,j} r_pj e^{i x m_p} M_j(x h) = sum_j M_j(x h) sum_p e^{i x m_p} r_pj,
+
+one matrix product and one contraction over the _N_XI Filon weights.  The
 panel phases factor once more: a segment's P panels sit at m_p = m_0 + 2 h p,
 and with B = ceil(sqrt(P)), p = a B + b (the panel count padded to a multiple
 of B with zero-weight panels),
@@ -69,8 +82,9 @@ of B with zero-weight panels),
 
 The residual is laid out in (b, a) order, so one GEMM against the B
 baby-step phases e^{i x 2 h b} leaves a (point, a) sum that the A giant-step
-phases e^{i x 2 h B a} contract; e^{i x m_0} joins the node phases.  That is
-about 2 sqrt(P) + _N_XI complex exponentials per point, not one per panel.
+phases e^{i x 2 h B a} contract; e^{i x m_0} joins the Filon weights.  That
+is about 2 sqrt(P) complex exponentials per point, not one per panel, plus
+the _N_XI weights.
 
 Mirror kernel
 -------------
@@ -78,11 +92,11 @@ The boundary part of the stable mixed class is an exponential convolution
 of the fundamental solution, i.e. the Fourier multiplier
 M(xi) = (gamma + i xi)/(gamma - i xi) applied to its symbol.  The mirror
 oracle reuses the panels and the subtraction above: M times the residual is
-inverted by a cos and a sin sum per entry (M breaks the parity), and the
-model term maps in closed form, e^{-beta w} -> (gamma - beta)/(gamma + beta)
-e^{-beta w} for w > 0 and beta in {1, 2, 3}.  M varies on the scale gamma, so
-the mirror caps the core panel width at gamma; the whole-line oracle (M = 1)
-keeps its grid.
+inverted by the same Filon sums (M breaks the parity), and the model term
+maps in closed form, e^{-beta w} -> (gamma - beta)/(gamma + beta) e^{-beta w}
+for w > 0 and beta in {1, 2, 3}.  M has a pole at xi = -i gamma, and the
+Filon interpolant resolves it only if the core panels are at most gamma/2
+wide; the whole-line oracle (M = 1) has no such cap.
 
 Inverse Laplace strategy
 ------------------------
@@ -117,19 +131,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BoundaryClass, KernelValue, ModelParams, check_points, check_positive
+from .core import DELTA_SLOT, BoundaryClass, KernelValue, ModelParams, check_points, check_positive
 from .errors import AccuracyError, ConfigurationError, ParameterError
 from .spectral import find_boundary_pole, fourier_fundamental, laplace_green, refuse_unstable
 
 logger = logging.getLogger(__name__)
-_N_XI = 10  # Gauss-Legendre nodes per Fourier panel
-# The largest t' the Fourier oracles take: there the fine grid holds 8e5 nodes, and
-# two points take 0.2 s and 190 MB.
+_N_XI = 10  # Gauss-Legendre points per Filon panel
+# The largest t' the Fourier oracles take: there the fine grid holds 6.8e5 nodes, and
+# two points take 0.3 s and 165 MB.
 _FOURIER_T_MAX = 1e5
-# The largest |x'| = |x| c/nu they take, above the 480 the test suite reaches and the
-# 3,000 of x = 50 at (c, nu) = (3, 0.05): there the fine grid holds 4.7e6 nodes at
-# t' = 0.01 (0.8 s and 0.9 GB for two points) and 2.6e6 at t' = 1 (0.3 s, 0.5 GB).
-_FOURIER_X_MAX = 1e4
 _TALBOT_DEGREE = 32  # its self-check probes degree + 8
 
 
@@ -201,11 +211,12 @@ def _edges(lo: float, hi: float, width: float) -> np.ndarray:
 
 
 def _xi_grid(
-    t: float, x_absmax: float, cfg: QuadratureConfig, refine: int = 1, gamma: float | None = None,
+    t: float, cfg: QuadratureConfig, refine: int = 1, gamma: float | None = None,
 ) -> list[tuple[np.ndarray, float]]:
-    """Panel grid on [0, xi_max]: dense where the symbol oscillates, coarser
-    on the algebraic tail.  ``refine`` halves the panel widths (error probe);
-    the mirror's ``gamma`` caps the core width at its multiplier's scale.
+    """Panel grid on [0, xi_max] for the Filon sums: dense where the symbol
+    oscillates, coarser on the algebraic tail, the same for every x.
+    ``refine`` halves the panel widths (error probe); the mirror's ``gamma``
+    caps the core width at half its multiplier's scale.
 
     Returns the core and tail segments as (panel midpoints, half-width): the
     panels of a segment are uniform, so its nodes are mid + half * g_j for
@@ -217,10 +228,15 @@ def _xi_grid(
     xi_max = (4.0 * _residual_bound(t) / (5.0 * math.pi * cfg.tol)) ** 0.2
     xi_max = max(xi_max, 1.2 * xi_core + 5.0, 10.0)
     xi_core = min(xi_core, xi_max * 0.5)
-    osc = x_absmax + t + 1.0
-    cap = math.inf if gamma is None else gamma
-    w_core = min(5.0 / osc, xi_core / 6.0, 0.5, cap) / refine
-    w_tail = 5.0 / (x_absmax + 1.0) / refine
+    # The panels resolve the residual only (module docstring).  Its modes
+    # oscillate like e^{+-i xi t}: the core takes 1.5 radians of that phase per
+    # panel at small t and up to 6 at large t, where the Gaussian envelope
+    # e^{-xi^2 t/2} damps the interpolation error.  The Lorentzian poles at
+    # +-i cap the width at 0.4, the multiplier's pole at -i gamma at gamma/2.
+    phase = 1.5 + 4.5 * t / (t + 128.0)
+    cap = math.inf if gamma is None else 0.5 * gamma
+    w_core = min(phase / (t + 1.0), xi_core / 6.0, 0.4, cap) / refine
+    w_tail = 5.0 / refine
     segments = []
     for lo, hi, width in ((0.0, xi_core, w_core), (xi_core, xi_max, w_tail)):
         edges = _edges(lo, hi, width)
@@ -294,6 +310,57 @@ def _unit_phase(phase: np.ndarray) -> np.ndarray:
     return out
 
 
+_FILON_SWITCH = 12.0  # |omega| from which _filon_moments uses the Bessel recurrence
+
+
+@functools.lru_cache(maxsize=1)
+def _filon_basis() -> tuple[np.ndarray, ...]:
+    """Read-only tables for _filon_moments: the 20 positive points u_q of the
+    40-point Gauss rule, the (20, _N_XI) tables w_q (l_j(u_q) +- l_j(-u_q))
+    that weight cos(omega u_q) and sin(omega u_q), and the real and imaginary
+    parts of the (_N_XI, _N_XI) map 2 i^k a_jk from j_k(omega) to M_j(omega)."""
+    gx, gw = _gauss_legendre(_N_XI)
+    # The Lagrange basis on the Gauss points in Legendre form, l_j = sum_k a_jk P_k,
+    # a_jk = (k + 1/2) w_j P_k(g_j): the _N_XI-point rule integrates l_j P_k exactly.
+    coef = (np.arange(_N_XI) + 0.5) * gw[:, None] * np.polynomial.legendre.legvander(gx, _N_XI - 1)
+    u, wu = (a[20:] for a in _gauss_legendre(40))
+    plus, minus = (np.polynomial.legendre.legvander(v, _N_XI - 1) @ coef.T for v in (u, -u))
+    # int_{-1}^{1} P_k(u) e^{i omega u} du = 2 i^k j_k(omega)
+    far = 2.0 * (1j ** np.arange(_N_XI))[:, None] * coef.T
+    tables = (u, wu[:, None] * (plus + minus), wu[:, None] * (plus - minus), far.real, far.imag)
+    for a in tables:
+        a.flags.writeable = False
+    return tables
+
+
+def _filon_moments(omega: np.ndarray) -> np.ndarray:
+    """M_j(omega) = int_{-1}^{1} l_j(u) e^{i omega u} du for the Lagrange basis
+    l_j on the _N_XI Gauss points, shape omega.shape + (_N_XI,); M_j(0) = w_j.
+
+    Below |omega| = _FILON_SWITCH a 40-point Gauss rule integrates l_j e^{i omega u}
+    to rounding.  From there M_j = sum_k 2 i^k a_jk j_k(omega), with j_0 ... j_9
+    from the upward recurrence, which is stable for |omega| above the order.
+    Each branch is odd or even in omega term by term, so M_j(-omega) =
+    conj(M_j(omega)) holds bitwise, as j_k(-omega) = (-1)^k j_k(omega) does."""
+    u, even, odd, far_re, far_im = _filon_basis()
+    omega = np.asarray(omega, dtype=float)
+    out = np.empty(omega.shape + (_N_XI,), dtype=complex)
+    re, im = out.real, out.imag
+    small = np.abs(omega) < _FILON_SWITCH
+    phase = np.multiply.outer(omega[small], u)
+    re[small] = np.cos(phase) @ even
+    im[small] = np.sin(phase) @ odd
+    w = omega[~small]
+    j = np.empty((_N_XI,) + w.shape)
+    j[0] = np.sin(w) / w
+    j[1] = (j[0] - np.cos(w)) / w
+    for k in range(1, _N_XI - 1):
+        j[k + 1] = (2 * k + 1) / w * j[k] - j[k - 1]
+    re[~small] = j.T @ far_re
+    im[~small] = j.T @ far_im
+    return out
+
+
 # Bound on one segment's baby-step product, (points x A _N_XI 4), in elements.
 _PHASE_CHUNK = 1_000_000
 
@@ -315,8 +382,8 @@ def _fourier_smooth_grid(
     before its diag(1, -1) factor, for x >= 0 (x = 0 as the x -> 0+ limit).
     """
     x = np.asarray(x, dtype=float)
-    segments = _xi_grid(t, float(np.abs(x).max()), cfg, refine, gamma)
-    gx, gw = _gauss_legendre(_N_XI)
+    segments = _xi_grid(t, cfg, refine, gamma)
+    gx = _gauss_legendre(_N_XI)[0]
     # Each segment's nodes in (b, a, j) order; the pad panels continue the grid.
     tables = [_panel_table(mid.size) for mid, _ in segments]
     nodes = []
@@ -326,12 +393,15 @@ def _fourier_smooth_grid(
     res = _smooth_residual(np.concatenate(nodes), t, gamma)
     # Hermitian symmetry folds the inverse onto xi > 0,
     # (1/pi) int_0^inf Re(P e^{i xi x}); each segment's phase sum factors
-    # into baby-step, giant-step and node phases (module docstring).
+    # into baby-step and giant-step phases and Filon weights (module docstring).
     xs = x.ravel()
     flat = np.zeros((xs.size, 4))
-    for (mid, half), p, r in zip(segments, tables, np.split(res, [nodes[0].size])):
+    # The Filon weights e^{i x m_0} M_j(x h), one (point, j) table per segment
+    filon = _filon_moments(np.outer([half for _, half in segments], xs))
+    filon *= _unit_phase(np.outer([mid[0] for mid, _ in segments], xs))[..., None]
+    for (mid, half), p, r, weights in zip(segments, tables, np.split(res, [nodes[0].size]), filon):
         n_b, n_a = p.shape
-        r = r.reshape(n_b, n_a, _N_XI, 4) * (half * gw / math.pi)[:, None]
+        r = r.reshape(n_b, n_a, _N_XI, 4) * (half / math.pi)
         r[p >= mid.size] = 0.0
         r = r.reshape(n_b, -1)
         step = max(1, _PHASE_CHUNK // r.shape[1])
@@ -340,9 +410,8 @@ def _fourier_smooth_grid(
             baby = _unit_phase(np.outer(xc, 2.0 * half * np.arange(n_b))) @ r
             giant = _unit_phase(np.outer(xc, 2.0 * half * n_b * np.arange(n_a)))
             panel_sum = np.matmul(giant[:, None, :], baby.reshape(xc.size, n_a, -1))
-            node_phase = _unit_phase(np.outer(xc, mid[0] + half * gx))
             flat[i : i + xc.size] += np.einsum(
-                "xj,xje->xe", node_phase, panel_sum.reshape(xc.size, _N_XI, 4)
+                "xj,xje->xe", weights[i : i + xc.size], panel_sum.reshape(xc.size, _N_XI, 4)
             ).real
     return flat.reshape(x.shape + (2, 2)) + _model_terms(x, t, gamma)
 
@@ -353,24 +422,23 @@ def _fourier_smooth_with_error(
     if not t <= _FOURIER_T_MAX:
         raise ParameterError(f"the Fourier oracles need t' = c^2 t/nu <= {_FOURIER_T_MAX:g}, "
                              f"got t'={t:g}: their grid grows like t'")
-    x_absmax = float(np.abs(x).max())
-    if not x_absmax <= _FOURIER_X_MAX:
-        raise ParameterError(f"the Fourier oracles need |x'| = |x| c/nu <= {_FOURIER_X_MAX:g}, "
-                             f"got |x'|max={x_absmax:g}: their grid grows like |x'|")
     coarse = _fourier_smooth_grid(x, t, cfg, 1, gamma)
     fine = _fourier_smooth_grid(x, t, cfg, 2, gamma)
     err = float(np.abs(fine - coarse).max())
     if logger.isEnabledFor(logging.DEBUG):
         # Both levels share xi_max, so the diff cannot see the truncation:
-        # the line also gives its bound c_res / (5 pi xi_max^5).
-        grids = [_xi_grid(t, x_absmax, cfg, k, gamma) for k in (1, 2)]
+        # the line also gives its bound c_res / (5 pi xi_max^5).  omega_max is
+        # the largest Filon frequency |x| h of the coarse level.
+        grids = [_xi_grid(t, cfg, k, gamma) for k in (1, 2)]
         nodes = [_N_XI * sum(m.size for m, _ in grid) for grid in grids]
         tail_mid, tail_half = grids[0][-1]
         xi_max = float(tail_mid[-1] + tail_half)
         trunc = _residual_bound(t) / (5.0 * math.pi * xi_max**5)
-        logger.debug("fourier self-check: points=%d nodes=%d/%d (coarse/fine) t'=%.6g "
-                     "gamma'=%s diff=%.3g xi_max=%.6g trunc=%.3g",
-                     np.size(x), *nodes, t, gamma, err, xi_max, trunc)
+        omega_max = float(np.abs(x).max()) * max(h for _, h in grids[0])
+        logger.debug("fourier self-check: points=%d nodes=%d/%d (coarse/fine) panels=%d+%d "
+                     "(core+tail) t'=%.6g gamma'=%s diff=%.3g xi_max=%.6g trunc=%.3g "
+                     "omega_max=%.6g", np.size(x), *nodes, *(m.size for m, _ in grids[0]),
+                     t, gamma, err, xi_max, trunc, omega_max)
     return fine, err
 
 
@@ -382,15 +450,14 @@ def invert_fourier_fundamental(
     Accepts scalar or array x; the smooth part has shape x.shape + (2, 2).
     The persistent delta exp(-c^2 t/nu) delta(x) diag(1, 0) is returned in the
     delta list.  Raises AccuracyError when the self-estimate misses cfg.tol, and
-    ParameterError past t' = c^2 t/nu = _FOURIER_T_MAX or |x'| = |x| c/nu =
-    _FOURIER_X_MAX.
+    ParameterError past t' = c^2 t/nu = _FOURIER_T_MAX.
     """
     L, t1, _, scale = _unit_frame(t, params)
     smooth, err = _fourier_smooth_with_error(_points("x", x) / L, t1, cfg)
     if not err <= cfg.tol:
         raise AccuracyError("fourier inversion did not meet tolerance", err, cfg.tol)
     smooth = smooth[0] * scale if np.ndim(x) == 0 else smooth * scale
-    return KernelValue(smooth=smooth, deltas=[(0.0, math.exp(-t1) * np.diag([1.0, 0.0]))])
+    return KernelValue(smooth=smooth, deltas=[(0.0, math.exp(-t1) * DELTA_SLOT)])
 
 
 # ---------------------------------------------------------------------------

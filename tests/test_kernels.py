@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from hsgreen.core import BoundaryClass, ModelParams
+from hsgreen.core import DELTA_SLOT, BoundaryClass, ModelParams
 from hsgreen.errors import ParameterError, UsageError
 from hsgreen import kernels as K
 from hsgreen import transforms as tr
@@ -366,6 +366,19 @@ class TestAssembly:
         with pytest.raises(ValueError):
             basis[0, 0] = 1.0
         assert K.acoustic_projection(-1, ModelParams(c=1.7)).base is basis
+
+    def test_delta_weights_are_fresh_arrays(self):
+        # the weight times the shared read-only DELTA_SLOT: each call owns its delta
+        pd = ModelParams(a1=0.0, a2=1.0)
+        calls = [K.green_leading(2.0, 1.0, 1.5, pd), K.green_leading(3.0, 1.0, 1.5, pd),
+                 K.fundamental_leading(2.0, 1.5, pd),
+                 tr.invert_fourier_fundamental(2.0, 1.5, pd)]
+        deltas = [kv.deltas[0][1] for kv in calls]
+        for d in deltas:
+            assert d.flags.writeable and not np.shares_memory(d, DELTA_SLOT)
+            assert np.array_equal(d, math.exp(-1.5) * np.diag([1.0, 0.0]))
+        assert not np.shares_memory(deltas[0], deltas[1])
+        assert not DELTA_SLOT.flags.writeable
 
 
 # Dirichlet, Neumann, stable mixed (the default) and the scaled set

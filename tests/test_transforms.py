@@ -89,16 +89,54 @@ class TestInvertFourier:
         assert np.abs(resid).max() <= 1e-5
 
 
+def filon_moments_mp(omega):
+    """M_j(omega) = int_{-1}^{1} l_j(u) e^{i omega u} du by mpmath Gauss-Legendre
+    quadrature at 20 digits, on sub-intervals of at most 4 radians of phase."""
+    gx = np.polynomial.legendre.leggauss(tr._N_XI)[0]
+    with mpmath.workdps(20):
+        g = [mpmath.mpf(v) for v in gx]
+        # l_j(u) = prod_k (u - g_k) / ((u - g_j) prod_{k != j} (g_j - g_k))
+        dp = [mpmath.fprod(g[j] - gk for k, gk in enumerate(g) if k != j) for j in range(len(g))]
+        rule = mpmath.calculus.quadrature.GaussLegendre(mpmath.mp)
+        edges = mpmath.linspace(-1, 1, int(abs(omega) // 4) + 4)
+        out = [mpmath.mpc(0)] * len(g)
+        for a, b in zip(edges[:-1], edges[1:]):
+            for u, w in rule.get_nodes(a, b, 3, mpmath.mp.prec):
+                e = w * mpmath.expj(omega * u) * mpmath.fprod(u - gk for gk in g)
+                out = [o + e / ((u - gj) * d) for o, gj, d in zip(out, g, dp)]
+        return np.array([complex(o) for o in out])
+
+
+class TestFilonMoments:
+    # M_j(omega) on both sides of the switch from the 40-point rule to the
+    # spherical Bessel recurrence at |omega| = 12
+    @pytest.mark.parametrize("omega", [0.0, 1e-8, -1e-8, 0.3, 1.0, 3.0, 11.99, 12.01, -7.0, 50.0,
+                                       500.0])
+    def test_against_mpmath(self, omega):
+        got = tr._filon_moments(np.array([omega]))[0]
+        assert np.abs(got - filon_moments_mp(omega)).max() <= 1e-13
+
+    def test_zero_frequency_is_the_gauss_rule(self):
+        gw = np.polynomial.legendre.leggauss(tr._N_XI)[1]
+        assert np.abs(tr._filon_moments(np.array(0.0)) - gw).max() <= 1e-14
+
+    def test_conjugate_symmetry_is_bitwise(self):
+        omega = np.array([0.7, 11.5, 12.0, 40.0, 3e4])
+        assert np.array_equal(tr._filon_moments(-omega), tr._filon_moments(omega).conj())
+        assert tr._filon_moments(omega.reshape(5, 1)).shape == (5, 1, tr._N_XI)
+
+
 def flat_phase_sum(x, t, refine, gamma):
-    """The unfactored sum (1/pi) sum_k w_k Re(r_k e^{i x xi_k}) over every
-    node xi_k of the oracle's grid, plus the closed-form model terms."""
-    gx, gw = np.polynomial.legendre.leggauss(tr._N_XI)
-    segments = tr._xi_grid(t, float(np.abs(x).max()), tr.QuadratureConfig(), refine, gamma)
-    xi = np.concatenate([(mid[:, None] + h * gx).ravel() for mid, h in segments])
-    wts = np.concatenate([np.tile(h * gw, mid.size) for mid, h in segments])
-    res = tr._smooth_residual(xi, t, gamma) * (wts / np.pi)[:, None]
-    phase = np.outer(x, xi)
-    flat = np.cos(phase) @ res.real - np.sin(phase) @ res.imag
+    """The unfactored Filon sum (1/pi) sum_{p,j} h Re(r_pj e^{i x m_p} M_j(x h))
+    over every panel p (midpoint m_p, half-width h) of the oracle's grid, plus
+    the closed-form model terms."""
+    gx = np.polynomial.legendre.leggauss(tr._N_XI)[0]
+    flat = np.zeros(x.shape + (4,))
+    for mid, h in tr._xi_grid(t, tr.QuadratureConfig(), refine, gamma):
+        res = tr._smooth_residual((mid[:, None] + h * gx).ravel(), t, gamma)
+        res = res.reshape(mid.size, tr._N_XI, 4) * (h / np.pi)
+        phase = np.exp(1j * np.multiply.outer(x, mid))
+        flat += np.einsum("xp,xj,pje->xe", phase, tr._filon_moments(x * h), res).real
     return flat.reshape(x.shape + (2, 2)) + tr._model_terms(x, t, gamma)
 
 
@@ -118,7 +156,7 @@ class TestPhaseFactorization:
 
     def test_chunked_points(self, monkeypatch):
         x = np.linspace(-9.0, 11.0, 41)
-        segments = tr._xi_grid(2.0, 11.0, tr.QuadratureConfig())
+        segments = tr._xi_grid(2.0, tr.QuadratureConfig())
         monkeypatch.setattr(tr, "_PHASE_CHUNK", 500)
         # each chunk holds _PHASE_CHUNK // (A n_xi 4) points of a segment
         assert all(tr._PHASE_CHUNK // (tr._panel_table(mid.size).shape[1] * 40) < x.size
@@ -130,7 +168,7 @@ class TestPhaseFactorization:
     @pytest.mark.parametrize("mirror", [False, True], ids=["whole_line", "mirror"])
     def test_panel_counts(self, monkeypatch, mirror, panels):
         # P = 1, a prime P (padded to A B = 16) and a perfect square (7 x 7)
-        def grid(t, x_absmax, cfg, refine=1, gamma=None):
+        def grid(t, cfg, refine=1, gamma=None):
             segments = []
             for lo, hi in ((0.0, 4.0), (4.0, 30.0)):
                 edges = np.linspace(lo, hi, panels + 1)
@@ -161,6 +199,13 @@ class TestPhaseFactorization:
         assert "points=2 " in msg and "t'=2 " in msg and f"diff={err:.3g}" in msg
         coarse, fine = msg.split("nodes=")[1].split()[0].split("/")
         assert 0 < int(coarse) < int(fine)
+        # the coarse panels per segment and the largest Filon frequency |x| h
+        segments = tr._xi_grid(2.0, cfg)
+        core, tail = (int(n) for n in msg.split("panels=")[1].split()[0].split("+"))
+        assert [core, tail] == [mid.size for mid, _ in segments]
+        assert int(coarse) == tr._N_XI * (core + tail)
+        omega_max = float(msg.split("omega_max=")[1].split()[0])
+        assert omega_max == pytest.approx(6.0 * max(h for _, h in segments), rel=1e-5)
         # the truncation the coarse/fine diff cannot see: c_res / (5 pi xi_max^5)
         xi_max = float(msg.split("xi_max=")[1].split()[0])
         assert xi_max == pytest.approx(xi_cut(2.0, cfg), rel=1e-5)
@@ -172,7 +217,7 @@ class TestPhaseFactorization:
 
 def xi_cut(t, cfg):
     """The oracle's xi_max: the upper edge of the tail segment."""
-    mid, half = tr._xi_grid(t, 0.0, cfg)[-1]
+    mid, half = tr._xi_grid(t, cfg)[-1]
     return mid[-1] + half
 
 
@@ -241,8 +286,9 @@ class TestLorentzianModel:
 
     def test_coarse_panel_count(self):
         # the xi^-6 tail ends near xi = 60 at t' = 2; the xi^-4 one ran to 307
-        # and held 1,430 of 1,474 panels
-        assert sum(mid.size for mid, _ in tr._xi_grid(2.0, 23.0, tr.QuadratureConfig())) <= 300
+        # and held 1,430 of 1,474 panels.  With Filon weights no width depends
+        # on |x'|: 22 core and 11 tail panels
+        assert sum(mid.size for mid, _ in tr._xi_grid(2.0, tr.QuadratureConfig())) <= 33
 
 
 class TestInvertLaplace:
@@ -432,19 +478,36 @@ class TestOraclePoints:
     @pytest.mark.parametrize("params, x, t, named", [
         (P, [1.0, 3.0], 1e50, "t'=1e+50"), (P, [1.0, 3.0], 1e120, "t'=1e+120"),
         (ModelParams(c=3.0, nu=0.05), [1.0, 3.0], 3e3, "t'=540000"),
-        (P, [1.0, 1e50], 1.0, "|x'|max=1e+50"), (P, [1e300], 1.0, "|x'|max=1e+300"),
-        (ModelParams(c=3.0, nu=0.05), [1.0, 200.0], 1.0, "|x'|max=12000"),
-    ], ids=["1e50", "1e120", "scaled", "x1e50", "x1e300", "x-scaled"])
+    ], ids=["1e50", "1e120", "scaled"])
     @pytest.mark.parametrize("oracle", ["fourier", "mirror", "green"])
     def test_huge_time_rejected_before_the_grid(self, monkeypatch, oracle, params, x, t, named):
-        # the core panels are 5/(|x|max + t' + 1) wide and the tail panels 5/(|x|max + 1);
-        # at t' or |x'| = 1e50 the grid would exceed any array, and t'^3 overflows the
-        # residual bound from t' = 1e103
+        # the core panels are about 6/(t' + 1) wide at large t'; at t' = 1e50 the
+        # grid would exceed any array, and t'^3 overflows the residual bound from
+        # t' = 1e103
         run = {"fourier": tr.invert_fourier_fundamental, "mirror": tr.mirror_by_quadrature,
                "green": lambda x, t, p: tr.fourier_green(x, np.zeros(len(x)), t, p)}
         monkeypatch.setattr(tr, "_xi_grid", None)
         with pytest.raises(ParameterError, match=re.escape(named)):
             run[oracle](x, t, params)
+
+    @pytest.mark.parametrize("t", [0.1, 2.0, 48.0])
+    def test_huge_x_meets_tol_with_fixed_nodes(self, monkeypatch, t):
+        # the Filon weights integrate e^{i xi x} exactly, so the grid at fixed t'
+        # does not depend on |x'|max, and |x'| = 5e4 passes the self-check on it
+        sizes, exact = [], tr.fourier_fundamental
+
+        def counted(xi, t, params):
+            sizes.append(np.size(xi))
+            return exact(xi, t, params)
+
+        monkeypatch.setattr(tr, "fourier_fundamental", counted)
+        for oracle in (tr.invert_fourier_fundamental, tr.mirror_by_quadrature):
+            runs = []
+            for x_max in (0.5, 30.0, 600.0, 5e4):
+                del sizes[:]
+                oracle(np.linspace(0.0, x_max, 9), t, P)
+                runs.append(list(sizes))
+            assert all(run == runs[0] for run in runs) and len(runs[0]) == 2
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
     @pytest.mark.parametrize("coord", ["x", "y"])
