@@ -2,10 +2,9 @@
 
 Subcommands map one-to-one onto the verification workflows:
 
-    hsgreen green-eval    --config cfg.json --out dir [--point X Y T ...]
-    hsgreen solve         --config cfg.json --out dir --kind nonlinear
-    hsgreen verify        --config cfg.json --out dir --which decay
-    hsgreen stability-map --config cfg.json --out dir
+    hsgreen green-eval --config cfg.json --out dir [--point X Y T ...]
+    hsgreen solve      --config cfg.json --out dir --kind nonlinear
+    hsgreen verify     --config cfg.json --out dir --which decay
 
 Configuration is a single JSON file with the schema of DEFAULT_CONFIG,
 whose dataclass sections are the dataclasses' own field defaults.  Unknown
@@ -45,7 +44,7 @@ import sys
 
 import numpy as np
 
-from .core import BoundaryClass, Grid1D, ModelParams, classify_boundary, write_csv
+from .core import BoundaryClass, Grid1D, ModelParams, write_csv
 from .errors import AccuracyError, ConfigurationError, DivergenceError, ParameterError, UsageError
 from .kernels import green_leading
 from .solver import (
@@ -57,7 +56,7 @@ from .solver import (
     solve_linear,
     solve_nonlinear,
 )
-from .spectral import find_boundary_pole, refuse_unstable
+from .spectral import refuse_unstable
 from .transforms import QuadratureConfig, invert_laplace_green
 from . import verify as vf
 
@@ -370,24 +369,6 @@ def cmd_verify(cfg: RunConfig, args) -> int:
     return EXIT_PASS if all(r.passed for r in reports) else EXIT_FAIL
 
 
-def cmd_stability_map(cfg: RunConfig, args) -> int:
-    a1g = _parse_grid_spec(args.a1_grid)
-    a2g = _parse_grid_spec(args.a2_grid)
-    rows = []
-    for a1 in a1g:
-        for a2 in a2g:
-            if a1 == 0.0 and a2 == 0.0:
-                rows.append((a1, a2, "invalid", None))
-                continue
-            params = ModelParams(c=cfg.model.c, nu=cfg.model.nu, a1=a1, a2=a2)
-            rows.append((a1, a2, classify_boundary(a1, a2).value, find_boundary_pole(params)))
-    header = ("a1", "a2", "class", "pole")
-    path = write_csv(os.path.join(args.out, "stability_map.csv"), header, rows)
-    cfg.write_manifest(args.out, "stability-map", {"table": "stability_map.csv"})
-    print(f"wrote {path}")
-    return EXIT_PASS
-
-
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="hsgreen", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
@@ -416,13 +397,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="all",
     )
     vcmd.set_defaults(fn=cmd_verify)
-
-    m = sub.add_parser("stability-map", help="classify (a1, a2) cells and poles")
-    m.add_argument("--config", default=None)
-    m.add_argument("--out", required=True)
-    m.add_argument("--a1-grid", default="-2:2:9")
-    m.add_argument("--a2-grid", default="-2:2:9")
-    m.set_defaults(fn=cmd_stability_map)
     return ap
 
 

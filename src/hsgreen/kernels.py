@@ -98,16 +98,6 @@ def e_function_dx(x, t: float, lam: float, d0: float, gamma: float):
     return gamma * e_function(x, t, lam, d0, gamma) - np.exp(-(u * u) / (d0 * t))
 
 
-def acoustic_projection(sign: int, params: ModelParams) -> Matrix2:
-    """Read-only eigenprojection (I + sign * A/c)/2 of the flux matrix A = [[0,1],[c^2,0]].
-
-    A P_sign = sign * c * P_sign; the two projections are complementary.
-    """
-    if sign not in (+1, -1):
-        raise ParameterError(f"sign must be +1 or -1, got {sign}")
-    return _leading_basis(params.c)[(1 - sign) // 2].reshape(2, 2)
-
-
 @functools.lru_cache(maxsize=32)
 def _leading_basis(c: float) -> np.ndarray:
     """Rows P+, P-, P+ D and P- D, each 2x2 flattened, D = diag(1, -1): every

@@ -176,14 +176,6 @@ def _project_boundary_compatible(m: np.ndarray, grid: Grid1D, params: ModelParam
 # ---------------------------------------------------------------------------
 
 
-def _grad(f: np.ndarray, dx: float) -> np.ndarray:
-    g = np.empty_like(f)
-    g[1:-1] = (f[2:] - f[:-2]) / (2.0 * dx)
-    g[0] = (-3.0 * f[0] + 4.0 * f[1] - f[2]) / (2.0 * dx)
-    g[-1] = (3.0 * f[-1] - 4.0 * f[-2] + f[-3]) / (2.0 * dx)
-    return g
-
-
 def _sponge_profile(grid: Grid1D, cfg: SolverConfig, params: ModelParams) -> np.ndarray:
     xs = grid.L * (1.0 - _SPONGE_FRACTION)
     ramp = np.clip((grid.x - xs) / (grid.L - xs), 0.0, None)
@@ -567,33 +559,6 @@ def solve_nonlinear(
     if np.min(init.rho) <= 0.0:
         raise ParameterError("nonlinear runs need a positive initial density")
     return _integrate(init, params, cfg, nonlinear=True, output_times=output_times)
-
-
-@dataclass
-class NonlinearTermValue:
-    """Pointwise flux-form nonlinearity on the grid: the bracketed flux
-    q_tilde and its spatial derivative q = d(q_tilde)/dx."""
-
-    q_tilde: np.ndarray
-    q: np.ndarray
-
-
-def nonlinear_term(state: FieldState, params: ModelParams,
-                   cfg: SolverConfig) -> NonlinearTermValue:
-    """Quadratic flux remainder of the momentum equation around (1, 0), on
-    the grid of the run ``cfg``:
-
-    q_tilde = -[ m^2/rho + p(rho) - p(1) - p'(1)(rho - 1) + nu ((rho-1) m / rho)_x ]
-    """
-    rho, m = state.rho, state.m
-    if np.any(rho <= 0.0):
-        raise ParameterError("density must be positive")
-    u = rho - 1.0
-    q_tilde = -(
-        m * m / rho + _pressure(rho, params) - _pressure(1.0, params)
-        - params.c**2 * u + params.nu * _grad(u * m / rho, cfg.grid.dx)
-    )
-    return NonlinearTermValue(q_tilde=q_tilde, q=_grad(q_tilde, cfg.grid.dx))
 
 
 @dataclass

@@ -453,7 +453,8 @@ def invert_fourier_fundamental(
     ParameterError past t' = c^2 t/nu = _FOURIER_T_MAX.
     """
     L, t1, _, scale = _unit_frame(t, params)
-    smooth, err = _fourier_smooth_with_error(_points("x", x) / L, t1, cfg)
+    with np.errstate(over="ignore", invalid="ignore"):
+        smooth, err = _fourier_smooth_with_error(_points("x", x) / L, t1, cfg)
     if not err <= cfg.tol:
         raise AccuracyError("fourier inversion did not meet tolerance", err, cfg.tol)
     smooth = smooth[0] * scale if np.ndim(x) == 0 else smooth * scale
@@ -511,13 +512,15 @@ def _invert_laplace(x, y, t: float, params: ModelParams, cfg: QuadratureConfig, 
     with one more 1/L.  Returns, per order, its values or the AccuracyError of
     its own self-check, so an order that misses cfg.tol does not fail the others."""
     L, t1, unit, scale = _unit_frame(t, params)
-    x1, y1 = (v / L for v in _half_line_points(x, y))
     shift = _laplace_shift(t1, unit)
     degrees = (_TALBOT_DEGREE, _TALBOT_DEGREE + 8)
-    outs, probes = (_invert_laplace_talbot(x1, y1, t1, unit, M, shift, orders) for M in degrees)
+    with np.errstate(over="ignore", invalid="ignore"):
+        x1, y1 = (v / L for v in _half_line_points(x, y))
+        outs, probes = (_invert_laplace_talbot(x1, y1, t1, unit, M, shift, orders)
+                        for M in degrees)
+        errs = [float(np.abs(out - probe).max()) for out, probe in zip(outs, probes)]
     results = []
-    for order, out, probe in zip(orders, outs, probes):
-        err = float(np.abs(out - probe).max())
+    for order, probe, err in zip(orders, probes, errs):
         logger.debug("talbot self-check: points=%d degrees=%d/%d t'=%.6g diff=%.3g",
                      x1.size, *degrees, t1, err)
         if not err <= cfg.tol:
@@ -582,7 +585,8 @@ def mirror_by_quadrature(
         raise ParameterError("mirror_by_quadrature needs the stable mixed class")
     L, t1, unit, scale = _unit_frame(t, params)
     warr = _points("w", w, 0.0)
-    smooth, err = _fourier_smooth_with_error(warr / L, t1, cfg, unit.gamma)
+    with np.errstate(over="ignore", invalid="ignore"):
+        smooth, err = _fourier_smooth_with_error(warr / L, t1, cfg, unit.gamma)
     if not err <= 10.0 * cfg.tol:
         raise AccuracyError("mirror quadrature did not meet tolerance", err, 10.0 * cfg.tol)
     smooth = smooth * scale * np.array([1.0, -1.0])

@@ -151,15 +151,14 @@ class TestConfig:
 
     def test_nested_unknown_key_rejected(self, tmp_path):
         cfgp = write_config(tmp_path, {"model": {"speed": 2.0}})
-        assert run_cli(["stability-map", "--config", cfgp,
-                        "--out", str(tmp_path / "o")]) == cli.EXIT_CONFIG
+        assert run_cli(["verify", "--config", cfgp, "--out", str(tmp_path / "o"),
+                        "--which", "lemma41"]) == cli.EXIT_CONFIG
 
     def test_manifest_echoes_resolved_config(self, tmp_path):
-        out = tmp_path / "map"
-        assert run_cli(["stability-map", "--out", str(out),
-                        "--a1-grid=-1:1:3", "--a2-grid=-1:1:3"]) == cli.EXIT_PASS
+        out = tmp_path / "v"
+        assert run_cli(["verify", "--out", str(out), "--which", "lemma41"]) == cli.EXIT_PASS
         manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["command"] == "stability-map"
+        assert manifest["command"] == "verify"
         assert manifest["config"]["model"]["c"] == 1.0
         assert sorted(manifest["config"]) == ["model", "solver", "transforms"]
 
@@ -206,8 +205,8 @@ class TestConfig:
     @pytest.mark.parametrize("payload, key_path", list(BAD_KINDS.values()), ids=list(BAD_KINDS))
     def test_wrong_kind_is_config_error(self, tmp_path, capsys, payload, key_path):
         cfgp = write_config(tmp_path, payload)
-        assert run_cli(["stability-map", "--config", cfgp,
-                        "--out", str(tmp_path / "o")]) == cli.EXIT_CONFIG
+        assert run_cli(["verify", "--config", cfgp, "--out", str(tmp_path / "o"),
+                        "--which", "lemma41"]) == cli.EXIT_CONFIG
         assert key_path in capsys.readouterr().err
 
     @pytest.mark.parametrize("key", ["solver.nx", "model.c"])
@@ -217,16 +216,16 @@ class TestConfig:
         section, leaf = key.split(".")
         cfgp = tmp_path / "long.json"
         cfgp.write_text(f'{{"{section}": {{"{leaf}": 1{"0" * 5000}}}}}')
-        assert run_cli(["stability-map", "--config", str(cfgp),
-                        "--out", str(tmp_path / "o")]) == cli.EXIT_CONFIG
+        assert run_cli(["verify", "--config", str(cfgp), "--out", str(tmp_path / "o"),
+                        "--which", "lemma41"]) == cli.EXIT_CONFIG
         assert f"config key {key!r} is an integer of 5001 digits" in capsys.readouterr().err
 
     def test_integral_float_runs_as_int(self, tmp_path):
         # the manifest echoes the cell count that ran, not the float given
         cfgp = write_config(tmp_path, {"solver": {"nx": 4000.0}})
-        out = tmp_path / "map"
-        assert run_cli(["stability-map", "--config", cfgp, "--out", str(out),
-                        "--a1-grid=-1:1:3", "--a2-grid=-1:1:3"]) == cli.EXIT_PASS
+        out = tmp_path / "v"
+        assert run_cli(["verify", "--config", cfgp, "--out", str(out),
+                        "--which", "lemma41"]) == cli.EXIT_PASS
         assert '"nx": 4000,' in (out / "manifest.json").read_text()
         assert type(cli.RunConfig({"solver": {"nx": 4000.0}}).grid.nx) is int
 
@@ -236,8 +235,8 @@ class TestConfig:
         for name, a2 in (("int", 2), ("float", 2.0)):
             cfgp = write_config(tmp_path, {"model": {"a2": a2}}, name=f"{name}.json")
             out = tmp_path / name
-            assert run_cli(["stability-map", "--config", cfgp, "--out", str(out),
-                            "--a1-grid=-1:1:3", "--a2-grid=-1:1:3"]) == cli.EXIT_PASS
+            assert run_cli(["verify", "--config", cfgp, "--out", str(out),
+                            "--which", "lemma41"]) == cli.EXIT_PASS
             texts.append((out / "manifest.json").read_text())
         assert texts[0] == texts[1]
         assert '"a2": 2.0,' in texts[0]
@@ -305,45 +304,6 @@ class TestConfig:
         assert run_cli(["solve", "--config", write_config(tmp_path, payload), "--out", str(out),
                         "--kind", "linear"]) == cli.EXIT_CONFIG
         assert named in capsys.readouterr().err
-        assert not out.exists()
-
-
-class TestStabilityMap:
-    def test_classes_and_poles(self, tmp_path):
-        out = tmp_path / "map"
-        assert run_cli(["stability-map", "--out", str(out),
-                        "--a1-grid=-1:1:3", "--a2-grid=-1:1:3"]) == cli.EXIT_PASS
-        rows = (out / "stability_map.csv").read_text().strip().splitlines()
-        assert rows[0] == "a1,a2,class,pole"
-        table = {tuple(r.split(",")[:2]): r.split(",")[2:] for r in rows[1:]}
-        assert table[("0", "1")][0] == "dirichlet"
-        assert table[("1", "0")][0] == "neumann"
-        assert table[("-1", "1")] == ["mixed_stable", ""]
-        cls, pole = table[("1", "1")]
-        assert cls == "mixed_unstable"
-        assert float(pole) == pytest.approx(1.618033988749895)
-
-    def test_zero_count_grid_is_config_error(self, tmp_path, capsys):
-        out = tmp_path / "map"
-        assert run_cli(["stability-map", "--out", str(out),
-                        "--a1-grid=-1:1:0"]) == cli.EXIT_CONFIG
-        assert "'-1:1:0'" in capsys.readouterr().err
-        assert not (out / "stability_map.csv").exists()
-
-    def test_count_beyond_array_grid_is_config_error(self, tmp_path, capsys):
-        # refused by the count bound, before any array is allocated
-        spec = f"-1:1:{2**62}"
-        assert run_cli(["stability-map", "--out", str(tmp_path / "map"),
-                        f"--a1-grid={spec}"]) == cli.EXIT_CONFIG
-        assert f"1 <= n <= {cli._MAX_COUNT}, got {spec!r}" in capsys.readouterr().err
-
-    def test_unallocatable_grid_is_config_error(self, tmp_path, capsys):
-        # within the count bound, but 10^15 nodes need 7.11 PiB: a config
-        # error, not a traceback with the verified-fail exit code
-        out = tmp_path / "map"
-        assert run_cli(["stability-map", "--out", str(out),
-                        "--a1-grid", "0:1:1000000000000000"]) == cli.EXIT_CONFIG
-        assert "7.11 PiB" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -455,6 +415,23 @@ class TestGreenEval:
         assert "'1:20:0'" in capsys.readouterr().err
         assert not (out / "greens.csv").exists()
 
+    def test_count_beyond_array_grid_is_config_error(self, tmp_path, capsys):
+        # refused by the count bound, before any array is allocated
+        spec = f"-1:1:{2**62}"
+        out = tmp_path / "ge"
+        assert run_cli(["green-eval", "--out", str(out), f"--x-grid={spec}"]) == cli.EXIT_CONFIG
+        assert f"1 <= n <= {cli._MAX_COUNT}, got {spec!r}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unallocatable_grid_is_config_error(self, tmp_path, capsys):
+        # within the count bound, but 10^15 nodes need 7.11 PiB: a config
+        # error, not a traceback with the verified-fail exit code
+        out = tmp_path / "ge"
+        assert run_cli(["green-eval", "--out", str(out),
+                        "--x-grid", "0:1:1000000000000000"]) == cli.EXIT_CONFIG
+        assert "7.11 PiB" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_grid_row_count(self, tmp_path):
         cfgp = write_config(tmp_path, {"solver": {"L": 40.0, "nx": 400, "t_end": 3.0,
                                                   "n_snapshots": 4}})
@@ -479,12 +456,12 @@ class TestSolve:
         cfgp = write_config(tmp_path, SMALL_SOLVER)
         runs = [
             (["solve", "--kind", "nonlinear"], "nonlinear_0002.csv"),
-            (["stability-map"], "stability_map.csv"),
+            (["verify", "--which", "instability"], "instability_norms.csv"),
             (["green-eval", "--point", "5", "28", "2"], "greens.csv"),
             (["verify", "--which", "lemma41"], "lemma_initial_data.csv"),
         ]
-        for argv, table in runs:
-            out1, out2 = (tmp_path / f"{argv[0]}{k}" for k in (1, 2))
+        for i, (argv, table) in enumerate(runs):
+            out1, out2 = (tmp_path / f"run{i}_{k}" for k in (1, 2))
             for out in (out1, out2):
                 assert run_cli(argv + ["--config", cfgp, "--out", str(out)]) == cli.EXIT_PASS
             tables = sorted(p.name for p in out1.glob("*.csv"))

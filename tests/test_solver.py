@@ -659,33 +659,6 @@ class TestNonlinearSolver:
             so.solve_nonlinear(init, pu, cfg)
 
 
-class TestNonlinearTerm:
-    def test_vanishes_at_constant_state(self):
-        cfg = small_cfg(L=10.0, nx=100)
-        st = so.FieldState(t=0.0, rho=np.ones(101), m=np.zeros(101))
-        val = so.nonlinear_term(st, P, cfg)
-        assert np.abs(val.q_tilde).max() == 0.0
-        assert np.abs(val.q).max() == 0.0
-
-    def test_quadratic_amplitude_scaling(self):
-        cfg = small_cfg(L=40.0, nx=800)
-        x = cfg.grid.x
-        norms = []
-        for eps in (1e-3, 2e-3):
-            rho = 1.0 + eps * np.exp(-((x - 20.0) ** 2) / 4.0)
-            m = eps * np.exp(-((x - 20.0) ** 2) / 4.0)
-            val = so.nonlinear_term(so.FieldState(t=0.0, rho=rho, m=m), P, cfg)
-            norms.append(np.abs(val.q_tilde).max())
-        exponent = math.log2(norms[1] / norms[0])
-        assert abs(exponent - 2.0) <= 0.05
-
-    def test_positive_density_required(self):
-        cfg = small_cfg(L=10.0, nx=10)
-        st = so.FieldState(t=0.0, rho=np.full(11, -0.1), m=np.zeros(11))
-        with pytest.raises(ParameterError):
-            so.nonlinear_term(st, P, cfg)
-
-
 class TestGreenColumn:
     @pytest.fixture(scope="class")
     def narrow_columns(self):

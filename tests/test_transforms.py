@@ -509,6 +509,24 @@ class TestOraclePoints:
                 runs.append(list(sizes))
             assert all(run == runs[0] for run in runs) and len(runs[0]) == 2
 
+    @pytest.mark.parametrize("params, x", [(P, 1e307), (ModelParams(nu=1e-3), 1e306)],
+                             ids=["unit-1e307", "nu1e-3-1e306"])
+    @pytest.mark.parametrize("oracle",
+                             ["fourier", "mirror", "talbot", "talbot_dx", "fourier_green"])
+    def test_overflowing_point_fails_its_self_check(self, oracle, params, x):
+        # a finite point whose unit-frame value x/L or its phases overflow: the
+        # self-check reads NaN and raises AccuracyError, and no RuntimeWarning leaks
+        run = {
+            "fourier": lambda: tr.invert_fourier_fundamental(np.array([1.0, x]), 1.0, params),
+            "mirror": lambda: tr.mirror_by_quadrature(x, 1.0, params),
+            "talbot": lambda: tr.invert_laplace_green(x, 2.0, 1.0, params),
+            "talbot_dx": lambda: tr.invert_laplace_green_dx(x, 2.0, 1.0, params),
+            "fourier_green": lambda: tr.fourier_green(x, 2.0, 1.0, params),
+        }[oracle]
+        with pytest.raises(AccuracyError) as info:
+            run()
+        assert math.isnan(info.value.achieved)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
     @pytest.mark.parametrize("coord", ["x", "y"])
     def test_non_finite_laplace_point_rejected(self, coord, bad):

@@ -227,30 +227,6 @@ class TestDecayReports:
         assert rep.parameters["t_window"][1] < 40.0
         assert rep.details["M_final"] > 0.0
 
-    def test_flux_remainder_obeys_two_wave_envelope(self, nonlinear_traj):
-        # |q_tilde| <= O(1) M^2 [psi^2(x,t;c) + psi^2(x,t;-c)]: the observed
-        # sup ratio over the trajectory is finite and does not grow in time
-        from hsgreen.core import psi_envelope
-
-        m_sq = vf.decay_report(nonlinear_traj, P).details["M_final"] ** 2
-        grid = nonlinear_traj.grid
-        cfg = so.SolverConfig(grid=grid, t_end=50.0)  # the fixture's run
-        keep = grid.x <= 0.85 * grid.L
-        ratios = []
-        for st in nonlinear_traj.states:
-            if st.t < 1.0:
-                continue
-            val = so.nonlinear_term(st, P, cfg)
-            env = m_sq * (
-                psi_envelope(grid.x, st.t, P.c, 2.0)
-                + psi_envelope(grid.x, st.t, -P.c, 2.0)
-            )
-            ratios.append(float((np.abs(val.q_tilde)[keep] / env[keep]).max()))
-        ratios = np.array(ratios)
-        assert np.all(np.isfinite(ratios))
-        assert ratios[-5:].max() <= 2.0 * ratios.max(initial=1e-300)
-        assert ratios.max() < 50.0
-
 
 class TestLemmaInitialData:
     def test_hypotheses_enforced(self):
