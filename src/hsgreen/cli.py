@@ -370,7 +370,8 @@ def cmd_verify(cfg: RunConfig, args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="hsgreen", description=__doc__)
+    ap = argparse.ArgumentParser(prog="hsgreen", description=__doc__,
+                                 formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = ap.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("green-eval", help="tabulate Green's-function evaluators")

@@ -144,8 +144,8 @@ class Grid1D:
     nx: int
 
     def __post_init__(self):
-        if not (self.L > 0.0 and self.nx >= 4):
-            raise ParameterError(f"need L > 0 and nx >= 4, got L={self.L}, nx={self.nx}")
+        if not (0.0 < self.L < math.inf and self.nx >= 4):
+            raise ParameterError(f"need finite L > 0 and nx >= 4, got L={self.L}, nx={self.nx}")
 
     @property
     def dx(self) -> float:

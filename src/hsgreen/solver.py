@@ -75,10 +75,12 @@ class SolverConfig:
     n_snapshots: int = 11
 
     def __post_init__(self):
-        if not (self.t_end > 0.0):
-            raise ConfigurationError("t_end must be positive")
-        if not (self.sponge_strength >= 0.0):
-            raise ConfigurationError(f"sponge_strength must be >= 0, got {self.sponge_strength}")
+        if not (0.0 < self.t_end < math.inf):
+            raise ConfigurationError(f"t_end must be positive and finite, got t_end={self.t_end}")
+        if not (0.0 <= self.sponge_strength < math.inf):
+            raise ConfigurationError(
+                f"sponge_strength must be >= 0 and finite, got {self.sponge_strength}"
+            )
         if self.n_snapshots < 2:
             raise ConfigurationError(
                 f"n_snapshots counts t = 0 and t_end, so it must be >= 2, got {self.n_snapshots}"

@@ -69,22 +69,8 @@ for degree 9 in r where Gauss is for degree 19, hence the narrower core.
 The grid grows like t only; past t' = _FOURIER_T_MAX both Fourier oracles
 raise ParameterError before they build it.
 
-A segment's phase sum factors exactly:
-
-    sum_{p,j} r_pj e^{i x m_p} M_j(x h) = sum_j M_j(x h) sum_p e^{i x m_p} r_pj,
-
-one matrix product and one contraction over the _N_XI Filon weights.  The
-panel phases factor once more: a segment's P panels sit at m_p = m_0 + 2 h p,
-and with B = ceil(sqrt(P)), p = a B + b (the panel count padded to a multiple
-of B with zero-weight panels),
-
-    e^{i x m_p} = e^{i x m_0} e^{i x 2 h B a} e^{i x 2 h b}.
-
-The residual is laid out in (b, a) order, so one GEMM against the B
-baby-step phases e^{i x 2 h b} leaves a (point, a) sum that the A giant-step
-phases e^{i x 2 h B a} contract; e^{i x m_0} joins the Filon weights.  That
-is about 2 sqrt(P) complex exponentials per point, not one per panel, plus
-the _N_XI weights.
+A segment's phase sum is one GEMM of the (point, panel) phases e^{i x m_p}
+against the residual, one contraction over the _N_XI Filon weights.
 
 Mirror kernel
 -------------
@@ -361,15 +347,8 @@ def _filon_moments(omega: np.ndarray) -> np.ndarray:
     return out
 
 
-# Bound on one segment's baby-step product, (points x A _N_XI 4), in elements.
+# Bound on one segment's phase table, (points x panels), in elements.
 _PHASE_CHUNK = 1_000_000
-
-
-def _panel_table(n: int) -> np.ndarray:
-    """Panel indices p = a B + b as a (B, A) table, B = ceil(sqrt(n)) and
-    A = ceil(n / B); entries p >= n are zero-weight pad panels."""
-    n_b = math.isqrt(n - 1) + 1
-    return np.arange(n_b)[:, None] + n_b * np.arange(-(-n // n_b))
 
 
 def _fourier_smooth_grid(
@@ -384,32 +363,21 @@ def _fourier_smooth_grid(
     x = np.asarray(x, dtype=float)
     segments = _xi_grid(t, cfg, refine, gamma)
     gx = _gauss_legendre(_N_XI)[0]
-    # Each segment's nodes in (b, a, j) order; the pad panels continue the grid.
-    tables = [_panel_table(mid.size) for mid, _ in segments]
-    nodes = []
-    for (mid, half), p in zip(segments, tables):
-        pad = mid[-1] + 2.0 * half * np.arange(1, p.size - mid.size + 1)
-        nodes.append((np.append(mid, pad)[p][..., None] + half * gx).ravel())
+    nodes = [(mid[:, None] + half * gx).ravel() for mid, half in segments]
     res = _smooth_residual(np.concatenate(nodes), t, gamma)
     # Hermitian symmetry folds the inverse onto xi > 0,
-    # (1/pi) int_0^inf Re(P e^{i xi x}); each segment's phase sum factors
-    # into baby-step and giant-step phases and Filon weights (module docstring).
+    # (1/pi) int_0^inf Re(P e^{i xi x}); each segment's phase sum is one GEMM
+    # and one contraction over the Filon weights (module docstring).
     xs = x.ravel()
     flat = np.zeros((xs.size, 4))
-    # The Filon weights e^{i x m_0} M_j(x h), one (point, j) table per segment
+    # The Filon weights M_j(x h), one (point, j) table per segment
     filon = _filon_moments(np.outer([half for _, half in segments], xs))
-    filon *= _unit_phase(np.outer([mid[0] for mid, _ in segments], xs))[..., None]
-    for (mid, half), p, r, weights in zip(segments, tables, np.split(res, [nodes[0].size]), filon):
-        n_b, n_a = p.shape
-        r = r.reshape(n_b, n_a, _N_XI, 4) * (half / math.pi)
-        r[p >= mid.size] = 0.0
-        r = r.reshape(n_b, -1)
-        step = max(1, _PHASE_CHUNK // r.shape[1])
+    for (mid, half), r, weights in zip(segments, np.split(res, [nodes[0].size]), filon):
+        r = r.reshape(mid.size, -1) * (half / math.pi)
+        step = max(1, _PHASE_CHUNK // mid.size)
         for i in range(0, xs.size, step):
             xc = xs[i : i + step]
-            baby = _unit_phase(np.outer(xc, 2.0 * half * np.arange(n_b))) @ r
-            giant = _unit_phase(np.outer(xc, 2.0 * half * n_b * np.arange(n_a)))
-            panel_sum = np.matmul(giant[:, None, :], baby.reshape(xc.size, n_a, -1))
+            panel_sum = _unit_phase(np.outer(xc, mid)) @ r
             flat[i : i + xc.size] += np.einsum(
                 "xj,xje->xe", weights[i : i + xc.size], panel_sum.reshape(xc.size, _N_XI, 4)
             ).real

@@ -26,6 +26,8 @@ from .core import (
     ModelParams,
     Trajectory,
     a0_profile,
+    check_points,
+    check_positive,
     psi_envelope,
     theta_envelope,
 )
@@ -437,8 +439,8 @@ def lemma_initial_data_check(
         raise ParameterError(f"hypothesis needs r > 1/2, got r={r}")
     if not (e_const > d0 > 0.0):
         raise ParameterError(f"hypothesis needs E > d0 > 0, got E={e_const}, d0={d0}")
-    x_grid = np.asarray(x_grid, dtype=float)
-    t_grid = np.asarray(t_grid, dtype=float)
+    x_grid = check_points("x", x_grid)
+    t_grid = check_points("t", t_grid, lo=0.0)
     if x_grid.size == 0 or t_grid.size == 0:
         raise ParameterError("lemma check needs at least one x and one t node")
 
@@ -605,6 +607,12 @@ def lemma_wave_interaction_check(
         if alpha < 1.0:
             raise ParameterError("hypothesis violated: cross-speed needs alpha >= 1")
         K = 2.0 * abs(lam - lam_prime) + 1.0
+    check_points("lam", lam)
+    check_points("lam'", lam_prime)
+    for t in t_values:
+        check_positive("t", t)
+    if not (len(t_values) >= 1 and n_x >= 1):
+        raise ParameterError(f"need at least one t node and n_x >= 1, got t={t_values}, n_x={n_x}")
 
     def sweep(scale: int):
         sup = -np.inf

@@ -561,6 +561,15 @@ class TestSolve:
         assert key == named or key.startswith(named + ".")
 
 
+class TestHelp:
+    def test_usage_lines_print_as_written(self):
+        # the module docstring's usage lines keep their own lines in --help
+        usage = [ln.strip() for ln in cli.__doc__.splitlines() if ln.strip().startswith("hsgreen ")]
+        assert len(usage) == 3
+        lines = [ln.strip() for ln in cli.build_parser().format_help().splitlines()]
+        assert all(u in lines for u in usage)
+
+
 class TestExitCodes:
     def test_accuracy_error_exit_code(self, tmp_path):
         # a tolerance below the contour's degree-32 vs 40 difference -> exit 3

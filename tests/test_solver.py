@@ -32,6 +32,18 @@ class TestConfig:
         with pytest.raises(ConfigurationError):
             small_cfg(n_snapshots=n)
 
+    @pytest.mark.parametrize("make, error, named", [
+        (lambda: small_cfg(t_end=math.inf), ConfigurationError, "t_end=inf"),
+        (lambda: small_cfg(t_end=math.nan), ConfigurationError, "t_end=nan"),
+        (lambda: small_cfg(sponge_strength=math.inf), ConfigurationError, "sponge_strength"),
+        (lambda: Grid1D(L=math.inf, nx=10), ParameterError, "L=inf"),
+        (lambda: Grid1D(L=math.nan, nx=10), ParameterError, "L=nan"),
+    ], ids=["t_end-inf", "t_end-nan", "sponge-inf", "L-inf", "L-nan"])
+    def test_non_finite_refused(self, make, error, named):
+        # refused in the dataclass itself, naming the field, with no warning first
+        with pytest.raises(error, match=named):
+            make()
+
 
 class TestInitialData:
     def test_algebraic_profile_formula(self):

@@ -141,7 +141,7 @@ def flat_phase_sum(x, t, refine, gamma):
 
 
 class TestPhaseFactorization:
-    # panel phases times node phases reproduce the flat sum over all nodes, at
+    # the chunked panel-phase GEMM and Filon contraction reproduce the flat sum over all panels, at
     # the unit-model point (x/L, t', gamma') that each set's (x, t) maps to
     @pytest.mark.parametrize("refine", [1, 2])
     @pytest.mark.parametrize("t", [2.0, 10.0])
@@ -157,17 +157,16 @@ class TestPhaseFactorization:
     def test_chunked_points(self, monkeypatch):
         x = np.linspace(-9.0, 11.0, 41)
         segments = tr._xi_grid(2.0, tr.QuadratureConfig())
-        monkeypatch.setattr(tr, "_PHASE_CHUNK", 500)
-        # each chunk holds _PHASE_CHUNK // (A n_xi 4) points of a segment
-        assert all(tr._PHASE_CHUNK // (tr._panel_table(mid.size).shape[1] * 40) < x.size
-                   for mid, _ in segments)
+        monkeypatch.setattr(tr, "_PHASE_CHUNK", 200)
+        # each chunk holds _PHASE_CHUNK // P points of a segment of P panels
+        assert all(tr._PHASE_CHUNK // mid.size < x.size for mid, _ in segments)
         got = tr._fourier_smooth_grid(x, 2.0, tr.QuadratureConfig())
         assert np.abs(got - flat_phase_sum(x, 2.0, 1, None)).max() <= 1e-12
 
     @pytest.mark.parametrize("panels", [1, 13, 49], ids=["one", "prime", "square"])
     @pytest.mark.parametrize("mirror", [False, True], ids=["whole_line", "mirror"])
     def test_panel_counts(self, monkeypatch, mirror, panels):
-        # P = 1, a prime P (padded to A B = 16) and a perfect square (7 x 7)
+        # P = 1, a prime P and a perfect square (7 x 7)
         def grid(t, cfg, refine=1, gamma=None):
             segments = []
             for lo, hi in ((0.0, 4.0), (4.0, 30.0)):
@@ -181,13 +180,6 @@ class TestPhaseFactorization:
         got = tr._fourier_smooth_grid(x, 2.0, tr.QuadratureConfig(), 1, gamma)
         flat = flat_phase_sum(x, 2.0, 1, gamma)
         assert np.abs(got - flat).max() <= 1e-13 * np.abs(flat).max()
-
-    def test_panel_table_covers_each_panel_once(self):
-        for n in range(1, 300):
-            p = tr._panel_table(n)
-            n_b, n_a = p.shape
-            assert n_b == math.ceil(math.sqrt(n)) and (n_a - 1) * n_b < n <= n_a * n_b
-            assert np.array_equal(np.sort(p.ravel()), np.arange(p.size))
 
     def test_self_check_logged_at_debug(self, caplog):
         cfg = tr.QuadratureConfig()

@@ -3,6 +3,7 @@ import dataclasses
 import io
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -250,6 +251,31 @@ class TestLemmaInitialData:
         # core region reproduces I <= O(1)/sqrt(t+1)
         assert rep.details["core_sup_scaled"] is not None
         assert rep.details["core_sup_scaled"] <= 10.0
+
+
+WAVE = ("same-speed", 2.0, 0.5, 2.0, 1.0)
+MALFORMED_LEMMA_INPUTS = {
+    "n_x=0": (lambda: vf.lemma_wave_interaction_check(*WAVE, n_x=0), "n_x=0"),
+    "t=-2": (lambda: vf.lemma_wave_interaction_check(*WAVE, t_values=(-2.0,)), "t=-2"),
+    "t=nan": (lambda: vf.lemma_wave_interaction_check(*WAVE, t_values=(math.nan,)), "t=nan"),
+    "t=0": (lambda: vf.lemma_wave_interaction_check(*WAVE, t_values=(0.0,)), "t=0"),
+    "no-t": (lambda: vf.lemma_wave_interaction_check(*WAVE, t_values=()), "t=()"),
+    "lam=inf": (lambda: vf.lemma_wave_interaction_check("same-speed", 2.0, 0.5, 2.0, math.inf),
+                "lam=inf"),
+    "lam'=nan": (lambda: vf.lemma_wave_interaction_check("cross-speed", 2.0, 0.5, 2.0, 1.0,
+                                                         math.nan), "lam'=nan"),
+    "lemma41-t=-3": (lambda: vf.lemma_initial_data_check(2.0, 1.0, 3.0, [0.0], [-3.0]), "t=-3"),
+    "lemma41-x=nan": (lambda: vf.lemma_initial_data_check(2.0, 1.0, 3.0, [math.nan], [1.0]),
+                      "x=nan"),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_LEMMA_INPUTS)
+def test_malformed_lemma_input_refused(case):
+    # refused with the value named, not a bare ValueError or a "fail" with sup -inf
+    call, named = MALFORMED_LEMMA_INPUTS[case]
+    with pytest.raises(ParameterError, match=re.escape(named)):
+        call()
 
 
 class TestLemmaWaveInteraction:
