@@ -108,32 +108,19 @@ def check_points(name: str, v, lo: float = -math.inf) -> np.ndarray:
     return arr
 
 
-# 2x2 real matrices are plain numpy arrays of shape (2, 2); the alias is for
-# signature readability only.
-Matrix2 = np.ndarray
-
-# The slot of the persistent delta exp(-c^2 t/nu) delta(x): the (1,1) entry.
-# Read-only and shared; a weight times it is a fresh array.
-DELTA_SLOT = np.diag([1.0, 0.0])
-DELTA_SLOT.flags.writeable = False
-
-
 @dataclass
 class KernelValue:
-    """Value of a matrix kernel: a smooth 2x2 density plus Dirac terms.
+    """Value of a matrix kernel: a smooth 2x2 density plus one Dirac term.
 
-    ``deltas`` is a list of (location, weight-matrix) pairs with distinct
-    locations.  Evaluators for interior points of the quarter-plane drop any
-    delta that cannot fire there (e.g. the image delta at x = -y).
+    The delta sits at ``delta_at`` with weight ``delta_weight`` in the (1,1)
+    (density-density) slot.  Evaluators for interior points of the
+    quarter-plane drop any delta that cannot fire there, such as the image
+    delta at x = -y.
     """
 
-    smooth: Matrix2
-    deltas: list[tuple[float, Matrix2]] = field(default_factory=list)
-
-    def __post_init__(self):
-        locs = [loc for loc, _ in self.deltas]
-        if len(set(locs)) != len(locs):
-            raise ParameterError(f"delta locations must be distinct, got {locs}")
+    smooth: np.ndarray
+    delta_at: float
+    delta_weight: float
 
 
 @dataclass(frozen=True)
@@ -144,6 +131,8 @@ class Grid1D:
     nx: int
 
     def __post_init__(self):
+        if isinstance(self.nx, bool) or not isinstance(self.nx, (int, np.integer)):
+            raise ParameterError(f"need an integer nx, got nx={self.nx!r}")
         if not (0.0 < self.L < math.inf and self.nx >= 4):
             raise ParameterError(f"need finite L > 0 and nx >= 4, got L={self.L}, nx={self.nx}")
 
@@ -189,10 +178,10 @@ class Trajectory:
     grid: Grid1D
     params: ModelParams
     states: list[FieldState] = field(default_factory=list)
-    # Solver work counters: steps, explicit RHS evaluations, implicit solves,
-    # sparse products, the nnz of the two stage operators, factorizations,
-    # each snapshot segment's dt with the limit that set it, and for nonlinear
-    # runs the minimum density.  Not written to manifests.
+    # Solver work counters: steps (each two stage products and two implicit
+    # solves), factorizations, each snapshot segment's dt with the limit that
+    # set it, the nnz of the two stage operators and, for nonlinear runs, the
+    # minimum density.  Not written to manifests.
     stats: dict = field(default_factory=dict)
 
     def append(self, state: FieldState) -> None:
@@ -212,13 +201,10 @@ class Trajectory:
 
 
 def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> str:
-    """Write a CSV table, creating its directory.  Numbers are written with 17
-    significant digits (they read back bit-exact), strings as they are and
-    None as an empty cell."""
+    """Write a CSV table of numbers, creating its directory.  Each is written
+    with 17 significant digits, so it reads back bit-exact."""
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    lines = [",".join(header)] + [",".join(
-        "" if v is None else v if isinstance(v, str) else f"{float(v):.17g}" for v in row
-    ) for row in rows]
+    lines = [",".join(header)] + [",".join(f"{float(v):.17g}" for v in row) for row in rows]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
     return path

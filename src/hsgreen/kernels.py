@@ -33,9 +33,7 @@ import math
 
 import numpy as np
 
-from .core import (
-    DELTA_SLOT, BoundaryClass, KernelValue, Matrix2, ModelParams, check_points, check_positive,
-)
+from .core import BoundaryClass, KernelValue, ModelParams, check_points, check_positive
 from .errors import ParameterError, UsageError
 from .spectral import refuse_unstable
 
@@ -138,12 +136,11 @@ def fundamental_leading(x, t: float, params: ModelParams) -> KernelValue:
     smooth part of shape x.shape + (2, 2), delta at offset 0."""
     x = check_points("x", x)
     check_positive("t", t)
-    delta = singular_weight(t, params) * DELTA_SLOT
     smooth = _assemble(_ridges(x, t, params)[1], t, params, slice(0, 2))
-    return KernelValue(smooth=smooth, deltas=[(0.0, delta)])
+    return KernelValue(smooth=smooth, delta_at=0.0, delta_weight=singular_weight(t, params))
 
 
-def mirror_leading(w, t: float, params: ModelParams) -> Matrix2:
+def mirror_leading(w, t: float, params: ModelParams) -> np.ndarray:
     """Leading-order mirror kernel at w = x + y >= 0 for the stable mixed class,
     of shape w.shape + (2, 2).
 
@@ -181,5 +178,4 @@ def green_leading(x, y: float, t: float, params: ModelParams) -> KernelValue:
     elif params.boundary_class is BoundaryClass.NEUMANN:  # the image kernel, - for Neumann
         coef[..., 1, :] *= -1.0
     smooth = _assemble(coef.reshape(x.shape + (4,)), t, params, slice(None))
-    delta = singular_weight(t, params) * DELTA_SLOT
-    return KernelValue(smooth=smooth, deltas=[(float(y), delta)])
+    return KernelValue(smooth=smooth, delta_at=float(y), delta_weight=singular_weight(t, params))

@@ -46,8 +46,9 @@ The sponge's rate rises to ``sponge_strength`` c^2/nu, so every rate scales as c
 a run mapped from ``ModelParams.unit_model`` by x = (nu/c) x', t = (nu/c^2) t',
 m = c m' takes the same steps, and equals it bitwise when c and nu are powers of 2.
 
-The solvers write no file: a run returns its ``Trajectory``, and ``hsgreen
-solve`` writes the snapshots.
+The solvers write no file: a run returns its ``Trajectory``, whose ``stats``
+count the steps (two stage products and two implicit solves each), and
+``hsgreen solve`` writes the snapshots.
 """
 
 from __future__ import annotations
@@ -81,9 +82,11 @@ class SolverConfig:
             raise ConfigurationError(
                 f"sponge_strength must be >= 0 and finite, got {self.sponge_strength}"
             )
-        if self.n_snapshots < 2:
+        n = self.n_snapshots
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 2:
             raise ConfigurationError(
-                f"n_snapshots counts t = 0 and t_end, so it must be >= 2, got {self.n_snapshots}"
+                f"n_snapshots counts t = 0 and t_end, so it must be an integer >= 2, "
+                f"got n_snapshots={n!r}"
             )
 
 
@@ -228,15 +231,15 @@ class _Rhs:
     """Semi-discrete right-hand side of the linear or nonlinear system on the
     stacked state z = (u, m), u = rho - 1, each half of length n.
 
-    It is the sum ``explicit(z) + (0, implicit(m))``.  The stencils, each a
-    slot table over the n rows:
+    It is the sum ``stage(E, z) + (0, J @ m)``.  The stencils, each a slot
+    table over the n rows:
 
     * D1, the gradient: central rows, one-sided rows at both ends;
     * D2, the second difference: the mirror ghost f[n] = f[n-2] in the far
       row, 0 in the wall row;
     * J = nu D2 plus the wall row of the Robin ghost (0 under the Dirichlet
-      pin).  ``implicit(m) = J @ m`` is the viscous term nu m_xx, which the
-      IMEX step solves for;
+      pin).  ``J @ m`` is the viscous term nu m_xx, which the IMEX step
+      solves for;
     * D4, the fourth difference, with the coefficient _KAPPA4 c/dx, and S,
       the sponge.
 
@@ -247,15 +250,14 @@ class _Rhs:
         E = [[-D4 - S, -D1,   0,    0 ],
              [   0,    -S,  -D1, nu D2]]
 
-    so ``explicit(z) = E @ (z, flux, w)`` is the flux gradient and the
+    so ``stage(E, z) = E @ (z, flux, w)`` is the flux gradient and the
     viscous remainder nu (m/rho - m)_xx with the linear part in one product.
     The remainder's wall row reads its Robin ghost and is the one scalar
     added after it.  In the linear system E acts on z itself and has
     -c^2 D1 in place of the flux and remainder columns.  Under the Dirichlet
     pin the m wall row of E is 0.  The final operator F = E + _K (0, J) is
-    E with _K J added to its m-m block, so ``final(z)`` folds the last
+    E with _K J added to its m-m block, so ``stage(F, z)`` folds the last
     stage's implicit term into its explicit product (see ``_imex_step``).
-    ``products`` counts the stage products made.
     """
 
     def __init__(self, params: ModelParams, cfg: SolverConfig, nonlinear: bool):
@@ -308,11 +310,10 @@ class _Rhs:
             acoustic = (0, (d1_off, c**2 * nd1_m))
             self.E = _csr(n, 2 * n, u_rows, [acoustic, (n, mm_e)])
             self.F = _csr(n, 2 * n, u_rows, [acoustic, (n, mm_f)])
-        self.products = 0
 
-    def _stage(self, op, z: np.ndarray) -> np.ndarray:
-        """op @ z (linear), or op @ (z, flux, w) plus the remainder's wall row."""
-        self.products += 1
+    def stage(self, op, z: np.ndarray) -> np.ndarray:
+        """The stage product with op, E or F: op @ z (linear), or
+        op @ (z, flux, w) plus the remainder's wall row."""
         if not self.nonlinear:
             return op @ z
         p, n, dx = self.params, self.n, self.cfg.grid.dx
@@ -331,24 +332,7 @@ class _Rhs:
             dzdt[n] += p.nu * (ghost_m / ghost_rho - ghost_m - 2.0 * w[0] + w[1]) / dx**2
         return dzdt
 
-    def implicit(self, m: np.ndarray) -> np.ndarray:
-        """nu m_xx with its boundary rows: J @ m."""
-        return self.J @ m
-
-    def explicit(self, z: np.ndarray) -> np.ndarray:
-        """The explicit part: one product with E."""
-        return self._stage(self.E, z)
-
-    def final(self, z: np.ndarray) -> np.ndarray:
-        """explicit(z) + _K (0, implicit(m)): one product with F."""
-        return self._stage(self.F, z)
-
-    def __call__(self, z: np.ndarray) -> np.ndarray:
-        dzdt = self.explicit(z)
-        dzdt[self.n:] += self.implicit(z[self.n:])
-        return dzdt
-
-    def explicit_viscosity(self, u: np.ndarray) -> float:
+    def remainder_viscosity(self, u: np.ndarray) -> float:
         """Viscosity of the explicit viscous remainder: nu max|1/rho - 1| in
         the nonlinear system, 0 in the linear one."""
         if not self.nonlinear:
@@ -357,7 +341,7 @@ class _Rhs:
 
 
 class _ImplicitSolve:
-    """Solver of (I - h J) x = b, J the matrix of ``_Rhs.implicit``.
+    """Solver of (I - h J) x = b, J the viscous matrix ``_Rhs.J``.
 
     The three diagonals of the tridiagonal I - hJ are read off J.  Its wall
     and far rows carry exactly twice their neighbour's off-diagonal (the
@@ -394,7 +378,7 @@ class _ImplicitSolve:
         self._dpttrs = dpttrs
         self.factors = (d, e)
 
-    def __call__(self, b: np.ndarray) -> np.ndarray:
+    def solve(self, b: np.ndarray) -> np.ndarray:
         """The solution x, computed in the array b (contiguous float64)."""
         if self.pinned:
             b[1] -= self.a10 * b[0]
@@ -411,25 +395,25 @@ _DELTA = 1.0 - 1.0 / (2.0 * _GAMMA)
 _K = (1.0 - _GAMMA) / (1.0 - _DELTA)
 
 
-def _imex_step(rhs: _Rhs, solve: _ImplicitSolve, z: np.ndarray, dt: float) -> np.ndarray:
-    """One ARS(2,2,2) step of the stacked state z = (u, m); ``solve``
+def _imex_step(rhs: _Rhs, implicit: _ImplicitSolve, z: np.ndarray, dt: float) -> np.ndarray:
+    """One ARS(2,2,2) step of the stacked state z = (u, m); ``implicit``
     inverts I - _GAMMA dt J in place on the m half.
 
     The final stage z + DELTA dt f1 + (1 - DELTA) dt f2 + (1 - GAMMA) dt (0, J m2)
-    takes f2 and the implicit term from one product, ``rhs.final(z2)`` =
+    takes f2 and the implicit term from one product, ``rhs.stage(rhs.F, z2)`` =
     f2 + _K (0, J m2), so a step makes two sparse products."""
     n = rhs.n
-    f1 = rhs.explicit(z)
+    f1 = rhs.stage(rhs.E, z)
     z2 = (_GAMMA * dt) * f1
     z2 += z
-    solve(z2[n:])
-    f2 = rhs.final(z2)
+    implicit.solve(z2[n:])
+    f2 = rhs.stage(rhs.F, z2)
     # z + DELTA dt f1 + (1 - DELTA) dt f2, summed in that order, in f1's storage
     f1 *= _DELTA * dt
     f1 += z
     f2 *= (1.0 - _DELTA) * dt
     f1 += f2
-    solve(f1[n:])
+    implicit.solve(f1[n:])
     return f1
 
 
@@ -448,7 +432,7 @@ def _stable_dt(params: ModelParams, cfg: SolverConfig, nu_explicit: float) -> tu
       Neumann analysis of the interior scheme with _KAPPA4 = 0.25 first fails
       at 2.5 / rate, for every dx and nu tried;
     * explicit-viscous: _CFL dx^2 / nu_explicit for the viscous remainder
-      of viscosity nu_explicit (``_Rhs.explicit_viscosity``), the same rule
+      of viscosity nu_explicit (``_Rhs.remainder_viscosity``), the same rule
       as for a fully explicit nu m_xx.
     """
     dx = cfg.grid.dx
@@ -510,18 +494,18 @@ def _integrate(
     if nonlinear:
         stats["min_density"] = float(np.min(init.rho))
 
-    solve = None
+    implicit = None
     try:
         for t, t_next in zip(times[:-1], times[1:]):
-            dt_max, limit = _stable_dt(params, cfg, rhs.explicit_viscosity(z[:n]))
+            dt_max, limit = _stable_dt(params, cfg, rhs.remainder_viscosity(z[:n]))
             n_steps = max(1, int(math.ceil((t_next - t) / dt_max)))
             dt = (t_next - t) / n_steps
-            if solve is None or solve.h != _GAMMA * dt:
-                solve = None  # release the old factors before building the next
-                solve = _ImplicitSolve(rhs, _GAMMA * dt)
+            if implicit is None or implicit.h != _GAMMA * dt:
+                implicit = None  # release the old factors before building the next
+                implicit = _ImplicitSolve(rhs, _GAMMA * dt)
                 stats["factorizations"] += 1
             for _ in range(n_steps):
-                z = _imex_step(rhs, solve, z, dt)
+                z = _imex_step(rhs, implicit, z, dt)
                 if nonlinear:
                     stats["min_density"] = min(stats["min_density"], 1.0 + float(np.min(z[:n])))
             stats["steps"] += n_steps
@@ -534,10 +518,8 @@ def _integrate(
                     "density left [1/2, 3/2]; reduce the initial amplitude or dx", t_next, traj
                 )
             traj.append(FieldState(t=t_next, rho=1.0 + u, m=z[n:].copy()))
-    finally:  # also on divergence; per step: 2 explicit evaluations (1 product each), 2 solves
-        stats.update(explicit_rhs_evals=2 * stats["steps"], implicit_solves=2 * stats["steps"],
-                     sparse_products=rhs.products,
-                     stage_nnz={"explicit": rhs.E.nnz, "final": rhs.F.nnz})
+    finally:  # also on divergence
+        stats["stage_nnz"] = {"explicit": rhs.E.nnz, "final": rhs.F.nnz}
     return traj
 
 

@@ -117,7 +117,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DELTA_SLOT, BoundaryClass, KernelValue, ModelParams, check_points, check_positive
+from .core import BoundaryClass, KernelValue, ModelParams, check_points, check_positive
 from .errors import AccuracyError, ConfigurationError, ParameterError
 from .spectral import find_boundary_pole, fourier_fundamental, laplace_green, refuse_unstable
 
@@ -416,8 +416,8 @@ def invert_fourier_fundamental(
     """Whole-line fundamental solution by Fourier inversion.
 
     Accepts scalar or array x; the smooth part has shape x.shape + (2, 2).
-    The persistent delta exp(-c^2 t/nu) delta(x) diag(1, 0) is returned in the
-    delta list.  Raises AccuracyError when the self-estimate misses cfg.tol, and
+    The persistent delta exp(-c^2 t/nu) delta(x) is returned as the weight at
+    offset 0.  Raises AccuracyError when the self-estimate misses cfg.tol, and
     ParameterError past t' = c^2 t/nu = _FOURIER_T_MAX.
     """
     L, t1, _, scale = _unit_frame(t, params)
@@ -426,7 +426,7 @@ def invert_fourier_fundamental(
     if not err <= cfg.tol:
         raise AccuracyError("fourier inversion did not meet tolerance", err, cfg.tol)
     smooth = smooth[0] * scale if np.ndim(x) == 0 else smooth * scale
-    return KernelValue(smooth=smooth, deltas=[(0.0, math.exp(-t1) * DELTA_SLOT)])
+    return KernelValue(smooth=smooth, delta_at=0.0, delta_weight=math.exp(-t1))
 
 
 # ---------------------------------------------------------------------------

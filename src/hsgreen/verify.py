@@ -109,6 +109,10 @@ def pointwise_envelope(x, y, t, params: ModelParams, alpha: int = 0, eps: float 
     """
     if not (eps > 0.0):
         raise ParameterError(f"need eps > 0, got eps={eps}")
+    bad = np.asarray(t, dtype=float)
+    bad = bad[~((bad > 0.0) & (bad < math.inf))]
+    if bad.size:
+        raise ParameterError(f"need finite t > 0, got t={bad[0]}")
     x, y, t = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (x, y, t)))
     c, nu = params.c, params.nu
     ridge = (
@@ -439,8 +443,8 @@ def lemma_initial_data_check(
         raise ParameterError(f"hypothesis needs r > 1/2, got r={r}")
     if not (e_const > d0 > 0.0):
         raise ParameterError(f"hypothesis needs E > d0 > 0, got E={e_const}, d0={d0}")
-    x_grid = check_points("x", x_grid)
-    t_grid = check_points("t", t_grid, lo=0.0)
+    x_grid = np.atleast_1d(check_points("x", x_grid))
+    t_grid = np.atleast_1d(check_points("t", t_grid, lo=0.0))
     if x_grid.size == 0 or t_grid.size == 0:
         raise ParameterError("lemma check needs at least one x and one t node")
 
@@ -609,16 +613,19 @@ def lemma_wave_interaction_check(
         K = 2.0 * abs(lam - lam_prime) + 1.0
     check_points("lam", lam)
     check_points("lam'", lam_prime)
-    for t in t_values:
+    t_nodes = np.atleast_1d(t_values).tolist()
+    for t in t_nodes:
         check_positive("t", t)
-    if not (len(t_values) >= 1 and n_x >= 1):
-        raise ParameterError(f"need at least one t node and n_x >= 1, got t={t_values}, n_x={n_x}")
+    if not t_nodes:
+        raise ParameterError(f"need at least one t node, got t={t_values}")
+    if isinstance(n_x, bool) or not isinstance(n_x, (int, np.integer)) or n_x < 1:
+        raise ParameterError(f"need an integer n_x >= 1, got n_x={n_x!r}")
 
     def sweep(scale: int):
         sup = -np.inf
         rows = []
         branches = extras = None
-        for t in t_values:
+        for t in t_nodes:
             tp = t + 1.0
             lo = min(lam, lam_prime) * tp - 12.0 * math.sqrt(tp)
             hi = max(lam, lam_prime) * tp + 12.0 * math.sqrt(tp)
@@ -642,7 +649,7 @@ def lemma_wave_interaction_check(
         {
             "alpha": alpha, "beta": beta,
             "nu": nu, "lam": lam, "lam_prime": lam_prime, "eps": eps, "K": K,
-            "t_values": list(t_values),
+            "t_values": t_nodes,
         },
         [{"refine": 1}, {"refine": 2}], sup_c, sup_f, rows,
         details={"log_branches": branches, **(extras or {})},

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,7 +9,6 @@ from hypothesis import strategies as st
 from hsgreen.core import (
     BoundaryClass,
     Grid1D,
-    KernelValue,
     ModelParams,
     Trajectory,
     a0_profile,
@@ -148,11 +148,14 @@ class TestContainers:
         assert g.dx == pytest.approx(0.1)
         assert g.n_nodes == 101
         assert g.x[0] == 0.0 and g.x[-1] == 10.0
+        assert np.array_equal(Grid1D(L=10.0, nx=np.int64(100)).x, g.x)
 
-    def test_kernel_value_rejects_duplicate_deltas(self):
-        with pytest.raises(ParameterError):
-            KernelValue(smooth=np.zeros((2, 2)),
-                        deltas=[(0.0, np.eye(2)), (0.0, np.eye(2))])
+    @pytest.mark.parametrize("nx", [100.0, 10.5, np.float64(100.0)],
+                             ids=["float", "fraction", "numpy-float"])
+    def test_grid_refuses_non_integer_nx(self, nx):
+        # .x would raise a bare TypeError from np.linspace
+        with pytest.raises(ParameterError, match=re.escape(f"nx={nx!r}")):
+            Grid1D(L=10.0, nx=nx)
 
     def test_trajectory_requires_increasing_times(self):
         g = Grid1D(L=1.0, nx=4)
@@ -168,21 +171,19 @@ def old_write_csv(path, header, rows):
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(
-                "" if v is None else v if isinstance(v, str) else f"{v:.17g}" for v in row
-            ) + "\n")
+            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
 
 
 class TestWriteCsv:
     def test_bytes_match_per_row_writer(self, tmp_path):
-        header = ["name", "value", "count", "flag"]
+        header = ["value", "count", "flag"]
         rows = [
-            ["a", 0.1, 3, True],
-            [None, np.float64(1.0) / 3.0, -7, False],
-            ["neg-zero", -0.0, 0, None],
-            ["inf", math.inf, 2**60, np.float64(-math.inf)],
-            ["nan", math.nan, np.float64(math.nan), np.float64(5e-324)],
-            ["", np.float64(123456789.123456789), 1e300, -1e-300],
+            [0.1, 3, True],
+            [np.float64(1.0) / 3.0, -7, False],
+            [-0.0, 0, np.float64(5e-324)],
+            [math.inf, 2**60, np.float64(-math.inf)],
+            [math.nan, np.float64(math.nan), -1e-300],
+            [np.float64(123456789.123456789), 1e300, np.int64(-3)],
         ]
         for table in (rows, []):
             new = write_csv(str(tmp_path / "sub" / "new.csv"), header, iter(table))

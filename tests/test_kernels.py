@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from hsgreen.core import DELTA_SLOT, BoundaryClass, ModelParams
+from hsgreen.core import BoundaryClass, ModelParams
 from hsgreen.errors import ParameterError, UsageError
 from hsgreen import kernels as K
 from hsgreen import transforms as tr
@@ -161,7 +161,7 @@ class TestFundamentalLeading:
 
     def test_delta_weight_variants(self):
         kv = K.fundamental_leading(1.0, 2.0, P)
-        assert kv.deltas[0][1][0, 0] == pytest.approx(math.exp(-2.0))
+        assert kv.delta_weight == pytest.approx(math.exp(-2.0))
 
     def test_mass_identity(self):
         t = 10.0
@@ -248,7 +248,7 @@ class TestGreenLeading:
 
     def test_delta_sits_at_source(self):
         kv = K.green_leading(3.0, 2.0, 1.5, P)
-        assert kv.deltas[0][0] == 2.0
+        assert kv.delta_at == 2.0
 
     def test_reflection_ridge_dominated_by_weighted_moment_term(self):
         # on x + y = ct the boundary part of the (2,2) entry is carried by
@@ -366,19 +366,6 @@ class TestAssembly:
         with pytest.raises(ValueError):
             basis[0, 0] = 1.0
 
-    def test_delta_weights_are_fresh_arrays(self):
-        # the weight times the shared read-only DELTA_SLOT: each call owns its delta
-        pd = ModelParams(a1=0.0, a2=1.0)
-        calls = [K.green_leading(2.0, 1.0, 1.5, pd), K.green_leading(3.0, 1.0, 1.5, pd),
-                 K.fundamental_leading(2.0, 1.5, pd),
-                 tr.invert_fourier_fundamental(2.0, 1.5, pd)]
-        deltas = [kv.deltas[0][1] for kv in calls]
-        for d in deltas:
-            assert d.flags.writeable and not np.shares_memory(d, DELTA_SLOT)
-            assert np.array_equal(d, math.exp(-1.5) * np.diag([1.0, 0.0]))
-        assert not np.shares_memory(deltas[0], deltas[1])
-        assert not DELTA_SLOT.flags.writeable
-
 
 # Dirichlet, Neumann, stable mixed (the default) and the scaled set
 STABLE = [ModelParams(a1=0.0, a2=1.0), ModelParams(a1=1.0, a2=0.0), P,
@@ -402,7 +389,7 @@ class TestArrayCalls:
         kv = K.green_leading(xs, y, t, params)
         loop = [K.green_leading(float(x), y, t, params) for x in xs]
         assert_matches_loop(kv.smooth, np.stack([v.smooth for v in loop]))
-        assert kv.deltas[0][0] == y and loop[0].smooth.shape == (2, 2)
+        assert kv.delta_at == y and loop[0].smooth.shape == (2, 2)
 
     @given(params=st.sampled_from(STABLE), xs=POINTS.map(lambda x: x - 15.0), t=TIMES)
     @settings(max_examples=30)

@@ -73,7 +73,7 @@ class TestScalingIdentity:
         got = K.green_leading(x1 * L, y1 * L, t1 * T, phys)
         ref = K.green_leading(x1, y1, t1, unit)
         assert_scaled(got.smooth, ref.smooth, scale, 1e-12)
-        assert math.isclose(got.deltas[0][1][0, 0], ref.deltas[0][1][0, 0], rel_tol=1e-12)
+        assert math.isclose(got.delta_weight, ref.delta_weight, rel_tol=1e-12)
 
     @given(c=SPEEDS, nu=VISCOSITIES, t1=TIMES)
     @settings(max_examples=50)
@@ -83,7 +83,7 @@ class TestScalingIdentity:
         got = tr.invert_fourier_fundamental(z1 * L, t1 * T, phys)
         ref = tr.invert_fourier_fundamental(z1, t1, unit)
         assert_scaled(got.smooth, ref.smooth, scale, FOURIER_REL)
-        assert math.isclose(got.deltas[0][1][0, 0], ref.deltas[0][1][0, 0], rel_tol=1e-12)
+        assert math.isclose(got.delta_weight, ref.delta_weight, rel_tol=1e-12)
 
     @given(c=SPEEDS, nu=VISCOSITIES, gamma1=GAMMAS, t1=TIMES)
     @settings(max_examples=50)

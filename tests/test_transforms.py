@@ -43,7 +43,7 @@ class TestInvertFourier:
         edges = np.linspace(-45.0, 45.0, 181)
         nodes, wts = tr._gauss_panels(edges, 12)
         kv = tr.invert_fourier_fundamental(nodes, t, P)
-        mass = gauss_integral(kv.smooth[:, 0, 0], nodes, wts) + kv.deltas[0][1][0, 0]
+        mass = gauss_integral(kv.smooth[:, 0, 0], nodes, wts) + kv.delta_weight
         assert abs(mass - 1.0) <= 1e-6
 
     def test_parity(self):
@@ -59,7 +59,7 @@ class TestInvertFourier:
     def test_scalar_input_returns_matrix(self):
         kv = tr.invert_fourier_fundamental(2.0, 1.0, P)
         assert kv.smooth.shape == (2, 2)
-        assert kv.deltas[0][0] == 0.0
+        assert kv.delta_at == 0.0
 
     def test_requires_positive_time(self):
         with pytest.raises(ParameterError):

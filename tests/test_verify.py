@@ -37,6 +37,15 @@ class TestPointwiseEnvelope:
         on_ridge = vf.pointwise_envelope(1.0 + P.c * t, 1.0, t, P)
         assert on_ridge > 5.0 * base
 
+    @pytest.mark.parametrize("t, named", [
+        (0.0, "t=0.0"), (-1.0, "t=-1.0"), (math.inf, "t=inf"), (math.nan, "t=nan"),
+        (np.array([2.0, 0.0, -1.0]), "t=0.0"),
+    ], ids=["zero", "negative", "inf", "nan", "array"])
+    def test_time_validation(self, t, named):
+        # t = 0 divided by zero and t < 0 took a square root of a negative
+        with pytest.raises(ParameterError, match=re.escape(named)):
+            vf.pointwise_envelope(24.0, 1.0, t, P)
+
     def test_eps_validation(self):
         for eps in (0.0, -1.0):
             with pytest.raises(ParameterError, match="eps > 0"):
@@ -264,6 +273,8 @@ MALFORMED_LEMMA_INPUTS = {
                 "lam=inf"),
     "lam'=nan": (lambda: vf.lemma_wave_interaction_check("cross-speed", 2.0, 0.5, 2.0, 1.0,
                                                          math.nan), "lam'=nan"),
+    "n_x=2.5": (lambda: vf.lemma_wave_interaction_check(*WAVE, n_x=2.5), "n_x=2.5"),
+    "n_x=True": (lambda: vf.lemma_wave_interaction_check(*WAVE, n_x=True), "n_x=True"),
     "lemma41-t=-3": (lambda: vf.lemma_initial_data_check(2.0, 1.0, 3.0, [0.0], [-3.0]), "t=-3"),
     "lemma41-x=nan": (lambda: vf.lemma_initial_data_check(2.0, 1.0, 3.0, [math.nan], [1.0]),
                       "x=nan"),
@@ -276,6 +287,16 @@ def test_malformed_lemma_input_refused(case):
     call, named = MALFORMED_LEMMA_INPUTS[case]
     with pytest.raises(ParameterError, match=re.escape(named)):
         call()
+
+
+def test_scalar_lemma_nodes_are_one_node_grids():
+    # a scalar x, t or t_values is the grid of that one node
+    scalar = vf.lemma_initial_data_check(2.0, 1.0, 3.0, 0.0, 1.0)
+    listed = vf.lemma_initial_data_check(2.0, 1.0, 3.0, [0.0], [1.0])
+    assert scalar.tables == listed.tables and scalar.status == listed.status
+    scalar = vf.lemma_wave_interaction_check(*WAVE, t_values=4.0, n_x=5)
+    listed = vf.lemma_wave_interaction_check(*WAVE, t_values=(4.0,), n_x=np.int64(5))
+    assert scalar.tables == listed.tables and scalar.parameters == listed.parameters
 
 
 class TestLemmaWaveInteraction:
