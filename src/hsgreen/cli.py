@@ -26,8 +26,9 @@ POINTWISE_GRIDS and LEMMA41_NODES, and the harnesses take the rest from ``model`
 ``verify --which instability`` starts from the exact unstable mode e^{-(a2/a1) x}, on a
 grid and run derived from a2/a1 and the pole s*, not from ``solver``.  A stable model
 runs (a1, a2) = (1, 1), and the report's ``details.substituted_for`` names its pair.
-``verify --which decay`` runs ``model.unit_model`` on DECAY_SOLVER and DECAY_TIMES from
-the algebraic data of ``solver.initial``'s amplitude and r, and judges its decay rates
+``verify --which decay`` runs ``model.unit_model`` on DECAY_SOLVER, whose domain is sized
+from its horizon and the report's window, and DECAY_TIMES from the algebraic data of
+``solver.initial``'s amplitude and r, and judges its decay rates
 and ansatz norm M(T) in ``decay.json``, ``decay_norms.csv`` and ``ansatz_M.csv``.  It
 refuses a Neumann wall, which holds the wall density at its initial value.
 """
@@ -283,9 +284,18 @@ def _verify_instability(cfg: RunConfig):
     return [rep]
 
 
-# Criterion 8's grid, horizon and output times, in the unit model's units.
-DECAY_SOLVER = SolverConfig(grid=Grid1D(L=400.0, nx=4000), t_end=50.0)
-DECAY_TIMES = np.unique(np.concatenate([np.linspace(0.0, 5.0, 6), np.geomspace(5.0, 50.0, 25)]))
+# Criterion 8's horizon, grid and output times, in the unit model's units (c = nu = 1).
+# The diffusion waves leave the wall at speed c with heat-kernel width sqrt(2 nu t), so
+# the report's window, the first vf.DECAY_WINDOW of [0, L], need only reach the ridge
+# plus 8 widths at t_end (x = 130 at t_end = 50); the grid is the fewest cells of
+# dx = 0.1 that cover it.
+_DECAY_T_END, _DECAY_DX = 50.0, 0.1
+_DECAY_NX = math.ceil((_DECAY_T_END + 8.0 * math.sqrt(2.0 * _DECAY_T_END))
+                      / vf.DECAY_WINDOW / _DECAY_DX)
+DECAY_SOLVER = SolverConfig(grid=Grid1D(L=_DECAY_NX * _DECAY_DX, nx=_DECAY_NX),
+                            t_end=_DECAY_T_END)
+DECAY_TIMES = np.concatenate([np.linspace(0.0, 5.0, 6)[:-1],
+                              np.geomspace(5.0, _DECAY_T_END, 25)])
 
 
 def _verify_decay(cfg: RunConfig):

@@ -99,8 +99,9 @@ class InitialData:
         with |x|^(-r)-type tails the diffusion-wave amplitude picks up a
         logarithm and the clean decay rates are lost (checked numerically).
     kind "gaussian":  amplitude-mass pulse of the given width at ``center``.
-    ``components`` selects which of (rho - 1, m) carry the profile.  Other
-    data enter the solvers directly as a :class:`FieldState`.
+    ``components`` selects which of (rho - 1, m) carry the profile, and
+    ``amplitude``, ``r`` and ``width`` must be finite.  Other data enter the
+    solvers directly as a :class:`FieldState`.
     """
 
     kind: str = "algebraic"
@@ -113,6 +114,9 @@ class InitialData:
     def __post_init__(self):
         if self.kind not in ("algebraic", "gaussian"):
             raise ParameterError(f"unknown initial data kind {self.kind!r}")
+        for name in ("amplitude", "r", "width"):
+            if not math.isfinite(getattr(self, name)):
+                raise ParameterError(f"need a finite {name}, got {name}={getattr(self, name)}")
         if self.kind == "algebraic" and not (self.r > 0.5):
             raise ParameterError(f"algebraic decay needs r > 1/2, got r={self.r}")
         if not (self.width > 0.0):
@@ -578,9 +582,12 @@ class GreenColumns:
 
 def pulse_width(y0: float, cfg: SolverConfig, width: float | None = None) -> float:
     """Width of the narrow pulses ``green_column`` starts at y0 (default 4 dx).
-    Refuses a width under 4 dx and a y0 nearer than 10 widths to either end."""
+    Refuses a non-finite width, a width under 4 dx and a y0 nearer than 10 widths
+    to either end."""
     dx = cfg.grid.dx
     width = 4.0 * dx if width is None else width
+    if not math.isfinite(width):
+        raise ConfigurationError(f"need a finite pulse width, got width={width}")
     if width < 4.0 * dx:
         raise ConfigurationError(f"pulse width {width} under-resolved (need >= 4 dx = {4 * dx})")
     if not (10.0 * width <= y0 <= cfg.grid.L - 10.0 * width):

@@ -301,9 +301,14 @@ def instability_report(params: ModelParams) -> VerificationReport:
 # ---------------------------------------------------------------------------
 
 
+#: The share of [0, L] that the decay norms read: left of the sponge layer, with a
+#: margin of 5% of L.
+DECAY_WINDOW = 1.0 - _SPONGE_FRACTION - 0.05
+
+
 def _window_mask(grid: Grid1D) -> np.ndarray:
-    """Nodes left of the sponge layer, with a margin of 5% of L."""
-    return grid.x <= (1.0 - _SPONGE_FRACTION - 0.05) * grid.L
+    """Nodes in the first DECAY_WINDOW of [0, L]."""
+    return grid.x <= DECAY_WINDOW * grid.L
 
 
 #: The L^p norms whose decay rates are fitted (the rates hold for p in (1, inf]),
@@ -601,6 +606,8 @@ def lemma_wave_interaction_check(
     K = None  # the cross-speed zone margin
     if kind not in ("same-speed", "cross-speed"):
         raise ParameterError("kind must be 'same-speed' or 'cross-speed'")
+    for name, value in (("alpha", alpha), ("beta", beta), ("nu", nu)):
+        check_points(name, value)
     if not (0.0 <= alpha <= 3.0 and beta >= 0.0 and nu > 0.0):
         raise ParameterError("hypothesis violated: need 0 <= alpha <= 3, beta >= 0, nu > 0")
     if kind == "same-speed":

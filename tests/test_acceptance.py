@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -v -s` (or `-rP`) to see the
 per-criterion lines.  Tolerances are pinned here and nowhere else.
 """
 
+import json
 import math
 
 import mpmath as mp
@@ -12,6 +13,7 @@ import pytest
 from scipy.integrate import quad
 
 from hsgreen.core import Grid1D, ModelParams
+from hsgreen import cli
 from hsgreen import kernels as K
 from hsgreen import solver as so
 from hsgreen import transforms as tr
@@ -350,6 +352,33 @@ def test_criterion_8_nonlinear_decay(decay_traj):
            f"L4 slope {slopes['L4']:.3f}, weighted-sup growth "
            f"{rep.details['weighted_sup_growth']:.2%}, M growth "
            f"{rep.details['M_growth']:.2%} (both <=5%)")
+
+
+def test_decay_grid_derived_from_horizon(decay_traj):
+    # the report's window reaches the ridge c t' plus 8 heat-kernel widths at t'_end on
+    # the fewest cells of criterion 8's dx = 0.1, so the run keeps its dt and steps
+    cfg = cli.DECAY_SOLVER
+    edge = cfg.t_end + 8.0 * math.sqrt(2.0 * cfg.t_end)
+    assert vf.DECAY_WINDOW * (cfg.grid.L - cfg.grid.dx) < edge <= vf.DECAY_WINDOW * cfg.grid.L
+    assert cfg.grid.dx == decay_traj.grid.dx == 0.1
+    assert np.array_equal(cli.DECAY_TIMES, decay_traj.times)
+    init = so.make_initial_data(so.InitialData(kind="algebraic", amplitude=0.01, r=1.0),
+                                cfg.grid, P)
+    traj = so.solve_nonlinear(init, P, cfg, output_times=cli.DECAY_TIMES)
+    assert traj.stats["steps"] == decay_traj.stats["steps"]
+
+
+def test_decay_cli_matches_criterion_8(decay_traj, tmp_path):
+    # the CLI's run on the derived grid gives criterion 8's L = 400 verdict and norms
+    assert cli.main(["verify", "--which", "decay", "--out", str(tmp_path)]) == cli.EXIT_PASS
+    got = json.loads((tmp_path / "decay.json").read_text())
+    want = vf.decay_report(decay_traj, P)
+    assert got["status"] == want.status == "pass"
+    for key, fit in want.fitted.items():
+        assert abs(got["fitted"][key]["slope"] - fit["slope"]) <= 1e-6
+    assert abs(got["details"]["M_final"] / want.details["M_final"] - 1.0) <= 1e-9
+    assert abs(got["details"]["weighted_sup_growth"]
+               - want.details["weighted_sup_growth"]) <= 1e-6
 
 
 # ---------------------------------------------------------------------------

@@ -60,6 +60,12 @@ class TestInitialData:
         with pytest.raises(ParameterError):
             so.InitialData(kind="algebraic", r=0.4)
 
+    @pytest.mark.parametrize("field", ["amplitude", "r", "width"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_data_refused(self, field, value):
+        with pytest.raises(ParameterError, match=f"{field}={value}"):
+            so.InitialData(**{field: value})
+
     def test_gaussian_pulse_mass(self):
         grid = Grid1D(L=40.0, nx=2000)
         spec = so.InitialData(kind="gaussian", amplitude=1.0, center=20.0, width=0.5)
@@ -687,6 +693,9 @@ class TestGreenColumn:
             so.green_column(5.0, P, cfg, width=cfg.grid.dx)
         with pytest.raises(ConfigurationError):
             so.green_column(0.5, P, cfg, width=1.0)
+        for width in (math.nan, math.inf):
+            with pytest.raises(ConfigurationError, match=f"width={width}"):
+                so.green_column(10.0, P, cfg, width=width)
         assert so.pulse_width(5.0, cfg) == 4.0 * cfg.grid.dx
 
     def test_delta_persistence_short_time(self):
@@ -771,10 +780,10 @@ class TestGreenColumn:
 
 class TestImportBoundary:
     # scipy.special, scipy.linalg and scipy.sparse load on first use, so a
-    # process pays only for what it runs; the pytest process has them loaded
+    # process pays only for what it runs, and nothing at import loads numpy.ma;
+    # the pytest process has them loaded
     @staticmethod
-    def _loaded_after(code):
-        modules = "('scipy.special', 'scipy.linalg', 'scipy.sparse')"
+    def _loaded_after(code, modules="('scipy.special', 'scipy.linalg', 'scipy.sparse')"):
         probe = f"{code}\nimport sys; print(*(m in sys.modules for m in {modules}))"
         # the child finds hsgreen where this process found it
         src = os.path.dirname(os.path.dirname(so.__file__))
@@ -785,7 +794,8 @@ class TestImportBoundary:
         return out.stdout.split()
 
     def test_cli_import_loads_none(self):
-        assert self._loaded_after("import hsgreen.cli") == ["False", "False", "False"]
+        modules = "('scipy.special', 'scipy.linalg', 'scipy.sparse', 'numpy.ma')"
+        assert self._loaded_after("import hsgreen.cli", modules) == ["False"] * 4
 
     def test_solve_loads_linalg_and_sparse(self):
         code = (

@@ -275,6 +275,12 @@ MALFORMED_LEMMA_INPUTS = {
                                                          math.nan), "lam'=nan"),
     "n_x=2.5": (lambda: vf.lemma_wave_interaction_check(*WAVE, n_x=2.5), "n_x=2.5"),
     "n_x=True": (lambda: vf.lemma_wave_interaction_check(*WAVE, n_x=True), "n_x=True"),
+    "alpha=nan": (lambda: vf.lemma_wave_interaction_check("same-speed", math.nan, 0.5, 2.0,
+                                                          1.0), "alpha=nan"),
+    "beta=inf": (lambda: vf.lemma_wave_interaction_check("same-speed", 2.0, math.inf, 2.0,
+                                                         1.0), "beta=inf"),
+    "nu=inf": (lambda: vf.lemma_wave_interaction_check("same-speed", 2.0, 0.5, math.inf,
+                                                       1.0), "nu=inf"),
     "lemma41-t=-3": (lambda: vf.lemma_initial_data_check(2.0, 1.0, 3.0, [0.0], [-3.0]), "t=-3"),
     "lemma41-x=nan": (lambda: vf.lemma_initial_data_check(2.0, 1.0, 3.0, [math.nan], [1.0]),
                       "x=nan"),
